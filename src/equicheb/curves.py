@@ -1,8 +1,11 @@
 """Exterior-map families with explicit level-curve samplers.
 
-Each family carries a closed-form description of its exterior map (or of
-the inverse map), a capacity bookkeeping rule, and a sampler that puts
-points exactly on the level curve where the modulus of the map equals r.
+Level curves L_r = {|phi| = r} come from one of two mechanisms.  Circle,
+Interval and ExplicitMap carry an inverse map psi (exact Laurent data for
+the first two) and L_r is psi(|w| = r).  Lemniscate {|P| = R} and the
+preimage P^{-1}([-1,1]) name a base family, Circle(R) or Interval(); their
+map is (phi_base o P)^(1/m), so L_r is P^{-1} of the base family's level
+curve at r^m, found by solving P(z) = psi_base(r^m e^(i m theta)).
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from . import dd
-from .rootfind import roots_after_constant_shifts
+from .rootfind import RootFindingError, roots_after_constant_shifts
 from .series import (
     ComplexPolynomial,
     DepthExhaustionError,
@@ -58,10 +61,20 @@ class Circle:
         if self.radius <= 0:
             raise ValueError("radius must be positive")
 
+    @property
+    def psi(self) -> LaurentSeriesAtInfinity:
+        """Exact inverse map psi(w) = R w."""
+        return LaurentSeriesAtInfinity(self.radius, [0.0], exact=True)
+
 
 @dataclass(frozen=True)
 class Interval:
     """K = [-1, 1]."""
+
+    @property
+    def psi(self) -> LaurentSeriesAtInfinity:
+        """Exact inverse map psi(w) = (w + 1/w)/2, the Joukowski map."""
+        return LaurentSeriesAtInfinity(0.5, [0.0, 0.5], exact=True)
 
 
 @dataclass(frozen=True, eq=False)
@@ -78,6 +91,11 @@ class Lemniscate:
             raise ValueError("generator degree must be at least 1")
         if not self.P.is_monic(0.0):
             raise ValueError("generator polynomial must be monic")
+
+    @property
+    def base(self) -> Circle:
+        """K = P^{-1}(circle of radius R)."""
+        return Circle(self.R)
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,6 +131,11 @@ class InversePolynomialImage:
     def period_verified(self) -> bool:
         return self.alternation_points is not None
 
+    @property
+    def base(self) -> Interval:
+        """K = P^{-1}([-1, 1])."""
+        return Interval()
+
 
 @dataclass(frozen=True, eq=False)
 class ExplicitMap:
@@ -139,6 +162,8 @@ class ExplicitMap:
 
 
 CurveFamily = Union[Circle, Interval, Lemniscate, InversePolynomialImage, ExplicitMap]
+# families sampled as P^{-1} of their base family's level curve at r^m
+_ROOT_FAMILIES = (Lemniscate, InversePolynomialImage)
 
 
 @dataclass(frozen=True, eq=False)
@@ -173,21 +198,16 @@ class CurveSample:
 
 
 def capacity_leading_coefficient(f: CurveFamily) -> float:
-    """Leading map coefficient c; the logarithmic capacity of K is 1/c."""
-    if isinstance(f, Circle):
-        return 1.0 / f.radius
-    if isinstance(f, Interval):
-        return 2.0
-    if isinstance(f, Lemniscate):
-        return float(f.R ** (-1.0 / f.P.degree))
-    if isinstance(f, InversePolynomialImage):
-        m = f.P.degree
-        return float((2.0 * f.P.coeffs[-1].real) ** (1.0 / m))
-    if isinstance(f, ExplicitMap):
-        if f.phi is not None:
-            return f.phi.leading_coefficient
-        return 1.0 / f.psi.leading_coefficient
-    raise TypeError(f"unknown family {type(f).__name__}")
+    """Leading map coefficient c; the logarithmic capacity of K is 1/c.
+
+    A root family's map is (phi_base o P)^(1/m), so c = (c_base lead(P))^(1/m).
+    """
+    if isinstance(f, _ROOT_FAMILIES):
+        lead = capacity_leading_coefficient(f.base) * f.P.coeffs[-1].real
+        return float(lead ** (1.0 / f.P.degree))
+    if isinstance(f, ExplicitMap) and f.phi is not None:
+        return f.phi.leading_coefficient
+    return 1.0 / _inverse_map(f).leading_coefficient
 
 
 # -- series construction helpers --------------------------------------------
@@ -225,45 +245,61 @@ def _fractional_root(s: LaurentSeries, m: int, n_terms: int) -> LaurentSeries:
     return LaurentSeries(out_top - (n_terms - 1), coeffs, exact=False)
 
 
-def _interval_like_map_series(P: ComplexPolynomial, n_terms: int) -> LaurentSeries:
-    """Series at infinity of  P(z) + sqrt(P(z)^2 - 1)  (top power = deg P),
-    keeping n_terms coefficients down from the top."""
+def _base_map_series(base: CurveFamily, P: ComplexPolynomial, n_terms: int) -> LaurentSeries:
+    """Series at infinity of phi_base(P(z)) (top power deg P), keeping
+    n_terms coefficients down from the top: P/R for a circle of radius R,
+    P + sqrt(P^2 - 1) for the interval."""
     p_series = P.to_series()
-    p2 = laurent_mul(p_series, p_series) - LaurentSeries(0, [1.0], exact=True)
-    root = _fractional_root(p2, 2, n_terms)
-    return p_series + root
+    if isinstance(base, Circle):
+        return p_series.scale(1.0 / base.radius)
+    if isinstance(base, Interval):
+        p2 = laurent_mul(p_series, p_series) - LaurentSeries(0, [1.0], exact=True)
+        return p_series + _fractional_root(p2, 2, n_terms)
+    raise TypeError(f"unknown family {type(base).__name__}")
 
 
 def phi_series(f: CurveFamily, depth: int) -> LaurentSeriesAtInfinity:
     """Map series at infinity with the stated truncation depth.
 
     For a degree-m lemniscate (and for polynomial preimages) this is the
-    principal m-th root branch of the underlying degree-m series; only the
-    modulus of the map is single-valued off the branch structure, which is
-    all the level curves need.
+    principal m-th root branch of the base family's map applied to P; only
+    the modulus of the map is single-valued off the branch structure, which
+    is all the level curves need.
     """
     if depth < 0:
         raise ValueError("depth must be nonnegative")
-    if isinstance(f, Circle):
-        return LaurentSeriesAtInfinity(
-            1.0 / f.radius, np.zeros(depth + 1, dtype=complex), exact=True
-        )
-    if isinstance(f, Interval):
-        s = _interval_like_map_series(ComplexPolynomial([0.0, 1.0]), depth + 2)
-        return LaurentSeriesAtInfinity(s.coeffs[-1].real, s.coeffs[:-1][::-1])
-    if isinstance(f, Lemniscate):
-        m = f.P.degree
-        scaled = f.P.to_series().scale(1.0 / f.R)
-        root = _fractional_root(scaled, m, depth + 2)
-        return LaurentSeriesAtInfinity(root.coeffs[-1].real, root.coeffs[:-1][::-1])
-    if isinstance(f, InversePolynomialImage):
-        m = f.P.degree
-        s = _interval_like_map_series(f.P, depth + 2)
-        root = _fractional_root(s, m, depth + 2)
-        return LaurentSeriesAtInfinity(root.coeffs[-1].real, root.coeffs[:-1][::-1])
     if isinstance(f, ExplicitMap):
         return f.phi_or_reverted(depth)
-    raise TypeError(f"unknown family {type(f).__name__}")
+    if isinstance(f, _ROOT_FAMILIES):
+        s = _base_map_series(f.base, f.P, depth + 2)
+        s = _fractional_root(s, f.P.degree, depth + 2)
+    else:
+        s = _base_map_series(f, ComplexPolynomial([0.0, 1.0]), depth + 2)
+    phi = LaurentSeriesAtInfinity(s.coeffs[-1].real, s.coeffs[:-1][::-1], exact=s.exact)
+    return phi.truncate(depth)  # pads the circle's exact z/R to the depth
+
+
+def _inverse_map(f: CurveFamily) -> LaurentSeriesAtInfinity:
+    """psi of an inverse-map family: exact data, or the reverted phi."""
+    if isinstance(f, ExplicitMap):
+        return f.psi_or_reverted()
+    return f.psi
+
+
+def _map_points(psi: LaurentSeriesAtInfinity, w: np.ndarray) -> np.ndarray:
+    """psi(w) = c w + tail(1/w), the tail by Horner in 1/w."""
+    u = 1.0 / w
+    acc = np.full_like(u, psi.tail[-1])
+    for c in psi.tail[-2::-1]:
+        acc = acc * u + c
+    return psi.leading_coefficient * w + acc
+
+
+def _map_points_dd(psi: LaurentSeriesAtInfinity, unit: dd.DD, r) -> dd.DD:
+    """psi(r * unit) in double-double for |unit| = 1 and r > 0 (double or
+    DD), where 1/w = conj(unit)/r."""
+    tail = dd.polyval(psi.tail, unit.conj() * dd.recip(r))
+    return unit * r * psi.leading_coefficient + tail
 
 
 # -- sampling ----------------------------------------------------------------
@@ -272,8 +308,9 @@ def phi_series(f: CurveFamily, depth: int) -> LaurentSeriesAtInfinity:
 def _dedup(points: np.ndarray, thetas: np.ndarray, phi_values):
     """Drop near-coincident points (pairwise distance <= 1e-12 * diameter).
 
-    Sweep in real-part order: points within tol of each other are within
-    tol in real part, so the sorted window search is exhaustive.
+    Points within tol of each other are within tol in real part, so pairs
+    from a window over the sorted real parts are exhaustive.  Greedy in
+    real-part order: a point is dropped by the first kept point close to it.
     """
     n = len(points)
     if n < 2:
@@ -284,18 +321,17 @@ def _dedup(points: np.ndarray, thetas: np.ndarray, phi_values):
     )
     tol = 1e-12 * max(span, 1e-300)
     order = np.argsort(points.real, kind="stable")
-    keep = np.ones(n, dtype=bool)
     xs = points.real[order]
-    for i in range(n):
-        a = order[i]
-        if not keep[a]:
-            continue
-        j = i + 1
-        while j < n and xs[j] - xs[i] <= tol:
-            b = order[j]
-            if keep[b] and abs(points[a] - points[b]) <= tol:
-                keep[b] = False
-            j += 1
+    # windows of xs <= xs[i] + 2 tol hold every xs[j] - xs[i] <= tol
+    counts = np.searchsorted(xs, xs + 2.0 * tol, side="right") - np.arange(1, n + 1)
+    first = np.repeat(np.arange(n), counts)
+    second = first + 1 + np.arange(len(first)) - np.repeat(np.cumsum(counts) - counts, counts)
+    a, b = order[first], order[second]
+    close = (xs[second] - xs[first] <= tol) & (np.abs(points[a] - points[b]) <= tol)
+    keep = np.ones(n, dtype=bool)
+    for i, j in zip(a[close], b[close]):
+        if keep[i]:
+            keep[j] = False
     points = points[keep]
     thetas = thetas[keep]
     if phi_values is not None:
@@ -306,15 +342,13 @@ def _dedup(points: np.ndarray, thetas: np.ndarray, phi_values):
 def _lemniscate_degenerate(P: ComplexPolynomial, target_modulus: float) -> bool:
     """Level passes within 1% of a critical value of the generator."""
     dP = P.derivative()
-    if dP.degree < 1 and dP.coeffs[0] == 0:
+    if dP.degree < 1:
         return False
-    try:
-        from .rootfind import all_roots
+    from .rootfind import all_roots
 
-        crit = all_roots(dP).roots if dP.degree >= 1 else np.array([])
-    except Exception:
-        return False
-    if len(crit) == 0:
+    try:
+        crit = all_roots(dP).roots
+    except RootFindingError:
         return False
     vals = np.abs(P(crit))
     return bool(np.any(np.abs(vals - target_modulus) <= 1e-2 * target_modulus))
@@ -337,10 +371,10 @@ def lemniscate_point_set(f: Lemniscate, rho: float, M: int) -> np.ndarray:
 def sample_level_curve(f: CurveFamily, r: float, M: int) -> CurveSample:
     """M points (m * ceil(M/m) for degree-m root families) covering L_r.
 
-    Circle/Interval/ExplicitMap place points via the inverse map at
-    r*exp(i*theta_j); root families solve the degree-m target equation per
-    angle, all m roots per target, deterministic ordering (theta-major,
-    solver root order minor).  Points are deduplicated.
+    Inverse-map families place points at psi(r*exp(i*theta_j)); root
+    families solve P(z) = psi_base(r^m exp(i*m*theta_j)) per angle, all m
+    roots per target, deterministic ordering (theta-major, solver root
+    order minor).  Points are deduplicated.
     """
     if r <= 1.0:
         raise ValueError("level r must exceed 1")
@@ -348,48 +382,20 @@ def sample_level_curve(f: CurveFamily, r: float, M: int) -> CurveSample:
         raise ValueError("sample size must be positive")
     degenerate = False
     grid_size = M
-    if isinstance(f, Circle):
-        thetas = 2.0 * np.pi * np.arange(M) / M
-        w = r * np.exp(1j * thetas)
-        points = f.radius * w
-        phi_values = w
-    elif isinstance(f, Interval):
-        thetas = 2.0 * np.pi * np.arange(M) / M
-        w = r * np.exp(1j * thetas)
-        points = joukowski(w)
-        phi_values = w
-    elif isinstance(f, ExplicitMap):
-        thetas = 2.0 * np.pi * np.arange(M) / M
-        w = r * np.exp(1j * thetas)
-        psi = f.psi_or_reverted()
-        points = psi.evaluate(w)
-        phi_values = w
-    elif isinstance(f, Lemniscate):
+    if isinstance(f, _ROOT_FAMILIES):
         m = f.P.degree
         J = int(np.ceil(M / m))
         grid_size = m * J
         thetas_base = 2.0 * np.pi * np.arange(J) / (m * J)
-        target_modulus = f.R * r ** m
-        targets = target_modulus * np.exp(1j * m * thetas_base)
-        roots = roots_after_constant_shifts(f.P, targets)
-        points = roots.ravel()
+        targets = _map_points(f.base.psi, r ** m * np.exp(1j * m * thetas_base))
+        points = roots_after_constant_shifts(f.P, targets).ravel()
         thetas = np.repeat(thetas_base, m)
         phi_values = None
-        degenerate = _lemniscate_degenerate(f.P, target_modulus)
-    elif isinstance(f, InversePolynomialImage):
-        m = f.P.degree
-        J = int(np.ceil(M / m))
-        grid_size = m * J
-        thetas_base = 2.0 * np.pi * np.arange(J) / (m * J)
-        rho = r ** m
-        targets = joukowski(rho * np.exp(1j * m * thetas_base))
-        roots = roots_after_constant_shifts(f.P, targets)
-        points = roots.ravel()
-        thetas = np.repeat(thetas_base, m)
-        phi_values = None
+        degenerate = isinstance(f, Lemniscate) and _lemniscate_degenerate(f.P, f.R * r ** m)
     else:
-        raise TypeError(f"unknown family {type(f).__name__}")
-    points = np.asarray(points, dtype=complex)
+        thetas = 2.0 * np.pi * np.arange(M) / M
+        phi_values = r * np.exp(1j * thetas)
+        points = _map_points(_inverse_map(f), phi_values)
     points, thetas, phi_values = _dedup(points, thetas, phi_values)
     return CurveSample(
         r=float(r),
@@ -402,25 +408,6 @@ def sample_level_curve(f: CurveFamily, r: float, M: int) -> CurveSample:
     )
 
 
-def _root_family_points_dd(f, r: float, z0: np.ndarray, unit: dd.DD) -> dd.DD:
-    """One double-double Newton step from the double roots z0 of P(z) = t.
-
-    The targets t (R r^m * unit for a lemniscate, J(r^m * unit) for a
-    polynomial preimage) are formed in double-double; the step's quadratic
-    convergence takes the 1e-16 relative error of z0 to about 1e-32.
-    """
-    m = f.P.degree
-    rho = dd.DD(r)
-    for _ in range(m - 1):
-        rho = rho * r
-    if isinstance(f, Lemniscate):
-        target = unit * (rho * f.R)
-    else:
-        target = (unit * rho + unit.conj() * dd.recip(rho)) * 0.5
-    u = dd.polyval(f.P.coeffs, dd.DD(z0))
-    return dd.DD(z0) + (target - u).to_complex() / f.P.derivative()(z0)
-
-
 def sample_points_dd(sample: CurveSample) -> dd.DD:
     """The sample's points to double-double accuracy, on L_r and at exactly
     equispaced map angles 2 pi k / grid_size.
@@ -430,26 +417,26 @@ def sample_points_dd(sample: CurveSample) -> dd.DD:
     reach 1e16 and more: both the curve and the equal spacing (which makes
     uniform weights an exact quadrature of the harmonic measure) must
     hold to the digits the solution needs.  Inverse-map families evaluate
-    their map in double-double at r * exp(2 pi i k / N); root families take
-    one Newton step from their double roots.
+    their map in double-double at r * exp(2 pi i k / N); root families form
+    their targets so at level r^m and take one Newton step from their double
+    roots, whose quadratic convergence takes the 1e-16 relative error of the
+    double roots to about 1e-32.
     """
     f, r, N = sample.family, sample.r, sample.grid_size
     if N < 1:
         raise ValueError("sample carries no angle grid")
     k = np.rint(sample.thetas * (N / (2.0 * np.pi))).astype(np.int64)
     omega = dd.roots_of_unity(N)
-    if isinstance(f, (Lemniscate, InversePolynomialImage)):
-        return _root_family_points_dd(f, r, sample.points, omega[(f.P.degree * k) % N])
-    u = omega[k % N]
-    if isinstance(f, Circle):
-        return u * r * f.radius
-    if isinstance(f, Interval):
-        return (u * r + u.conj() * dd.recip(r)) * 0.5
-    if isinstance(f, ExplicitMap):
-        psi = f.psi_or_reverted()
-        tail = dd.polyval(psi.tail, u.conj() * dd.recip(r))
-        return u * r * psi.leading_coefficient + tail
-    raise TypeError(f"unknown family {type(f).__name__}")
+    if isinstance(f, _ROOT_FAMILIES):
+        m = f.P.degree
+        rho = dd.DD(r)
+        for _ in range(m - 1):
+            rho = rho * r
+        target = _map_points_dd(f.base.psi, omega[(m * k) % N], rho)
+        z0 = dd.DD(sample.points)
+        step = (target - dd.polyval(f.P.coeffs, z0)).to_complex()
+        return z0 + step / f.P.derivative()(sample.points)
+    return _map_points_dd(_inverse_map(f), omega[k % N], r)
 
 
 # -- JSON family specs -------------------------------------------------------

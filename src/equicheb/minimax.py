@@ -67,6 +67,9 @@ class MinimaxSolution:
     ``precision_limited`` marks a solve whose values on the curve are too
     large for double precision to pin the low-order coefficients (see
     ``solve_chebyshev``); its polynomial was refined in double-double.
+    Such a solve has ``converged=False`` also when its values are too large
+    for double-double: then its polynomial near K, where the zeros lie, is
+    rounding noise whatever the Lawson certificate says.
     """
 
     polynomial: ComplexPolynomial
@@ -293,7 +296,9 @@ def solve_chebyshev(
     where its zeros lie.  Such a solution keeps its Lawson weights and
     certificate, and its polynomial is replaced by the weighted
     least-squares polynomial for those weights solved to double-double
-    accuracy on the sample placed exactly on the curve.
+    accuracy on the sample placed exactly on the curve.  The same rule with
+    the double-double resolution eps^2 in place of eps marks where that
+    refinement runs out too; such a solve returns ``converged=False``.
     """
     opts = opts or SolveOptions()
     sol = chebyshev_on_points(sample.points, n, opts)
@@ -307,14 +312,16 @@ def solve_chebyshev(
             sol, sample = nxt, finer
             if stable:
                 break
-    c = capacity_leading_coefficient(sample.family)
-    if n == 0 or np.finfo(float).eps * sol.sup_norm * c ** n <= _ROOT_ACCURACY_BUDGET:
+    growth = capacity_leading_coefficient(sample.family) ** n
+    if n == 0 or np.finfo(float).eps * sol.sup_norm * growth <= _ROOT_ACCURACY_BUDGET:
         return sol
     poly = _refine_dd(sample_points_dd(sample), sol.weights, n, sol.basis_center)
+    resolved = bool(_DD_EPS * sol.sup_norm * growth <= _ROOT_ACCURACY_BUDGET)
     return replace(
         sol,
         polynomial=poly,
         sup_norm=float(np.abs(poly(sample.points)).max()),
+        converged=sol.converged and resolved,
         precision_limited=True,
     )
 

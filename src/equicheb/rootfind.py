@@ -42,17 +42,18 @@ class RootSet:
         return len(self.roots)
 
 
-def _initial_guesses(coeffs: np.ndarray) -> np.ndarray:
-    """Perturbed circle at the Cauchy root bound."""
-    deg = len(coeffs) - 1
-    bound = 1.0 + float(np.abs(coeffs[:-1] / coeffs[-1]).max())
+def _initial_guesses(coeff_rows: np.ndarray) -> np.ndarray:
+    """Perturbed circle at the Cauchy root bound, one row per polynomial."""
+    deg = coeff_rows.shape[1] - 1
+    bound = 1.0 + np.abs(coeff_rows[:, :-1] / coeff_rows[:, -1:]).max(axis=1)
     angles = 2.0 * np.pi * np.arange(deg) / deg + _ANGLE_OFFSET
-    return bound * np.exp(1j * angles)
+    return bound[:, None] * np.exp(1j * angles)
 
 
 def _sort_roots(roots: np.ndarray) -> np.ndarray:
-    order = np.lexsort((np.abs(roots), np.angle(roots)))
-    return roots[order]
+    """Each row by angle, ties by modulus."""
+    order = np.lexsort((np.abs(roots), np.angle(roots)), axis=-1)
+    return np.take_along_axis(roots, order, axis=-1)
 
 
 def _aberth_batch(coeff_rows: np.ndarray, tol: float, max_iter: int = _MAX_ITER):
@@ -65,9 +66,7 @@ def _aberth_batch(coeff_rows: np.ndarray, tol: float, max_iter: int = _MAX_ITER)
     deg = width - 1
     deriv = coeff_rows[:, 1:] * np.arange(1, width)
 
-    z = np.empty((rows, deg), dtype=complex)
-    for i in range(rows):
-        z[i] = _initial_guesses(coeff_rows[i])
+    z = _initial_guesses(coeff_rows)
     active = np.ones(rows, dtype=bool)
     iterations = np.zeros(rows, dtype=int)
 
@@ -161,7 +160,4 @@ def roots_after_constant_shifts(
             best_roots=z[bad],
             residuals=_residuals(rows[bad], z[bad]),
         )
-    out = np.empty_like(z)
-    for i in range(len(targets)):
-        out[i] = _sort_roots(z[i])
-    return out
+    return _sort_roots(z)

@@ -39,11 +39,6 @@ class NotMonicError(ValueError):
     """Operation requires a monic polynomial."""
 
 
-def _trim_complex(values) -> np.ndarray:
-    arr = np.asarray(values, dtype=complex).ravel()
-    return arr
-
-
 @dataclass(frozen=True, eq=False)
 class LaurentSeries:
     """Finite Laurent expansion  sum_{k=low..top} coeffs[k-low] * z^k.
@@ -59,7 +54,7 @@ class LaurentSeries:
     exact: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "coeffs", _trim_complex(self.coeffs))
+        object.__setattr__(self, "coeffs", np.asarray(self.coeffs, dtype=complex).ravel())
         if len(self.coeffs) == 0:
             raise ValueError("empty coefficient window")
 
@@ -224,7 +219,7 @@ class LaurentSeriesAtInfinity:
     exact: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "tail", _trim_complex(self.tail))
+        object.__setattr__(self, "tail", np.asarray(self.tail, dtype=complex).ravel())
         c = self.leading_coefficient
         if not (np.isreal(c) and float(np.real(c)) > 0):
             raise ValueError("leading coefficient must be a positive real")
@@ -280,7 +275,7 @@ class ComplexPolynomial:
     coeffs: np.ndarray
 
     def __post_init__(self):
-        arr = _trim_complex(self.coeffs)
+        arr = np.asarray(self.coeffs, dtype=complex).ravel()
         # normalize: drop trailing zero coefficients, keep at least one
         nz = np.nonzero(arr)[0]
         arr = arr[: nz[-1] + 1] if len(nz) else arr[:1]
@@ -395,7 +390,7 @@ class FaberExpansion:
     reference: LaurentSeriesAtInfinity
 
     def __post_init__(self):
-        object.__setattr__(self, "alpha", _trim_complex(self.alpha))
+        object.__setattr__(self, "alpha", np.asarray(self.alpha, dtype=complex).ravel())
         if len(self.alpha) != self.degree:
             raise ValueError("alpha must have length equal to the degree")
 

@@ -10,6 +10,7 @@ from equicheb.curves import (
     capacity_leading_coefficient,
     family_from_json_dict,
     family_to_json_dict,
+    joukowski,
     lemniscate_point_set,
     phi_series,
     sample_level_curve,
@@ -161,6 +162,18 @@ class TestSampling:
         s = sample_level_curve(Interval(), 2.0, 8)
         assert s.points[0] == pytest.approx(1.25)
 
+    @pytest.mark.parametrize("r", [1.004, 1.5, 8.0, 32.0])
+    def test_closed_form_inverse_maps_bit_for_bit(self, r):
+        # the shared map evaluation c*w + tail(1/w) reproduces the closed
+        # forms R*w and (w + 1/w)/2 exactly, not only to rounding
+        thetas = 2.0 * np.pi * np.arange(512) / 512
+        w = r * np.exp(1j * thetas)
+        circle = sample_level_curve(Circle(2.5), r, 512)
+        assert circle.points.tobytes() == (2.5 * w).tobytes()
+        ellipse = sample_level_curve(Interval(), r, 512)
+        assert ellipse.points.tobytes() == joukowski(w).tobytes()
+        assert ellipse.phi_values.tobytes() == w.tobytes()
+
     def test_bernoulli_theta_zero(self):
         s = sample_level_curve(BERNOULLI, 2.0, 8)
         # solving z^2 - 1 = 4 puts +-sqrt(5) in the sample
@@ -220,6 +233,32 @@ class TestSampling:
         d = np.abs(out[:, None] - out[None, :])
         np.fill_diagonal(d, np.inf)
         assert d.min() > 0
+
+    def test_dedup_matches_greedy_sweep(self):
+        # clusters of near-coincident points, some chained (a-b and b-c
+        # close, a-c not), against the point-by-point greedy sweep
+        from equicheb.curves import _dedup
+
+        rng = np.random.default_rng(5)
+        centers = rng.standard_normal(40) + 1j * rng.standard_normal(40)
+        span = max(np.ptp(centers.real), np.ptp(centers.imag))
+        # steps of 0.7 tol: each point is close to its neighbours only
+        steps = 0.7e-12 * span * np.exp(2j * np.pi * rng.random(40))
+        pts = (centers[:, None] + steps[:, None] * np.arange(4)).ravel()
+        pts = np.concatenate([pts, np.conj(pts[:40])])[rng.permutation(200)]
+        tol = 1e-12 * max(np.ptp(pts.real), np.ptp(pts.imag))
+        order = np.argsort(pts.real, kind="stable")
+        keep = np.ones(len(pts), dtype=bool)
+        for i, a in enumerate(order):
+            for b in order[i + 1 :]:
+                if pts.real[b] - pts.real[a] > tol:
+                    break
+                if keep[a] and abs(pts[a] - pts[b]) <= tol:
+                    keep[b] = False
+        out, th, _ = _dedup(pts, np.arange(200.0), None)
+        assert 0 < keep.sum() < 200
+        assert out.tobytes() == pts[keep].tobytes()
+        assert th.tobytes() == np.flatnonzero(keep).astype(float).tobytes()
 
     def test_nesting_by_winding_number(self):
         # the r1 sample lies inside the Jordan curve through the r2 sample
@@ -281,10 +320,12 @@ class TestSampling:
 class TestSamplePointsDD:
     """Double-double points lie on L_r at the sampled map angles exactly,
     checked in 40-digit arithmetic: P(z) = R r^m e^(i m theta) for a
-    lemniscate, P(z) = J(r^m e^(i m theta)) for a polynomial preimage and
-    z = J(r e^(i theta)) for the interval, J(w) = (w + 1/w)/2."""
+    lemniscate, P(z) = J(r^m e^(i m theta)) for a polynomial preimage,
+    z = J(r e^(i theta)) for the interval, J(w) = (w + 1/w)/2, and
+    z = psi(r e^(i theta)) for a circle (psi(w) = R w) or explicit map."""
 
     CUBIC = Lemniscate(ComplexPolynomial([0.25, -1.0, 0.0, 1.0]), 1.0)
+    EXPLICIT = ExplicitMap(psi=LaurentSeriesAtInfinity(1.5, [0.1, 0.3, 0.05j, 0.01], exact=True))
 
     @staticmethod
     def defects(sample, points):
@@ -296,9 +337,17 @@ class TestSamplePointsDD:
             for theta, (hi, lo) in zip(sample.thetas, points):
                 z = mp.mpc(hi) + mp.mpc(lo)
                 angle = 2 * mp.pi * int(round(theta * N / (2 * np.pi))) / N
+                w = r * mp.expj(angle)
                 if isinstance(f, Interval):
-                    w = r * mp.expj(angle)
                     out.append(abs(z - (w + 1 / w) / 2) / r)
+                    continue
+                if isinstance(f, Circle):
+                    out.append(abs(z - f.radius * w) / (f.radius * r))
+                    continue
+                if isinstance(f, ExplicitMap):
+                    psi = f.psi
+                    tail = sum(mp.mpc(c) * w**-k for k, c in enumerate(psi.tail))
+                    out.append(abs(z - (psi.leading_coefficient * w + tail)) / r)
                     continue
                 m = f.P.degree
                 u = mp.polyval([mp.mpf(c.real) for c in f.P.coeffs[::-1]], z)
@@ -309,8 +358,8 @@ class TestSamplePointsDD:
                     out.append(abs(u - (w + 1 / w) / 2) / r**m)
         return float(max(out))
 
-    @pytest.mark.parametrize("family", [CUBIC, PERIOD2, Interval()],
-                             ids=["cubic-lemniscate", "period2", "interval"])
+    @pytest.mark.parametrize("family", [CUBIC, PERIOD2, Interval(), Circle(2.5), EXPLICIT],
+                             ids=["cubic-lemniscate", "period2", "interval", "circle", "explicit"])
     @pytest.mark.parametrize("r", [1.3, 8.0])
     def test_points_on_the_curve_to_double_double(self, family, r):
         sample = sample_level_curve(family, r, 64)

@@ -191,6 +191,16 @@ class TestPrecisionLimitedSolves:
         assert sol.to_json_dict()["precision_limited"] is True
         assert sol.converged and sol.iterations >= 1
 
+    def test_double_double_limit_clears_converged(self):
+        # the refinement resolves values down to eps^2 * sup_norm: at r = 16
+        # the zeros are still right (4e-7 from the Faber zeros), at r = 32
+        # eps^2 * r^21 > 1e-3 and they are off by 4e-2, so the solve says so
+        sol = solve_chebyshev(sample_level_curve(BERNOULLI, 16.0, 512), 21, self.OPTS)
+        assert sol.precision_limited and sol.converged
+        sol = solve_chebyshev(sample_level_curve(BERNOULLI, 32.0, 512), 21, self.OPTS)
+        assert sol.precision_limited and not sol.converged
+        assert sol.to_json_dict()["converged"] is False
+
     @staticmethod
     def composed(outer: ComplexPolynomial, inner: ComplexPolynomial) -> ComplexPolynomial:
         out = ComplexPolynomial([0.0])

@@ -109,3 +109,21 @@ class TestBatch:
         for i, t in enumerate(targets):
             single = all_roots(ComplexPolynomial([-1.0 - t, 0.0, 1.0]))
             np.testing.assert_allclose(batch[i], single.roots, atol=1e-12)
+
+    def test_row_helpers_match_one_row_at_a_time(self):
+        # the batched start circle and root ordering, against the
+        # one-polynomial formulas applied row by row; bit for bit
+        from equicheb.rootfind import _ANGLE_OFFSET, _initial_guesses, _sort_roots
+
+        rng = np.random.default_rng(7)
+        rows = rng.standard_normal((32, 5)) + 1j * rng.standard_normal((32, 5))
+        guesses = _initial_guesses(rows)
+        angles = 2.0 * np.pi * np.arange(4) / 4 + _ANGLE_OFFSET
+        # doubled copies of each root tie in angle, so the modulus decides
+        roots = np.concatenate([guesses, 2.0 * guesses[:, :2]], axis=1)
+        ordered = _sort_roots(roots)
+        for i, row in enumerate(rows):
+            bound = 1.0 + float(np.abs(row[:-1] / row[-1]).max())
+            assert guesses[i].tobytes() == (bound * np.exp(1j * angles)).tobytes()
+            order = np.lexsort((np.abs(roots[i]), np.angle(roots[i])))
+            assert ordered[i].tobytes() == roots[i][order].tobytes()
