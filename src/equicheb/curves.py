@@ -66,6 +66,15 @@ class Circle:
         """Exact inverse map psi(w) = R w."""
         return LaurentSeriesAtInfinity(self.radius, [0.0], exact=True)
 
+    def map_of(self, P: ComplexPolynomial, n_terms: int) -> LaurentSeries:
+        """Series at infinity of phi(P(z)) = P(z)/R; exact, so all n_terms hold."""
+        return P.to_series().scale(1.0 / self.radius)
+
+    def preimage_leading_coefficient(self, P: ComplexPolynomial) -> float:
+        """Leading coefficient of (phi o P)^(1/m), m = deg P: R^(-1/m) lead(P)^(1/m)."""
+        m = P.degree
+        return float(self.radius ** (-1.0 / m) * P.coeffs[-1].real ** (1.0 / m))
+
 
 @dataclass(frozen=True)
 class Interval:
@@ -75,6 +84,17 @@ class Interval:
     def psi(self) -> LaurentSeriesAtInfinity:
         """Exact inverse map psi(w) = (w + 1/w)/2, the Joukowski map."""
         return LaurentSeriesAtInfinity(0.5, [0.0, 0.5], exact=True)
+
+    def map_of(self, P: ComplexPolynomial, n_terms: int) -> LaurentSeries:
+        """Series at infinity of phi(P(z)) = P + sqrt(P^2 - 1), keeping
+        n_terms coefficients down from the top power deg P."""
+        p_series = P.to_series()
+        p2 = laurent_mul(p_series, p_series) - LaurentSeries(0, [1.0], exact=True)
+        return p_series + _fractional_root(p2, 2, n_terms)
+
+    def preimage_leading_coefficient(self, P: ComplexPolynomial) -> float:
+        """Leading coefficient of (phi o P)^(1/m), m = deg P: (2 lead(P))^(1/m)."""
+        return float((2.0 * P.coeffs[-1].real) ** (1.0 / P.degree))
 
 
 @dataclass(frozen=True, eq=False)
@@ -203,8 +223,7 @@ def capacity_leading_coefficient(f: CurveFamily) -> float:
     A root family's map is (phi_base o P)^(1/m), so c = (c_base lead(P))^(1/m).
     """
     if isinstance(f, _ROOT_FAMILIES):
-        lead = capacity_leading_coefficient(f.base) * f.P.coeffs[-1].real
-        return float(lead ** (1.0 / f.P.degree))
+        return f.base.preimage_leading_coefficient(f.P)
     if isinstance(f, ExplicitMap) and f.phi is not None:
         return f.phi.leading_coefficient
     return 1.0 / _inverse_map(f).leading_coefficient
@@ -245,19 +264,6 @@ def _fractional_root(s: LaurentSeries, m: int, n_terms: int) -> LaurentSeries:
     return LaurentSeries(out_top - (n_terms - 1), coeffs, exact=False)
 
 
-def _base_map_series(base: CurveFamily, P: ComplexPolynomial, n_terms: int) -> LaurentSeries:
-    """Series at infinity of phi_base(P(z)) (top power deg P), keeping
-    n_terms coefficients down from the top: P/R for a circle of radius R,
-    P + sqrt(P^2 - 1) for the interval."""
-    p_series = P.to_series()
-    if isinstance(base, Circle):
-        return p_series.scale(1.0 / base.radius)
-    if isinstance(base, Interval):
-        p2 = laurent_mul(p_series, p_series) - LaurentSeries(0, [1.0], exact=True)
-        return p_series + _fractional_root(p2, 2, n_terms)
-    raise TypeError(f"unknown family {type(base).__name__}")
-
-
 def phi_series(f: CurveFamily, depth: int) -> LaurentSeriesAtInfinity:
     """Map series at infinity with the stated truncation depth.
 
@@ -271,10 +277,9 @@ def phi_series(f: CurveFamily, depth: int) -> LaurentSeriesAtInfinity:
     if isinstance(f, ExplicitMap):
         return f.phi_or_reverted(depth)
     if isinstance(f, _ROOT_FAMILIES):
-        s = _base_map_series(f.base, f.P, depth + 2)
-        s = _fractional_root(s, f.P.degree, depth + 2)
+        s = _fractional_root(f.base.map_of(f.P, depth + 2), f.P.degree, depth + 2)
     else:
-        s = _base_map_series(f, ComplexPolynomial([0.0, 1.0]), depth + 2)
+        s = f.map_of(ComplexPolynomial([0.0, 1.0]), depth + 2)
     phi = LaurentSeriesAtInfinity(s.coeffs[-1].real, s.coeffs[:-1][::-1], exact=s.exact)
     return phi.truncate(depth)  # pads the circle's exact z/R to the depth
 
@@ -284,15 +289,6 @@ def _inverse_map(f: CurveFamily) -> LaurentSeriesAtInfinity:
     if isinstance(f, ExplicitMap):
         return f.psi_or_reverted()
     return f.psi
-
-
-def _map_points(psi: LaurentSeriesAtInfinity, w: np.ndarray) -> np.ndarray:
-    """psi(w) = c w + tail(1/w), the tail by Horner in 1/w."""
-    u = 1.0 / w
-    acc = np.full_like(u, psi.tail[-1])
-    for c in psi.tail[-2::-1]:
-        acc = acc * u + c
-    return psi.leading_coefficient * w + acc
 
 
 def _map_points_dd(psi: LaurentSeriesAtInfinity, unit: dd.DD, r) -> dd.DD:
@@ -308,9 +304,11 @@ def _map_points_dd(psi: LaurentSeriesAtInfinity, unit: dd.DD, r) -> dd.DD:
 def _dedup(points: np.ndarray, thetas: np.ndarray, phi_values):
     """Drop near-coincident points (pairwise distance <= 1e-12 * diameter).
 
-    Points within tol of each other are within tol in real part, so pairs
-    from a window over the sorted real parts are exhaustive.  Greedy in
-    real-part order: a point is dropped by the first kept point close to it.
+    Greedy in real-part order: a point is dropped by the first kept point
+    close to it.  Points within tol of each other are within tol in real
+    part, so pairing each sorted point with its k-th successor, for k = 1,
+    2, ... until no such pair is within tol in real part, finds every close
+    pair.
     """
     n = len(points)
     if n < 2:
@@ -321,17 +319,20 @@ def _dedup(points: np.ndarray, thetas: np.ndarray, phi_values):
     )
     tol = 1e-12 * max(span, 1e-300)
     order = np.argsort(points.real, kind="stable")
-    xs = points.real[order]
-    # windows of xs <= xs[i] + 2 tol hold every xs[j] - xs[i] <= tol
-    counts = np.searchsorted(xs, xs + 2.0 * tol, side="right") - np.arange(1, n + 1)
-    first = np.repeat(np.arange(n), counts)
-    second = first + 1 + np.arange(len(first)) - np.repeat(np.cumsum(counts) - counts, counts)
-    a, b = order[first], order[second]
-    close = (xs[second] - xs[first] <= tol) & (np.abs(points[a] - points[b]) <= tol)
-    keep = np.ones(n, dtype=bool)
-    for i, j in zip(a[close], b[close]):
-        if keep[i]:
-            keep[j] = False
+    zs = points[order]
+    pairs = []
+    for k in range(1, n):
+        near = zs.real[k:] - zs.real[:-k] <= tol
+        if not near.any():
+            break
+        first = np.flatnonzero(near & (np.abs(zs[k:] - zs[:-k]) <= tol))
+        pairs.extend(zip(first, first + k))
+    kept = np.ones(n, dtype=bool)
+    for i, j in sorted(pairs):
+        if kept[i]:
+            kept[j] = False
+    keep = np.empty(n, dtype=bool)
+    keep[order] = kept
     points = points[keep]
     thetas = thetas[keep]
     if phi_values is not None:
@@ -387,7 +388,7 @@ def sample_level_curve(f: CurveFamily, r: float, M: int) -> CurveSample:
         J = int(np.ceil(M / m))
         grid_size = m * J
         thetas_base = 2.0 * np.pi * np.arange(J) / (m * J)
-        targets = _map_points(f.base.psi, r ** m * np.exp(1j * m * thetas_base))
+        targets = f.base.psi.evaluate(r ** m * np.exp(1j * m * thetas_base))
         points = roots_after_constant_shifts(f.P, targets).ravel()
         thetas = np.repeat(thetas_base, m)
         phi_values = None
@@ -395,7 +396,7 @@ def sample_level_curve(f: CurveFamily, r: float, M: int) -> CurveSample:
     else:
         thetas = 2.0 * np.pi * np.arange(M) / M
         phi_values = r * np.exp(1j * thetas)
-        points = _map_points(_inverse_map(f), phi_values)
+        points = _inverse_map(f).evaluate(phi_values)
     points, thetas, phi_values = _dedup(points, thetas, phi_values)
     return CurveSample(
         r=float(r),

@@ -236,7 +236,13 @@ class LaurentSeriesAtInfinity:
         return LaurentSeries(-self.depth, coeffs, exact=self.exact)
 
     def evaluate(self, z):
-        return self.to_series().evaluate(z)
+        """c z + tail(1/z) at points z, the tail by Horner in 1/z."""
+        z = np.asarray(z, dtype=complex)
+        u = 1.0 / z
+        acc = np.full_like(u, self.tail[-1])
+        for c in self.tail[-2::-1]:
+            acc = acc * u + c
+        return self.leading_coefficient * z + acc
 
     def truncate(self, depth: int) -> "LaurentSeriesAtInfinity":
         if depth > self.depth:
