@@ -245,12 +245,39 @@ class TestSampling:
             0.2 + 0.9 * t + 0.2j,  # f: close to d, two places after it by real part
             0.2 + 0.5 * t + 0.9j,  # e: between d and f by real part, far from both
             0.2 + 0.2j,  # d
+            0.2 + 1.5 * t + 0.2j,  # g: close to f only; f is dropped by d, so g stays
             0.0,
             1.0 + 1.0j,
         ])
-        out, th, _ = _dedup(pts, np.arange(8.0), None)
-        assert th.tolist() == [1.0, 2.0, 4.0, 5.0, 6.0, 7.0]
-        assert out.tobytes() == pts[[1, 2, 4, 5, 6, 7]].tobytes()
+        out, th, _ = _dedup(pts, np.arange(9.0), None)
+        assert th.tolist() == [1.0, 2.0, 4.0, 5.0, 6.0, 7.0, 8.0]
+        assert out.tobytes() == pts[[1, 2, 4, 5, 6, 7, 8]].tobytes()
+
+    def test_dedup_matches_greedy_sweep(self):
+        # clusters of near-coincident points, some chained (a-b and b-c
+        # close, a-c not), against the point-by-point greedy sweep
+        from equicheb.curves import _dedup
+
+        rng = np.random.default_rng(5)
+        centers = rng.standard_normal(40) + 1j * rng.standard_normal(40)
+        span = max(np.ptp(centers.real), np.ptp(centers.imag))
+        # steps of 0.7 tol: each point is close to its neighbours only
+        steps = 0.7e-12 * span * np.exp(2j * np.pi * rng.random(40))
+        pts = (centers[:, None] + steps[:, None] * np.arange(4)).ravel()
+        pts = np.concatenate([pts, np.conj(pts[:40])])[rng.permutation(200)]
+        tol = 1e-12 * max(np.ptp(pts.real), np.ptp(pts.imag))
+        order = np.argsort(pts.real, kind="stable")
+        keep = np.ones(len(pts), dtype=bool)
+        for i, a in enumerate(order):
+            for b in order[i + 1 :]:
+                if pts.real[b] - pts.real[a] > tol:
+                    break
+                if keep[a] and abs(pts[a] - pts[b]) <= tol:
+                    keep[b] = False
+        out, th, _ = _dedup(pts, np.arange(200.0), None)
+        assert 0 < keep.sum() < 200
+        assert out.tobytes() == pts[keep].tobytes()
+        assert th.tobytes() == np.flatnonzero(keep).astype(float).tobytes()
 
     def test_nesting_by_winding_number(self):
         # the r1 sample lies inside the Jordan curve through the r2 sample
