@@ -13,9 +13,9 @@ import csv
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import replace
 from pathlib import Path
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
@@ -32,6 +32,8 @@ from .curves import (
     sample_level_curve,
 )
 from .experiments import (
+    EXPERIMENT_OPTS,
+    TRAJECTORY_OPTS,
     ExperimentError,
     invariance_experiment,
     rate_experiment,
@@ -42,51 +44,9 @@ from .experiments import (
 from .minimax import SolveOptions, solve_chebyshev
 from .series import ComplexPolynomial, monic_faber
 
-__all__ = ["RunConfig", "run", "main"]
+__all__ = ["run", "main"]
 
 _OUTDIR_ENV = "EQUICHEB_OUTDIR"
-
-
-@dataclass
-class RunConfig:
-    """Validated parameters of one CLI invocation."""
-
-    subcommand: str
-    family: Optional[CurveFamily] = None
-    n: Optional[int] = None
-    r: Optional[float] = None
-    r_grid: Optional[List[float]] = None
-    r_pair: Optional[List[float]] = None
-    n_max: Optional[int] = None
-    M: Optional[int] = None
-    M_eval: int = 4096
-    tol_rel: Optional[float] = None
-    max_iter: Optional[int] = None
-    adapt: bool = True
-    depth: Optional[int] = None
-    trials: int = 1000
-    grid_M: int = 4096
-    seed: int = 0
-    outdir: Path = field(default_factory=Path.cwd)
-    tag: str = "run"
-
-    def solve_options(self) -> SolveOptions:
-        base = SolveOptions()
-        return SolveOptions(
-            tol_rel=self.tol_rel if self.tol_rel is not None else base.tol_rel,
-            max_iter=self.max_iter if self.max_iter is not None else base.max_iter,
-            adapt=self.adapt,
-        )
-
-    def experiment_options(self) -> Optional[SolveOptions]:
-        """None (use the experiment's own defaults) unless the user set knobs."""
-        if self.tol_rel is None and self.max_iter is None and self.adapt:
-            return None
-        return SolveOptions(
-            tol_rel=self.tol_rel if self.tol_rel is not None else 2e-4,
-            max_iter=self.max_iter if self.max_iter is not None else 12000,
-            adapt=False,
-        )
 
 
 def _parse_poly_flag(text: str) -> ComplexPolynomial:
@@ -212,7 +172,6 @@ def _make_parser() -> argparse.ArgumentParser:
         p.add_argument("--M", type=int, default=None, help="sample size override")
         p.add_argument("--tol", type=float, default=None, help="relative gap tolerance")
         p.add_argument("--max-iter", type=int, default=None)
-        p.add_argument("--no-adapt", action="store_true")
 
     def add_out_flags(p):
         p.add_argument("-o", "--outdir", type=str, default=None,
@@ -230,6 +189,8 @@ def _make_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--r", type=float, required=True)
     add_solver_flags(p)
+    p.add_argument("--no-adapt", action="store_true",
+                   help="solve on the given sample only, without doubling it")
     add_out_flags(p)
 
     p = sub.add_parser("rate", help="convergence-rate experiment over an r grid")
@@ -271,109 +232,94 @@ def _make_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args) -> RunConfig:
-    cfg = RunConfig(subcommand=args.subcommand)
+def _check_args(args) -> None:
+    """Parse the family and level lists in place and validate the
+    arguments, before any computation."""
     if getattr(args, "family", None) is not None or getattr(args, "family_json", None):
-        cfg.family = _build_family(args)
-    for name in ("n", "r", "depth", "trials", "seed", "M"):
-        if hasattr(args, name) and getattr(args, name) is not None:
-            setattr(cfg, name, getattr(args, name))
-    if getattr(args, "n_max", None) is not None:
-        cfg.n_max = args.n_max
-    if getattr(args, "grid_M", None) is not None:
-        cfg.grid_M = args.grid_M
-    if getattr(args, "tol", None) is not None:
-        cfg.tol_rel = args.tol
-    if getattr(args, "max_iter", None) is not None:
-        cfg.max_iter = args.max_iter
-    if getattr(args, "no_adapt", False):
-        cfg.adapt = False
-    if args.subcommand in ("rate", "zeros") and getattr(args, "r_grid", None):
-        cfg.r_grid = _parse_float_list(args.r_grid)
+        args.family = _build_family(args)
+    if getattr(args, "r_grid", None) is not None:
+        args.r_grid = _parse_float_list(args.r_grid)
     if args.subcommand == "invariance":
-        pair = _parse_float_list(args.r)
-        if len(pair) != 2:
+        args.r = _parse_float_list(args.r)
+        if len(args.r) != 2:
             raise ValueError("--r must give exactly two levels")
-        cfg.r_pair = pair
-        cfg.r = None
-    outdir = getattr(args, "outdir", None) or os.environ.get(_OUTDIR_ENV) or os.getcwd()
-    cfg.outdir = Path(outdir)
-    cfg.tag = getattr(args, "tag", None) or f"{args.subcommand}"
-    # validation before any computation
-    if cfg.n is not None and cfg.n < 0:
+        if any(r <= 1.0 for r in args.r):
+            raise ValueError("both levels must exceed 1")
+    n = getattr(args, "n", None)
+    if n is not None and n < 0:
         raise ValueError("degree must be nonnegative")
-    if cfg.r is not None and cfg.r <= 1.0 and args.subcommand in ("cheb", "widom"):
+    if args.subcommand in ("cheb", "widom") and args.r <= 1.0:
         raise ValueError("level r must exceed 1")
-    if cfg.r_grid is not None and any(r <= 1.0 for r in cfg.r_grid):
+    if getattr(args, "r_grid", None) is not None and any(r <= 1.0 for r in args.r_grid):
         raise ValueError("all grid levels must exceed 1")
-    if cfg.r_pair is not None and any(r <= 1.0 for r in cfg.r_pair):
-        raise ValueError("both levels must exceed 1")
-    if cfg.M is not None and cfg.n is not None and cfg.M <= cfg.n:
+    if getattr(args, "M", None) is not None and n is not None and args.M <= n:
         raise ValueError("sample size must exceed the degree")
-    if cfg.trials < 1:
+    if getattr(args, "trials", 1) < 1:
         raise ValueError("trials must be positive")
-    return cfg
 
 
-def _execute(cfg: RunConfig) -> dict:
+def _solve_options(args, default: SolveOptions) -> SolveOptions:
+    """The operation's default solver settings, with each flag the user
+    gave (--tol, --max-iter, and --no-adapt on cheb) laid over its field."""
+    given = {"tol_rel": args.tol, "max_iter": args.max_iter}
+    if getattr(args, "no_adapt", False):
+        given["adapt"] = False
+    return replace(default, **{k: v for k, v in given.items() if v is not None})
+
+
+def _execute(args) -> dict:
     """Run the requested operation; returns {'json':..., 'csv':..., 'svg':...}."""
     out = {}
-    if cfg.subcommand == "faber":
-        depth = cfg.depth if cfg.depth is not None else cfg.n + 1
-        phi = phi_series(cfg.family, depth)
-        poly = monic_faber(phi, cfg.n)
+    if args.subcommand == "faber":
+        depth = args.depth if args.depth is not None else args.n + 1
+        phi = phi_series(args.family, depth)
+        poly = monic_faber(phi, args.n)
         out["json"] = {
             "report": "faber",
-            "family": family_to_json_dict(cfg.family),
-            "n": cfg.n,
-            "c": capacity_leading_coefficient(cfg.family),
+            "family": family_to_json_dict(args.family),
+            "n": args.n,
+            "c": capacity_leading_coefficient(args.family),
             "coeffs": [[float(v.real), float(v.imag)] for v in poly.coeffs],
         }
-    elif cfg.subcommand == "cheb":
-        M = cfg.M if cfg.M is not None else max(256, 16 * cfg.n)
-        sample = sample_level_curve(cfg.family, cfg.r, M)
-        sol = solve_chebyshev(sample, cfg.n, cfg.solve_options())
-        payload = sol.to_json_dict(n=cfg.n, r=cfg.r)
+    elif args.subcommand == "cheb":
+        M = args.M if args.M is not None else max(256, 16 * args.n)
+        sample = sample_level_curve(args.family, args.r, M)
+        sol = solve_chebyshev(sample, args.n, _solve_options(args, SolveOptions()))
+        payload = sol.to_json_dict(n=args.n, r=args.r)
         payload["report"] = "cheb"
-        payload["family"] = family_to_json_dict(cfg.family)
+        payload["family"] = family_to_json_dict(args.family)
         out["json"] = payload
         out["unconverged"] = not sol.converged
-    elif cfg.subcommand == "rate":
-        rep = rate_experiment(cfg.family, cfg.n, cfg.r_grid, opts=cfg.experiment_options(), M=cfg.M)
+    elif args.subcommand == "rate":
+        rep = rate_experiment(args.family, args.n, args.r_grid,
+                              opts=_solve_options(args, EXPERIMENT_OPTS), M=args.M)
         out["json"] = rep.to_json_dict()
         out["csv"] = rep.to_csv_rows()
         out["svg"] = _svg_loglog(rep.r_values, rep.D)
-    elif cfg.subcommand == "invariance":
-        rep = invariance_experiment(cfg.family, cfg.n, tuple(cfg.r_pair),
-                                    opts=cfg.experiment_options(), M=cfg.M)
+    elif args.subcommand == "invariance":
+        rep = invariance_experiment(args.family, args.n, tuple(args.r),
+                                    opts=_solve_options(args, EXPERIMENT_OPTS), M=args.M)
         out["json"] = rep.to_json_dict()
-    elif cfg.subcommand == "widom":
-        factory = None
-        user_opts = cfg.experiment_options()
-        if user_opts is not None:
-            factory = lambda n: user_opts
-        rep = widom_experiment(cfg.family, cfg.r, cfg.n_max, opts_factory=factory)
+    elif args.subcommand == "widom":
+        rep = widom_experiment(args.family, args.r, args.n_max,
+                               opts=_solve_options(args, EXPERIMENT_OPTS))
         out["json"] = rep.to_json_dict()
         out["csv"] = rep.to_csv_rows()
-    elif cfg.subcommand == "zeros":
-        grid = cfg.r_grid if cfg.r_grid else list(np.geomspace(1.05, 8.0, 100))
-        opts = SolveOptions(
-            tol_rel=cfg.tol_rel if cfg.tol_rel is not None else 5e-4,
-            max_iter=cfg.max_iter if cfg.max_iter is not None else 4000,
-            adapt=False,
-        )
-        rep = zero_trajectories(cfg.family, cfg.n, grid, opts=opts, M=cfg.M)
+    elif args.subcommand == "zeros":
+        grid = args.r_grid if args.r_grid else list(np.geomspace(1.05, 8.0, 100))
+        rep = zero_trajectories(args.family, args.n, grid,
+                                opts=_solve_options(args, TRAJECTORY_OPTS), M=args.M)
         out["json"] = rep.to_json_dict()
         out["csv"] = rep.to_csv_rows()
         out["svg"] = _svg_document(
             [rep.trajectories[t] for t in range(rep.trajectories.shape[0])],
             list(rep.faber_roots.roots),
         )
-    elif cfg.subcommand == "rivlin":
-        rep = rivlin_check(cfg.n, cfg.trials, cfg.grid_M, cfg.seed)
+    elif args.subcommand == "rivlin":
+        rep = rivlin_check(args.n, args.trials, args.grid_M, args.seed)
         out["json"] = rep.to_json_dict()
     else:
-        raise ValueError(f"unknown subcommand {cfg.subcommand!r}")
+        raise ValueError(f"unknown subcommand {args.subcommand!r}")
     return out
 
 
@@ -382,7 +328,7 @@ def run(argv: Sequence[str] | None = None) -> int:
     parser = _make_parser()
     try:
         args = parser.parse_args(argv)
-        cfg = _config_from_args(args)
+        _check_args(args)
     except SystemExit as e:
         # argparse already printed the message
         return 0 if e.code == 0 else 1
@@ -391,7 +337,7 @@ def run(argv: Sequence[str] | None = None) -> int:
         return 1
 
     try:
-        out = _execute(cfg)
+        out = _execute(args)
     except (ValueError,) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
@@ -403,8 +349,9 @@ def run(argv: Sequence[str] | None = None) -> int:
         return 1
 
     try:
-        cfg.outdir.mkdir(parents=True, exist_ok=True)
-        stem = cfg.outdir / cfg.tag
+        outdir = Path(args.outdir or os.environ.get(_OUTDIR_ENV) or os.getcwd())
+        outdir.mkdir(parents=True, exist_ok=True)
+        stem = outdir / (args.tag or args.subcommand)
         _write_json(stem.with_suffix(".json"), out["json"])
         print(f"wrote {stem.with_suffix('.json')}")
         if "csv" in out:

@@ -31,6 +31,8 @@ from .rootfind import RootFindingError, RootSet, all_roots
 from .series import ComplexPolynomial, FaberExpansion, faber_basis_expand, monic_faber
 
 __all__ = [
+    "EXPERIMENT_OPTS",
+    "TRAJECTORY_OPTS",
     "ExperimentError",
     "RateReport",
     "InvarianceReport",
@@ -62,11 +64,14 @@ class ExperimentError(RuntimeError):
         self.solution = solution
 
 
-def _experiment_opts(n: int, tol_rel=2e-4, max_iter=12000) -> SolveOptions:
-    # fixed generous discretization; the gap certificate of plain Lawson
-    # decays slowly on smooth curves, so the tolerance is set where it
-    # reliably lands rather than at the polynomial's (much better) accuracy
-    return SolveOptions(tol_rel=tol_rel, max_iter=max_iter, adapt=False)
+# Solver settings of the harnesses: a fixed generous discretization, and gap
+# tolerances set where plain Lawson's certificate reliably lands rather than
+# at the polynomial's (much better) accuracy.  Trajectories solve a whole grid
+# of levels, down to near K, where the certificate is slowest (T_21 on the
+# Bernoulli lemniscate at r = 1.05: 1,080 steps to 5e-4, 2,485 to 2e-4), so
+# they stop at the looser 5e-4.
+EXPERIMENT_OPTS = SolveOptions(tol_rel=2e-4, max_iter=12000, adapt=False)
+TRAJECTORY_OPTS = SolveOptions(tol_rel=5e-4, max_iter=4000, adapt=False)
 
 
 def _experiment_sample(f: CurveFamily, r: float, n: int, M: int | None = None) -> CurveSample:
@@ -142,7 +147,7 @@ def rate_experiment(
     f: CurveFamily,
     n: int,
     r_grid: Sequence[float],
-    opts: SolveOptions | None = None,
+    opts: SolveOptions = EXPERIMENT_OPTS,
     M: int | None = None,
     M_eval: int = 4096,
 ) -> RateReport:
@@ -159,7 +164,6 @@ def rate_experiment(
         raise ValueError("need at least 4 grid points")
     if r_values[-1] < 8.0 * r_values[0]:
         raise ValueError("grid must span at least a factor of 8")
-    opts = opts or _experiment_opts(n)
     phi = phi_series(f, n + 1)
     fhat = monic_faber(phi, n)
     D = np.zeros(len(r_values))
@@ -263,7 +267,7 @@ def invariance_experiment(
     f: CurveFamily,
     n: int,
     r_pair: Tuple[float, float],
-    opts: SolveOptions | None = None,
+    opts: SolveOptions = EXPERIMENT_OPTS,
     M: int | None = None,
 ) -> InvarianceReport:
     """Solve at two levels and compare; attach the closed-form oracle where
@@ -276,7 +280,6 @@ def invariance_experiment(
     r_lo, r_hi = float(r_pair[0]), float(r_pair[1])
     if isinstance(f, (Lemniscate, InversePolynomialImage)) and n % f.P.degree != 0:
         return InvarianceReport(f, n, (r_lo, r_hi), False, None, None, None, None)
-    opts = opts or _experiment_opts(n)
     polys = []
     for r in (r_lo, r_hi):
         sol = solve_chebyshev(_experiment_sample(f, r, n, M), n, opts)
@@ -334,7 +337,7 @@ def widom_experiment(
     f: CurveFamily,
     r: float,
     n_max: int,
-    opts_factory=None,
+    opts: SolveOptions = EXPERIMENT_OPTS,
     M_eval: int = 4096,
 ) -> WidomReport:
     """Normalized error sequence (c/r)^n * sup|T_n - monic Faber| at fixed r.
@@ -351,7 +354,6 @@ def widom_experiment(
     values: List[Optional[float]] = []
     sups: List[Optional[float]] = []
     for n in range(1, n_max + 1):
-        opts = opts_factory(n) if opts_factory is not None else _experiment_opts(n)
         sample = _experiment_sample(f, r, n)
         sol = solve_chebyshev(sample, n, opts)
         if not sol.converged:
@@ -459,7 +461,7 @@ def zero_trajectories(
     f: CurveFamily,
     n: int,
     r_grid: Sequence[float],
-    opts: SolveOptions | None = None,
+    opts: SolveOptions = TRAJECTORY_OPTS,
     M: int | None = None,
     root_tol: float = 1e-12,
 ) -> TrajectorySet:
@@ -475,7 +477,6 @@ def zero_trajectories(
     which were refined in double-double (see ``solve_chebyshev``).
     """
     r_values = np.asarray(sorted(float(r) for r in r_grid))
-    opts = opts or SolveOptions(tol_rel=1e-6, max_iter=4000, adapt=False)
     root_sets: List[Optional[RootSet]] = []
     limited = np.zeros(len(r_values), dtype=bool)
     succ_roots = []

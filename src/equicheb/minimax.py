@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from math import comb
-from typing import Optional
 
 import numpy as np
 
@@ -42,22 +41,27 @@ class RankDeficiencyError(ValueError):
     """The weighted least-squares system does not determine the polynomial."""
 
 
+# sample doubling (``SolveOptions.adapt``) stops once the discrete sup norm
+# changes by less than this, relative; kept apart from ``tol_rel`` so that a
+# loose gap tolerance does not coarsen the discretization
+_ADAPT_TOL = 1e-8
+_MAX_REFINE = 6
+
+
 @dataclass(frozen=True)
 class SolveOptions:
-    """Knobs for the Lawson loop.
-
-    ``tol_rel`` bounds the relative duality gap; ``adapt_tol`` is the
-    relative sup-norm stabilization threshold for sample doubling (kept
-    separate from tol_rel so loose gap tolerances do not coarsen the
-    discretization); ``max_refine`` caps the number of doublings.
-    """
+    """Knobs for the Lawson loop: the relative duality gap ``tol_rel`` that
+    certifies convergence, the iteration cap, and whether to resample the
+    curve at doubled density until the sup norm stabilizes."""
 
     tol_rel: float = 1e-10
     max_iter: int = 2000
     adapt: bool = True
-    adapt_tol: float = 1e-8
-    max_refine: int = 6
-    track_history: bool = False
+
+    def __post_init__(self):
+        # below either bound no iterate is ever kept as the best one
+        if not (self.tol_rel >= 0 and self.max_iter >= 1):
+            raise ValueError("need tol_rel >= 0 and max_iter >= 1")
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,7 +84,6 @@ class MinimaxSolution:
     equioscillation_gap: float
     basis_center: complex
     basis_scale: float
-    geo_mean_history: Optional[np.ndarray] = None
     precision_limited: bool = False
 
     def to_json_dict(self, n: int | None = None, r: float | None = None) -> dict:
@@ -112,6 +115,21 @@ def _rescale_coefficients(coef: np.ndarray, center: complex, scale: float, n: in
     return out
 
 
+def _weighted_ls(V: np.ndarray, target: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Coefficients minimizing sum_j w_j |(V coef + target)_j|^2; raises
+    RankDeficiencyError when the weighted rows cannot pin them down."""
+    n = V.shape[1]
+    if len(V) <= n:
+        raise RankDeficiencyError(f"need more than {n} points, got {len(V)}")
+    sw = np.sqrt(w)
+    coef, _, rank, _ = np.linalg.lstsq(V * sw[:, None], -target * sw, rcond=None)
+    if rank < n:
+        raise RankDeficiencyError(
+            f"weighted points have rank {rank} < {n} free coefficients"
+        )
+    return coef
+
+
 def weighted_ls_monic(
     points: np.ndarray,
     weights: np.ndarray,
@@ -127,90 +145,12 @@ def weighted_ls_monic(
     the (weighted) points cannot pin down the n free coefficients.
     """
     points = np.asarray(points, dtype=complex)
-    weights = np.asarray(weights, dtype=float)
-    if len(points) <= n:
-        raise RankDeficiencyError(f"need more than {n} points, got {len(points)}")
     if scale <= 0:
         raise ValueError("scale must be positive")
     zeta = (points - center) / scale
-    sw = np.sqrt(weights)
-    target = (scale ** n) * zeta ** n
-    if n == 0:
-        return ComplexPolynomial([1.0])
-    design = _shifted_monomial_matrix(zeta, n) * sw[:, None]
-    rhs = -target * sw
-    coef, _, rank, _ = np.linalg.lstsq(design, rhs, rcond=None)
-    if rank < n:
-        raise RankDeficiencyError(
-            f"weighted points have rank {rank} < {n} free coefficients"
-        )
-    return ComplexPolynomial(_rescale_coefficients(coef, center, scale, n))
-
-
-def _lawson(points, n, opts: SolveOptions, initial_weights=None):
-    """One Lawson run on a fixed point set; returns a MinimaxSolution."""
-    M = len(points)
-    center = complex(points.mean())
-    scale = float(np.abs(points - center).max())
-    if scale == 0:
-        raise RankDeficiencyError("all points coincide")
-    zeta = (points - center) / scale
     V = _shifted_monomial_matrix(zeta, n)
-    target = (scale ** n) * zeta ** n
-
-    if initial_weights is None:
-        w = np.full(M, 1.0 / M)
-    else:
-        w = np.asarray(initial_weights, dtype=float)
-        if len(w) != M or np.any(w < 0) or w.sum() <= 0:
-            raise ValueError("initial weights must be nonnegative over the points")
-        w = w / w.sum()
-    best_coef = None
-    min_sup = np.inf
-    gap = np.inf
-    converged = False
-    history = [] if opts.track_history else None
-    iterations = 0
-    for it in range(1, opts.max_iter + 1):
-        iterations = it
-        sw = np.sqrt(w)
-        coef, _, rank, _ = np.linalg.lstsq(V * sw[:, None], -target * sw, rcond=None)
-        if rank < n:
-            raise RankDeficiencyError(
-                f"weighted points have rank {rank} < {n} free coefficients"
-            )
-        resid = np.abs(V @ coef + target) if n > 0 else np.abs(target)
-        sup = float(resid.max())
-        mean = float(w @ resid)
-        gap = (sup - mean) / sup if sup > 0 else 0.0
-        if history is not None:
-            with np.errstate(divide="ignore"):
-                logs = np.log(resid, out=np.full(M, -np.inf), where=resid > 0)
-            history.append(float(np.sum(w * logs, where=w > 0)))
-        min_sup = min(min_sup, sup)
-        # best-by-sup tracking; equal-within-tolerance ties go to the later iterate
-        if sup <= min_sup * (1.0 + opts.tol_rel):
-            best_coef = coef
-        if gap < opts.tol_rel:
-            converged = True
-            break
-        total = resid @ w
-        if total <= 0:
-            break  # all weighted residuals vanished; weights are degenerate
-        w = w * resid
-        w = w / w.sum()
-    poly = ComplexPolynomial(_rescale_coefficients(best_coef, center, scale, n)) if n > 0 else ComplexPolynomial([1.0])
-    return MinimaxSolution(
-        polynomial=poly,
-        sup_norm=float(np.abs(poly(points)).max()),
-        weights=w,
-        iterations=iterations,
-        converged=converged,
-        equioscillation_gap=float(gap),
-        basis_center=center,
-        basis_scale=scale,
-        geo_mean_history=np.array(history) if history is not None else None,
-    )
+    coef = _weighted_ls(V, (scale ** n) * zeta ** n, np.asarray(weights, dtype=float))
+    return ComplexPolynomial(_rescale_coefficients(coef, center, scale, n))
 
 
 # rounding of the solution's values on the curve, in capacity units, above
@@ -269,14 +209,65 @@ def chebyshev_on_points(
 ) -> MinimaxSolution:
     """Discrete Chebyshev solve on an explicit point set (no resampling).
 
-    ``initial_weights`` warm-starts the Lawson loop (e.g. with the weights
-    of a previous solution); the default is the uniform distribution.
+    Lawson's iteration: each step solves the weighted least-squares problem
+    and multiplies the weights by the residual moduli.  The iterate of
+    least sup norm is kept.  ``initial_weights`` warm-starts the loop (e.g.
+    with the weights of a previous solution); the default is the uniform
+    distribution.
     """
     opts = opts or SolveOptions()
     points = np.asarray(points, dtype=complex)
-    if len(points) <= n:
-        raise RankDeficiencyError(f"need more than {n} points, got {len(points)}")
-    return _lawson(points, n, opts, initial_weights=initial_weights)
+    M = len(points)
+    center = complex(points.mean())
+    scale = float(np.abs(points - center).max())
+    if scale == 0:
+        raise RankDeficiencyError("all points coincide")
+    zeta = (points - center) / scale
+    V = _shifted_monomial_matrix(zeta, n)
+    target = (scale ** n) * zeta ** n
+
+    if initial_weights is None:
+        w = np.full(M, 1.0 / M)
+    else:
+        w = np.asarray(initial_weights, dtype=float)
+        if len(w) != M or np.any(w < 0) or w.sum() <= 0:
+            raise ValueError("initial weights must be nonnegative over the points")
+        w = w / w.sum()
+    best_coef = None
+    min_sup = np.inf
+    gap = np.inf
+    converged = False
+    iterations = 0
+    for it in range(1, opts.max_iter + 1):
+        iterations = it
+        coef = _weighted_ls(V, target, w)
+        resid = np.abs(V @ coef + target)
+        sup = float(resid.max())
+        mean = float(w @ resid)
+        gap = (sup - mean) / sup if sup > 0 else 0.0
+        min_sup = min(min_sup, sup)
+        # best-by-sup tracking; equal-within-tolerance ties go to the later iterate
+        if sup <= min_sup * (1.0 + opts.tol_rel):
+            best_coef = coef
+        if gap < opts.tol_rel:
+            converged = True
+            break
+        total = resid @ w
+        if total <= 0:
+            break  # all weighted residuals vanished; weights are degenerate
+        w = w * resid
+        w = w / w.sum()
+    poly = ComplexPolynomial(_rescale_coefficients(best_coef, center, scale, n))
+    return MinimaxSolution(
+        polynomial=poly,
+        sup_norm=float(np.abs(poly(points)).max()),
+        weights=w,
+        iterations=iterations,
+        converged=converged,
+        equioscillation_gap=float(gap),
+        basis_center=center,
+        basis_scale=scale,
+    )
 
 
 def solve_chebyshev(
@@ -286,7 +277,7 @@ def solve_chebyshev(
 
     Runs the Lawson loop on the sample; with ``opts.adapt`` the curve is
     resampled at twice the density until the discrete sup norm stabilizes
-    (relative change below ``opts.adapt_tol``), so the discrete solution
+    (relative change below 1e-8), so the discrete solution
     tracks the continuous curve problem.  A solution that exhausts
     ``max_iter`` is returned with ``converged=False``, never silently.
 
@@ -304,11 +295,11 @@ def solve_chebyshev(
     sol = chebyshev_on_points(sample.points, n, opts)
     if opts.adapt:
         M = sample.size
-        for _ in range(opts.max_refine):
+        for _ in range(_MAX_REFINE):
             M *= 2
             finer = sample_level_curve(sample.family, sample.r, M)
             nxt = chebyshev_on_points(finer.points, n, opts)
-            stable = abs(nxt.sup_norm - sol.sup_norm) < opts.adapt_tol * max(nxt.sup_norm, 1e-300)
+            stable = abs(nxt.sup_norm - sol.sup_norm) < _ADAPT_TOL * max(nxt.sup_norm, 1e-300)
             sol, sample = nxt, finer
             if stable:
                 break

@@ -522,7 +522,11 @@ def revert_series(
     Newton iteration on formal series with doubling precision, seeded by
     z/c - c0/c; each step is exact through twice as many tail terms as the
     last.  The result phi satisfies psi(phi(z)) = z + O(z^-depth).
-    Requires depth(psi) >= depth unless psi is exact.
+    Requires depth(psi) >= depth unless psi is exact.  Deep reversions
+    can lose their accuracy to rounding, as the terms of the
+    coefficient-wise composition cancel (the interval's map reverts
+    exactly up to depth 50 and is off by 1e2 at depth 60); the result is
+    verified and such a loss raises DepthExhaustionError.
     """
     if depth is None:
         depth = psi.depth
@@ -563,6 +567,8 @@ def revert_series(
     scale = max(1.0, float(np.abs(psi.tail).max(initial=0.0)), c, 1.0 / c)
     if err > 1e-8 * scale * scale:
         raise DepthExhaustionError(
-            f"reversion verification failed at depth {depth} (residual {err:.2e})"
+            f"reversion lost its accuracy to rounding at depth {depth} "
+            f"(verification residual {err:.2e}): the terms of the composition "
+            "cancel, so a smaller depth is needed"
         )
     return phi

@@ -5,7 +5,10 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
+from equicheb import cli
 from equicheb.cli import run
+from equicheb.experiments import EXPERIMENT_OPTS, TRAJECTORY_OPTS, ExperimentError
+from equicheb.minimax import SolveOptions
 
 
 def read_json(path):
@@ -213,3 +216,43 @@ class TestJsonRoundTrip:
             assert run(argv + ["-o", str(tmp_path), "--tag", tag]) == 0
             d = read_json(tmp_path / f"{tag}.json")
             assert json.loads(json.dumps(d)) == d
+
+
+class TestSolverFlagOverlay:
+    # each flag replaces one field of the operation's default settings
+    LEM = ["--family", "lemniscate", "--P", "1,0,-1", "--R", "1", "--n", "3"]
+    CASES = [
+        ("rate", "rate_experiment", ["--r-grid", "2,4,8,16,32"], EXPERIMENT_OPTS),
+        ("invariance", "invariance_experiment", ["--r", "1.5,4"], EXPERIMENT_OPTS),
+        ("zeros", "zero_trajectories", ["--r-grid", "1.5,2"], TRAJECTORY_OPTS),
+    ]
+
+    def captured_opts(self, monkeypatch, tmp_path, sub, name, argv):
+        seen = []
+
+        def stub(*args, opts, **kwargs):
+            seen.append(opts)
+            raise ExperimentError("stub")  # stops before any output
+
+        monkeypatch.setattr(cli, name, stub)
+        assert run([sub] + self.LEM + argv + ["-o", str(tmp_path)]) == 2
+        assert len(seen) == 1
+        return seen[0]
+
+    @pytest.mark.parametrize("sub, name, argv, default", CASES)
+    def test_flags_replace_single_fields(self, monkeypatch, tmp_path, sub, name, argv, default):
+        assert self.captured_opts(monkeypatch, tmp_path, sub, name, argv) == default
+        opts = self.captured_opts(monkeypatch, tmp_path, sub, name, argv + ["--tol", "1e-3"])
+        assert opts == SolveOptions(tol_rel=1e-3, max_iter=default.max_iter, adapt=False)
+        opts = self.captured_opts(monkeypatch, tmp_path, sub, name, argv + ["--max-iter", "50"])
+        assert opts == SolveOptions(tol_rel=default.tol_rel, max_iter=50, adapt=False)
+
+    def test_out_of_range_settings_rejected(self, tmp_path):
+        for flags in (["--max-iter", "0"], ["--tol", "-1"]):
+            assert run(["cheb", "--family", "circle", "--r", "2", "--n", "3"]
+                       + flags + ["-o", str(tmp_path)]) == 1
+
+    def test_no_adapt_only_on_cheb(self, tmp_path):
+        assert run(["rate"] + self.LEM + ["--r-grid", "2,4,8,16,32", "--no-adapt",
+                                          "-o", str(tmp_path)]) == 1
+        assert run(["zeros"] + self.LEM + ["--no-adapt", "-o", str(tmp_path)]) == 1

@@ -140,12 +140,12 @@ class TestInvariance:
 
 class TestWidom:
     def test_circle_identically_zero(self):
-        rep = widom_experiment(Circle(1.0), 2.0, 6, opts_factory=lambda n: FAST)
+        rep = widom_experiment(Circle(1.0), 2.0, 6, opts=FAST)
         vals = [v for v in rep.values if v is not None]
         assert max(vals) < 1e-12
 
     def test_lemniscate_even_degrees_zero(self):
-        rep = widom_experiment(BERNOULLI, 2.0, 6, opts_factory=lambda n: FAST)
+        rep = widom_experiment(BERNOULLI, 2.0, 6, opts=FAST)
         for n in (2, 4, 6):
             v = rep.values[n - 1]
             assert v is not None and v < 1e-9
@@ -182,6 +182,13 @@ class TestTrajectories:
         rep = zero_trajectories(BERNOULLI, 2, [1.5, 2.0, 4.0, 8.0], opts=FAST, M=128)
         assert len(rep.root_sets) == 4
         assert all(rs is not None for rs in rep.root_sets)
+
+    def test_default_settings_converge_at_low_levels(self):
+        # criterion 9's two lowest levels: within 4000 steps Lawson's gap
+        # certificate reaches the default 5e-4 there, but not 1e-6
+        rep = zero_trajectories(BERNOULLI, 21, [1.05, 1.1], M=512)
+        assert all(rs is not None for rs in rep.root_sets)
+        assert rep.successful_r.tolist() == [1.05, 1.1]
 
     def test_high_degree_endpoints_in_resolvable_regime(self):
         # terminal levels up to about 4 are resolved in double precision;

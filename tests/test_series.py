@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from equicheb.curves import Interval, phi_series
 from equicheb.series import (
     ComplexPolynomial,
     DepthExhaustionError,
@@ -302,6 +303,18 @@ class TestRevertSeries:
         psi = LaurentSeriesAtInfinity(1.0, [0.0, 1.0])  # inexact, depth 1
         with pytest.raises(DepthExhaustionError):
             revert_series(psi, 5)
+
+    def test_deep_reversion_reports_rounding_loss(self):
+        # the interval's map series has dyadic coefficients and reverts
+        # exactly at depth 40, back to the Joukowski map (w + 1/w)/2; at
+        # depth 60 cancellation in the composition ruins the reversion
+        # although the input window is long enough
+        psi = revert_series(phi_series(Interval(), 40), 40)
+        assert psi.leading_coefficient == 0.5
+        np.testing.assert_allclose(psi.tail[:2], [0.0, 0.5], atol=1e-14)
+        np.testing.assert_allclose(psi.tail[2:], 0.0, atol=1e-12)
+        with pytest.raises(DepthExhaustionError, match="lost its accuracy to rounding"):
+            revert_series(phi_series(Interval(), 60), 60)
 
     def test_random_involution_property(self):
         rng = np.random.default_rng(3)
