@@ -21,6 +21,7 @@ from .series import (
     monic_faber,
     polynomial_part,
     revert_series,
+    series_power,
 )
 from .curves import (
     Circle,

@@ -168,8 +168,9 @@ def _make_parser() -> argparse.ArgumentParser:
         p.add_argument("--P", type=str, default=None,
                        help="polynomial, descending-degree coefficients, e.g. 1,0,-1")
 
-    def add_solver_flags(p):
-        p.add_argument("--M", type=int, default=None, help="sample size override")
+    def add_solver_flags(p, sample_size=True):
+        if sample_size:
+            p.add_argument("--M", type=int, default=None, help="sample size override")
         p.add_argument("--tol", type=float, default=None, help="relative gap tolerance")
         p.add_argument("--max-iter", type=int, default=None)
 
@@ -211,7 +212,7 @@ def _make_parser() -> argparse.ArgumentParser:
     add_family_flags(p)
     p.add_argument("--r", type=float, required=True)
     p.add_argument("--n-max", type=int, required=True)
-    add_solver_flags(p)
+    add_solver_flags(p, sample_size=False)
     add_out_flags(p)
 
     p = sub.add_parser("zeros", help="zero trajectories across levels")

@@ -19,11 +19,11 @@ from . import dd
 from .rootfind import RootFindingError, roots_after_constant_shifts
 from .series import (
     ComplexPolynomial,
-    DepthExhaustionError,
     LaurentSeries,
     LaurentSeriesAtInfinity,
     laurent_mul,
     revert_series,
+    series_power,
 )
 
 __all__ = [
@@ -90,7 +90,7 @@ class Interval:
         n_terms coefficients down from the top power deg P."""
         p_series = P.to_series()
         p2 = laurent_mul(p_series, p_series) - LaurentSeries(0, [1.0], exact=True)
-        return p_series + _fractional_root(p2, 2, n_terms)
+        return p_series + series_power(p2, (1, 2), n_terms)
 
     def preimage_leading_coefficient(self, P: ComplexPolynomial) -> float:
         """Leading coefficient of (phi o P)^(1/m), m = deg P: (2 lead(P))^(1/m)."""
@@ -170,8 +170,6 @@ class ExplicitMap:
 
     def phi_or_reverted(self, depth: int) -> LaurentSeriesAtInfinity:
         if self.phi is not None:
-            if self.phi.depth == depth:
-                return self.phi
             return self.phi.truncate(depth)
         return revert_series(self.psi, depth)
 
@@ -229,39 +227,7 @@ def capacity_leading_coefficient(f: CurveFamily) -> float:
     return 1.0 / _inverse_map(f).leading_coefficient
 
 
-# -- series construction helpers --------------------------------------------
-
-
-def _fractional_root(s: LaurentSeries, m: int, n_terms: int) -> LaurentSeries:
-    """Principal m-th root of a series with positive real leading coefficient.
-
-    Writes s = a * z^T * (1 + v(u)) and applies the standard recurrence for
-    (1+v)^(1/m); T must be divisible by m.  The result keeps n_terms
-    coefficients counted down from its top power T/m.
-    """
-    if s.top % m:
-        raise ValueError("top power must be divisible by the root order")
-    lead = s.coeffs[-1]
-    if not (lead.imag == 0.0 and lead.real > 0):
-        raise ValueError("leading coefficient must be positive real")
-    if not s.exact and len(s.coeffs) < n_terms:
-        raise DepthExhaustionError("series window too shallow for requested root depth")
-    # v in the variable u = 1/z: v[j] = coeff of z^(T-j) / lead, v[0] = 1
-    v = np.zeros(n_terms, dtype=complex)
-    have = min(len(s.coeffs), n_terms)
-    v[:have] = s.coeffs[::-1][:have] / lead
-    alpha = 1.0 / m
-    g = np.zeros(n_terms, dtype=complex)
-    g[0] = 1.0
-    for k in range(1, n_terms):
-        acc = 0.0 + 0.0j
-        for j in range(1, k + 1):
-            if v[j] != 0:
-                acc += ((alpha + 1.0) * j - k) * v[j] * g[k - j]
-        g[k] = acc / k
-    out_top = s.top // m
-    coeffs = (float(lead.real) ** alpha) * g[::-1]
-    return LaurentSeries(out_top - (n_terms - 1), coeffs, exact=False)
+# -- map series --------------------------------------------------------------
 
 
 def phi_series(f: CurveFamily, depth: int) -> LaurentSeriesAtInfinity:
@@ -277,7 +243,7 @@ def phi_series(f: CurveFamily, depth: int) -> LaurentSeriesAtInfinity:
     if isinstance(f, ExplicitMap):
         return f.phi_or_reverted(depth)
     if isinstance(f, _ROOT_FAMILIES):
-        s = _fractional_root(f.base.map_of(f.P, depth + 2), f.P.degree, depth + 2)
+        s = series_power(f.base.map_of(f.P, depth + 2), (1, f.P.degree), depth + 2)
     else:
         s = f.map_of(ComplexPolynomial([0.0, 1.0]), depth + 2)
     phi = LaurentSeriesAtInfinity(s.coeffs[-1].real, s.coeffs[:-1][::-1], exact=s.exact)
@@ -474,18 +440,25 @@ def family_to_json_dict(f: CurveFamily) -> dict:
 
 
 def family_from_json_dict(d: dict) -> CurveFamily:
+    """Family of a spec as family_to_json_dict writes it; a malformed spec
+    raises ValueError."""
+    if not isinstance(d, dict):
+        raise ValueError("family spec must be a JSON object")
     kind = d.get("family")
-    if kind == "circle":
-        return Circle(float(d.get("R", 1.0)))
-    if kind == "interval":
-        return Interval()
-    if kind == "lemniscate":
-        return Lemniscate(_poly_from_pairs(d["P"]), float(d.get("R", 1.0)))
-    if kind == "inverse-image":
-        pts = d.get("alternation_points")
-        return InversePolynomialImage(_poly_from_pairs(d["P"]), pts)
-    if kind == "explicit":
-        phi = LaurentSeriesAtInfinity.from_json_dict(d["phi"]) if "phi" in d else None
-        psi = LaurentSeriesAtInfinity.from_json_dict(d["psi"]) if "psi" in d else None
-        return ExplicitMap(phi=phi, psi=psi)
+    try:
+        if kind == "circle":
+            return Circle(float(d.get("R", 1.0)))
+        if kind == "interval":
+            return Interval()
+        if kind == "lemniscate":
+            return Lemniscate(_poly_from_pairs(d["P"]), float(d.get("R", 1.0)))
+        if kind == "inverse-image":
+            pts = d.get("alternation_points")
+            return InversePolynomialImage(_poly_from_pairs(d["P"]), pts)
+        if kind == "explicit":
+            phi = LaurentSeriesAtInfinity.from_json_dict(d["phi"]) if "phi" in d else None
+            psi = LaurentSeriesAtInfinity.from_json_dict(d["psi"]) if "psi" in d else None
+            return ExplicitMap(phi=phi, psi=psi)
+    except (KeyError, TypeError) as e:
+        raise ValueError(f"malformed {kind} family spec ({type(e).__name__}: {e})") from e
     raise ValueError(f"unknown family spec {kind!r}")

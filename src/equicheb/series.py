@@ -22,6 +22,7 @@ __all__ = [
     "FaberExpansion",
     "laurent_mul",
     "laurent_pow",
+    "series_power",
     "polynomial_part",
     "faber_polynomial",
     "monic_faber",
@@ -115,14 +116,6 @@ class LaurentSeries:
     def scale(self, factor: complex) -> "LaurentSeries":
         return LaurentSeries(self.low, self.coeffs * factor, exact=self.exact)
 
-    def evaluate(self, z):
-        """Evaluate the known window at points z (Horner in 1/z)."""
-        z = np.asarray(z, dtype=complex)
-        acc = np.zeros_like(z)
-        for c in self.coeffs:
-            acc = acc / z + c
-        return acc * z ** float(self.top)
-
     def __repr__(self):
         return f"LaurentSeries(low={self.low}, top={self.top}, exact={self.exact})"
 
@@ -184,6 +177,41 @@ def laurent_pow(phi, n: int) -> LaurentSeries:
         if k:
             base = laurent_mul(base, base)
     return result
+
+
+def series_power(s, exponent: tuple[int, int], n_terms: int) -> LaurentSeries:
+    """Principal power s^(p/m), exponent = (p, m), of a series with positive
+    real leading coefficient.
+
+    Writes s = a * z^T * (1 + v(1/z)) and applies J. C. P. Miller's
+    recurrence for (1+v)^(p/m); m must divide p*T.  The result keeps n_terms
+    coefficients down from its top power p*T/m; an inexact s must hold as many.
+    """
+    s = as_series(s)
+    p, m = exponent
+    if (s.top * p) % m:
+        raise ValueError("top power times the exponent must be an integer")
+    lead = s.coeffs[-1]
+    if not (lead.imag == 0.0 and lead.real > 0):
+        raise ValueError("leading coefficient must be positive real")
+    if not s.exact and len(s.coeffs) < n_terms:
+        raise DepthExhaustionError("series window too shallow for requested power depth")
+    # v in the variable u = 1/z: v[j] = coeff of z^(T-j) / lead, v[0] = 1
+    v = np.zeros(n_terms, dtype=complex)
+    have = min(len(s.coeffs), n_terms)
+    v[:have] = s.coeffs[::-1][:have] / lead
+    alpha = p / m
+    g = np.zeros(n_terms, dtype=complex)
+    g[0] = 1.0
+    for k in range(1, n_terms):
+        acc = 0.0 + 0.0j
+        for j in range(1, k + 1):
+            if v[j] != 0:
+                acc += ((alpha + 1.0) * j - k) * v[j] * g[k - j]
+        g[k] = acc / k
+    out_top = s.top * p // m
+    coeffs = (float(lead.real) ** alpha) * g[::-1]
+    return LaurentSeries(out_top - (n_terms - 1), coeffs, exact=False)
 
 
 def polynomial_part(s) -> "ComplexPolynomial":
@@ -260,12 +288,16 @@ class LaurentSeriesAtInfinity:
         return {
             "c": self.leading_coefficient,
             "tail": [[float(v.real), float(v.imag)] for v in self.tail],
+            "exact": self.exact,
         }
 
     @staticmethod
     def from_json_dict(d: dict) -> "LaurentSeriesAtInfinity":
         tail = np.array([complex(re, im) for re, im in d["tail"]], dtype=complex)
-        return LaurentSeriesAtInfinity(float(d["c"]), tail)
+        exact = d.get("exact", False)
+        if not isinstance(exact, bool):
+            raise ValueError("exact must be true or false")
+        return LaurentSeriesAtInfinity(float(d["c"]), tail, exact=exact)
 
     def __repr__(self):
         return (
@@ -300,13 +332,6 @@ class ComplexPolynomial:
 
     def is_monic(self, tol: float = 1e-12) -> bool:
         return abs(self.leading() - 1.0) <= tol
-
-    def monic(self) -> "ComplexPolynomial":
-        if self.is_zero:
-            raise ValueError("zero polynomial cannot be made monic")
-        out = self.coeffs / self.coeffs[-1]
-        out[-1] = 1.0
-        return ComplexPolynomial(out)
 
     def __call__(self, z):
         z = np.asarray(z, dtype=complex)
@@ -441,62 +466,29 @@ def faber_basis_expand(
 
 
 # ---------------------------------------------------------------------------
-# Series reversion (compositional inverse) and composition at infinity.
-# Internally these work on raw coefficient arrays in the variable u = 1/z:
-# a map-shaped series is  z * (a0 + a1*u + a2*u^2 + ...) with a0 = c.
+# Composition at infinity and series reversion, on the windowed algebra.
 # ---------------------------------------------------------------------------
 
 
-def _u_mul(a: np.ndarray, b: np.ndarray, width: int) -> np.ndarray:
-    return np.convolve(a, b)[:width]
+def _map_at(outer: LaurentSeriesAtInfinity, inner: LaurentSeries):
+    """outer(inner) and outer'(inner) on the window of an inner series with
+    top power 1 and positive leading coefficient.
 
-
-def _u_reciprocal(v: np.ndarray, width: int) -> np.ndarray:
-    """Taylor reciprocal of v (in the variable u) with v[0] != 0."""
-    out = np.zeros(width, dtype=complex)
-    out[0] = 1.0 / v[0]
-    for k in range(1, width):
-        m = min(k, len(v) - 1)
-        acc = np.dot(v[1 : m + 1], out[k - m : k][::-1]) if m > 0 else 0.0
-        out[k] = -acc / v[0]
-    return out
-
-
-def _eval_map_at_map(b: np.ndarray, n_tail: int, f: np.ndarray, prec: int, with_derivative: bool):
-    """Evaluate a map series (u-form b, tail terms b[2..n_tail+1]) at w = z*f(u).
-
-    Returns val with  outer(inner(z)) = z * val(u), and optionally the plain
-    u-series of outer'(inner(z)).  All arrays truncated at width prec.
+    outer(w) = c w + b_0 + sum_j b_j w^-j and outer'(w) = c - sum_j j b_j
+    w^-(j+1) are summed over the powers of 1/inner that reach the window.
     """
-    g = _u_reciprocal(f[:prec], prec)  # 1/inner = u * g(u)
-    val = b[0] * f[:prec].copy()
-    val = val.astype(complex)
-    val[1] += b[1]
-    der = None
-    if with_derivative:
-        der = np.zeros(prec, dtype=complex)
-        der[0] = b[0]
-    gpow = np.zeros(prec, dtype=complex)
-    gpow[0] = 1.0
-    for j in range(1, n_tail + 1):
-        gpow = _u_mul(gpow, g, prec)  # g^j
-        bj = b[j + 1]
-        if bj != 0 and j + 1 < prec:
-            # b_j * w^-j = b_j * u^j * g^j; in z*series form that is u^(j+1)*g^j
-            val[j + 1 :] += bj * gpow[: prec - (j + 1)]
-        if with_derivative and bj != 0:
-            gj1 = _u_mul(gpow, g, prec)
-            if j + 1 < prec:
-                der[j + 1 :] += -j * bj * gj1[: prec - (j + 1)]
-    return val, der
-
-
-def _map_u_form(s: LaurentSeriesAtInfinity, depth: int) -> np.ndarray:
-    b = np.zeros(depth + 2, dtype=complex)
-    b[0] = s.leading_coefficient
-    m = min(depth, s.depth)
-    b[1 : m + 2] = s.tail[: m + 1]
-    return b
+    c, b, low = outer.leading_coefficient, outer.tail, inner.low
+    val = inner.scale(c) + LaurentSeries(0, [b[0]], exact=True)
+    der = LaurentSeries(0, [c], exact=True)
+    recip = series_power(inner, (-1, 1), max(1, -low))
+    power = recip
+    for j in range(1, min(outer.depth, -low) + 1):
+        nxt = laurent_mul(power, recip)
+        if b[j] != 0:
+            val = val + power.scale(b[j])
+            der = der - nxt.scale(j * b[j])
+        power = nxt
+    return val.truncate(low), der.truncate(low)
 
 
 def compose_at_infinity(
@@ -504,14 +496,16 @@ def compose_at_infinity(
 ) -> LaurentSeries:
     """outer(inner(z)) as a Laurent series with powers z^1 .. z^-depth.
 
+    An inexact input must reach the depth (DepthExhaustionError otherwise).
     Composing a map with its reversion yields the identity up to
     O(z^-depth); this is the verification used by revert_series.
     """
-    width = depth + 2
-    b = _map_u_form(outer, depth)
-    f = _map_u_form(inner, depth)
-    val, _ = _eval_map_at_map(b, min(depth, outer.depth), f, width, with_derivative=False)
-    return LaurentSeries(-depth, val[::-1], exact=False)
+    for s in (outer, inner):
+        if not s.exact and s.depth < depth:
+            raise DepthExhaustionError(
+                f"input depth {s.depth} cannot support requested output depth {depth}"
+            )
+    return _map_at(outer, inner.truncate(depth).to_series())[0]
 
 
 def revert_series(
@@ -519,14 +513,13 @@ def revert_series(
 ) -> LaurentSeriesAtInfinity:
     """Compositional inverse of a map-shaped series at infinity.
 
-    Newton iteration on formal series with doubling precision, seeded by
-    z/c - c0/c; each step is exact through twice as many tail terms as the
-    last.  The result phi satisfies psi(phi(z)) = z + O(z^-depth).
-    Requires depth(psi) >= depth unless psi is exact.  Deep reversions
-    can lose their accuracy to rounding, as the terms of the
-    coefficient-wise composition cancel (the interval's map reverts
-    exactly up to depth 50 and is off by 1e2 at depth 60); the result is
-    verified and such a loss raises DepthExhaustionError.
+    Newton iteration phi <- phi - (psi(phi) - z) / psi'(phi) on formal
+    series with doubling precision (Brent and Kung), seeded by z/c - b_0/c,
+    so that psi(phi(z)) = z + O(z^-depth).  Requires depth(psi) >= depth
+    unless psi is exact.  Deep reversions can lose their accuracy to
+    rounding, as the terms of the composition cancel (the interval's map
+    reverts exactly up to depth 50 and is off by 1e2 at depth 60); the
+    result is verified and such a loss raises DepthExhaustionError.
     """
     if depth is None:
         depth = psi.depth
@@ -536,29 +529,18 @@ def revert_series(
         raise DepthExhaustionError(
             f"input depth {psi.depth} cannot support requested output depth {depth}"
         )
-    width = depth + 2
     c = psi.leading_coefficient
-    b = _map_u_form(psi, depth)
-    n_tail = min(depth, psi.depth)
-
-    # seed exact through u^1: phi = z/c - c0/c
-    cur = np.zeros(width, dtype=complex)
-    cur[0] = 1.0 / c
-    cur[1] = -b[1] / c
-
-    prec = 2
-    while prec < width:
-        prec = min(2 * prec, width)
-        val, der = _eval_map_at_map(b, n_tail, cur, prec, with_derivative=True)
-        # psi(phi(z)) - z = z * (val - e0); as a plain u-series this shifts by one
-        resid_plain = np.zeros(prec, dtype=complex)
-        resid_plain[: prec - 1] = val[1:prec]
-        corr = _u_mul(resid_plain, _u_reciprocal(der, prec), prec)
-        # phi_new = phi - corr(u);  corr = z * u * corr(u) in map form
-        nxt = cur.copy()
-        nxt[1:prec] = nxt[1:prec] - corr[: prec - 1]
-        cur = nxt
-    phi = LaurentSeriesAtInfinity(cur[0].real, cur[1 : depth + 2])
+    # each iterate is a Laurent polynomial; the seed is right through z^0
+    phi = LaurentSeries(0, [-psi.tail[0] / c, 1.0 / c], exact=True)
+    known = 2
+    while known < depth + 2:
+        known = min(2 * known, depth + 2)
+        phi = phi.truncate(2 - known)  # zero-padded to the window this step makes right
+        val, der = _map_at(psi, phi)
+        resid = LaurentSeries(phi.low, val.coeffs[:-1])  # psi(phi) - z, whose z^1 term is 1
+        step = laurent_mul(resid, series_power(der, (-1, 1), known - 1))
+        phi = LaurentSeries(phi.low, (phi - step).coeffs, exact=True)
+    phi = LaurentSeriesAtInfinity(phi.coeffs[-1].real, phi.coeffs[-2::-1])
     # verify: composing back yields the identity to the stated depth
     check = compose_at_infinity(psi, phi, depth)
     ident = np.zeros(depth + 2, dtype=complex)

@@ -168,6 +168,12 @@ class TestWidomCommand:
             rows = list(csv.reader(fh))
         assert rows[0] == ["n", "normalized_error"]
 
+    def test_sample_size_flag_refused(self, tmp_path):
+        # widom_experiment has no sample-size parameter, so --M is not
+        # registered on widom
+        assert run(["widom", "--family", "circle", "--r", "2", "--n-max", "2",
+                    "--M", "5", "-o", str(tmp_path)]) == 1
+
 
 class TestFamilyJsonFlag:
     def test_explicit_map_via_json(self, tmp_path):
@@ -192,6 +198,36 @@ class TestFamilyJsonFlag:
         path.write_text("{not json")
         assert run(["cheb", "--family-json", str(path), "--r", "2", "--n", "1",
                     "-o", str(tmp_path)]) == 1
+
+    def test_exact_psi_gives_faber_polynomial(self, tmp_path):
+        # an exact psi reverts to any depth; the monic Faber polynomial of
+        # the interval is the monic Chebyshev polynomial, T_4 / 8
+        spec = {
+            "family": "explicit",
+            "psi": {"c": 0.5, "tail": [[0.0, 0.0], [0.5, 0.0]], "exact": True},
+        }
+        path = tmp_path / "fam.json"
+        path.write_text(json.dumps(spec))
+        code = run(["faber", "--family-json", str(path), "--n", "4",
+                    "-o", str(tmp_path), "--tag", "fx"])
+        assert code == 0
+        rep = read_json(tmp_path / "fx.json")
+        coeffs = np.array([complex(a, b) for a, b in rep["coeffs"]])
+        np.testing.assert_allclose(coeffs, [1 / 8, 0, -1, 0, 1], atol=1e-14)
+        assert rep["family"]["psi"]["exact"] is True
+
+    @pytest.mark.parametrize("spec", [
+        [1, 2],
+        {"family": "lemniscate"},
+        {"family": "explicit", "psi": {"c": 0.5}},
+        {"family": "explicit", "psi": {"c": 0.5, "tail": [[0.0, 0.0]], "exact": "no"}},
+    ], ids=["list", "lemniscate-without-P", "psi-without-tail", "exact-not-boolean"])
+    def test_malformed_spec_exits_one(self, tmp_path, capsys, spec):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(spec))
+        assert run(["faber", "--family-json", str(path), "--n", "2",
+                    "-o", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestOutputDirEnv:

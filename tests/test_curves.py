@@ -403,3 +403,12 @@ class TestFamilyJson:
             d = family_to_json_dict(f)
             back = family_from_json_dict(d)
             assert family_to_json_dict(back) == d
+
+    def test_round_trip_keeps_exactness(self):
+        f = ExplicitMap(psi=LaurentSeriesAtInfinity(0.5, [0.0, 0.5], exact=True))
+        back = family_from_json_dict(family_to_json_dict(f))
+        assert back.psi.exact
+        # specs written without the key load as before, inexact
+        d = family_to_json_dict(f)
+        del d["psi"]["exact"]
+        assert not family_from_json_dict(d).psi.exact

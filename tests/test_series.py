@@ -16,6 +16,7 @@ from equicheb.series import (
     monic_faber,
     polynomial_part,
     revert_series,
+    series_power,
 )
 
 
@@ -127,6 +128,48 @@ class TestLaurentPow:
         phi = LaurentSeriesAtInfinity(2.0, [1.0, 2.0])
         out = laurent_pow(phi, 0)
         assert out.coeff(0) == 1.0 and out.top == 0
+
+
+class TestSeriesPower:
+    def test_reciprocal_times_series_is_one(self):
+        s = LaurentSeries(-1, [1.0, 0.0, 1.0], exact=True)  # z + 1/z
+        inv = series_power(s, (-1, 1), 12)
+        assert inv.top == -1 and inv.low == -12
+        prod = laurent_mul(s, inv)
+        one = np.zeros(len(prod.coeffs))
+        one[-prod.low] = 1.0  # z^0 entry of the product window
+        np.testing.assert_allclose(prod.coeffs, one, atol=1e-15)
+
+    def test_square_root_matches_binomial_oracle(self):
+        s = LaurentSeries(0, [-1.0, 0.0, 1.0], exact=True)  # z^2 - 1
+        root = series_power(s, (1, 2), 12)
+        assert root.top == 1 and root.low == -10
+        want = np.concatenate([sqrt_zsq_minus_1_tail(10)[::-1], [1.0]])
+        np.testing.assert_allclose(root.coeffs, want, atol=1e-15)
+
+    def test_root_order_49(self):
+        # 49 * (1/49) is not 1 in floating point; the divisibility check
+        # works on integers, so (z^49 + a)^(1/49) = z + (a/49) z^-48 + ...
+        a = 0.7
+        s = LaurentSeries(0, np.r_[a, np.zeros(48), 1.0], exact=True)
+        root = series_power(s, (1, 49), 50)
+        assert root.top == 1
+        assert root.coeff(1) == 1.0
+        assert root.coeff(-48) == pytest.approx(a / 49, rel=1e-14)
+        np.testing.assert_allclose(root.coeffs[1:-1], 0.0)
+
+    def test_rejects_bad_leading_coefficient(self):
+        for lead in (-1.0, 0.0, 1.0j):
+            with pytest.raises(ValueError):
+                series_power(LaurentSeries(0, [1.0, 0.0, lead], exact=True), (1, 2), 4)
+
+    def test_rejects_indivisible_top(self):
+        with pytest.raises(ValueError):
+            series_power(LaurentSeries(3, [1.0], exact=True), (1, 2), 4)
+
+    def test_shallow_inexact_input_refused(self):
+        with pytest.raises(DepthExhaustionError):
+            series_power(LaurentSeries(-1, [0.5, 0.0, 1.0]), (-1, 1), 4)
 
 
 class TestPolynomialPart:
@@ -290,6 +333,12 @@ class TestRevertSeries:
         ident = np.zeros(12)
         ident[-1] = 1.0
         np.testing.assert_allclose(comp.coeffs, ident, atol=1e-12)
+
+    def test_composition_refuses_shallow_input(self):
+        # a depth-3 map series holds nothing about z^-5 and below, so its
+        # composition with the Joukowski map cannot be known to depth 10
+        with pytest.raises(DepthExhaustionError):
+            compose_at_infinity(Interval().psi, phi_series(Interval(), 3), 10)
 
     def test_involution(self):
         psi = LaurentSeriesAtInfinity(2.0, [0.1, -0.5, 0.25, 0.0, 0.03125], exact=True)
