@@ -33,7 +33,6 @@ from .curves import (
 )
 from .experiments import (
     EXPERIMENT_OPTS,
-    TRAJECTORY_OPTS,
     ExperimentError,
     invariance_experiment,
     rate_experiment,
@@ -309,7 +308,7 @@ def _execute(args) -> dict:
     elif args.subcommand == "zeros":
         grid = args.r_grid if args.r_grid else list(np.geomspace(1.05, 8.0, 100))
         rep = zero_trajectories(args.family, args.n, grid,
-                                opts=_solve_options(args, TRAJECTORY_OPTS), M=args.M)
+                                opts=_solve_options(args, EXPERIMENT_OPTS), M=args.M)
         out["json"] = rep.to_json_dict()
         out["csv"] = rep.to_csv_rows()
         out["svg"] = _svg_document(

@@ -38,6 +38,7 @@ __all__ = [
     "phi_series",
     "sample_level_curve",
     "sample_points_dd",
+    "points_at_angles",
     "lemniscate_point_set",
     "joukowski",
     "family_to_json_dict",
@@ -404,6 +405,31 @@ def sample_points_dd(sample: CurveSample) -> dd.DD:
         step = (target - dd.polyval(f.P.coeffs, z0)).to_complex()
         return z0 + step / f.P.derivative()(sample.points)
     return _map_points_dd(_inverse_map(f), omega[k % N], r)
+
+
+_CONTINUATION_STEPS = 5  # Newton steps; from a grid neighbour: 1e-2, 1e-4, 1e-8, ...
+
+
+def points_at_angles(f: CurveFamily, r: float, thetas, near):
+    """Points of L_r at map angles ``thetas`` off the sampler's grid, and the
+    tangents dz/dtheta there.
+
+    Inverse-map families evaluate psi(r e^(i theta)).  Root families take
+    Newton steps on P(z) = psi_base(r^m e^(i m theta)) from ``near``, points
+    of L_r at nearby angles that pick the root, as ``sample_points_dd`` does.
+    """
+    root = isinstance(f, _ROOT_FAMILIES)
+    m, psi = (f.P.degree, f.base.psi) if root else (1, _inverse_map(f))
+    w = r ** m * np.exp(1j * m * np.asarray(thetas, dtype=float))
+    # psi'(w) = c - T'(1/w) / w^2, T the tail as a polynomial in 1/w
+    dz = 1j * m * w * (psi.leading_coefficient - ComplexPolynomial(psi.tail).derivative()(1 / w) / w ** 2)
+    if not root:
+        return psi.evaluate(w), dz
+    target, dP = psi.evaluate(w), f.P.derivative()
+    z = np.broadcast_to(np.asarray(near, dtype=complex), w.shape)
+    for _ in range(_CONTINUATION_STEPS):
+        z = z - (f.P(z) - target) / dP(z)
+    return z, dz / dP(z)
 
 
 # -- JSON family specs -------------------------------------------------------

@@ -32,7 +32,6 @@ from .series import ComplexPolynomial, FaberExpansion, faber_basis_expand, monic
 
 __all__ = [
     "EXPERIMENT_OPTS",
-    "TRAJECTORY_OPTS",
     "ExperimentError",
     "RateReport",
     "InvarianceReport",
@@ -64,14 +63,10 @@ class ExperimentError(RuntimeError):
         self.solution = solution
 
 
-# Solver settings of the harnesses: a fixed generous discretization, and gap
-# tolerances set where plain Lawson's certificate reliably lands rather than
-# at the polynomial's (much better) accuracy.  Trajectories solve a whole grid
-# of levels, down to near K, where the certificate is slowest (T_21 on the
-# Bernoulli lemniscate at r = 1.05: 1,080 steps to 5e-4, 2,485 to 2e-4), so
-# they stop at the looser 5e-4.
-EXPERIMENT_OPTS = SolveOptions(tol_rel=2e-4, max_iter=12000, adapt=False)
-TRAJECTORY_OPTS = SolveOptions(tol_rel=5e-4, max_iter=4000, adapt=False)
+# Solver settings of every harness: a fixed generous discretization and the
+# default gap tolerance.  The interior-point certificate converges in a few
+# dozen steps at any level, so trajectories down to near K use it too.
+EXPERIMENT_OPTS = SolveOptions(adapt=False)
 
 
 def _experiment_sample(f: CurveFamily, r: float, n: int, M: int | None = None) -> CurveSample:
@@ -461,7 +456,7 @@ def zero_trajectories(
     f: CurveFamily,
     n: int,
     r_grid: Sequence[float],
-    opts: SolveOptions = TRAJECTORY_OPTS,
+    opts: SolveOptions = EXPERIMENT_OPTS,
     M: int | None = None,
     root_tol: float = 1e-12,
 ) -> TrajectorySet:

@@ -7,7 +7,7 @@ import pytest
 
 from equicheb import cli
 from equicheb.cli import run
-from equicheb.experiments import EXPERIMENT_OPTS, TRAJECTORY_OPTS, ExperimentError
+from equicheb.experiments import EXPERIMENT_OPTS, ExperimentError
 from equicheb.minimax import SolveOptions
 
 
@@ -260,7 +260,7 @@ class TestSolverFlagOverlay:
     CASES = [
         ("rate", "rate_experiment", ["--r-grid", "2,4,8,16,32"], EXPERIMENT_OPTS),
         ("invariance", "invariance_experiment", ["--r", "1.5,4"], EXPERIMENT_OPTS),
-        ("zeros", "zero_trajectories", ["--r-grid", "1.5,2"], TRAJECTORY_OPTS),
+        ("zeros", "zero_trajectories", ["--r-grid", "1.5,2"], EXPERIMENT_OPTS),
     ]
 
     def captured_opts(self, monkeypatch, tmp_path, sub, name, argv):

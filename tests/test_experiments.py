@@ -19,7 +19,7 @@ from equicheb.minimax import SolveOptions
 from equicheb.series import ComplexPolynomial
 
 BERNOULLI = Lemniscate(ComplexPolynomial([-1.0, 0.0, 1.0]), 1.0)
-FAST = SolveOptions(tol_rel=3e-4, max_iter=6000, adapt=False)
+FAST = SolveOptions(tol_rel=1e-10, max_iter=6000, adapt=False)
 
 
 class TestClassicalChebyshev:
@@ -184,8 +184,8 @@ class TestTrajectories:
         assert all(rs is not None for rs in rep.root_sets)
 
     def test_default_settings_converge_at_low_levels(self):
-        # criterion 9's two lowest levels: within 4000 steps Lawson's gap
-        # certificate reaches the default 5e-4 there, but not 1e-6
+        # criterion 9's two lowest levels, where T_21 is hardest to certify:
+        # the default tolerance 1e-10 is reached there too
         rep = zero_trajectories(BERNOULLI, 21, [1.05, 1.1], M=512)
         assert all(rs is not None for rs in rep.root_sets)
         assert rep.successful_r.tolist() == [1.05, 1.1]

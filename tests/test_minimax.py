@@ -117,29 +117,6 @@ class TestSolveChebyshev:
             c = capacity_leading_coefficient(fam)
             assert sol.sup_norm >= (r / c) ** n * (1 - 1e-6)
 
-    def test_lawson_geometric_mean_monotone(self):
-        # 400 Lawson steps as a chain of one-step solves, each warm-started
-        # with the weights the previous step left: the weighted geometric
-        # mean sum_j w_j log|p(z_j)| of each step's residuals never falls
-        s = sample_level_curve(BERNOULLI, 2.0, 128)
-        w = np.full(s.size, 1.0 / s.size)
-        h = []
-        for _ in range(400):
-            sol = chebyshev_on_points(s.points, 3, SolveOptions(max_iter=1), initial_weights=w)
-            h.append(float(np.sum(w * np.log(np.abs(sol.polynomial(s.points))))))
-            w = sol.weights
-        h = np.array(h)
-        assert np.all(np.diff(h) >= -1e-12 * np.maximum(1.0, np.abs(h[:-1])))
-
-    def test_idempotence(self):
-        tol = 3e-4
-        s = sample_level_curve(BERNOULLI, 2.0, 256)
-        opts = SolveOptions(tol_rel=tol, max_iter=8000, adapt=False)
-        sol = solve_chebyshev(s, 3, opts)
-        assert sol.converged
-        again = chebyshev_on_points(s.points, 3, opts, initial_weights=sol.weights)
-        assert abs(again.sup_norm - sol.sup_norm) <= tol * sol.sup_norm
-
     def test_scale_equivariance(self):
         rng = np.random.default_rng(9)
         pts = rng.standard_normal(64) + 1j * rng.standard_normal(64)
@@ -178,6 +155,83 @@ class TestSolveChebyshev:
         assert sol.sup_norm == pytest.approx(float(t.value), rel=5e-7)
         oracle_sup = float(t.value)
         assert sol.sup_norm <= oracle_sup * (1 + 5e-7)
+
+    def test_repeated_points_with_too_few_values(self):
+        # 32 points but only 4 distinct values: a monic quintic is not pinned
+        pts = np.tile([1.0, 1j, -1.0, -1j], 8)
+        with pytest.raises(RankDeficiencyError):
+            chebyshev_on_points(pts, 5)
+
+    @pytest.mark.parametrize(
+        "family, n, r, opts",
+        [
+            (Interval(), 4, 1.5, SolveOptions(1e-8, 600, adapt=False)),
+            (BERNOULLI, 5, 4.0, SolveOptions(1e-10, 600, adapt=False)),
+            (BERNOULLI, 21, 1.05, SolveOptions(1e-10, 600, adapt=False)),
+        ],
+    )
+    def test_certificate_converges_in_few_steps(self, family, n, r, opts):
+        # Lawson's certificate stalls on each of these (at 1e-5 to 3e-5
+        # after 20,000 steps at 1e-8); the interior point's does not
+        pts = sample_level_curve(family, r, 512).points
+        sol = chebyshev_on_points(pts, n, opts)
+        assert sol.converged
+        assert sol.equioscillation_gap <= opts.tol_rel
+        assert sol.iterations <= 30
+
+
+class TestDiscreteVersusCurve:
+    # 2n does not divide M = 512, so the discrete optimum on the ellipse
+    # sample is not T_3: its sup lies below T_3's on the same points
+    SAMPLE = sample_level_curve(Interval(), 1.5, 512)
+
+    def test_discrete_optimum_undercuts_curve_optimum(self):
+        sol = chebyshev_on_points(self.SAMPLE.points, 3, SolveOptions(1e-10, 600, adapt=False))
+        t3_sup = np.abs(monic_classical_chebyshev(3)(self.SAMPLE.points)).max()
+        assert sol.converged
+        assert sol.sup_norm <= t3_sup * (1 - 1e-5)
+
+    def test_curve_exchange_recovers_classical_polynomial(self):
+        sol = solve_chebyshev(self.SAMPLE, 3, SolveOptions(1e-8, 600, adapt=False))
+        assert sol.converged
+        dist = sol.polynomial.coefficient_distance(monic_classical_chebyshev(3))
+        assert dist <= 1e-8
+
+
+class TestKGonBracket:
+    # The K-gon relaxation Re(e^{-2 pi i k/K} p(z_j)) <= t, k < K, of the
+    # discrete problem is a linear program.  Its polygon contains the disk
+    # |w| <= t and lies inside |w| <= t / cos(pi/K), so its optimum t_K
+    # brackets the discrete optimum: t_K <= t* <= t_K / cos(pi/K)
+    K, M = 64, 128
+
+    @staticmethod
+    def kgon_bound(points, n, K):
+        linprog = pytest.importorskip("scipy.optimize").linprog
+        center = complex(points.mean())
+        scale = float(np.abs(points - center).max())
+        zeta = (points - center) / scale
+        V = np.vander(zeta, n + 1, increasing=True)  # p = zeta^n + V[:, :n] c
+        rot = np.exp(-2j * np.pi * np.arange(K) / K)[:, None, None]
+        R = (rot * V[None]).reshape(-1, n + 1)
+        # unknowns (Re c, Im c, t): Re(rot * (V c + zeta^n)) <= t
+        A = np.hstack([R[:, :n].real, -R[:, :n].imag, -np.ones((len(R), 1))])
+        cost = np.zeros(2 * n + 1)
+        cost[-1] = 1.0
+        res = linprog(cost, A_ub=A, b_ub=-R[:, n].real, bounds=(None, None), method="highs")
+        assert res.status == 0
+        return res.fun * scale ** n
+
+    @pytest.mark.parametrize(
+        "family, n, r",
+        [(BERNOULLI, 3, 2.0), (BERNOULLI, 5, 4.0), (Interval(), 4, 1.5), (Circle(1.0), 3, 2.0)],
+    )
+    def test_sup_norm_inside_bracket(self, family, n, r):
+        pts = sample_level_curve(family, r, self.M).points
+        t_K = self.kgon_bound(pts, n, self.K)
+        sol = chebyshev_on_points(pts, n, SolveOptions(1e-10, 600, adapt=False))
+        assert sol.converged
+        assert t_K * (1 - 1e-9) <= sol.sup_norm <= t_K / np.cos(np.pi / self.K) * (1 + 1e-9)
 
 
 class TestPrecisionLimitedSolves:
