@@ -13,14 +13,13 @@ from .series import (
     LaurentSeries,
     LaurentSeriesAtInfinity,
     NotMonicError,
-    compose_at_infinity,
     faber_basis_expand,
     faber_polynomial,
+    faber_recurrence,
     laurent_mul,
     laurent_pow,
     monic_faber,
     polynomial_part,
-    revert_series,
     series_power,
 )
 from .curves import (
@@ -32,6 +31,7 @@ from .curves import (
     InversePolynomialImage,
     Lemniscate,
     capacity_leading_coefficient,
+    faber_basis,
     joukowski,
     phi_series,
     sample_level_curve,

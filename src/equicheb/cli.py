@@ -26,9 +26,9 @@ from .curves import (
     InversePolynomialImage,
     Lemniscate,
     capacity_leading_coefficient,
+    faber_basis,
     family_from_json_dict,
     family_to_json_dict,
-    phi_series,
     sample_level_curve,
 )
 from .experiments import (
@@ -41,7 +41,7 @@ from .experiments import (
     zero_trajectories,
 )
 from .minimax import SolveOptions, solve_chebyshev
-from .series import ComplexPolynomial, monic_faber
+from .series import ComplexPolynomial
 
 __all__ = ["run", "main"]
 
@@ -181,7 +181,6 @@ def _make_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("faber", help="monic Faber polynomial of a family")
     add_family_flags(p)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--depth", type=int, default=None)
     add_out_flags(p)
 
     p = sub.add_parser("cheb", help="Chebyshev polynomial of one level curve")
@@ -271,9 +270,7 @@ def _execute(args) -> dict:
     """Run the requested operation; returns {'json':..., 'csv':..., 'svg':...}."""
     out = {}
     if args.subcommand == "faber":
-        depth = args.depth if args.depth is not None else args.n + 1
-        phi = phi_series(args.family, depth)
-        poly = monic_faber(phi, args.n)
+        poly = faber_basis(args.family, args.n)[args.n]
         out["json"] = {
             "report": "faber",
             "family": family_to_json_dict(args.family),

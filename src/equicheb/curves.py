@@ -1,11 +1,11 @@
 """Exterior-map families with explicit level-curve samplers.
 
 Level curves L_r = {|phi| = r} come from one of two mechanisms.  Circle,
-Interval and ExplicitMap carry an inverse map psi (exact Laurent data for
-the first two) and L_r is psi(|w| = r).  Lemniscate {|P| = R} and the
-preimage P^{-1}([-1,1]) name a base family, Circle(R) or Interval(); their
-map is (phi_base o P)^(1/m), so L_r is P^{-1} of the base family's level
-curve at r^m, found by solving P(z) = psi_base(r^m e^(i m theta)).
+Interval and an ExplicitMap given psi carry an inverse map psi (exact
+Laurent data for the first two) and L_r is psi(|w| = r).  Lemniscate
+{|P| = R} and the preimage P^{-1}([-1,1]) name a base family, Circle(R) or
+Interval(); their map is (phi_base o P)^(1/m), so L_r is P^{-1} of the base
+family's level curve at r^m, found by solving P(z) = psi_base(r^m e^(i m theta)).
 """
 
 from __future__ import annotations
@@ -21,8 +21,9 @@ from .series import (
     ComplexPolynomial,
     LaurentSeries,
     LaurentSeriesAtInfinity,
+    faber_recurrence,
     laurent_mul,
-    revert_series,
+    monic_faber,
     series_power,
 )
 
@@ -36,6 +37,7 @@ __all__ = [
     "CurveSample",
     "capacity_leading_coefficient",
     "phi_series",
+    "faber_basis",
     "sample_level_curve",
     "sample_points_dd",
     "points_at_angles",
@@ -160,24 +162,16 @@ class InversePolynomialImage:
 
 @dataclass(frozen=True, eq=False)
 class ExplicitMap:
-    """Family given directly by a map series phi and/or its inverse psi."""
+    """Family given directly by exactly one of its map series phi and its
+    inverse psi.  Given psi, it is sampled as psi(|w| = r); given phi, it has
+    a capacity and Faber polynomials but no level-curve samples."""
 
     phi: Optional[LaurentSeriesAtInfinity] = None
     psi: Optional[LaurentSeriesAtInfinity] = None
 
     def __post_init__(self):
-        if self.phi is None and self.psi is None:
-            raise ValueError("need phi or psi")
-
-    def phi_or_reverted(self, depth: int) -> LaurentSeriesAtInfinity:
-        if self.phi is not None:
-            return self.phi.truncate(depth)
-        return revert_series(self.psi, depth)
-
-    def psi_or_reverted(self) -> LaurentSeriesAtInfinity:
-        if self.psi is not None:
-            return self.psi
-        return revert_series(self.phi, self.phi.depth)
+        if (self.phi is None) == (self.psi is None):
+            raise ValueError("an explicit map needs exactly one of phi and psi")
 
 
 CurveFamily = Union[Circle, Interval, Lemniscate, InversePolynomialImage, ExplicitMap]
@@ -242,7 +236,9 @@ def phi_series(f: CurveFamily, depth: int) -> LaurentSeriesAtInfinity:
     if depth < 0:
         raise ValueError("depth must be nonnegative")
     if isinstance(f, ExplicitMap):
-        return f.phi_or_reverted(depth)
+        if f.phi is None:
+            raise ValueError("an explicit map given psi has no phi series; use faber_basis")
+        return f.phi.truncate(depth)
     if isinstance(f, _ROOT_FAMILIES):
         s = series_power(f.base.map_of(f.P, depth + 2), (1, f.P.degree), depth + 2)
     else:
@@ -252,10 +248,24 @@ def phi_series(f: CurveFamily, depth: int) -> LaurentSeriesAtInfinity:
 
 
 def _inverse_map(f: CurveFamily) -> LaurentSeriesAtInfinity:
-    """psi of an inverse-map family: exact data, or the reverted phi."""
-    if isinstance(f, ExplicitMap):
-        return f.psi_or_reverted()
-    return f.psi
+    """psi of an inverse-map family; an explicit map given phi has none."""
+    psi = f.psi
+    if psi is None:
+        raise ValueError("an explicit map given phi cannot be sampled; give its inverse map psi")
+    return psi
+
+
+def faber_basis(f: CurveFamily, n: int) -> list[ComplexPolynomial]:
+    """Monic Faber polynomials Fhat_0 .. Fhat_n of the family.
+
+    Families that carry psi (circle, interval, an explicit map given psi)
+    take them from the Faber recurrence on psi; root families and an
+    explicit map given phi from the powers of phi_series(f, n + 1).
+    """
+    if isinstance(f, _ROOT_FAMILIES) or f.psi is None:
+        phi = phi_series(f, n + 1)
+        return [monic_faber(phi, k) for k in range(n + 1)]
+    return faber_recurrence(f.psi, n)
 
 
 def _map_points_dd(psi: LaurentSeriesAtInfinity, unit: dd.DD, r) -> dd.DD:

@@ -26,9 +26,8 @@ __all__ = [
     "polynomial_part",
     "faber_polynomial",
     "monic_faber",
+    "faber_recurrence",
     "faber_basis_expand",
-    "revert_series",
-    "compose_at_infinity",
 ]
 
 
@@ -408,17 +407,49 @@ def monic_faber(phi: LaurentSeriesAtInfinity, n: int) -> ComplexPolynomial:
     return ComplexPolynomial(out)
 
 
+def faber_recurrence(psi: LaurentSeriesAtInfinity, n: int) -> list[ComplexPolynomial]:
+    """Monic Faber polynomials Fhat_0 .. Fhat_n of the map whose inverse is
+    psi(w) = a w + b_0 + b_1/w + ...
+
+    Matching powers of w in the generating function
+    psi'(w) / (psi(w) - z) = sum_j F_j(z) w^(-j-1)  (Curtiss 1971) and
+    scaling Fhat_j = a^j F_j gives
+    Fhat_(j+1) = (z - b_0) Fhat_j - sum_(k=1..j) b_k a^k Fhat_(j-k) - j b_j a^j,
+    exact for an exact psi at any degree.  Fhat_n needs b_0 .. b_(n-1), so an
+    inexact psi must reach depth n - 1.
+    """
+    if n < 0:
+        raise ValueError("degree must be nonnegative")
+    need = max(n - 1, 0)
+    if not psi.exact and psi.depth < need:
+        raise DepthExhaustionError(
+            f"psi depth {psi.depth} cannot give the degree-{n} Faber polynomial "
+            f"(needs depth {need})"
+        )
+    b = psi.truncate(need).tail
+    g = b * psi.leading_coefficient ** np.arange(len(b))  # b_k a^k
+    F = np.zeros((n + 1, n + 1), dtype=complex)  # row j: Fhat_j, ascending
+    F[0, 0] = 1.0
+    for j in range(n):
+        F[j + 1, 1:] = F[j, :-1]
+        F[j + 1] -= b[0] * F[j]
+        if j:
+            F[j + 1] -= g[1 : j + 1] @ F[j - 1 :: -1]
+            F[j + 1, 0] -= j * g[j]
+    return [ComplexPolynomial(F[k, : k + 1]) for k in range(n + 1)]
+
+
 @dataclass(frozen=True, eq=False)
 class FaberExpansion:
-    """Coefficients of a monic polynomial over the monic Faber basis.
+    """Coefficients of a monic polynomial over a monic Faber basis.
 
-    With basis elements B_k (monic of degree k, from ``reference``), the
-    expanded polynomial is  B_n + sum_{k<n} alpha[k] * B_k.
+    With basis elements B_k = ``basis[k]`` (monic of degree k), the expanded
+    polynomial is  B_n + sum_{k<n} alpha[k] * B_k.
     """
 
     degree: int
     alpha: np.ndarray
-    reference: LaurentSeriesAtInfinity
+    basis: list[ComplexPolynomial]
 
     def __post_init__(self):
         object.__setattr__(self, "alpha", np.asarray(self.alpha, dtype=complex).ravel())
@@ -426,10 +457,10 @@ class FaberExpansion:
             raise ValueError("alpha must have length equal to the degree")
 
     def reconstruct(self) -> ComplexPolynomial:
-        out = monic_faber(self.reference, self.degree)
+        out = self.basis[self.degree]
         for k in range(self.degree):
             if self.alpha[k] != 0:
-                out = out + self.alpha[k] * monic_faber(self.reference, k)
+                out = out + self.alpha[k] * self.basis[k]
         return out
 
     def to_json_dict(self) -> dict:
@@ -440,9 +471,10 @@ class FaberExpansion:
 
 
 def faber_basis_expand(
-    q: ComplexPolynomial, phi: LaurentSeriesAtInfinity, monic_tol: float = 1e-9
+    q: ComplexPolynomial, basis: list[ComplexPolynomial], monic_tol: float = 1e-9
 ) -> FaberExpansion:
-    """Expand a monic polynomial over the monic Faber basis of the map.
+    """Expand a monic polynomial over a monic Faber basis, ``basis[k]`` of
+    degree k for k = 0 .. deg q at least (``curves.faber_basis``).
 
     Back-substitution through the unit-upper-triangular change of basis:
     the degree-k basis element is monic, so alpha_k is read off the z^k
@@ -451,9 +483,8 @@ def faber_basis_expand(
     n = q.degree
     if not q.is_monic(monic_tol):
         raise NotMonicError(f"leading coefficient {q.leading()} is not 1")
-    if not phi.exact and phi.depth < n:
-        raise DepthExhaustionError(f"series depth {phi.depth} < polynomial degree {n}")
-    basis = [monic_faber(phi, k) for k in range(n + 1)]
+    if len(basis) <= n:
+        raise ValueError(f"basis of degrees 0..{len(basis) - 1} cannot expand degree {n}")
     rem = np.zeros(n + 1, dtype=complex)
     rem[: len(q.coeffs)] = q.coeffs
     rem[: len(basis[n].coeffs)] -= basis[n].coeffs
@@ -462,95 +493,4 @@ def faber_basis_expand(
         alpha[k] = rem[k]
         if alpha[k] != 0:
             rem[: k + 1] -= alpha[k] * basis[k].coeffs
-    return FaberExpansion(n, alpha, phi)
-
-
-# ---------------------------------------------------------------------------
-# Composition at infinity and series reversion, on the windowed algebra.
-# ---------------------------------------------------------------------------
-
-
-def _map_at(outer: LaurentSeriesAtInfinity, inner: LaurentSeries):
-    """outer(inner) and outer'(inner) on the window of an inner series with
-    top power 1 and positive leading coefficient.
-
-    outer(w) = c w + b_0 + sum_j b_j w^-j and outer'(w) = c - sum_j j b_j
-    w^-(j+1) are summed over the powers of 1/inner that reach the window.
-    """
-    c, b, low = outer.leading_coefficient, outer.tail, inner.low
-    val = inner.scale(c) + LaurentSeries(0, [b[0]], exact=True)
-    der = LaurentSeries(0, [c], exact=True)
-    recip = series_power(inner, (-1, 1), max(1, -low))
-    power = recip
-    for j in range(1, min(outer.depth, -low) + 1):
-        nxt = laurent_mul(power, recip)
-        if b[j] != 0:
-            val = val + power.scale(b[j])
-            der = der - nxt.scale(j * b[j])
-        power = nxt
-    return val.truncate(low), der.truncate(low)
-
-
-def compose_at_infinity(
-    outer: LaurentSeriesAtInfinity, inner: LaurentSeriesAtInfinity, depth: int
-) -> LaurentSeries:
-    """outer(inner(z)) as a Laurent series with powers z^1 .. z^-depth.
-
-    An inexact input must reach the depth (DepthExhaustionError otherwise).
-    Composing a map with its reversion yields the identity up to
-    O(z^-depth); this is the verification used by revert_series.
-    """
-    for s in (outer, inner):
-        if not s.exact and s.depth < depth:
-            raise DepthExhaustionError(
-                f"input depth {s.depth} cannot support requested output depth {depth}"
-            )
-    return _map_at(outer, inner.truncate(depth).to_series())[0]
-
-
-def revert_series(
-    psi: LaurentSeriesAtInfinity, depth: int | None = None
-) -> LaurentSeriesAtInfinity:
-    """Compositional inverse of a map-shaped series at infinity.
-
-    Newton iteration phi <- phi - (psi(phi) - z) / psi'(phi) on formal
-    series with doubling precision (Brent and Kung), seeded by z/c - b_0/c,
-    so that psi(phi(z)) = z + O(z^-depth).  Requires depth(psi) >= depth
-    unless psi is exact.  Deep reversions can lose their accuracy to
-    rounding, as the terms of the composition cancel (the interval's map
-    reverts exactly up to depth 50 and is off by 1e2 at depth 60); the
-    result is verified and such a loss raises DepthExhaustionError.
-    """
-    if depth is None:
-        depth = psi.depth
-    if depth < 0:
-        raise ValueError("depth must be nonnegative")
-    if not psi.exact and psi.depth < depth:
-        raise DepthExhaustionError(
-            f"input depth {psi.depth} cannot support requested output depth {depth}"
-        )
-    c = psi.leading_coefficient
-    # each iterate is a Laurent polynomial; the seed is right through z^0
-    phi = LaurentSeries(0, [-psi.tail[0] / c, 1.0 / c], exact=True)
-    known = 2
-    while known < depth + 2:
-        known = min(2 * known, depth + 2)
-        phi = phi.truncate(2 - known)  # zero-padded to the window this step makes right
-        val, der = _map_at(psi, phi)
-        resid = LaurentSeries(phi.low, val.coeffs[:-1])  # psi(phi) - z, whose z^1 term is 1
-        step = laurent_mul(resid, series_power(der, (-1, 1), known - 1))
-        phi = LaurentSeries(phi.low, (phi - step).coeffs, exact=True)
-    phi = LaurentSeriesAtInfinity(phi.coeffs[-1].real, phi.coeffs[-2::-1])
-    # verify: composing back yields the identity to the stated depth
-    check = compose_at_infinity(psi, phi, depth)
-    ident = np.zeros(depth + 2, dtype=complex)
-    ident[-1] = 1.0  # z^1 entry of the ascending window [-depth .. 1]
-    err = float(np.abs(check.coeffs - ident).max())
-    scale = max(1.0, float(np.abs(psi.tail).max(initial=0.0)), c, 1.0 / c)
-    if err > 1e-8 * scale * scale:
-        raise DepthExhaustionError(
-            f"reversion lost its accuracy to rounding at depth {depth} "
-            f"(verification residual {err:.2e}): the terms of the composition "
-            "cancel, so a smaller depth is needed"
-        )
-    return phi
+    return FaberExpansion(n, alpha, basis[: n + 1])

@@ -200,8 +200,8 @@ class TestFamilyJsonFlag:
                     "-o", str(tmp_path)]) == 1
 
     def test_exact_psi_gives_faber_polynomial(self, tmp_path):
-        # an exact psi reverts to any depth; the monic Faber polynomial of
-        # the interval is the monic Chebyshev polynomial, T_4 / 8
+        # the Faber recurrence on an exact psi holds at any degree; the monic
+        # Faber polynomial of the interval is the monic Chebyshev polynomial, T_4 / 8
         spec = {
             "family": "explicit",
             "psi": {"c": 0.5, "tail": [[0.0, 0.0], [0.5, 0.0]], "exact": True},
@@ -216,12 +216,28 @@ class TestFamilyJsonFlag:
         np.testing.assert_allclose(coeffs, [1 / 8, 0, -1, 0, 1], atol=1e-14)
         assert rep["family"]["psi"]["exact"] is True
 
+    def test_phi_only_spec_gives_faber_but_no_samples(self, tmp_path, capsys):
+        tail = [[0.0, 0.0], [-0.5, 0.0], [0.0, 0.0]]  # depth 2, enough for degree 1
+        spec = {"family": "explicit", "phi": {"c": 2.0, "tail": tail}}
+        path = tmp_path / "fam.json"
+        path.write_text(json.dumps(spec))
+        assert run(["cheb", "--family-json", str(path), "--r", "2", "--n", "2",
+                    "-o", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert run(["faber", "--family-json", str(path), "--n", "1",
+                    "-o", str(tmp_path), "--tag", "fphi"]) == 0
+        rep = read_json(tmp_path / "fphi.json")
+        assert rep["c"] == 2.0
+
     @pytest.mark.parametrize("spec", [
         [1, 2],
         {"family": "lemniscate"},
         {"family": "explicit", "psi": {"c": 0.5}},
         {"family": "explicit", "psi": {"c": 0.5, "tail": [[0.0, 0.0]], "exact": "no"}},
-    ], ids=["list", "lemniscate-without-P", "psi-without-tail", "exact-not-boolean"])
+        {"family": "explicit", "phi": {"c": 2.0, "tail": [[0.0, 0.0]]},
+         "psi": {"c": 2.0, "tail": [[0.0, 0.0]]}},
+    ], ids=["list", "lemniscate-without-P", "psi-without-tail", "exact-not-boolean",
+            "phi-and-psi"])
     def test_malformed_spec_exits_one(self, tmp_path, capsys, spec):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(spec))

@@ -8,15 +8,17 @@ from equicheb.curves import (
     InversePolynomialImage,
     Lemniscate,
     capacity_leading_coefficient,
+    faber_basis,
     family_from_json_dict,
     family_to_json_dict,
     joukowski,
     lemniscate_point_set,
     phi_series,
+    points_at_angles,
     sample_level_curve,
     sample_points_dd,
 )
-from equicheb.series import ComplexPolynomial, LaurentSeriesAtInfinity
+from equicheb.series import ComplexPolynomial, DepthExhaustionError, LaurentSeriesAtInfinity
 
 
 BERNOULLI = Lemniscate(ComplexPolynomial([-1.0, 0.0, 1.0]), 1.0)
@@ -105,24 +107,52 @@ class TestPhiSeries:
         got = phi.evaluate(z) ** 2
         np.testing.assert_allclose(got, closed, rtol=1e-12)
 
-    def test_explicit_map_reversion_path(self):
-        psi = LaurentSeriesAtInfinity(0.5, [0.0, 0.5], exact=True)  # interval inverse
-        fam = ExplicitMap(psi=psi)
-        phi = phi_series(fam, 8)
-        oracle = phi_series(Interval(), 8)
-        assert phi.leading_coefficient == pytest.approx(2.0)
-        np.testing.assert_allclose(phi.tail, oracle.tail, atol=1e-12)
+    def test_explicit_psi_gives_the_interval_basis(self):
+        fam = ExplicitMap(psi=LaurentSeriesAtInfinity(0.5, [0.0, 0.5], exact=True))
+        assert capacity_leading_coefficient(fam) == 2.0
+        for p, q in zip(faber_basis(fam, 12), faber_basis(Interval(), 12)):
+            assert np.array_equal(p.coeffs, q.coeffs)
+        with pytest.raises(ValueError, match="psi"):
+            phi_series(fam, 8)
+
+    def test_explicit_phi_gives_faber_polynomials(self):
+        # the interval's map series: the same basis as the interval's psi
+        fam = ExplicitMap(phi=phi_series(Interval(), 13))
+        assert capacity_leading_coefficient(fam) == 2.0
+        for p, q in zip(faber_basis(fam, 12), faber_basis(Interval(), 12)):
+            assert p.coefficient_distance(q) <= 1e-14 * np.abs(q.coeffs).max()
 
     def test_explicit_map_depth_contract(self):
-        from equicheb.series import DepthExhaustionError
-
         phi = LaurentSeriesAtInfinity(2.0, [0.0, -0.5, 0.0])  # inexact depth 2
         fam = ExplicitMap(phi=phi)
         with pytest.raises(DepthExhaustionError):
             phi_series(fam, 10)
-        psi = LaurentSeriesAtInfinity(0.5, [0.0, 0.5, 0.0])  # inexact depth 2
         with pytest.raises(DepthExhaustionError):
-            phi_series(ExplicitMap(psi=psi), 10)
+            faber_basis(fam, 2)
+        psi = LaurentSeriesAtInfinity(0.5, [0.0, 0.5, 0.0])  # inexact depth 2
+        assert len(faber_basis(ExplicitMap(psi=psi), 3)) == 4
+        with pytest.raises(DepthExhaustionError):
+            faber_basis(ExplicitMap(psi=psi), 4)
+
+
+class TestExplicitMapRule:
+    PHI = LaurentSeriesAtInfinity(2.0, [0.0, -0.5])
+
+    def test_exactly_one_map(self):
+        # phi = psi = 2w are not inverse to each other: capacity from phi
+        # would be 2, the sampled curve's is 1/2
+        both = LaurentSeriesAtInfinity(2.0, [0.0])
+        with pytest.raises(ValueError, match="exactly one"):
+            ExplicitMap(phi=both, psi=both)
+        with pytest.raises(ValueError, match="exactly one"):
+            ExplicitMap()
+
+    def test_phi_only_map_is_not_sampled(self):
+        fam = ExplicitMap(phi=self.PHI)
+        with pytest.raises(ValueError, match="psi"):
+            sample_level_curve(fam, 2.0, 64)
+        with pytest.raises(ValueError, match="psi"):
+            points_at_angles(fam, 2.0, [0.1], [0.0])
 
 
 class TestValidation:

@@ -1,21 +1,21 @@
 import numpy as np
 import pytest
 
-from equicheb.curves import Interval, phi_series
+from equicheb.curves import Circle, ExplicitMap, Interval, faber_basis
+from equicheb.experiments import monic_classical_chebyshev
 from equicheb.series import (
     ComplexPolynomial,
     DepthExhaustionError,
     LaurentSeries,
     LaurentSeriesAtInfinity,
     NotMonicError,
-    compose_at_infinity,
     faber_basis_expand,
     faber_polynomial,
+    faber_recurrence,
     laurent_mul,
     laurent_pow,
     monic_faber,
     polynomial_part,
-    revert_series,
     series_power,
 )
 
@@ -46,6 +46,11 @@ def interval_map(depth):
 def bernoulli_map(depth):
     """Branch of sqrt(z^2-1), the map for the lemniscate |z^2-1|=1."""
     return LaurentSeriesAtInfinity(1.0, sqrt_zsq_minus_1_tail(depth))
+
+
+def monic_basis(phi, n):
+    """Monic Faber polynomials of degrees 0..n from powers of phi."""
+    return [monic_faber(phi, k) for k in range(n + 1)]
 
 
 class TestLaurentMul:
@@ -233,149 +238,129 @@ class TestFaber:
 
 class TestFaberBasisExpand:
     def test_identity_case(self):
-        phi = interval_map(8)
-        q = monic_faber(phi, 5)
-        fe = faber_basis_expand(q, phi)
+        basis = monic_basis(interval_map(8), 5)
+        fe = faber_basis_expand(basis[5], basis)
         assert np.abs(fe.alpha).max() < 1e-14
 
     def test_joukowski_example(self):
         phi = LaurentSeriesAtInfinity(1.0, [0.0, 1.0], exact=True)
         q = ComplexPolynomial([1.0, 0.0, 1.0])  # z^2 + 1 = (z^2 + 2) - 1
-        fe = faber_basis_expand(q, phi)
+        fe = faber_basis_expand(q, monic_basis(phi, 2))
         np.testing.assert_allclose(fe.alpha, [-1.0, 0.0], atol=1e-15)
 
     def test_rejects_non_monic(self):
-        phi = interval_map(4)
+        basis = monic_basis(interval_map(4), 1)
         with pytest.raises(NotMonicError):
-            faber_basis_expand(ComplexPolynomial([0.0, 2.0]), phi)
+            faber_basis_expand(ComplexPolynomial([0.0, 2.0]), basis)
+
+    def test_rejects_short_basis(self):
+        basis = monic_basis(interval_map(4), 2)
+        with pytest.raises(ValueError, match="cannot expand degree 3"):
+            faber_basis_expand(ComplexPolynomial([0.0, 0.0, 0.0, 1.0]), basis)
 
     def test_round_trip_degree_30(self):
         rng = np.random.default_rng(42)
-        phi = interval_map(32)
+        basis = monic_basis(interval_map(32), 31)
         for _ in range(5):
             coeffs = rng.standard_normal(31) + 1j * rng.standard_normal(31)
             coeffs = np.append(coeffs, 1.0)
             q = ComplexPolynomial(coeffs)
-            fe = faber_basis_expand(q, phi)
+            fe = faber_basis_expand(q, basis)
             back = fe.reconstruct()
             scale = np.abs(q.coeffs).max()
             assert back.coefficient_distance(q) <= 1e-12 * scale
 
     def test_round_trip_bernoulli(self):
         rng = np.random.default_rng(7)
-        phi = bernoulli_map(25)
+        basis = monic_basis(bernoulli_map(25), 21)
         coeffs = rng.standard_normal(21) + 1j * rng.standard_normal(21)
         coeffs = np.append(coeffs, 1.0)
         q = ComplexPolynomial(coeffs)
-        fe = faber_basis_expand(q, phi)
+        fe = faber_basis_expand(q, basis)
         assert fe.reconstruct().coefficient_distance(q) <= 1e-12 * np.abs(q.coeffs).max()
 
 
-def coefficient_matching_inverse(psi: LaurentSeriesAtInfinity, depth: int):
-    """Independent reversion oracle: solve for the inverse coefficients one
-    power at a time by matching psi(phi(z)) = z on sample points.
-
-    Uses a Vandermonde fit of psi(phi(z)) - z against candidate corrections;
-    simpler and slower than Newton, and shares no code with revert_series.
-    """
-    c = psi.leading_coefficient
-    tail = np.zeros(depth + 1, dtype=complex)
-    # evaluate psi at many points and fit phi coefficients by least squares:
-    # phi(z) = z/c + t0 + t1/z + ... ; impose psi(phi(z)) = z on a big circle
-    radius = 60.0
-    npts = 4 * (depth + 4)
-    z = radius * np.exp(2j * np.pi * np.arange(npts) / npts)
-    for k in range(depth + 1):
-        phi = LaurentSeriesAtInfinity(1.0 / c, tail)
-        resid = psi.evaluate(phi.evaluate(z)) - z
-        # the residual is dominated by the unresolved power z^-k times psi'
-        # at infinity (= c); project it on z^-k
-        basis = z ** (-float(k))
-        coef = (resid @ np.conj(basis)) / (basis @ np.conj(basis))
-        tail[k] -= coef / c
-    return LaurentSeriesAtInfinity(1.0 / c, tail)
+def laurent_oracle_coefficients(psi, p, n, radius=2.0, N=512):
+    """Coefficients of w^0 .. w^n of Fhat(psi(w)) - (a w)^n, from an FFT of
+    its values on |w| = radius (N exceeds the span of powers, so nothing
+    aliases), and the largest sum of |c_k z^k| on the circle, the scale of
+    the rounding in the values.  Shares no code with the recurrence."""
+    w = radius * np.exp(2j * np.pi * np.arange(N) / N)
+    z = psi.leading_coefficient * w + sum(b * w ** -k for k, b in enumerate(psi.tail))
+    vals = p(z) - (psi.leading_coefficient * w) ** n
+    coeffs = np.fft.fft(vals) / N  # coeffs[m] is the w^m coefficient times radius^m
+    terms = np.abs(p.coeffs) * np.abs(z)[:, None] ** np.arange(n + 1)
+    return coeffs[: n + 1] / radius ** np.arange(n + 1), terms.sum(axis=1).max()
 
 
-class TestRevertSeries:
-    def test_identity(self):
-        psi = LaurentSeriesAtInfinity(1.0, [0.0], exact=True)
-        phi = revert_series(psi, 6)
-        assert phi.leading_coefficient == 1.0
-        assert np.abs(phi.tail).max() < 1e-14
+def faber_by_definition_mp(psi, n, dps=60):
+    """Monic Fhat_n in mpmath: the unique monic p of degree n with
+    p(psi(w)) = (a w)^n + O(1/w), by back substitution on the w^m
+    coefficients of the powers psi^k."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(dps):
+        a = mp.mpf(psi.leading_coefficient)
+        # Laurent series keyed by power; psi = a w + sum_k b_k w^-k
+        base = {1: a}
+        base.update({-k: mp.mpc(b) for k, b in enumerate(psi.tail)})
+        powers = [{0: mp.mpc(1)}]
+        for _ in range(n):
+            prod = {}
+            for i, x in powers[-1].items():
+                for j, y in base.items():
+                    prod[i + j] = prod.get(i + j, 0) + x * y
+            powers.append(prod)
+        c = [mp.mpc(0)] * (n + 1)
+        c[n] = mp.mpc(1)
+        for m in range(n - 1, -1, -1):
+            rhs = -sum(c[k] * powers[k].get(m, 0) for k in range(m + 1, n + 1))
+            c[m] = rhs / powers[m][m]
+        return np.array([complex(v) for v in c])
 
-    def test_shift(self):
-        b0 = 0.8 - 0.3j
-        psi = LaurentSeriesAtInfinity(1.0, [b0], exact=True)
-        phi = revert_series(psi, 6)
-        assert phi.tail[0] == pytest.approx(-b0)
-        assert np.abs(phi.tail[1:]).max() < 1e-14
 
-    def test_joukowski_closed_form(self):
-        # psi(w) = w + 1/w inverts to (z + sqrt(z^2-4))/2:
-        # z - 1/z - 1/z^3 - 2/z^5 - 5/z^7 (Catalan numbers)
-        psi = LaurentSeriesAtInfinity(1.0, [0.0, 1.0], exact=True)
-        phi = revert_series(psi, 8)
-        expected = np.zeros(9)
-        expected[1], expected[3], expected[5], expected[7] = -1, -1, -2, -5
-        np.testing.assert_allclose(phi.tail, expected, atol=1e-13)
+class TestFaberRecurrence:
+    def test_defining_property(self):
+        # Fhat_n(psi(w)) = (a w)^n + O(1/w) for random exact psi
+        rng = np.random.default_rng(11)
+        for _ in range(6):
+            depth = int(rng.integers(0, 7))
+            tail = 0.3 * (rng.standard_normal(depth + 1) + 1j * rng.standard_normal(depth + 1))
+            psi = LaurentSeriesAtInfinity(float(rng.uniform(0.5, 2.0)), tail, exact=True)
+            basis = faber_recurrence(psi, 25)
+            for n in (1, 2, 5, 12, 25):
+                coeffs, scale = laurent_oracle_coefficients(psi, basis[n], n)
+                assert np.abs(coeffs).max() <= 1e-12 * scale
 
-    def test_against_coefficient_matching_oracle(self):
-        psi = LaurentSeriesAtInfinity(1.5, [0.4, -0.2 + 0.1j, 0.05], exact=True)
-        got = revert_series(psi, 3)
-        oracle = coefficient_matching_inverse(psi, 3)
-        assert got.leading_coefficient == pytest.approx(oracle.leading_coefficient)
-        np.testing.assert_allclose(got.tail, oracle.tail, atol=1e-8)
+    def test_interval_is_classical_chebyshev(self):
+        basis = faber_basis(Interval(), 40)
+        for k in range(41):
+            assert np.array_equal(basis[k].coeffs, monic_classical_chebyshev(k).coeffs)
 
-    def test_composition_is_identity(self):
-        psi = LaurentSeriesAtInfinity(0.5, [0.0, 0.5], exact=True)  # interval inverse
-        phi = revert_series(psi, 10)
-        comp = compose_at_infinity(psi, phi, 10)
-        ident = np.zeros(12)
-        ident[-1] = 1.0
-        np.testing.assert_allclose(comp.coeffs, ident, atol=1e-12)
-
-    def test_composition_refuses_shallow_input(self):
-        # a depth-3 map series holds nothing about z^-5 and below, so its
-        # composition with the Joukowski map cannot be known to depth 10
-        with pytest.raises(DepthExhaustionError):
-            compose_at_infinity(Interval().psi, phi_series(Interval(), 3), 10)
-
-    def test_involution(self):
-        psi = LaurentSeriesAtInfinity(2.0, [0.1, -0.5, 0.25, 0.0, 0.03125], exact=True)
-        phi = revert_series(psi, 12)
-        back = revert_series(phi, 12)
-        # only the first stored coefficients of psi are recoverable
-        assert back.leading_coefficient == pytest.approx(2.0, abs=1e-12)
-        np.testing.assert_allclose(back.tail[:5], psi.tail[:5], atol=1e-12)
+    def test_circle_is_monomials(self):
+        for k, p in enumerate(faber_basis(Circle(2.5), 40)):
+            expected = np.zeros(k + 1, dtype=complex)
+            expected[k] = 1.0
+            assert np.array_equal(p.coeffs, expected)
 
     def test_depth_contract(self):
-        psi = LaurentSeriesAtInfinity(1.0, [0.0, 1.0])  # inexact, depth 1
+        # an inexact psi of depth d holds b_0 .. b_d, enough for degree d + 1
+        tail = [0.2, -0.5j, 0.1, 0.05]
+        inexact = LaurentSeriesAtInfinity(1.3, tail)
+        exact = LaurentSeriesAtInfinity(1.3, tail, exact=True)
+        got = faber_recurrence(inexact, 4)
+        want = faber_recurrence(exact, 4)
+        for p, q in zip(got, want):
+            assert np.array_equal(p.coeffs, q.coeffs)
         with pytest.raises(DepthExhaustionError):
-            revert_series(psi, 5)
+            faber_recurrence(inexact, 5)
 
-    def test_deep_reversion_reports_rounding_loss(self):
-        # the interval's map series has dyadic coefficients and reverts
-        # exactly at depth 40, back to the Joukowski map (w + 1/w)/2; at
-        # depth 60 cancellation in the composition ruins the reversion
-        # although the input window is long enough
-        psi = revert_series(phi_series(Interval(), 40), 40)
-        assert psi.leading_coefficient == 0.5
-        np.testing.assert_allclose(psi.tail[:2], [0.0, 0.5], atol=1e-14)
-        np.testing.assert_allclose(psi.tail[2:], 0.0, atol=1e-12)
-        with pytest.raises(DepthExhaustionError, match="lost its accuracy to rounding"):
-            revert_series(phi_series(Interval(), 60), 60)
-
-    def test_random_involution_property(self):
-        rng = np.random.default_rng(3)
-        for _ in range(6):
-            depth = int(rng.integers(2, 10))
-            tail = 0.3 * (rng.standard_normal(depth + 1) + 1j * rng.standard_normal(depth + 1))
-            c = float(rng.uniform(0.5, 2.0))
-            psi = LaurentSeriesAtInfinity(c, tail, exact=True)
-            phi = revert_series(psi, depth)
-            back = revert_series(phi, depth)
-            assert abs(back.leading_coefficient - c) <= 1e-10
-            assert np.abs(back.tail - tail).max() <= 1e-10
+    def test_against_mpmath_reference(self):
+        rng = np.random.default_rng(5)
+        tail = 0.3 * (rng.standard_normal(7) + 1j * rng.standard_normal(7))
+        psi = LaurentSeriesAtInfinity(1.3, tail, exact=True)
+        ref = faber_by_definition_mp(psi, 21)
+        got = faber_basis(ExplicitMap(psi=psi), 21)[21].coeffs
+        assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
 
 
 class TestAlgebraProperties:
@@ -417,12 +402,12 @@ class TestAlgebraProperties:
 
     def test_expansion_is_idempotent(self):
         rng = np.random.default_rng(29)
-        phi = bernoulli_map(14)
+        basis = monic_basis(bernoulli_map(14), 12)
         coeffs = rng.standard_normal(12) + 1j * rng.standard_normal(12)
         coeffs = np.append(coeffs, 1.0)
         q = ComplexPolynomial(coeffs)
-        fe = faber_basis_expand(q, phi)
-        fe2 = faber_basis_expand(fe.reconstruct(), phi)
+        fe = faber_basis_expand(q, basis)
+        fe2 = faber_basis_expand(fe.reconstruct(), basis)
         np.testing.assert_allclose(fe2.alpha, fe.alpha, atol=1e-10)
 
 
