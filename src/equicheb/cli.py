@@ -242,15 +242,15 @@ def _check_args(args) -> None:
         args.r = _parse_float_list(args.r)
         if len(args.r) != 2:
             raise ValueError("--r must give exactly two levels")
-        if any(r <= 1.0 for r in args.r):
-            raise ValueError("both levels must exceed 1")
+        if not all(1.0 < r < np.inf for r in args.r):
+            raise ValueError("both levels must be finite and exceed 1")
     n = getattr(args, "n", None)
     if n is not None and n < 0:
         raise ValueError("degree must be nonnegative")
-    if args.subcommand in ("cheb", "widom") and args.r <= 1.0:
-        raise ValueError("level r must exceed 1")
-    if getattr(args, "r_grid", None) is not None and any(r <= 1.0 for r in args.r_grid):
-        raise ValueError("all grid levels must exceed 1")
+    if args.subcommand in ("cheb", "widom") and not 1.0 < args.r < np.inf:
+        raise ValueError("level r must be finite and exceed 1")
+    if getattr(args, "r_grid", None) is not None and not all(1.0 < r < np.inf for r in args.r_grid):
+        raise ValueError("all grid levels must be finite and exceed 1")
     if getattr(args, "M", None) is not None and n is not None and args.M <= n:
         raise ValueError("sample size must exceed the degree")
     if getattr(args, "trials", 1) < 1:

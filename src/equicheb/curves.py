@@ -1,11 +1,12 @@
 """Exterior-map families with explicit level-curve samplers.
 
-Level curves L_r = {|phi| = r} come from one of two mechanisms.  Circle,
-Interval and an ExplicitMap given psi carry an inverse map psi (exact
-Laurent data for the first two) and L_r is psi(|w| = r).  Lemniscate
-{|P| = R} and the preimage P^{-1}([-1,1]) name a base family, Circle(R) or
-Interval(); their map is (phi_base o P)^(1/m), so L_r is P^{-1} of the base
-family's level curve at r^m, found by solving P(z) = psi_base(r^m e^(i m theta)).
+Every level curve L_r = {|phi| = r} is P^{-1} of an inverse map's level
+curve psi(|w| = r^m), m = deg P, found by solving P(z) = psi(r^m e^(i m theta)).
+Lemniscate {|P| = R} and the preimage P^{-1}([-1,1]) name a base family,
+Circle(R) or Interval(), whose psi they take; their map is
+(phi_base o P)^(1/m).  Circle, Interval and an ExplicitMap given psi carry
+their own psi (exact Laurent data for the first two) with P = z, so L_r is
+psi(|w| = r); degree-1 generators are solved in closed form.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from . import dd
-from .rootfind import RootFindingError, roots_after_constant_shifts
+from .rootfind import roots_after_constant_shifts
 from .series import (
     ComplexPolynomial,
     LaurentSeries,
@@ -41,7 +42,6 @@ __all__ = [
     "sample_level_curve",
     "sample_points_dd",
     "points_at_angles",
-    "lemniscate_point_set",
     "joukowski",
     "family_to_json_dict",
     "family_from_json_dict",
@@ -54,6 +54,11 @@ def joukowski(w):
     return (w + 1.0 / w) / 2.0
 
 
+def _check_finite(values, what: str) -> None:
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"{what} must be finite")
+
+
 @dataclass(frozen=True)
 class Circle:
     """K = circle of the given radius about the origin."""
@@ -61,8 +66,8 @@ class Circle:
     radius: float = 1.0
 
     def __post_init__(self):
-        if self.radius <= 0:
-            raise ValueError("radius must be positive")
+        if not 0 < self.radius < np.inf:
+            raise ValueError("radius must be positive and finite")
 
     @property
     def psi(self) -> LaurentSeriesAtInfinity:
@@ -72,11 +77,6 @@ class Circle:
     def map_of(self, P: ComplexPolynomial, n_terms: int) -> LaurentSeries:
         """Series at infinity of phi(P(z)) = P(z)/R; exact, so all n_terms hold."""
         return P.to_series().scale(1.0 / self.radius)
-
-    def preimage_leading_coefficient(self, P: ComplexPolynomial) -> float:
-        """Leading coefficient of (phi o P)^(1/m), m = deg P: R^(-1/m) lead(P)^(1/m)."""
-        m = P.degree
-        return float(self.radius ** (-1.0 / m) * P.coeffs[-1].real ** (1.0 / m))
 
 
 @dataclass(frozen=True)
@@ -95,10 +95,6 @@ class Interval:
         p2 = laurent_mul(p_series, p_series) - LaurentSeries(0, [1.0], exact=True)
         return p_series + series_power(p2, (1, 2), n_terms)
 
-    def preimage_leading_coefficient(self, P: ComplexPolynomial) -> float:
-        """Leading coefficient of (phi o P)^(1/m), m = deg P: (2 lead(P))^(1/m)."""
-        return float((2.0 * P.coeffs[-1].real) ** (1.0 / P.degree))
-
 
 @dataclass(frozen=True, eq=False)
 class Lemniscate:
@@ -108,8 +104,9 @@ class Lemniscate:
     R: float = 1.0
 
     def __post_init__(self):
-        if self.R <= 0:
-            raise ValueError("level R must be positive")
+        if not 0 < self.R < np.inf:
+            raise ValueError("level R must be positive and finite")
+        _check_finite(self.P.coeffs, "generator coefficients")
         if self.P.degree < 1:
             raise ValueError("generator degree must be at least 1")
         if not self.P.is_monic(0.0):
@@ -134,6 +131,7 @@ class InversePolynomialImage:
     alternation_points: Optional[Sequence[float]] = None
 
     def __post_init__(self):
+        _check_finite(self.P.coeffs, "polynomial coefficients")
         m = self.P.degree
         if m < 1:
             raise ValueError("polynomial degree must be at least 1")
@@ -172,10 +170,12 @@ class ExplicitMap:
     def __post_init__(self):
         if (self.phi is None) == (self.psi is None):
             raise ValueError("an explicit map needs exactly one of phi and psi")
+        s = self.phi if self.psi is None else self.psi
+        _check_finite(np.append(s.tail, s.leading_coefficient), "map coefficients")
 
 
 CurveFamily = Union[Circle, Interval, Lemniscate, InversePolynomialImage, ExplicitMap]
-# families sampled as P^{-1} of their base family's level curve at r^m
+# families whose generator P and base family's psi define their level curves
 _ROOT_FAMILIES = (Lemniscate, InversePolynomialImage)
 
 
@@ -184,20 +184,15 @@ class CurveSample:
     """A discretization of one level curve.
 
     ``thetas`` holds the map-angle parameter of each point, a multiple
-    2*pi*k/grid_size of the sampler's equispaced angle grid; ``phi_values``
-    holds the exact map value r*exp(i*theta) at each point for families
-    where the sampler knows the branch (None for multi-sheeted families).
-    ``degenerate`` flags levels close to a critical value of a lemniscate
-    generator, where the curve is not a Jordan curve.
+    2*pi*k/grid_size of the sampler's equispaced angle grid of grid_size
+    angles.
     """
 
     r: float
     points: np.ndarray
     family: CurveFamily
     thetas: np.ndarray
-    phi_values: Optional[np.ndarray] = None
-    degenerate: bool = False
-    grid_size: int = 0
+    grid_size: int
 
     @property
     def size(self) -> int:
@@ -210,16 +205,28 @@ class CurveSample:
         ]
 
 
+def _preimage(f: CurveFamily) -> tuple[ComplexPolynomial, LaurentSeriesAtInfinity]:
+    """(P, psi) with L_r = P^{-1}(psi(|w| = r^m)), m = deg P: a root family's
+    generator and its base family's psi, else z and the family's own psi."""
+    if isinstance(f, _ROOT_FAMILIES):
+        return f.P, f.base.psi
+    psi = f.psi
+    if psi is None:
+        raise ValueError("an explicit map given phi cannot be sampled; give its inverse map psi")
+    return ComplexPolynomial([0.0, 1.0]), psi
+
+
 def capacity_leading_coefficient(f: CurveFamily) -> float:
     """Leading map coefficient c; the logarithmic capacity of K is 1/c.
 
-    A root family's map is (phi_base o P)^(1/m), so c = (c_base lead(P))^(1/m).
+    The map is (psi^{-1} o P)^(1/m), so c = lead(P)^(1/m) a^(-1/m), a the
+    leading coefficient of psi.
     """
-    if isinstance(f, _ROOT_FAMILIES):
-        return f.base.preimage_leading_coefficient(f.P)
     if isinstance(f, ExplicitMap) and f.phi is not None:
         return f.phi.leading_coefficient
-    return 1.0 / _inverse_map(f).leading_coefficient
+    P, psi = _preimage(f)
+    m = P.degree
+    return float(P.coeffs[-1].real ** (1.0 / m) * psi.leading_coefficient ** (-1.0 / m))
 
 
 # -- map series --------------------------------------------------------------
@@ -247,14 +254,6 @@ def phi_series(f: CurveFamily, depth: int) -> LaurentSeriesAtInfinity:
     return phi.truncate(depth)  # pads the circle's exact z/R to the depth
 
 
-def _inverse_map(f: CurveFamily) -> LaurentSeriesAtInfinity:
-    """psi of an inverse-map family; an explicit map given phi has none."""
-    psi = f.psi
-    if psi is None:
-        raise ValueError("an explicit map given phi cannot be sampled; give its inverse map psi")
-    return psi
-
-
 def faber_basis(f: CurveFamily, n: int) -> list[ComplexPolynomial]:
     """Monic Faber polynomials Fhat_0 .. Fhat_n of the family.
 
@@ -278,7 +277,7 @@ def _map_points_dd(psi: LaurentSeriesAtInfinity, unit: dd.DD, r) -> dd.DD:
 # -- sampling ----------------------------------------------------------------
 
 
-def _dedup(points: np.ndarray, thetas: np.ndarray, phi_values):
+def _dedup(points: np.ndarray, thetas: np.ndarray):
     """Drop near-coincident points (pairwise distance <= 1e-12 * diameter).
 
     Greedy in real-part order: a point is dropped by the first kept point
@@ -289,7 +288,7 @@ def _dedup(points: np.ndarray, thetas: np.ndarray, phi_values):
     """
     n = len(points)
     if n < 2:
-        return points, thetas, phi_values
+        return points, thetas
     span = max(
         float(points.real.max() - points.real.min()),
         float(points.imag.max() - points.imag.min()),
@@ -310,80 +309,29 @@ def _dedup(points: np.ndarray, thetas: np.ndarray, phi_values):
             kept[j] = False
     keep = np.empty(n, dtype=bool)
     keep[order] = kept
-    points = points[keep]
-    thetas = thetas[keep]
-    if phi_values is not None:
-        phi_values = phi_values[keep]
-    return points, thetas, phi_values
-
-
-def _lemniscate_degenerate(P: ComplexPolynomial, target_modulus: float) -> bool:
-    """Level passes within 1% of a critical value of the generator."""
-    dP = P.derivative()
-    if dP.degree < 1:
-        return False
-    from .rootfind import all_roots
-
-    try:
-        crit = all_roots(dP).roots
-    except RootFindingError:
-        return False
-    vals = np.abs(P(crit))
-    return bool(np.any(np.abs(vals - target_modulus) <= 1e-2 * target_modulus))
-
-
-def lemniscate_point_set(f: Lemniscate, rho: float, M: int) -> np.ndarray:
-    """Points with |P(z)| = rho for any rho > 0.
-
-    Level sets below the Jordan range are still well-defined point sets;
-    the exterior-map structure (and sample_level_curve) needs r > 1."""
-    if rho <= 0:
-        raise ValueError("rho must be positive")
-    m = f.P.degree
-    J = max(1, int(np.ceil(M / m)))
-    targets = rho * np.exp(2j * np.pi * np.arange(J) / J)
-    roots = roots_after_constant_shifts(f.P, targets)
-    return roots.ravel()
+    return points[keep], thetas[keep]
 
 
 def sample_level_curve(f: CurveFamily, r: float, M: int) -> CurveSample:
-    """M points (m * ceil(M/m) for degree-m root families) covering L_r.
+    """m * ceil(M/m) points covering L_r, m = deg P (M for the circle, the
+    interval and explicit maps, where P = z).
 
-    Inverse-map families place points at psi(r*exp(i*theta_j)); root
-    families solve P(z) = psi_base(r^m exp(i*m*theta_j)) per angle, all m
-    roots per target, deterministic ordering (theta-major, solver root
-    order minor).  Points are deduplicated.
+    Solves P(z) = psi(r^m exp(i*m*theta_j)) per angle, all m roots per
+    target, deterministic ordering (theta-major, solver root order minor).
+    Points are deduplicated.
     """
-    if r <= 1.0:
-        raise ValueError("level r must exceed 1")
+    if not 1.0 < r < np.inf:
+        raise ValueError("level r must be finite and exceed 1")
     if M < 1:
         raise ValueError("sample size must be positive")
-    degenerate = False
-    grid_size = M
-    if isinstance(f, _ROOT_FAMILIES):
-        m = f.P.degree
-        J = int(np.ceil(M / m))
-        grid_size = m * J
-        thetas_base = 2.0 * np.pi * np.arange(J) / (m * J)
-        targets = f.base.psi.evaluate(r ** m * np.exp(1j * m * thetas_base))
-        points = roots_after_constant_shifts(f.P, targets).ravel()
-        thetas = np.repeat(thetas_base, m)
-        phi_values = None
-        degenerate = isinstance(f, Lemniscate) and _lemniscate_degenerate(f.P, f.R * r ** m)
-    else:
-        thetas = 2.0 * np.pi * np.arange(M) / M
-        phi_values = r * np.exp(1j * thetas)
-        points = _inverse_map(f).evaluate(phi_values)
-    points, thetas, phi_values = _dedup(points, thetas, phi_values)
-    return CurveSample(
-        r=float(r),
-        points=points,
-        family=f,
-        thetas=thetas,
-        phi_values=phi_values,
-        degenerate=degenerate,
-        grid_size=grid_size,
-    )
+    P, psi = _preimage(f)
+    m = P.degree
+    J = int(np.ceil(M / m))
+    thetas = 2.0 * np.pi * np.arange(J) / (m * J)
+    targets = psi.evaluate(r ** m * np.exp(1j * m * thetas))
+    points = roots_after_constant_shifts(P, targets).ravel()
+    points, thetas = _dedup(points, np.repeat(thetas, m))
+    return CurveSample(r=float(r), points=points, family=f, thetas=thetas, grid_size=m * J)
 
 
 def sample_points_dd(sample: CurveSample) -> dd.DD:
@@ -394,27 +342,24 @@ def sample_points_dd(sample: CurveSample) -> dd.DD:
     off their angles, too coarse for polynomials whose values on the curve
     reach 1e16 and more: both the curve and the equal spacing (which makes
     uniform weights an exact quadrature of the harmonic measure) must
-    hold to the digits the solution needs.  Inverse-map families evaluate
-    their map in double-double at r * exp(2 pi i k / N); root families form
-    their targets so at level r^m and take one Newton step from their double
-    roots, whose quadratic convergence takes the 1e-16 relative error of the
-    double roots to about 1e-32.
+    hold to the digits the solution needs.  The targets psi(r^m e^(i m theta))
+    are formed in double-double; a degree-1 P is solved in closed form, and
+    otherwise one Newton step from the double roots, whose quadratic
+    convergence takes their 1e-16 relative error to about 1e-32.
     """
-    f, r, N = sample.family, sample.r, sample.grid_size
-    if N < 1:
-        raise ValueError("sample carries no angle grid")
+    r, N = sample.r, sample.grid_size
+    P, psi = _preimage(sample.family)
+    m = P.degree
     k = np.rint(sample.thetas * (N / (2.0 * np.pi))).astype(np.int64)
-    omega = dd.roots_of_unity(N)
-    if isinstance(f, _ROOT_FAMILIES):
-        m = f.P.degree
-        rho = dd.DD(r)
-        for _ in range(m - 1):
-            rho = rho * r
-        target = _map_points_dd(f.base.psi, omega[(m * k) % N], rho)
-        z0 = dd.DD(sample.points)
-        step = (target - dd.polyval(f.P.coeffs, z0)).to_complex()
-        return z0 + step / f.P.derivative()(sample.points)
-    return _map_points_dd(_inverse_map(f), omega[k % N], r)
+    rho = dd.DD(r)
+    for _ in range(m - 1):
+        rho = rho * r
+    target = _map_points_dd(psi, dd.roots_of_unity(N)[(m * k) % N], rho)
+    if m == 1:
+        return (target - P.coeffs[0]) * dd.recip(P.coeffs[1])
+    z0 = dd.DD(sample.points)
+    step = (target - dd.polyval(P.coeffs, z0)).to_complex()
+    return z0 + step / P.derivative()(sample.points)
 
 
 _CONTINUATION_STEPS = 5  # Newton steps; from a grid neighbour: 1e-2, 1e-4, 1e-8, ...
@@ -424,21 +369,23 @@ def points_at_angles(f: CurveFamily, r: float, thetas, near):
     """Points of L_r at map angles ``thetas`` off the sampler's grid, and the
     tangents dz/dtheta there.
 
-    Inverse-map families evaluate psi(r e^(i theta)).  Root families take
-    Newton steps on P(z) = psi_base(r^m e^(i m theta)) from ``near``, points
-    of L_r at nearby angles that pick the root, as ``sample_points_dd`` does.
+    Solves P(z) = psi(r^m e^(i m theta)): in closed form for a degree-1 P,
+    else by Newton steps from ``near``, points of L_r at nearby angles that
+    pick the root, as ``sample_points_dd`` does.
     """
-    root = isinstance(f, _ROOT_FAMILIES)
-    m, psi = (f.P.degree, f.base.psi) if root else (1, _inverse_map(f))
+    P, psi = _preimage(f)
+    m = P.degree
     w = r ** m * np.exp(1j * m * np.asarray(thetas, dtype=float))
     # psi'(w) = c - T'(1/w) / w^2, T the tail as a polynomial in 1/w
     dz = 1j * m * w * (psi.leading_coefficient - ComplexPolynomial(psi.tail).derivative()(1 / w) / w ** 2)
-    if not root:
-        return psi.evaluate(w), dz
-    target, dP = psi.evaluate(w), f.P.derivative()
+    target = psi.evaluate(w)
+    if m == 1:
+        c0, c1 = P.coeffs
+        return (target - c0) / c1, dz / c1
+    dP = P.derivative()
     z = np.broadcast_to(np.asarray(near, dtype=complex), w.shape)
     for _ in range(_CONTINUATION_STEPS):
-        z = z - (f.P(z) - target) / dP(z)
+        z = z - (P(z) - target) / dP(z)
     return z, dz / dP(z)
 
 

@@ -345,8 +345,8 @@ def widom_experiment(
     equal their Faber polynomials give pure rounding noise).  Unconverged
     solves are recorded as gaps (None), not failures.
     """
-    if r <= 1.0:
-        raise ValueError("level r must exceed 1")
+    if not 1.0 < r < np.inf:
+        raise ValueError("level r must be finite and exceed 1")
     c = capacity_leading_coefficient(f)
     basis = faber_basis(f, n_max)
     values: List[Optional[float]] = []
@@ -616,23 +616,22 @@ def faber_error_decay(
 ) -> FaberErrorReport:
     """sup over the level curve of |Fhat_n(z) - (phi(z)/c)^n| across levels.
 
-    Uses the sampler's exact map values phi(z_j) = r*exp(i*theta_j), so it
-    only supports families whose sampler knows the map branch (circle,
-    interval, explicit maps).
+    Uses the exact map values phi(z_j) = r*exp(i*theta_j) of the sample
+    points, which hold for the one-sheeted samples of the circle, the
+    interval and explicit maps; root families are refused.
     """
+    if isinstance(f, (Lemniscate, InversePolynomialImage)):
+        raise ValueError(
+            "family sampler does not expose map values; "
+            "use a circle, interval, or explicit-map family"
+        )
     r_values = np.asarray(sorted(float(r) for r in r_grid))
     c = capacity_leading_coefficient(f)
     fhat = faber_basis(f, n)[n]
     vals = np.zeros(len(r_values))
     for i, r in enumerate(r_values):
         sample = sample_level_curve(f, r, max(M, 8 * n))
-        if sample.phi_values is None:
-            raise ValueError(
-                "family sampler does not expose map values; "
-                "use a circle, interval, or explicit-map family"
-            )
-        vals[i] = float(
-            np.abs(fhat(sample.points) - (sample.phi_values / c) ** n).max()
-        )
+        phi = r * np.exp(1j * sample.thetas)
+        vals[i] = float(np.abs(fhat(sample.points) - (phi / c) ** n).max())
     fit = np.polyfit(np.log(r_values), np.log(np.maximum(vals, 1e-300)), 1)
     return FaberErrorReport(f, n, r_values, vals, float(fit[0]))

@@ -62,9 +62,10 @@ class SolveOptions:
     adapt: bool = True
 
     def __post_init__(self):
-        # below either bound no iterate is ever kept as the best one
-        if not (self.tol_rel >= 0 and self.max_iter >= 1):
-            raise ValueError("need tol_rel >= 0 and max_iter >= 1")
+        # below either bound no iterate is ever kept as the best one; an
+        # infinite tolerance would certify any iterate
+        if not (0 <= self.tol_rel < np.inf and self.max_iter >= 1):
+            raise ValueError("need a finite tol_rel >= 0 and max_iter >= 1")
 
 
 @dataclass(frozen=True, eq=False)

@@ -142,16 +142,16 @@ def roots_after_constant_shifts(
     """Roots of base(z) = target for every target, batched.
 
     Level-curve samplers call this once per curve; rows keep the solver's
-    deterministic per-polynomial ordering.  Raises RootFindingError if any
+    deterministic per-polynomial ordering.  A degree-1 base is solved in
+    closed form, (target - c0) / c1.  Raises RootFindingError if any
     row fails to converge.
     """
     targets = np.asarray(targets, dtype=complex).ravel()
-    deg = base.degree
+    if base.degree == 1:
+        c0, c1 = base.coeffs
+        return ((targets - c0) / c1)[:, None]
     rows = np.tile(np.asarray(base.coeffs, dtype=complex), (len(targets), 1))
     rows[:, 0] -= targets
-    if deg == 1:
-        roots = (-rows[:, 0] / rows[:, 1])[:, None]
-        return roots
     z, iters, conv = _aberth_batch(rows, tol)
     if not conv.all():
         bad = int(np.flatnonzero(~conv)[0])

@@ -293,10 +293,13 @@ class LaurentSeriesAtInfinity:
     @staticmethod
     def from_json_dict(d: dict) -> "LaurentSeriesAtInfinity":
         tail = np.array([complex(re, im) for re, im in d["tail"]], dtype=complex)
+        c = float(d["c"])
+        if not np.isfinite(c) or not np.isfinite(tail).all():
+            raise ValueError("series coefficients must be finite")
         exact = d.get("exact", False)
         if not isinstance(exact, bool):
             raise ValueError("exact must be true or false")
-        return LaurentSeriesAtInfinity(float(d["c"]), tail, exact=exact)
+        return LaurentSeriesAtInfinity(c, tail, exact=exact)
 
     def __repr__(self):
         return (

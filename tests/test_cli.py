@@ -1,6 +1,8 @@
 import csv
 import json
+import shlex
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +16,25 @@ from equicheb.minimax import SolveOptions
 def read_json(path):
     with open(path) as fh:
         return json.load(fh)
+
+
+def readme_cli_examples():
+    """argv of each line of the README's "## CLI examples" block."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## CLI examples", 1)[1].split("```")[1]
+    examples = [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("equicheb ")]
+    assert examples, "README has no CLI examples block"
+    return examples
+
+
+class TestReadmeExamples:
+    @pytest.mark.parametrize("argv", readme_cli_examples(), ids=lambda argv: argv[0])
+    def test_example_runs(self, tmp_path, argv):
+        if argv[0] == "zeros":
+            # 100 levels at degree 21 take about 11 s: parsed and validated only
+            cli._check_args(cli._make_parser().parse_args(argv))
+            return
+        assert run(argv + ["-o", str(tmp_path)]) == 0
 
 
 class TestChebCommand:
@@ -246,6 +267,42 @@ class TestFamilyJsonFlag:
         assert capsys.readouterr().err.startswith("error: ")
 
 
+class TestNonFiniteInput:
+    # each enters as outside input and must be refused before any output
+    CASES = [
+        (["faber", "--family", "lemniscate", "--P", "1,nan", "--n", "2"], None),
+        (["cheb", "--family", "circle", "--r", "nan", "--n", "3"], None),
+        (["cheb", "--family", "circle", "--r", "inf", "--n", "3"], None),
+        (["cheb", "--family", "circle", "--R", "inf", "--r", "2", "--n", "3"], None),
+        (["cheb", "--family", "lemniscate", "--P", "1,0,-1", "--R", "nan", "--r", "2",
+          "--n", "3"], None),
+        (["cheb", "--family", "inverse-image", "--P", "1,0,inf", "--r", "2", "--n", "3"], None),
+        (["rate", "--family", "interval", "--n", "3", "--r-grid", "2,4,8,nan"], None),
+        (["invariance", "--family", "interval", "--n", "2", "--r", "1.5,inf"], None),
+        (["widom", "--family", "interval", "--r", "nan", "--n-max", "3"], None),
+        (["cheb", "--r", "2", "--n", "3"],
+         {"family": "explicit", "psi": {"c": 0.5, "tail": [[0.0, 0.0], [float("nan"), 0.0]]}}),
+        (["cheb", "--r", "2", "--n", "3"],
+         {"family": "explicit", "psi": {"c": float("inf"), "tail": [[0.0, 0.0]]}}),
+        (["faber", "--n", "2"],
+         {"family": "explicit", "phi": {"c": 2.0, "tail": [[0.0, float("nan")]] + [[0.0, 0.0]] * 3}}),
+    ]
+    IDS = ["faber-P-nan", "cheb-r-nan", "cheb-r-inf", "cheb-R-inf", "lemniscate-R-nan",
+           "preimage-P-inf", "rate-grid-nan", "invariance-r-inf", "widom-r-nan",
+           "psi-tail-nan", "psi-c-inf", "phi-tail-nan"]
+
+    @pytest.mark.parametrize("argv, spec", CASES, ids=IDS)
+    def test_exits_one_and_writes_nothing(self, tmp_path, capsys, argv, spec):
+        if spec is not None:
+            path = tmp_path / "spec.json"
+            path.write_text(json.dumps(spec))  # NaN and Infinity tokens
+            argv = argv + ["--family-json", str(path)]
+        out = tmp_path / "out"
+        assert run(argv + ["-o", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+
 class TestOutputDirEnv:
     def test_env_var_default(self, tmp_path, monkeypatch):
         monkeypatch.setenv("EQUICHEB_OUTDIR", str(tmp_path))
@@ -300,7 +357,7 @@ class TestSolverFlagOverlay:
         assert opts == SolveOptions(tol_rel=default.tol_rel, max_iter=50, adapt=False)
 
     def test_out_of_range_settings_rejected(self, tmp_path):
-        for flags in (["--max-iter", "0"], ["--tol", "-1"]):
+        for flags in (["--max-iter", "0"], ["--tol", "-1"], ["--tol", "inf"], ["--tol", "nan"]):
             assert run(["cheb", "--family", "circle", "--r", "2", "--n", "3"]
                        + flags + ["-o", str(tmp_path)]) == 1
 

@@ -12,12 +12,12 @@ from equicheb.curves import (
     family_from_json_dict,
     family_to_json_dict,
     joukowski,
-    lemniscate_point_set,
     phi_series,
     points_at_angles,
     sample_level_curve,
     sample_points_dd,
 )
+from equicheb.experiments import monic_classical_chebyshev
 from equicheb.series import ComplexPolynomial, DepthExhaustionError, LaurentSeriesAtInfinity
 
 
@@ -180,6 +180,23 @@ class TestValidation:
         with pytest.raises(ValueError):
             InversePolynomialImage(ComplexPolynomial([1.0j, 0.0, 1.0]))
 
+    @pytest.mark.parametrize("make", [
+        lambda: Circle(np.inf),
+        lambda: Circle(np.nan),
+        lambda: Lemniscate(ComplexPolynomial([-1.0, 0.0, 1.0]), np.inf),
+        lambda: Lemniscate(ComplexPolynomial([np.nan, 1.0]), 1.0),
+        lambda: InversePolynomialImage(ComplexPolynomial([-np.inf, 0.0, 1.0])),
+        lambda: ExplicitMap(psi=LaurentSeriesAtInfinity(np.inf, [0.0])),
+        lambda: ExplicitMap(phi=LaurentSeriesAtInfinity(1.0, [0.0, np.nan])),
+        lambda: LaurentSeriesAtInfinity.from_json_dict({"c": 1.0, "tail": [[0.0, np.nan]]}),
+        lambda: sample_level_curve(Circle(1.0), np.nan, 16),
+        lambda: sample_level_curve(Circle(1.0), np.inf, 16),
+    ], ids=["circle-inf", "circle-nan", "lemniscate-R", "lemniscate-P", "preimage-P",
+            "psi-c", "phi-tail", "series-json", "level-nan", "level-inf"])
+    def test_non_finite_input_rejected(self, make):
+        with pytest.raises(ValueError, match="finite"):
+            make()
+
 
 class TestSampling:
     def test_circle_four_points(self):
@@ -202,7 +219,6 @@ class TestSampling:
         assert circle.points.tobytes() == (2.5 * w).tobytes()
         ellipse = sample_level_curve(Interval(), r, 512)
         assert ellipse.points.tobytes() == joukowski(w).tobytes()
-        assert ellipse.phi_values.tobytes() == w.tobytes()
 
     def test_bernoulli_theta_zero(self):
         s = sample_level_curve(BERNOULLI, 2.0, 8)
@@ -258,7 +274,7 @@ class TestSampling:
 
         pts = np.array([1.0 + 1.0j, 2.0, 1.0 + 1.0j, 3.0j, 2.0 + 1e-16j])
         thetas = np.arange(5.0)
-        out, th, _ = _dedup(pts, thetas, None)
+        out, th = _dedup(pts, thetas)
         assert len(out) == 3
         d = np.abs(out[:, None] - out[None, :])
         np.fill_diagonal(d, np.inf)
@@ -279,7 +295,7 @@ class TestSampling:
             0.0,
             1.0 + 1.0j,
         ])
-        out, th, _ = _dedup(pts, np.arange(9.0), None)
+        out, th = _dedup(pts, np.arange(9.0))
         assert th.tolist() == [1.0, 2.0, 4.0, 5.0, 6.0, 7.0, 8.0]
         assert out.tobytes() == pts[[1, 2, 4, 5, 6, 7, 8]].tobytes()
 
@@ -304,7 +320,7 @@ class TestSampling:
                     break
                 if keep[a] and abs(pts[a] - pts[b]) <= tol:
                     keep[b] = False
-        out, th, _ = _dedup(pts, np.arange(200.0), None)
+        out, th = _dedup(pts, np.arange(200.0))
         assert 0 < keep.sum() < 200
         assert out.tobytes() == pts[keep].tobytes()
         assert th.tobytes() == np.flatnonzero(keep).astype(float).tobytes()
@@ -346,18 +362,6 @@ class TestSampling:
                 d1 = np.abs(sample_level_curve(fam, r, 128).points).max()
                 d2 = np.abs(sample_level_curve(fam, 2 * r, 128).points).max()
                 assert 1.9 <= d2 / d1 <= 2.1
-
-    def test_degenerate_level_flagged(self):
-        # the Bernoulli generator has a critical value at |P(0)| = 1
-        s = sample_level_curve(BERNOULLI, 1.004, 32)
-        assert s.degenerate
-        s = sample_level_curve(BERNOULLI, 2.0, 32)
-        assert not s.degenerate
-
-    def test_point_set_below_jordan_range(self):
-        pts = lemniscate_point_set(BERNOULLI, 0.5, 32)
-        vals = np.abs(pts ** 2 - 1.0)
-        assert np.abs(vals - 0.5).max() <= 1e-9
 
     def test_csv_rows(self):
         s = sample_level_curve(Circle(1.0), 2.0, 4)
@@ -418,6 +422,60 @@ class TestSamplePointsDD:
         # the double points are off by rounding, so the check has teeth
         doubles = zip(sample.points, np.zeros_like(sample.points))
         assert self.defects(sample, doubles) > 1e-20
+
+
+def _affine_composition(q: ComplexPolynomial, a: float, b: float) -> ComplexPolynomial:
+    """q(a z + b) by Horner's rule."""
+    out, lin = ComplexPolynomial([0.0]), ComplexPolynomial([b, a])
+    for c in q.coeffs[::-1]:
+        out = out * lin + ComplexPolynomial([c])
+    return out
+
+
+class TestDegreeOneGenerators:
+    """Root families with a degree-1 generator, solved in closed form:
+    Lemniscate(z - a, R) is Circle(R) translated by a, and the preimage of
+    [-1, 1] under 2z + 1 is the interval mapped onto [-1, 0]."""
+
+    SHIFT = 0.3 - 0.7j
+    LEM = Lemniscate(ComplexPolynomial([-SHIFT, 1.0]), 2.0)
+    HALF = InversePolynomialImage(ComplexPolynomial([1.0, 2.0]))
+    # (degree-1 family, inverse-map family, scale, shift): the first family's
+    # points are the second's times scale plus shift, both exact in binary
+    CASES = [(LEM, Circle(2.0), 1.0, SHIFT), (HALF, Interval(), 0.5, -0.5)]
+
+    @pytest.mark.parametrize("family, base, scale, shift", CASES, ids=["lemniscate", "preimage"])
+    @pytest.mark.parametrize("r", [1.05, 4.0])
+    def test_samples_and_points_at_angles(self, family, base, scale, shift, r):
+        s, t = sample_level_curve(family, r, 128), sample_level_curve(base, r, 128)
+        assert s.grid_size == t.grid_size == 128
+        assert np.array_equal(s.thetas, t.thetas)
+        assert np.array_equal(s.points, t.points * scale + shift)
+        thetas = s.thetas + 0.4 * 2.0 * np.pi / 128
+        z, dz = points_at_angles(family, r, thetas, s.points)
+        zb, dzb = points_at_angles(base, r, thetas, t.points)
+        assert np.array_equal(z, zb * scale + shift)
+        assert np.array_equal(dz, dzb * scale)
+
+    @pytest.mark.parametrize("family, base, scale, shift", CASES, ids=["lemniscate", "preimage"])
+    def test_points_dd(self, family, base, scale, shift):
+        s, t = sample_level_curve(family, 8.0, 64), sample_level_curve(base, 8.0, 64)
+        got = sample_points_dd(s)
+        defect = (got - (sample_points_dd(t) * scale + shift)).to_complex()
+        assert np.abs(defect).max() <= 1e-30 * np.abs(got.hi).max()
+
+    def test_capacity(self):
+        assert capacity_leading_coefficient(self.LEM) == capacity_leading_coefficient(Circle(2.0))
+        assert capacity_leading_coefficient(self.HALF) == 4.0  # cap [-1, 0] = 1/4
+
+    def test_faber_basis(self):
+        power = ComplexPolynomial([1.0])
+        for k, p in enumerate(faber_basis(self.LEM, 10)):
+            assert p.coefficient_distance(power) <= 1e-13 * np.abs(power.coeffs).max()
+            power = power * ComplexPolynomial([-self.SHIFT, 1.0])
+        for k, p in enumerate(faber_basis(self.HALF, 12)):
+            want = _affine_composition(monic_classical_chebyshev(k), 2.0, 1.0) * 0.5 ** k
+            assert p.coefficient_distance(want) <= 1e-13 * np.abs(want.coeffs).max()
 
 
 class TestFamilyJson:
