@@ -12,6 +12,7 @@ psi(|w| = r); degree-1 generators are solved in closed form.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -59,6 +60,13 @@ def _check_finite(values, what: str) -> None:
         raise ValueError(f"{what} must be finite")
 
 
+def _read_only_psi(c: float, tail) -> LaurentSeriesAtInfinity:
+    """An exact psi with a read-only tail, safe to share between callers."""
+    psi = LaurentSeriesAtInfinity(c, tail, exact=True)
+    psi.tail.flags.writeable = False
+    return psi
+
+
 @dataclass(frozen=True)
 class Circle:
     """K = circle of the given radius about the origin."""
@@ -69,10 +77,10 @@ class Circle:
         if not 0 < self.radius < np.inf:
             raise ValueError("radius must be positive and finite")
 
-    @property
+    @cached_property
     def psi(self) -> LaurentSeriesAtInfinity:
-        """Exact inverse map psi(w) = R w."""
-        return LaurentSeriesAtInfinity(self.radius, [0.0], exact=True)
+        """Exact inverse map psi(w) = R w, built once per instance."""
+        return _read_only_psi(self.radius, [0.0])
 
     def map_of(self, P: ComplexPolynomial, n_terms: int) -> LaurentSeries:
         """Series at infinity of phi(P(z)) = P(z)/R; exact, so all n_terms hold."""
@@ -83,10 +91,11 @@ class Circle:
 class Interval:
     """K = [-1, 1]."""
 
-    @property
+    @cached_property
     def psi(self) -> LaurentSeriesAtInfinity:
-        """Exact inverse map psi(w) = (w + 1/w)/2, the Joukowski map."""
-        return LaurentSeriesAtInfinity(0.5, [0.0, 0.5], exact=True)
+        """Exact inverse map psi(w) = (w + 1/w)/2, the Joukowski map, built
+        once per instance."""
+        return _read_only_psi(0.5, [0.0, 0.5])
 
     def map_of(self, P: ComplexPolynomial, n_terms: int) -> LaurentSeries:
         """Series at infinity of phi(P(z)) = P + sqrt(P^2 - 1), keeping
@@ -112,7 +121,7 @@ class Lemniscate:
         if not self.P.is_monic(0.0):
             raise ValueError("generator polynomial must be monic")
 
-    @property
+    @cached_property
     def base(self) -> Circle:
         """K = P^{-1}(circle of radius R)."""
         return Circle(self.R)
@@ -152,7 +161,7 @@ class InversePolynomialImage:
     def period_verified(self) -> bool:
         return self.alternation_points is not None
 
-    @property
+    @cached_property
     def base(self) -> Interval:
         """K = P^{-1}([-1, 1])."""
         return Interval()

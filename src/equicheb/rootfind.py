@@ -4,6 +4,12 @@ One deterministic solver used both standalone and, in batch form, by the
 level-curve samplers (the per-angle solves are independent, so the batch
 path runs them as one vectorized iteration with per-row convergence masks;
 it produces exactly the same iterates as solving one at a time).
+
+Aberth starts at the eigenvalues of each polynomial's companion matrix,
+which are backward stable (Edelman & Murakami 1995), spread apart by a
+tiny fixed offset so that multiple roots do not start coincident; from
+there it polishes simple roots in two or three steps (Bini 1996) and
+certifies every root by its stopping rule.
 """
 
 from __future__ import annotations
@@ -16,8 +22,10 @@ from .series import ComplexPolynomial
 
 __all__ = ["RootSet", "RootFindingError", "all_roots"]
 
-# fixed irrational angular offset of the initial circle, breaks symmetry ties
+# fixed irrational angular offset of the start spread, breaks symmetry ties
 _ANGLE_OFFSET = 0.5 * np.sqrt(2.0)
+# relative radius of the spread; Aberth's pair sums need distinct starts
+_SPREAD = 1e-8
 _MAX_ITER = 500
 
 
@@ -42,12 +50,31 @@ class RootSet:
         return len(self.roots)
 
 
+def _monic_rows(coeff_rows: np.ndarray) -> np.ndarray:
+    """Each row divided by its leading coefficient; raises ValueError unless
+    every coefficient and every ratio is finite."""
+    with np.errstate(all="ignore"):
+        monic = coeff_rows / coeff_rows[:, -1:]
+    if not (np.isfinite(coeff_rows).all() and np.isfinite(monic).all()):
+        raise ValueError(
+            "coefficients and targets must be finite, and so must the "
+            "coefficients divided by the leading one"
+        )
+    return monic
+
+
 def _initial_guesses(coeff_rows: np.ndarray) -> np.ndarray:
-    """Perturbed circle at the Cauchy root bound, one row per polynomial."""
-    deg = coeff_rows.shape[1] - 1
-    bound = 1.0 + np.abs(coeff_rows[:, :-1] / coeff_rows[:, -1:]).max(axis=1)
+    """Companion-matrix eigenvalues, one row per polynomial, each moved by
+    _SPREAD * (1 + max |eigenvalue|) along its own fixed angle."""
+    rows, width = coeff_rows.shape
+    deg = width - 1
+    companion = np.zeros((rows, deg, deg), dtype=complex)
+    companion[:, 0, :] = -_monic_rows(coeff_rows)[:, -2::-1]
+    companion[:, np.arange(1, deg), np.arange(deg - 1)] = 1.0
+    eig = np.linalg.eigvals(companion)
     angles = 2.0 * np.pi * np.arange(deg) / deg + _ANGLE_OFFSET
-    return bound[:, None] * np.exp(1j * angles)
+    radius = _SPREAD * (1.0 + np.abs(eig).max(axis=1))
+    return eig + radius[:, None] * np.exp(1j * angles)
 
 
 def _sort_roots(roots: np.ndarray) -> np.ndarray:
@@ -62,11 +89,11 @@ def _aberth_batch(coeff_rows: np.ndarray, tol: float, max_iter: int = _MAX_ITER)
     Returns (roots, iterations, converged_mask); rows iterate independently
     but in lockstep, frozen once their corrections pass the tolerance.
     """
+    z = _initial_guesses(coeff_rows)  # rejects non-finite input before any arithmetic
     rows, width = coeff_rows.shape
     deg = width - 1
     deriv = coeff_rows[:, 1:] * np.arange(1, width)
 
-    z = _initial_guesses(coeff_rows)
     active = np.ones(rows, dtype=bool)
     iterations = np.zeros(rows, dtype=int)
 
@@ -110,10 +137,12 @@ def _residuals(coeffs: np.ndarray, roots: np.ndarray) -> np.ndarray:
 def all_roots(p: ComplexPolynomial, tol: float = 1e-12) -> RootSet:
     """All complex roots of p by simultaneous Aberth-Ehrlich iteration.
 
-    Initial guesses sit on a perturbed circle at the coefficient root
-    bound; iteration stops when every Newton correction falls below
-    tol*(1+|root|).  Deterministic for fixed (p, tol).  Raises
-    RootFindingError (carrying the best iterate) if the budget runs out.
+    Iteration starts at the companion-matrix eigenvalues, spread by a
+    tiny fixed offset, and stops when every Newton correction falls below
+    tol*(1+|root|).  Deterministic for fixed (p, tol).  Raises ValueError
+    for a coefficient, or a coefficient divided by the leading one, that
+    is not finite, and RootFindingError (carrying the best iterate) if the
+    budget runs out.
     """
     coeffs = np.asarray(p.coeffs, dtype=complex)
     deg = p.degree
@@ -122,6 +151,7 @@ def all_roots(p: ComplexPolynomial, tol: float = 1e-12) -> RootSet:
     if coeffs[-1] == 0:
         raise ValueError("leading coefficient must be nonzero")
     if deg == 1:
+        _monic_rows(coeffs[None, :])
         root = np.array([-coeffs[0] / coeffs[1]])
         return RootSet(root, _residuals(coeffs, root), iterations=0)
     z, iters, conv = _aberth_batch(coeffs[None, :], tol)
@@ -143,15 +173,16 @@ def roots_after_constant_shifts(
 
     Level-curve samplers call this once per curve; rows keep the solver's
     deterministic per-polynomial ordering.  A degree-1 base is solved in
-    closed form, (target - c0) / c1.  Raises RootFindingError if any
-    row fails to converge.
+    closed form, (target - c0) / c1.  Raises ValueError as all_roots does,
+    for any row, and RootFindingError if any row fails to converge.
     """
     targets = np.asarray(targets, dtype=complex).ravel()
-    if base.degree == 1:
-        c0, c1 = base.coeffs
-        return ((targets - c0) / c1)[:, None]
     rows = np.tile(np.asarray(base.coeffs, dtype=complex), (len(targets), 1))
     rows[:, 0] -= targets
+    if base.degree == 1:
+        _monic_rows(rows)
+        c0, c1 = base.coeffs
+        return ((targets - c0) / c1)[:, None]
     z, iters, conv = _aberth_batch(rows, tol)
     if not conv.all():
         bad = int(np.flatnonzero(~conv)[0])

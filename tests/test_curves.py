@@ -198,6 +198,31 @@ class TestValidation:
             make()
 
 
+class TestSharedMaps:
+    """The exact psi of a circle or the interval, and a root family's base,
+    are built once per instance and shared by every read."""
+
+    @pytest.mark.parametrize("family", [Circle(2.0), Interval()], ids=["circle", "interval"])
+    def test_psi_built_once_with_read_only_tail(self, family):
+        assert family.psi is family.psi
+        with pytest.raises(ValueError):
+            family.psi.tail[0] = 1.0
+
+    def test_base_built_once(self):
+        assert BERNOULLI.base is BERNOULLI.base
+        assert PERIOD2.base is PERIOD2.base
+        assert BERNOULLI.base.psi is BERNOULLI.base.psi
+
+    def test_equality_and_hashing_unchanged(self):
+        a, b = Circle(2.0), Circle(2.0)
+        assert a.psi is not None  # a cached read must not enter the comparison
+        assert a == b and hash(a) == hash(b)
+        assert Circle(2.0) != Circle(3.0)
+        assert Interval() == Interval() and hash(Interval()) == hash(Interval())
+        twin = Lemniscate(BERNOULLI.P, 1.0)
+        assert BERNOULLI == BERNOULLI and BERNOULLI != twin
+
+
 class TestSampling:
     def test_circle_four_points(self):
         s = sample_level_curve(Circle(1.0), 2.0, 4)

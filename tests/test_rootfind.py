@@ -1,8 +1,20 @@
 import numpy as np
 import pytest
 
+from equicheb.curves import Lemniscate, faber_basis
 from equicheb.rootfind import RootFindingError, all_roots, roots_after_constant_shifts
 from equicheb.series import ComplexPolynomial
+
+
+def from_roots(roots):
+    coeffs = np.array([1.0], dtype=complex)
+    for r in roots:
+        coeffs = np.convolve(coeffs, [-r, 1.0])
+    return ComplexPolynomial(coeffs)
+
+
+def bernoulli_faber_21():
+    return faber_basis(Lemniscate(ComplexPolynomial([-1.0, 0.0, 1.0]), 1.0), 21)[21]
 
 
 class TestAllRoots:
@@ -59,11 +71,36 @@ class TestAllRoots:
             assert np.abs(conj - z).min() < 1e-9
 
     def test_determinism(self):
-        p = ComplexPolynomial([1.0, -2.0, 3.0j, 1.0, 1.0])
-        a = all_roots(p)
-        b = all_roots(p)
-        assert np.array_equal(a.roots, b.roots)
-        assert a.iterations == b.iterations
+        # bit for bit under the default BLAS threading, also for the batched
+        # companion eigenvalues of a 512-row start
+        for p in (ComplexPolynomial([1.0, -2.0, 3.0j, 1.0, 1.0]), bernoulli_faber_21()):
+            a = all_roots(p)
+            b = all_roots(p)
+            assert a.roots.tobytes() == b.roots.tobytes()
+            assert a.iterations == b.iterations
+        base = ComplexPolynomial([-1.0, 0.0, 1.0])
+        targets = 4.0 * np.exp(2j * np.pi * np.arange(512) / 512)
+        a = roots_after_constant_shifts(base, targets)
+        b = roots_after_constant_shifts(base, targets)
+        assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "roots",
+        [[0.0, 0.0], [0.0] * 5, [1.0, 1.0, -1.0, -1.0], [2.0, 2.0, -1.0]],
+        ids=["z^2", "z^5", "(z^2-1)^2", "(z-2)^2(z+1)"],
+    )
+    def test_multiple_roots_converge(self, roots):
+        # coincident companion eigenvalues must not start Aberth coincident
+        rs = all_roots(from_roots(roots))
+        for want in set(roots):
+            near = np.abs(rs.roots - want) < 1e-6
+            assert near.sum() == roots.count(want)
+        assert rs.residuals.max() < 1e-14
+
+    def test_converges_in_a_few_steps(self):
+        # started near the roots, Aberth only polishes
+        assert all_roots(bernoulli_faber_21()).iterations <= 4
 
     def test_sorted_by_angle_then_modulus(self):
         p = ComplexPolynomial([4.0, 0.0, 0.0, 0.0, 1.0])  # roots sqrt(2) * 4th roots of -4
@@ -101,6 +138,30 @@ class TestAllRoots:
             pytest.skip("tolerance met anyway on this platform")
 
 
+class TestInputContract:
+    """Non-finite coefficients, targets or ratios to the leading coefficient
+    are rejected before any iteration."""
+
+    @pytest.mark.parametrize(
+        "coeffs",
+        [[np.nan, 0.0, 1.0], [1.0, np.inf, 1.0], [1.0, 0.0, 1e-310], [1.0, np.nan], [1.0, 1e-310]],
+        ids=["nan", "inf", "overflowing-ratio", "nan-degree-1", "overflowing-ratio-degree-1"],
+    )
+    def test_all_roots(self, coeffs):
+        with pytest.raises(ValueError, match="finite"):
+            all_roots(ComplexPolynomial(coeffs))
+
+    @pytest.mark.parametrize("coeffs", [[-1.0, 0.0, 1.0], [-1.0, 1.0]], ids=["degree-2", "degree-1"])
+    def test_nan_target_in_batch(self, coeffs):
+        targets = np.array([2.0, np.nan, 3.0j])
+        with pytest.raises(ValueError, match="finite"):
+            roots_after_constant_shifts(ComplexPolynomial(coeffs), targets)
+
+    def test_overflowing_ratio_in_batch(self):
+        with pytest.raises(ValueError, match="finite"):
+            roots_after_constant_shifts(ComplexPolynomial([1.0, 0.0, 1e-310]), [0.0, 1.0])
+
+
 class TestBatch:
     def test_batch_matches_single(self):
         base = ComplexPolynomial([-1.0, 0.0, 1.0])
@@ -111,19 +172,43 @@ class TestBatch:
             np.testing.assert_allclose(batch[i], single.roots, atol=1e-12)
 
     def test_row_helpers_match_one_row_at_a_time(self):
-        # the batched start circle and root ordering, against the
-        # one-polynomial formulas applied row by row; bit for bit
-        from equicheb.rootfind import _ANGLE_OFFSET, _initial_guesses, _sort_roots
+        # the batched start (stacked companion eigenvalues and their spread)
+        # and root ordering, against the same helpers applied row by row;
+        # bit for bit
+        from equicheb.rootfind import _initial_guesses, _sort_roots
+
+        for deg in (2, 4, 21):
+            rng = np.random.default_rng(deg)
+            rows = rng.standard_normal((32, deg + 1)) + 1j * rng.standard_normal((32, deg + 1))
+            guesses = _initial_guesses(rows)
+            for i, row in enumerate(rows):
+                assert guesses[i].tobytes() == _initial_guesses(row[None, :])[0].tobytes()
 
         rng = np.random.default_rng(7)
         rows = rng.standard_normal((32, 5)) + 1j * rng.standard_normal((32, 5))
         guesses = _initial_guesses(rows)
-        angles = 2.0 * np.pi * np.arange(4) / 4 + _ANGLE_OFFSET
         # doubled copies of each root tie in angle, so the modulus decides
         roots = np.concatenate([guesses, 2.0 * guesses[:, :2]], axis=1)
         ordered = _sort_roots(roots)
-        for i, row in enumerate(rows):
-            bound = 1.0 + float(np.abs(row[:-1] / row[-1]).max())
-            assert guesses[i].tobytes() == (bound * np.exp(1j * angles)).tobytes()
+        for i in range(len(rows)):
             order = np.lexsort((np.abs(roots[i]), np.angle(roots[i])))
             assert ordered[i].tobytes() == roots[i][order].tobytes()
+
+    @pytest.mark.filterwarnings("error")
+    def test_critical_value_target(self):
+        # z^2 - 1 = -1 has the double root 0
+        batch = roots_after_constant_shifts(ComplexPolynomial([-1.0, 0.0, 1.0]), [-1.0, 3.0])
+        assert np.abs(batch[0]).max() < 1e-6
+        np.testing.assert_allclose(np.sort(batch[1].real), [-2.0, 2.0], atol=1e-12)
+        assert np.abs(batch[1].imag).max() < 1e-12
+
+    def test_sampler_batch_converges_in_a_few_steps(self):
+        # the r = 32 sampler batch of z^2 - 1, 2048 targets
+        from equicheb.rootfind import _aberth_batch
+
+        targets = 32.0 ** 2 * np.exp(2j * np.pi * np.arange(2048) / 2048)
+        rows = np.tile(np.array([-1.0, 0.0, 1.0], dtype=complex), (2048, 1))
+        rows[:, 0] -= targets
+        _, iterations, converged = _aberth_batch(rows, 1e-12)
+        assert converged.all()
+        assert iterations.max() <= 3
