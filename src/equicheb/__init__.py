@@ -42,7 +42,6 @@ from .minimax import (
     SolveOptions,
     chebyshev_on_points,
     solve_chebyshev,
-    sup_norm_on_curve,
     weighted_ls_monic,
 )
 from .rootfind import RootFindingError, RootSet, all_roots

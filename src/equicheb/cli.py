@@ -13,7 +13,6 @@ import csv
 import json
 import os
 import sys
-from dataclasses import replace
 from pathlib import Path
 from typing import List, Sequence
 
@@ -32,7 +31,6 @@ from .curves import (
     sample_level_curve,
 )
 from .experiments import (
-    EXPERIMENT_OPTS,
     ExperimentError,
     invariance_experiment,
     rate_experiment,
@@ -188,8 +186,6 @@ def _make_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--r", type=float, required=True)
     add_solver_flags(p)
-    p.add_argument("--no-adapt", action="store_true",
-                   help="solve on the given sample only, without doubling it")
     add_out_flags(p)
 
     p = sub.add_parser("rate", help="convergence-rate experiment over an r grid")
@@ -257,13 +253,11 @@ def _check_args(args) -> None:
         raise ValueError("trials must be positive")
 
 
-def _solve_options(args, default: SolveOptions) -> SolveOptions:
-    """The operation's default solver settings, with each flag the user
-    gave (--tol, --max-iter, and --no-adapt on cheb) laid over its field."""
+def _solve_options(args) -> SolveOptions:
+    """The default solver settings, with each flag the user gave (--tol,
+    --max-iter) laid over its field."""
     given = {"tol_rel": args.tol, "max_iter": args.max_iter}
-    if getattr(args, "no_adapt", False):
-        given["adapt"] = False
-    return replace(default, **{k: v for k, v in given.items() if v is not None})
+    return SolveOptions(**{k: v for k, v in given.items() if v is not None})
 
 
 def _execute(args) -> dict:
@@ -281,7 +275,7 @@ def _execute(args) -> dict:
     elif args.subcommand == "cheb":
         M = args.M if args.M is not None else max(256, 16 * args.n)
         sample = sample_level_curve(args.family, args.r, M)
-        sol = solve_chebyshev(sample, args.n, _solve_options(args, SolveOptions()))
+        sol = solve_chebyshev(sample, args.n, _solve_options(args))
         payload = sol.to_json_dict(n=args.n, r=args.r)
         payload["report"] = "cheb"
         payload["family"] = family_to_json_dict(args.family)
@@ -289,23 +283,23 @@ def _execute(args) -> dict:
         out["unconverged"] = not sol.converged
     elif args.subcommand == "rate":
         rep = rate_experiment(args.family, args.n, args.r_grid,
-                              opts=_solve_options(args, EXPERIMENT_OPTS), M=args.M)
+                              opts=_solve_options(args), M=args.M)
         out["json"] = rep.to_json_dict()
         out["csv"] = rep.to_csv_rows()
         out["svg"] = _svg_loglog(rep.r_values, rep.D)
     elif args.subcommand == "invariance":
         rep = invariance_experiment(args.family, args.n, tuple(args.r),
-                                    opts=_solve_options(args, EXPERIMENT_OPTS), M=args.M)
+                                    opts=_solve_options(args), M=args.M)
         out["json"] = rep.to_json_dict()
     elif args.subcommand == "widom":
         rep = widom_experiment(args.family, args.r, args.n_max,
-                               opts=_solve_options(args, EXPERIMENT_OPTS))
+                               opts=_solve_options(args))
         out["json"] = rep.to_json_dict()
         out["csv"] = rep.to_csv_rows()
     elif args.subcommand == "zeros":
         grid = args.r_grid if args.r_grid else list(np.geomspace(1.05, 8.0, 100))
         rep = zero_trajectories(args.family, args.n, grid,
-                                opts=_solve_options(args, EXPERIMENT_OPTS), M=args.M)
+                                opts=_solve_options(args), M=args.M)
         out["json"] = rep.to_json_dict()
         out["csv"] = rep.to_csv_rows()
         out["svg"] = _svg_document(
@@ -361,7 +355,7 @@ def run(argv: Sequence[str] | None = None) -> int:
         print(f"error writing outputs: {e}", file=sys.stderr)
         return 1
     if out.get("unconverged"):
-        print("solve did not converge within the iteration budget", file=sys.stderr)
+        print("solve did not converge within the step budget or the exchange cap", file=sys.stderr)
         return 2
     return 0
 

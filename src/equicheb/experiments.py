@@ -34,7 +34,6 @@ from .series import ComplexPolynomial, FaberExpansion, faber_basis_expand, monic
 # phi_series and monic_faber are unused here but stay bound: perfbench patches them by name
 
 __all__ = [
-    "EXPERIMENT_OPTS",
     "ExperimentError",
     "RateReport",
     "InvarianceReport",
@@ -64,12 +63,6 @@ class ExperimentError(RuntimeError):
         self.r = r
         self.n = n
         self.solution = solution
-
-
-# Solver settings of every harness: a fixed generous discretization and the
-# default gap tolerance.  The interior-point certificate converges in a few
-# dozen steps at any level, so trajectories down to near K use it too.
-EXPERIMENT_OPTS = SolveOptions(adapt=False)
 
 
 def _experiment_sample(f: CurveFamily, r: float, n: int, M: int | None = None) -> CurveSample:
@@ -145,7 +138,7 @@ def rate_experiment(
     f: CurveFamily,
     n: int,
     r_grid: Sequence[float],
-    opts: SolveOptions = EXPERIMENT_OPTS,
+    opts: SolveOptions = SolveOptions(),
     M: int | None = None,
     M_eval: int = 4096,
 ) -> RateReport:
@@ -265,7 +258,7 @@ def invariance_experiment(
     f: CurveFamily,
     n: int,
     r_pair: Tuple[float, float],
-    opts: SolveOptions = EXPERIMENT_OPTS,
+    opts: SolveOptions = SolveOptions(),
     M: int | None = None,
 ) -> InvarianceReport:
     """Solve at two levels and compare; attach the closed-form oracle where
@@ -335,7 +328,7 @@ def widom_experiment(
     f: CurveFamily,
     r: float,
     n_max: int,
-    opts: SolveOptions = EXPERIMENT_OPTS,
+    opts: SolveOptions = SolveOptions(),
     M_eval: int = 4096,
 ) -> WidomReport:
     """Normalized error sequence (c/r)^n * sup|T_n - monic Faber| at fixed r.
@@ -388,8 +381,7 @@ def _roots_soft(p: ComplexPolynomial, tol: float) -> Optional[RootSet]:
         scale = max(1.0, float(np.abs(e.best_roots).max()))
         bound = 1e-8 * max(1.0, float(np.abs(p.coeffs).max())) * scale ** p.degree
         if e.residuals is not None and e.residuals.max() <= bound:
-            order = np.lexsort((np.abs(e.best_roots), np.angle(e.best_roots)))
-            return RootSet(e.best_roots[order], e.residuals[order], iterations=-1)
+            return RootSet(e.best_roots, e.residuals, iterations=-1)  # sorted by all_roots
         return None
 
 
@@ -459,7 +451,7 @@ def zero_trajectories(
     f: CurveFamily,
     n: int,
     r_grid: Sequence[float],
-    opts: SolveOptions = EXPERIMENT_OPTS,
+    opts: SolveOptions = SolveOptions(),
     M: int | None = None,
     root_tol: float = 1e-12,
 ) -> TrajectorySet:

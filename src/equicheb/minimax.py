@@ -4,9 +4,10 @@ The discrete problem  min_p max_j |p(z_j)|  over monic p is a second-order
 cone program, solved in the Arnoldi basis of the points.  Its dual weights
 certify convergence: their weighted least-squares minimum bounds the
 discrete optimum from below.  A curve exchange adds the maxima of |p|
-between the sample points, so that the solution tracks the curve, not only
-the sample.  Solves that double precision cannot resolve near K are refined
-in double-double arithmetic.
+between the sample points until none exceeds the discrete sup by more than
+the tolerance, so that the solution tracks the curve, not only the sample.
+Solves that double precision cannot resolve near K are refined in
+double-double arithmetic.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ import numpy as np
 
 from . import dd
 from .curves import (
-    CurveFamily,
     CurveSample,
     capacity_leading_coefficient,
     points_at_angles,
@@ -27,6 +27,8 @@ from .curves import (
 )
 from .series import ComplexPolynomial
 
+# sample_level_curve is unused here but stays bound: perfbench patches it by name
+
 __all__ = [
     "RankDeficiencyError",
     "SolveOptions",
@@ -34,7 +36,6 @@ __all__ = [
     "weighted_ls_monic",
     "chebyshev_on_points",
     "solve_chebyshev",
-    "sup_norm_on_curve",
 ]
 
 
@@ -43,29 +44,24 @@ class RankDeficiencyError(ValueError):
     polynomial: fewer distinct points than coefficients to fix."""
 
 
-# sample doubling (``SolveOptions.adapt``) stops once the discrete sup norm
-# changes by less than this, relative; kept apart from ``tol_rel`` so that a
-# loose gap tolerance does not coarsen the discretization
-_ADAPT_TOL = 1e-8
-_MAX_REFINE = 6
-
-
 @dataclass(frozen=True)
 class SolveOptions:
-    """Solver settings: the relative duality gap ``tol_rel`` that certifies
-    convergence (and ends the curve exchange), the cap on interior-point
-    steps per discrete solve, and whether to resample the curve at doubled
-    density until the sup norm stabilizes."""
+    """Solver settings: the relative tolerance ``tol_rel`` that certifies
+    convergence, of the duality gap and of the curve exchange, and the cap
+    on interior-point steps per discrete solve."""
 
     tol_rel: float = 1e-10
     max_iter: int = 2000
-    adapt: bool = True
+    # always False; kept only because perfbench/workloads.py passes adapt=False
+    adapt: bool = False
 
     def __post_init__(self):
         # below either bound no iterate is ever kept as the best one; an
         # infinite tolerance would certify any iterate
         if not (0 <= self.tol_rel < np.inf and self.max_iter >= 1):
             raise ValueError("need a finite tol_rel >= 0 and max_iter >= 1")
+        if self.adapt:
+            raise ValueError("sample doubling is gone: the curve exchange tracks the curve")
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,7 +70,9 @@ class MinimaxSolution:
 
     ``weights`` are the normalized dual weights of the final discrete solve,
     one per point used, and ``equioscillation_gap`` is their certificate;
-    ``iterations`` counts interior-point steps.  ``precision_limited`` marks
+    ``iterations`` counts interior-point steps.  From ``solve_chebyshev``,
+    ``converged`` also means that no maximum of |p| on the curve exceeds
+    ``sup_norm`` by more than the tolerance.  ``precision_limited`` marks
     a solve whose values on the curve are too
     large for double precision to pin the low-order coefficients (see
     ``solve_chebyshev``); its polynomial was refined in double-double.
@@ -400,9 +398,10 @@ def chebyshev_on_points(points, n: int, opts: SolveOptions | None = None) -> Min
 
 
 # curve exchange: re-solves with the maxima of |p| along L_r added, at most
-# this many; the maxima near active points (weights above _ACTIVE_WEIGHT of
-# the largest) are placed by secant steps on d|p|^2/dtheta
-_EXCHANGE_ROUNDS = 4
+# this many times (a safety cap; the tolerance ends it); the maxima near
+# active points (weights above _ACTIVE_WEIGHT of the largest) are placed by
+# secant steps on d|p|^2/dtheta
+_EXCHANGE_ROUNDS = 16
 _ACTIVE_WEIGHT = 1e-3
 _SECANT_STEPS = 8
 
@@ -433,13 +432,14 @@ def solve_chebyshev(
 ) -> MinimaxSolution:
     """Monic degree-n polynomial of least maximum modulus over the curve.
 
-    Solves the discrete problem on the sample; with ``opts.adapt`` the curve
-    is resampled at twice the density until the discrete sup norm
-    stabilizes (relative change below 1e-8).  A curve exchange then adds the
-    maxima of |p| along L_r near the active points and re-solves, until none
-    exceeds the discrete sup by more than ``tol_rel`` (at most four rounds).
-    ``converged`` is the discrete certificate on all points used;
-    ``iterations`` counts every interior-point step of the call.
+    Solves the discrete problem on the sample, then runs a curve exchange:
+    it places the maxima of |p| along L_r near the active points, adds
+    those that exceed the discrete sup by more than ``tol_rel`` to the
+    points used and re-solves, until none does.  ``converged`` means the
+    discrete certificate on all points used and that curve test; a solve
+    still above it after _EXCHANGE_ROUNDS re-solves returns
+    ``converged=False``.  ``iterations`` counts every interior-point step
+    of the call.
 
     A solve is precision-limited when rounding at eps * sup_norm, in
     capacity units (times c^n), exceeds the root-accuracy budget 1e-3:
@@ -453,30 +453,22 @@ def solve_chebyshev(
     """
     opts = opts or SolveOptions()
     sol = chebyshev_on_points(sample.points, n, opts)
-    steps = sol.iterations
-    if opts.adapt:
-        M = sample.size
-        for _ in range(_MAX_REFINE):
-            M *= 2
-            finer = sample_level_curve(sample.family, sample.r, M)
-            nxt = chebyshev_on_points(finer.points, n, opts)
-            steps += nxt.iterations
-            stable = abs(nxt.sup_norm - sol.sup_norm) < _ADAPT_TOL * max(nxt.sup_norm, 1e-300)
-            sol, sample = nxt, finer
-            if stable:
-                break
     growth = capacity_leading_coefficient(sample.family) ** n
     if n == 0 or np.finfo(float).eps * sol.sup_norm * growth <= _ROOT_ACCURACY_BUDGET:
-        points, thetas = sample.points, sample.thetas
-        for _ in range(_EXCHANGE_ROUNDS):
+        steps, points, thetas = sol.iterations, sample.points, sample.thetas
+        for rounds in range(_EXCHANGE_ROUNDS + 1):
             if not sol.converged:
                 break
             active = sol.weights > _ACTIVE_WEIGHT * sol.weights.max()
             new_thetas, new_points = _curve_maxima(sol.polynomial, sample, thetas[active], points[active])
-            if np.abs(sol.polynomial(new_points)).max() <= sol.sup_norm * (1.0 + opts.tol_rel):
+            over = np.abs(sol.polynomial(new_points)) > sol.sup_norm * (1.0 + opts.tol_rel)
+            if not over.any():
                 break
-            points = np.concatenate([points, new_points])
-            thetas = np.concatenate([thetas, new_thetas])
+            if rounds == _EXCHANGE_ROUNDS:
+                sol = replace(sol, converged=False)
+                break
+            points = np.concatenate([points, new_points[over]])
+            thetas = np.concatenate([thetas, new_thetas[over]])
             sol = chebyshev_on_points(points, n, opts)
             steps += sol.iterations
         return replace(sol, iterations=steps)
@@ -488,19 +480,4 @@ def solve_chebyshev(
         sup_norm=float(np.abs(poly(sample.points)).max()),
         converged=sol.converged and resolved,
         precision_limited=True,
-        iterations=steps,
     )
-
-
-def sup_norm_on_curve(
-    p: ComplexPolynomial, f: CurveFamily, r: float, M_eval: int
-) -> float:
-    """Max modulus of p over a fresh M_eval-point sample of the level curve.
-
-    A lower bound on the true supremum over the curve, converging as
-    M_eval grows (spectrally for these analytic curves).
-    """
-    if M_eval < 8 * max(p.degree, 1):
-        raise ValueError("evaluation sample too small: need M_eval >= 8*degree")
-    pts = sample_level_curve(f, r, M_eval).points
-    return float(np.abs(p(pts)).max())

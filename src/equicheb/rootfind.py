@@ -78,8 +78,12 @@ def _initial_guesses(coeff_rows: np.ndarray) -> np.ndarray:
 
 
 def _sort_roots(roots: np.ndarray) -> np.ndarray:
-    """Each row by angle, ties by modulus."""
-    order = np.lexsort((np.abs(roots), np.angle(roots)), axis=-1)
+    """Each row by angle in (-pi, pi], ties by modulus.  An angle within
+    rounding of -pi counts as pi, so that a root on the negative real axis
+    sorts last whatever the sign of its rounding-size imaginary part."""
+    angle = np.angle(roots)
+    angle = np.where(angle < -np.pi + 4 * np.finfo(float).eps, np.pi, angle)
+    order = np.lexsort((np.abs(roots), angle), axis=-1)
     return np.take_along_axis(roots, order, axis=-1)
 
 

@@ -16,7 +16,6 @@ from equicheb.curves import (
     sample_level_curve,
 )
 from equicheb.experiments import (
-    EXPERIMENT_OPTS,
     faber_error_decay,
     invariance_experiment,
     monic_classical_chebyshev,
@@ -34,9 +33,9 @@ PERIOD2 = InversePolynomialImage(
     alternation_points=[-2.0, -np.sqrt(2.0), 2.0],
 )
 
-# every criterion solves at the one harness setting, EXPERIMENT_OPTS (gap
-# tolerance 1e-10, no sample doubling), so each measures T_n itself and not
-# an early-certified iterate
+# every criterion solves at the default settings, SolveOptions() (gap and
+# curve-exchange tolerance 1e-10), so each measures T_n itself and not an
+# early-certified iterate
 
 
 def record(num, ok, detail):
@@ -46,7 +45,7 @@ def record(num, ok, detail):
 
 @pytest.fixture(scope="module")
 def rate_n5():
-    return rate_experiment(BERNOULLI, 5, [2, 4, 8, 16, 32], opts=EXPERIMENT_OPTS, M=512)
+    return rate_experiment(BERNOULLI, 5, [2, 4, 8, 16, 32], M=512)
 
 
 def test_criterion_1_circle_exactness():
@@ -54,7 +53,7 @@ def test_criterion_1_circle_exactness():
     for n in range(1, 11):
         for r in (1.5, 2.0, 4.0):
             sample = sample_level_curve(Circle(1.0), r, max(256, 16 * n))
-            sol = solve_chebyshev(sample, n, EXPERIMENT_OPTS)
+            sol = solve_chebyshev(sample, n)
             assert sol.converged
             low = np.abs(sol.polynomial.coeffs[:-1]).max() if n > 0 else 0.0
             worst_coef = max(worst_coef, low)
@@ -70,7 +69,7 @@ def test_criterion_2_ellipse_invariance():
         oracle = monic_classical_chebyshev(n)
         for r in (1.5, 2.0, 4.0):
             sample = sample_level_curve(Interval(), r, 512)
-            sol = solve_chebyshev(sample, n, EXPERIMENT_OPTS)
+            sol = solve_chebyshev(sample, n)
             worst = max(worst, sol.polynomial.coefficient_distance(oracle))
     record(2, worst <= 1e-6,
            f"ellipse levels vs classical Chebyshev: max coefficient distance "
@@ -86,7 +85,7 @@ def test_criterion_3_lemniscate_exactness():
         oracle = ComplexPolynomial(expected)
         for r in (1.5, 2.0, 4.0):
             sample = sample_level_curve(BERNOULLI, r, 512)
-            sol = solve_chebyshev(sample, n, EXPERIMENT_OPTS)
+            sol = solve_chebyshev(sample, n)
             worst = max(worst, sol.polynomial.coefficient_distance(oracle))
     record(3, worst <= 1e-6,
            f"Bernoulli even degrees vs generator powers: max coefficient "
@@ -96,7 +95,7 @@ def test_criterion_3_lemniscate_exactness():
 def test_criterion_4_period2_invariance():
     worst = 0.0
     for n in (2, 4):
-        rep = invariance_experiment(PERIOD2, n, (1.5, 3.0), opts=EXPERIMENT_OPTS, M=512)
+        rep = invariance_experiment(PERIOD2, n, (1.5, 3.0), M=512)
         assert rep.applicable
         worst = max(worst, rep.coefficient_distance)
     record(4, worst <= 1e-5,
@@ -105,7 +104,7 @@ def test_criterion_4_period2_invariance():
 
 
 def test_criterion_5_main_rate(rate_n5):
-    rep3 = rate_experiment(BERNOULLI, 3, [2, 4, 8, 16, 32], opts=EXPERIMENT_OPTS, M=512)
+    rep3 = rate_experiment(BERNOULLI, 3, [2, 4, 8, 16, 32], M=512)
     rep5 = rate_n5
     ok = True
     details = []
@@ -177,7 +176,7 @@ def test_criterion_9_zero_locations_and_trajectories():
         np.abs(others ** 2 - 1.0).max() < 1.0
     )
     traj = zero_trajectories(
-        BERNOULLI, 21, np.geomspace(1.05, 8.0, 24), opts=EXPERIMENT_OPTS, M=512
+        BERNOULLI, 21, np.geomspace(1.05, 8.0, 24), M=512
     )
     endpoint = float(traj.terminal_distances.max())
     endpoint_ok = endpoint <= 1e-3

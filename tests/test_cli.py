@@ -7,9 +7,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from equicheb import cli
+from equicheb import cli, minimax
 from equicheb.cli import run
-from equicheb.experiments import EXPERIMENT_OPTS, ExperimentError
+from equicheb.experiments import ExperimentError
 from equicheb.minimax import SolveOptions
 
 
@@ -31,7 +31,7 @@ class TestReadmeExamples:
     @pytest.mark.parametrize("argv", readme_cli_examples(), ids=lambda argv: argv[0])
     def test_example_runs(self, tmp_path, argv):
         if argv[0] == "zeros":
-            # 100 levels at degree 21 take about 11 s: parsed and validated only
+            # 100 levels at degree 21 take about 12 s: parsed and validated only
             cli._check_args(cli._make_parser().parse_args(argv))
             return
         assert run(argv + ["-o", str(tmp_path)]) == 0
@@ -50,13 +50,21 @@ class TestChebCommand:
         coeffs = np.array([complex(a, b) for a, b in rep["coeffs"]])
         np.testing.assert_allclose(coeffs, [0, 0, 0, 1], atol=1e-10)
 
-    def test_unconverged_exit_code(self, tmp_path):
+    def test_unconverged_exit_code(self, tmp_path, monkeypatch):
         code = run([
             "cheb", "--family", "interval", "--r", "2", "--n", "2",
-            "--max-iter", "3", "--tol", "1e-14", "--no-adapt",
+            "--max-iter", "3", "--tol", "1e-14",
             "-o", str(tmp_path),
         ])
         assert code == 2
+        # a curve exchange that reaches its cap above the tolerance
+        monkeypatch.setattr(minimax, "_EXCHANGE_ROUNDS", 1)
+        code = run([
+            "cheb", "--family", "lemniscate", "--P", "1,0,-1", "--r", "1.2", "--n", "3",
+            "--M", "512", "-o", str(tmp_path),
+        ])
+        assert code == 2
+        assert read_json(tmp_path / "cheb.json")["converged"] is False
 
     def test_validation_errors(self, tmp_path):
         assert run(["cheb", "--family", "circle", "--r", "0.5", "--n", "3",
@@ -206,7 +214,7 @@ class TestFamilyJsonFlag:
         path.write_text(json.dumps(spec))
         code = run([
             "cheb", "--family-json", str(path), "--r", "2", "--n", "2",
-            "--tol", "5e-4", "--max-iter", "8000", "--no-adapt",
+            "--tol", "5e-4", "--max-iter", "8000",
             "-o", str(tmp_path), "--tag", "em",
         ])
         assert code == 0
@@ -328,12 +336,12 @@ class TestJsonRoundTrip:
 
 
 class TestSolverFlagOverlay:
-    # each flag replaces one field of the operation's default settings
+    # each flag replaces one field of the default settings
     LEM = ["--family", "lemniscate", "--P", "1,0,-1", "--R", "1", "--n", "3"]
     CASES = [
-        ("rate", "rate_experiment", ["--r-grid", "2,4,8,16,32"], EXPERIMENT_OPTS),
-        ("invariance", "invariance_experiment", ["--r", "1.5,4"], EXPERIMENT_OPTS),
-        ("zeros", "zero_trajectories", ["--r-grid", "1.5,2"], EXPERIMENT_OPTS),
+        ("rate", "rate_experiment", ["--r-grid", "2,4,8,16,32"], SolveOptions()),
+        ("invariance", "invariance_experiment", ["--r", "1.5,4"], SolveOptions()),
+        ("zeros", "zero_trajectories", ["--r-grid", "1.5,2"], SolveOptions()),
     ]
 
     def captured_opts(self, monkeypatch, tmp_path, sub, name, argv):
@@ -352,16 +360,25 @@ class TestSolverFlagOverlay:
     def test_flags_replace_single_fields(self, monkeypatch, tmp_path, sub, name, argv, default):
         assert self.captured_opts(monkeypatch, tmp_path, sub, name, argv) == default
         opts = self.captured_opts(monkeypatch, tmp_path, sub, name, argv + ["--tol", "1e-3"])
-        assert opts == SolveOptions(tol_rel=1e-3, max_iter=default.max_iter, adapt=False)
+        assert opts == SolveOptions(tol_rel=1e-3, max_iter=default.max_iter)
         opts = self.captured_opts(monkeypatch, tmp_path, sub, name, argv + ["--max-iter", "50"])
-        assert opts == SolveOptions(tol_rel=default.tol_rel, max_iter=50, adapt=False)
+        assert opts == SolveOptions(tol_rel=default.tol_rel, max_iter=50)
 
     def test_out_of_range_settings_rejected(self, tmp_path):
         for flags in (["--max-iter", "0"], ["--tol", "-1"], ["--tol", "inf"], ["--tol", "nan"]):
             assert run(["cheb", "--family", "circle", "--r", "2", "--n", "3"]
                        + flags + ["-o", str(tmp_path)]) == 1
 
-    def test_no_adapt_only_on_cheb(self, tmp_path):
-        assert run(["rate"] + self.LEM + ["--r-grid", "2,4,8,16,32", "--no-adapt",
-                                          "-o", str(tmp_path)]) == 1
-        assert run(["zeros"] + self.LEM + ["--no-adapt", "-o", str(tmp_path)]) == 1
+    def test_no_adapt_refused(self, tmp_path):
+        # no operation takes the flag of the removed sample doubling
+        runs = [
+            ["faber"] + self.LEM,
+            ["cheb"] + self.LEM + ["--r", "2"],
+            ["rate"] + self.LEM + ["--r-grid", "2,4,8,16,32"],
+            ["invariance"] + self.LEM + ["--r", "1.5,4"],
+            ["widom", "--family", "circle", "--r", "2", "--n-max", "2"],
+            ["zeros"] + self.LEM,
+            ["rivlin", "--n", "4"],
+        ]
+        for argv in runs:
+            assert run(argv + ["--no-adapt", "-o", str(tmp_path)]) == 1

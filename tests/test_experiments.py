@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from equicheb.curves import Circle, Interval, InversePolynomialImage, Lemniscate
+from equicheb.curves import Circle, Interval, InversePolynomialImage, Lemniscate, sample_level_curve
 from equicheb.experiments import (
     ExperimentError,
     faber_error_decay,
@@ -19,7 +19,7 @@ from equicheb.minimax import SolveOptions
 from equicheb.series import ComplexPolynomial
 
 BERNOULLI = Lemniscate(ComplexPolynomial([-1.0, 0.0, 1.0]), 1.0)
-FAST = SolveOptions(tol_rel=1e-10, max_iter=6000, adapt=False)
+FAST = SolveOptions(tol_rel=1e-10, max_iter=6000)
 
 
 class TestClassicalChebyshev:
@@ -52,6 +52,14 @@ class TestRateExperiment:
         assert np.all(np.diff(rep.r_values) > 0)
         assert all(s.converged for s in rep.solutions)
 
+    def test_solutions_reach_the_curve_sup(self):
+        # at the harness defaults each converged solve has no maximum of |p|
+        # on the curve above its sup norm by more than the tolerance
+        rep = rate_experiment(BERNOULLI, 3, [1.2, 2.4, 4.8, 9.6], M=512)
+        for r, sol in zip(rep.r_values, rep.solutions):
+            fine = sample_level_curve(BERNOULLI, r, 2 ** 14).points
+            assert np.abs(sol.polynomial(fine)).max() <= sol.sup_norm * (1 + 2e-10)
+
     def test_bound_chain(self):
         rep = rate_experiment(BERNOULLI, 4, [2, 4, 8, 16], opts=FAST, M=256, M_eval=1024)
         assert np.all(rep.cheb_sup <= rep.faber_sup * (1 + 1e-12))
@@ -63,7 +71,7 @@ class TestRateExperiment:
             rate_experiment(BERNOULLI, 3, [2, 3, 4, 5], opts=FAST)
 
     def test_unconverged_aborts_with_diagnostics(self):
-        starved = SolveOptions(tol_rel=1e-14, max_iter=3, adapt=False)
+        starved = SolveOptions(tol_rel=1e-14, max_iter=3)
         with pytest.raises(ExperimentError) as exc:
             rate_experiment(BERNOULLI, 3, [2, 4, 8, 16, 32], opts=starved, M=256)
         assert exc.value.solution is not None
@@ -195,7 +203,7 @@ class TestTrajectories:
         # above that (eps * r^n > 1e-3, residuals scale like r^n) the solves
         # are precision-limited and refined in double-double, which
         # criterion 9 exercises up to r = 8
-        opts = SolveOptions(tol_rel=5e-4, max_iter=4000, adapt=False)
+        opts = SolveOptions(tol_rel=5e-4, max_iter=4000)
         rep = zero_trajectories(
             BERNOULLI, 21, np.geomspace(1.5, 4.0, 8), opts=opts, M=512
         )

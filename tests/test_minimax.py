@@ -15,11 +15,11 @@ from equicheb.minimax import (
     SolveOptions,
     chebyshev_on_points,
     solve_chebyshev,
-    sup_norm_on_curve,
     weighted_ls_monic,
 )
 from equicheb.series import ComplexPolynomial, monic_faber
 from equicheb.curves import phi_series
+from equicheb import minimax
 
 BERNOULLI = Lemniscate(ComplexPolynomial([-1.0, 0.0, 1.0]), 1.0)
 
@@ -76,7 +76,7 @@ class TestSolveChebyshev:
         norm_oracle = np.abs((w ** 2 + w ** -2) / 4).max()
         assert norm_oracle == pytest.approx(1.0625, abs=1e-6)  # attained at w=2
         s = sample_level_curve(Interval(), 2.0, 256)
-        sol = solve_chebyshev(s, 2, SolveOptions(tol_rel=1e-4, max_iter=4000, adapt=False))
+        sol = solve_chebyshev(s, 2, SolveOptions(tol_rel=1e-4, max_iter=4000))
         np.testing.assert_allclose(sol.polynomial.coeffs, [-0.5, 0, 1], atol=1e-9)
         assert sol.sup_norm == pytest.approx(1.0625, rel=1e-9)
 
@@ -90,18 +90,18 @@ class TestSolveChebyshev:
 
     def test_unconverged_flagged_not_hidden(self):
         s = sample_level_curve(Interval(), 2.0, 256)
-        sol = solve_chebyshev(s, 2, SolveOptions(tol_rel=1e-14, max_iter=5, adapt=False))
+        sol = solve_chebyshev(s, 2, SolveOptions(tol_rel=1e-14, max_iter=5))
         assert not sol.converged
         assert sol.iterations == 5
 
     def test_weights_sum_to_one(self):
         s = sample_level_curve(Interval(), 2.0, 128)
-        sol = solve_chebyshev(s, 3, SolveOptions(tol_rel=1e-4, max_iter=500, adapt=False))
+        sol = solve_chebyshev(s, 3, SolveOptions(tol_rel=1e-4, max_iter=500))
         assert sol.weights.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_sup_norm_consistent_with_polynomial(self):
         s = sample_level_curve(BERNOULLI, 2.0, 128)
-        sol = solve_chebyshev(s, 3, SolveOptions(tol_rel=1e-4, max_iter=2000, adapt=False))
+        sol = solve_chebyshev(s, 3, SolveOptions(tol_rel=1e-4, max_iter=2000))
         recomputed = np.abs(sol.polynomial(s.points)).max()
         assert sol.sup_norm == pytest.approx(recomputed, rel=1e-12)
 
@@ -109,7 +109,7 @@ class TestSolveChebyshev:
         # converged sup norm between the capacity floor and the Faber ceiling
         for fam, r, n in ((Circle(1.0), 2.0, 4), (BERNOULLI, 2.0, 4), (BERNOULLI, 4.0, 3)):
             s = sample_level_curve(fam, r, 512)
-            sol = solve_chebyshev(s, n, SolveOptions(tol_rel=3e-4, max_iter=8000, adapt=False))
+            sol = solve_chebyshev(s, n, SolveOptions(tol_rel=3e-4, max_iter=8000))
             assert sol.converged
             fhat = monic_faber(phi_series(fam, n + 1), n)
             faber_sup = np.abs(fhat(s.points)).max()
@@ -121,7 +121,7 @@ class TestSolveChebyshev:
         rng = np.random.default_rng(9)
         pts = rng.standard_normal(64) + 1j * rng.standard_normal(64)
         n, scale = 4, 2.0
-        opts = SolveOptions(tol_rel=1e-8, max_iter=3000, adapt=False)
+        opts = SolveOptions(tol_rel=1e-8, max_iter=3000)
         a = chebyshev_on_points(pts, n, opts)
         b = chebyshev_on_points(scale * pts, n, opts)
         factors = scale ** (n - np.arange(n + 1))
@@ -130,12 +130,27 @@ class TestSolveChebyshev:
         )
         assert b.sup_norm == pytest.approx(a.sup_norm * scale ** n, rel=1e-9)
 
-    def test_adaptive_refinement_stabilizes(self):
-        s = sample_level_curve(Circle(1.0), 2.0, 64)
-        sol = solve_chebyshev(s, 3, SolveOptions(tol_rel=1e-10, max_iter=50, adapt=True))
+    def test_exchange_reaches_the_curve_sup(self):
+        # at the default settings no maximum of |p| on the curve exceeds the
+        # reported sup by more than the tolerance
+        s = sample_level_curve(BERNOULLI, 1.2, 512)
+        sol = solve_chebyshev(s, 3)
         assert sol.converged
-        assert sol.sup_norm == pytest.approx(8.0, rel=1e-12)
-        assert len(sol.weights) == 128  # one confirming refinement
+        fine = sample_level_curve(BERNOULLI, 1.2, 2 ** 16).points
+        assert np.abs(sol.polynomial(fine)).max() <= sol.sup_norm * (1 + 2e-10)
+
+    def test_exchange_cap_clears_converged(self, monkeypatch):
+        # one re-solve leaves this case above the tolerance on the curve
+        monkeypatch.setattr(minimax, "_EXCHANGE_ROUNDS", 1)
+        sol = solve_chebyshev(sample_level_curve(BERNOULLI, 1.2, 512), 3)
+        assert sol.equioscillation_gap <= SolveOptions().tol_rel
+        assert not sol.converged
+
+    def test_sample_doubling_refused(self):
+        # the field stays only for callers that pass adapt=False
+        assert SolveOptions(adapt=False) == SolveOptions()
+        with pytest.raises(ValueError):
+            SolveOptions(adapt=True)
 
     def test_cvxpy_cross_check(self):
         cp = pytest.importorskip("cvxpy")
@@ -150,7 +165,7 @@ class TestSolveChebyshev:
         t = cp.Variable()
         prob = cp.Problem(cp.Minimize(t), [cp.abs(V @ x + y) <= t])
         prob.solve(solver=cp.CLARABEL)
-        sol = chebyshev_on_points(pts, n, SolveOptions(tol_rel=1e-12, max_iter=200000, adapt=False))
+        sol = chebyshev_on_points(pts, n, SolveOptions(tol_rel=1e-12, max_iter=200000))
         # independent solvers agree on the optimal value and the coefficients
         assert sol.sup_norm == pytest.approx(float(t.value), rel=5e-7)
         oracle_sup = float(t.value)
@@ -165,9 +180,9 @@ class TestSolveChebyshev:
     @pytest.mark.parametrize(
         "family, n, r, opts",
         [
-            (Interval(), 4, 1.5, SolveOptions(1e-8, 600, adapt=False)),
-            (BERNOULLI, 5, 4.0, SolveOptions(1e-10, 600, adapt=False)),
-            (BERNOULLI, 21, 1.05, SolveOptions(1e-10, 600, adapt=False)),
+            (Interval(), 4, 1.5, SolveOptions(1e-8, 600)),
+            (BERNOULLI, 5, 4.0, SolveOptions(1e-10, 600)),
+            (BERNOULLI, 21, 1.05, SolveOptions(1e-10, 600)),
         ],
     )
     def test_certificate_converges_in_few_steps(self, family, n, r, opts):
@@ -186,13 +201,13 @@ class TestDiscreteVersusCurve:
     SAMPLE = sample_level_curve(Interval(), 1.5, 512)
 
     def test_discrete_optimum_undercuts_curve_optimum(self):
-        sol = chebyshev_on_points(self.SAMPLE.points, 3, SolveOptions(1e-10, 600, adapt=False))
+        sol = chebyshev_on_points(self.SAMPLE.points, 3, SolveOptions(1e-10, 600))
         t3_sup = np.abs(monic_classical_chebyshev(3)(self.SAMPLE.points)).max()
         assert sol.converged
         assert sol.sup_norm <= t3_sup * (1 - 1e-5)
 
     def test_curve_exchange_recovers_classical_polynomial(self):
-        sol = solve_chebyshev(self.SAMPLE, 3, SolveOptions(1e-8, 600, adapt=False))
+        sol = solve_chebyshev(self.SAMPLE, 3, SolveOptions(1e-8, 600))
         assert sol.converged
         dist = sol.polynomial.coefficient_distance(monic_classical_chebyshev(3))
         assert dist <= 1e-8
@@ -229,14 +244,14 @@ class TestKGonBracket:
     def test_sup_norm_inside_bracket(self, family, n, r):
         pts = sample_level_curve(family, r, self.M).points
         t_K = self.kgon_bound(pts, n, self.K)
-        sol = chebyshev_on_points(pts, n, SolveOptions(1e-10, 600, adapt=False))
+        sol = chebyshev_on_points(pts, n, SolveOptions(1e-10, 600))
         assert sol.converged
         assert t_K * (1 - 1e-9) <= sol.sup_norm <= t_K / np.cos(np.pi / self.K) * (1 + 1e-9)
 
 
 class TestPrecisionLimitedSolves:
     # solver knobs and grid of the criterion-9 trajectories
-    OPTS = SolveOptions(tol_rel=5e-4, max_iter=4000, adapt=False)
+    OPTS = SolveOptions(tol_rel=5e-4, max_iter=4000)
     LEVELS = np.geomspace(1.05, 8.0, 24)
 
     def test_flag_follows_the_rounding_budget(self):
@@ -283,19 +298,3 @@ class TestPrecisionLimitedSolves:
             assert sol.precision_limited
             dist = sol.polynomial.coefficient_distance(oracle)
             assert dist <= 1e-11 * np.abs(oracle.coeffs).max()
-
-
-class TestSupNormOnCurve:
-    def test_monomial_on_circle(self):
-        p = ComplexPolynomial([0, 0, 0, 1])
-        assert sup_norm_on_curve(p, Circle(1.0), 2.0, 256) == pytest.approx(8.0)
-
-    def test_generator_power_on_lemniscate(self):
-        p = ComplexPolynomial([-1.0, 0, 1.0])
-        for r in (1.5, 2.0, 4.0):
-            assert sup_norm_on_curve(p, BERNOULLI, r, 256) == pytest.approx(r ** 2)
-
-    def test_eval_size_contract(self):
-        p = ComplexPolynomial([0, 0, 0, 1])
-        with pytest.raises(ValueError):
-            sup_norm_on_curve(p, Circle(1.0), 2.0, 8)

@@ -108,6 +108,15 @@ class TestAllRoots:
         angles = np.angle(rs.roots)
         assert np.all(np.diff(angles) >= -1e-12)
 
+    def test_negative_real_axis_sorts_last(self):
+        # np.angle gives pi or -pi by the sign of a rounding-size imaginary
+        # part; the order must not depend on it
+        from equicheb.rootfind import _sort_roots
+
+        for noise in (1e-30, -1e-30, 0.0, -0.0):
+            ordered = _sort_roots(np.array([[complex(-2.0, noise), 2.0, 1j]]))
+            np.testing.assert_array_equal(ordered[0].real, [2.0, 0.0, -2.0])
+
     def test_residual_bound_invariant(self):
         rng = np.random.default_rng(23)
         for deg in (4, 9, 17):
