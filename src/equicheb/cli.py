@@ -234,6 +234,8 @@ def _check_args(args) -> None:
         args.family = _build_family(args)
     if getattr(args, "r_grid", None) is not None:
         args.r_grid = _parse_float_list(args.r_grid)
+        if not args.r_grid:
+            raise ValueError("--r-grid must give at least one level")
     if args.subcommand == "invariance":
         args.r = _parse_float_list(args.r)
         if len(args.r) != 2:
@@ -297,7 +299,7 @@ def _execute(args) -> dict:
         out["json"] = rep.to_json_dict()
         out["csv"] = rep.to_csv_rows()
     elif args.subcommand == "zeros":
-        grid = args.r_grid if args.r_grid else list(np.geomspace(1.05, 8.0, 100))
+        grid = list(np.geomspace(1.05, 8.0, 100)) if args.r_grid is None else args.r_grid
         rep = zero_trajectories(args.family, args.n, grid,
                                 opts=_solve_options(args), M=args.M)
         out["json"] = rep.to_json_dict()

@@ -286,48 +286,15 @@ def _map_points_dd(psi: LaurentSeriesAtInfinity, unit: dd.DD, r) -> dd.DD:
 # -- sampling ----------------------------------------------------------------
 
 
-def _dedup(points: np.ndarray, thetas: np.ndarray):
-    """Drop near-coincident points (pairwise distance <= 1e-12 * diameter).
-
-    Greedy in real-part order: a point is dropped by the first kept point
-    close to it.  Points within tol of each other are within tol in real
-    part, so pairing each sorted point with its k-th successor, for k = 1,
-    2, ... until no such pair is within tol in real part, finds every close
-    pair.
-    """
-    n = len(points)
-    if n < 2:
-        return points, thetas
-    span = max(
-        float(points.real.max() - points.real.min()),
-        float(points.imag.max() - points.imag.min()),
-    )
-    tol = 1e-12 * max(span, 1e-300)
-    order = np.argsort(points.real, kind="stable")
-    zs = points[order]
-    pairs = []
-    for k in range(1, n):
-        near = zs.real[k:] - zs.real[:-k] <= tol
-        if not near.any():
-            break
-        first = np.flatnonzero(near & (np.abs(zs[k:] - zs[:-k]) <= tol))
-        pairs.extend(zip(first, first + k))
-    kept = np.ones(n, dtype=bool)
-    for i, j in sorted(pairs):
-        if kept[i]:
-            kept[j] = False
-    keep = np.empty(n, dtype=bool)
-    keep[order] = kept
-    return points[keep], thetas[keep]
-
-
 def sample_level_curve(f: CurveFamily, r: float, M: int) -> CurveSample:
     """m * ceil(M/m) points covering L_r, m = deg P (M for the circle, the
     interval and explicit maps, where P = z).
 
     Solves P(z) = psi(r^m exp(i*m*theta_j)) per angle, all m roots per
-    target, deterministic ordering (theta-major, solver root order minor).
-    Points are deduplicated.
+    target, deterministic ordering (theta-major, solver root order minor),
+    so each angle is repeated m times in ``thetas``.  Coincident roots,
+    at a critical value of P, are kept: every sample has exactly
+    m * ceil(M/m) points.
     """
     if not 1.0 < r < np.inf:
         raise ValueError("level r must be finite and exceed 1")
@@ -339,8 +306,8 @@ def sample_level_curve(f: CurveFamily, r: float, M: int) -> CurveSample:
     thetas = 2.0 * np.pi * np.arange(J) / (m * J)
     targets = psi.evaluate(r ** m * np.exp(1j * m * thetas))
     points = roots_after_constant_shifts(P, targets).ravel()
-    points, thetas = _dedup(points, np.repeat(thetas, m))
-    return CurveSample(r=float(r), points=points, family=f, thetas=thetas, grid_size=m * J)
+    return CurveSample(r=float(r), points=points, family=f, thetas=np.repeat(thetas, m),
+                       grid_size=m * J)
 
 
 def sample_points_dd(sample: CurveSample) -> dd.DD:

@@ -367,24 +367,6 @@ def widom_experiment(
 # ---------------------------------------------------------------------------
 
 
-def _roots_soft(p: ComplexPolynomial, tol: float) -> Optional[RootSet]:
-    """all_roots, accepting the best iterate near multiple roots.
-
-    At a multiple root the correction-based certificate cannot pass a tight
-    tolerance (evaluation noise is amplified by the vanishing derivative),
-    but the best iterate is still accurate to about sqrt(eps); accept it
-    when the residuals meet the converged-quality bound, else give up.
-    """
-    try:
-        return all_roots(p, tol)
-    except RootFindingError as e:
-        scale = max(1.0, float(np.abs(e.best_roots).max()))
-        bound = 1e-8 * max(1.0, float(np.abs(p.coeffs).max())) * scale ** p.degree
-        if e.residuals is not None and e.residuals.max() <= bound:
-            return RootSet(e.best_roots, e.residuals, iterations=-1)  # sorted by all_roots
-        return None
-
-
 def greedy_bijective_match(a: np.ndarray, b: np.ndarray):
     """Bijective matching of equal-length point sets, greedy on sorted
     pairwise distances.  Returns (perm, distances): b[perm[i]] matches a[i]."""
@@ -453,7 +435,6 @@ def zero_trajectories(
     r_grid: Sequence[float],
     opts: SolveOptions = SolveOptions(),
     M: int | None = None,
-    root_tol: float = 1e-12,
 ) -> TrajectorySet:
     """Track the zeros of the level-curve Chebyshev polynomials across r.
 
@@ -461,7 +442,8 @@ def zero_trajectories(
     bijective nearest-neighbor matching between consecutive root sets.  A
     matching step whose displacement exceeds a quarter of the minimal
     inter-root gap is flagged (grid too coarse there), not fatal.
-    Unconverged solves leave gaps.  The terminal root set is compared
+    Unconverged solves, and levels whose roots the root finder cannot
+    certify, leave gaps.  The terminal root set is compared
     against the roots of the monic Faber polynomial.  ``precision_limited``
     marks the levels whose solves double precision could not resolve and
     which were refined in double-double (see ``solve_chebyshev``).
@@ -475,7 +457,12 @@ def zero_trajectories(
         sample = _experiment_sample(f, r, n, M)
         sol = solve_chebyshev(sample, n, opts)
         limited[i] = sol.precision_limited
-        rs = _roots_soft(sol.polynomial, root_tol) if sol.converged else None
+        rs = None
+        if sol.converged:
+            try:
+                rs = all_roots(sol.polynomial)
+            except RootFindingError:
+                pass  # a gap, as for an unconverged solve
         root_sets.append(rs)
         if rs is None:
             continue
@@ -496,9 +483,10 @@ def zero_trajectories(
         min_gap = float(gaps.min())
         flagged[s - 1] = bool(dists.max() > 0.25 * min_gap)
     fhat = faber_basis(f, n)[n]
-    faber_roots = _roots_soft(fhat, root_tol)
-    if faber_roots is None:
-        raise ExperimentError("could not locate the Faber polynomial roots", n=n)
+    try:
+        faber_roots = all_roots(fhat)
+    except RootFindingError as e:
+        raise ExperimentError("could not locate the Faber polynomial roots", n=n) from e
     _, terminal = greedy_bijective_match(traj[:, -1], faber_roots.roots)
     return TrajectorySet(
         family=f,

@@ -88,7 +88,6 @@ class MinimaxSolution:
     converged: bool
     equioscillation_gap: float
     basis_center: complex
-    basis_scale: float
     precision_limited: bool = False
 
     def to_json_dict(self, n: int | None = None, r: float | None = None) -> dict:
@@ -393,7 +392,6 @@ def chebyshev_on_points(points, n: int, opts: SolveOptions | None = None) -> Min
         converged=converged,
         equioscillation_gap=float(gap),
         basis_center=center,
-        basis_scale=scale,
     )
 
 

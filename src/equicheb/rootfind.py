@@ -8,8 +8,14 @@ it produces exactly the same iterates as solving one at a time).
 Aberth starts at the eigenvalues of each polynomial's companion matrix,
 which are backward stable (Edelman & Murakami 1995), spread apart by a
 tiny fixed offset so that multiple roots do not start coincident; from
-there it polishes simple roots in two or three steps (Bini 1996) and
-certifies every root by its stopping rule.
+there it polishes simple roots in two or three steps (Bini 1996).  A root
+set is certified either when every Newton correction is below the
+tolerance or, from the second step on, when every root has a backward
+error at rounding level: |p(z)| <= 4 (deg+1) eps sum_k |a_k| |z|^k, the
+running error bound of Horner's rule (Higham 2002, section 5.1).  The
+second test is what finishes multiple roots, where the corrections are
+rounding noise of size about eps^(1/k) and never all fall below a tight
+tolerance in one step.
 """
 
 from __future__ import annotations
@@ -27,15 +33,12 @@ _ANGLE_OFFSET = 0.5 * np.sqrt(2.0)
 # relative radius of the spread; Aberth's pair sums need distinct starts
 _SPREAD = 1e-8
 _MAX_ITER = 500
+# Newton-correction tolerance, relative to 1 + |root|
+_TOL = 1e-12
 
 
 class RootFindingError(RuntimeError):
-    """Iteration budget exhausted; carries the best iterate found."""
-
-    def __init__(self, message, best_roots=None, residuals=None):
-        super().__init__(message)
-        self.best_roots = best_roots
-        self.residuals = residuals
+    """Iteration budget exhausted before either certificate passed."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -87,21 +90,27 @@ def _sort_roots(roots: np.ndarray) -> np.ndarray:
     return np.take_along_axis(roots, order, axis=-1)
 
 
-def _aberth_batch(coeff_rows: np.ndarray, tol: float, max_iter: int = _MAX_ITER):
+def _aberth_batch(coeff_rows: np.ndarray, tol: float):
     """Aberth-Ehrlich on a batch of same-degree polynomials (rows ascending).
 
     Returns (roots, iterations, converged_mask); rows iterate independently
-    but in lockstep, frozen once their corrections pass the tolerance.
+    but in lockstep, for at most _MAX_ITER steps.  A row is frozen at its
+    corrected iterate once every correction is below tol*(1+|z|).  From the
+    second step on (the first always moves the spread start), a row that
+    misses this test is frozen at the iterate it was evaluated at once every
+    root there has a backward error at rounding level (module docstring);
+    the bound is formed only for those rows.
     """
     z = _initial_guesses(coeff_rows)  # rejects non-finite input before any arithmetic
     rows, width = coeff_rows.shape
     deg = width - 1
     deriv = coeff_rows[:, 1:] * np.arange(1, width)
+    backward = 4.0 * width * np.finfo(float).eps
 
     active = np.ones(rows, dtype=bool)
     iterations = np.zeros(rows, dtype=int)
 
-    for it in range(max_iter):
+    for it in range(_MAX_ITER):
         if not active.any():
             break
         za = z[active]
@@ -122,9 +131,18 @@ def _aberth_batch(coeff_rows: np.ndarray, tol: float, max_iter: int = _MAX_ITER)
         denom = 1.0 - newton * pair_sum
         with np.errstate(divide="ignore", invalid="ignore"):
             corr = np.where(denom != 0, newton / np.where(denom == 0, 1, denom), newton)
-        za = za - corr
-        z[active] = za
-        done = np.all(np.abs(corr) < tol * (1.0 + np.abs(za)), axis=1)
+        znew = za - corr
+        done = np.all(np.abs(corr) < tol * (1.0 + np.abs(znew)), axis=1)
+        if it > 0 and not done.all():
+            rest = np.flatnonzero(~done)
+            modulus = np.abs(za[rest])
+            bound = np.zeros_like(modulus)
+            for k in range(width - 1, -1, -1):
+                bound = bound * modulus + np.abs(ca[rest, k])[:, None]
+            held = rest[np.all(np.abs(pv[rest]) <= backward * bound, axis=1)]
+            znew[held] = za[held]
+            done[held] = True
+        z[active] = znew
         iterations[active] += 1
         flags = np.flatnonzero(active)
         active[flags[done]] = False
@@ -138,15 +156,16 @@ def _residuals(coeffs: np.ndarray, roots: np.ndarray) -> np.ndarray:
     return np.abs(pv)
 
 
-def all_roots(p: ComplexPolynomial, tol: float = 1e-12) -> RootSet:
+def all_roots(p: ComplexPolynomial, tol: float = _TOL) -> RootSet:
     """All complex roots of p by simultaneous Aberth-Ehrlich iteration.
 
     Iteration starts at the companion-matrix eigenvalues, spread by a
     tiny fixed offset, and stops when every Newton correction falls below
-    tol*(1+|root|).  Deterministic for fixed (p, tol).  Raises ValueError
-    for a coefficient, or a coefficient divided by the leading one, that
-    is not finite, and RootFindingError (carrying the best iterate) if the
-    budget runs out.
+    tol*(1+|root|) or every root has a backward error at rounding level
+    (module docstring); multiple roots stop by the second test.
+    Deterministic for fixed (p, tol).  Raises ValueError for a coefficient,
+    or a coefficient divided by the leading one, that is not finite, and
+    RootFindingError if the budget runs out.
     """
     coeffs = np.asarray(p.coeffs, dtype=complex)
     deg = p.degree
@@ -159,20 +178,13 @@ def all_roots(p: ComplexPolynomial, tol: float = 1e-12) -> RootSet:
         root = np.array([-coeffs[0] / coeffs[1]])
         return RootSet(root, _residuals(coeffs, root), iterations=0)
     z, iters, conv = _aberth_batch(coeffs[None, :], tol)
-    roots = _sort_roots(z[0])
-    res = _residuals(coeffs, roots)
     if not conv[0]:
-        raise RootFindingError(
-            f"no convergence within {_MAX_ITER} iterations (degree {deg})",
-            best_roots=roots,
-            residuals=res,
-        )
-    return RootSet(roots, res, iterations=int(iters[0]))
+        raise RootFindingError(f"no convergence within {_MAX_ITER} iterations (degree {deg})")
+    roots = _sort_roots(z[0])
+    return RootSet(roots, _residuals(coeffs, roots), iterations=int(iters[0]))
 
 
-def roots_after_constant_shifts(
-    base: ComplexPolynomial, targets: np.ndarray, tol: float = 1e-12
-):
+def roots_after_constant_shifts(base: ComplexPolynomial, targets: np.ndarray):
     """Roots of base(z) = target for every target, batched.
 
     Level-curve samplers call this once per curve; rows keep the solver's
@@ -187,12 +199,10 @@ def roots_after_constant_shifts(
         _monic_rows(rows)
         c0, c1 = base.coeffs
         return ((targets - c0) / c1)[:, None]
-    z, iters, conv = _aberth_batch(rows, tol)
+    z, _, conv = _aberth_batch(rows, _TOL)
     if not conv.all():
         bad = int(np.flatnonzero(~conv)[0])
         raise RootFindingError(
-            f"no convergence for target index {bad} within {_MAX_ITER} iterations",
-            best_roots=z[bad],
-            residuals=_residuals(rows[bad], z[bad]),
+            f"no convergence for target index {bad} within {_MAX_ITER} iterations"
         )
     return _sort_roots(z)

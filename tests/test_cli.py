@@ -170,6 +170,17 @@ class TestZerosCommand:
         assert max(rep["terminal_distances"]) < 1e-4
 
 
+    @pytest.mark.parametrize("grid", ["", ","], ids=["empty", "comma"])
+    def test_empty_grid_refused(self, tmp_path, capsys, grid):
+        # an empty list must not fall back to the 100-level default grid
+        out = tmp_path / "out"
+        argv = ["zeros", "--family", "lemniscate", "--P", "1,0,-1", "--n", "2",
+                "--M", "64", "--r-grid", grid, "-o", str(out)]
+        assert run(argv) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+
 class TestRivlinCommand:
     def test_rivlin_json(self, tmp_path):
         code = run([

@@ -274,6 +274,16 @@ class TestSampling:
         s = sample_level_curve(BERNOULLI, 2.0, 7)  # 2*ceil(7/2) = 8
         assert s.size == 8
 
+    def test_critical_level_keeps_the_double_root(self):
+        # 0.5 |z^2 - 1| = r^2 / 2 passes through the critical point 0 at
+        # r = sqrt(2): the theta = pi/2 row solves z^2 = 0 (up to rounding)
+        # and both of its roots stay in the sample
+        f = Lemniscate(ComplexPolynomial([-1.0, 0.0, 1.0]), 0.5)
+        s = sample_level_curve(f, np.sqrt(2.0), 64)
+        assert s.size == s.grid_size == 64
+        np.testing.assert_array_equal(s.thetas, np.repeat(np.pi * np.arange(32) / 32, 2))
+        assert np.sum(np.abs(s.points) < 1e-6) == 2
+
     def test_phi_value_consistency(self):
         # |phi(z_j)| = r within 1e-9 r, checked through the series where it
         # converges comfortably (|z| >= 1.55; small-r interval points sit
@@ -293,62 +303,6 @@ class TestSampling:
         np.fill_diagonal(d, np.inf)
         span = np.abs(s.points[:, None] - s.points[None, :]).max()
         assert d.min() > 1e-12 * span
-
-    def test_dedup_drops_coincident_points(self):
-        from equicheb.curves import _dedup
-
-        pts = np.array([1.0 + 1.0j, 2.0, 1.0 + 1.0j, 3.0j, 2.0 + 1e-16j])
-        thetas = np.arange(5.0)
-        out, th = _dedup(pts, thetas)
-        assert len(out) == 3
-        d = np.abs(out[:, None] - out[None, :])
-        np.fill_diagonal(d, np.inf)
-        assert d.min() > 0
-
-    def test_dedup_is_greedy_in_real_part_order(self):
-        from equicheb.curves import _dedup
-
-        t = 1e-12  # the points span 1 in both directions, so tol = t
-        pts = np.array([
-            0.5 + 0.6 * t + 0.5j,  # b: close to a and c; a is kept, so b goes
-            0.5 + 1.2 * t + 0.5j,  # c: 1.2 t from a, kept
-            0.5 + 0.5j,  # a
-            0.2 + 0.9 * t + 0.2j,  # f: close to d, two places after it by real part
-            0.2 + 0.5 * t + 0.9j,  # e: between d and f by real part, far from both
-            0.2 + 0.2j,  # d
-            0.2 + 1.5 * t + 0.2j,  # g: close to f only; f is dropped by d, so g stays
-            0.0,
-            1.0 + 1.0j,
-        ])
-        out, th = _dedup(pts, np.arange(9.0))
-        assert th.tolist() == [1.0, 2.0, 4.0, 5.0, 6.0, 7.0, 8.0]
-        assert out.tobytes() == pts[[1, 2, 4, 5, 6, 7, 8]].tobytes()
-
-    def test_dedup_matches_greedy_sweep(self):
-        # clusters of near-coincident points, some chained (a-b and b-c
-        # close, a-c not), against the point-by-point greedy sweep
-        from equicheb.curves import _dedup
-
-        rng = np.random.default_rng(5)
-        centers = rng.standard_normal(40) + 1j * rng.standard_normal(40)
-        span = max(np.ptp(centers.real), np.ptp(centers.imag))
-        # steps of 0.7 tol: each point is close to its neighbours only
-        steps = 0.7e-12 * span * np.exp(2j * np.pi * rng.random(40))
-        pts = (centers[:, None] + steps[:, None] * np.arange(4)).ravel()
-        pts = np.concatenate([pts, np.conj(pts[:40])])[rng.permutation(200)]
-        tol = 1e-12 * max(np.ptp(pts.real), np.ptp(pts.imag))
-        order = np.argsort(pts.real, kind="stable")
-        keep = np.ones(len(pts), dtype=bool)
-        for i, a in enumerate(order):
-            for b in order[i + 1 :]:
-                if pts.real[b] - pts.real[a] > tol:
-                    break
-                if keep[a] and abs(pts[a] - pts[b]) <= tol:
-                    keep[b] = False
-        out, th = _dedup(pts, np.arange(200.0))
-        assert 0 < keep.sum() < 200
-        assert out.tobytes() == pts[keep].tobytes()
-        assert th.tobytes() == np.flatnonzero(keep).astype(float).tobytes()
 
     def test_nesting_by_winding_number(self):
         # the r1 sample lies inside the Jordan curve through the r2 sample

@@ -191,6 +191,40 @@ class TestTrajectories:
         assert len(rep.root_sets) == 4
         assert all(rs is not None for rs in rep.root_sets)
 
+    def test_triple_faber_roots_certified(self):
+        # F_6 = (z^2 - 1)^3 and T_6 on every level: triple roots at +-1,
+        # certified by the root finder's backward-error test in a few steps
+        rep = zero_trajectories(BERNOULLI, 6, [2.0, 4.0], opts=FAST, M=128)
+        assert 1 <= rep.faber_roots.iterations <= 3
+        assert all(1 <= rs.iterations <= 3 for rs in rep.root_sets)
+        assert rep.terminal_distances.max() < 1e-3
+
+    def test_root_finder_failure(self, monkeypatch):
+        # a level whose roots cannot be certified is a gap; the Faber roots
+        # are required
+        from equicheb import experiments
+        from equicheb.rootfind import RootFindingError, all_roots
+
+        calls = []
+
+        def failing_on(k):
+            def find(p):
+                calls.append(p)
+                if len(calls) == k:
+                    raise RootFindingError("budget exhausted")
+                return all_roots(p)
+            return find
+
+        monkeypatch.setattr(experiments, "all_roots", failing_on(2))
+        rep = zero_trajectories(BERNOULLI, 2, [1.5, 2.0, 3.0], opts=FAST, M=128)
+        assert rep.root_sets[1] is None
+        assert rep.successful_r.tolist() == [1.5, 3.0]
+        calls.clear()
+        monkeypatch.setattr(experiments, "all_roots", failing_on(4))
+        with pytest.raises(ExperimentError, match="Faber") as exc:
+            zero_trajectories(BERNOULLI, 2, [1.5, 2.0, 3.0], opts=FAST, M=128)
+        assert isinstance(exc.value.__cause__, RootFindingError)
+
     def test_default_settings_converge_at_low_levels(self):
         # criterion 9's two lowest levels, where T_21 is hardest to certify:
         # the default tolerance 1e-10 is reached there too
