@@ -14,12 +14,9 @@ from .series import (
     LaurentSeriesAtInfinity,
     NotMonicError,
     faber_basis_expand,
-    faber_polynomial,
+    faber_powers,
     faber_recurrence,
-    laurent_mul,
-    laurent_pow,
     monic_faber,
-    polynomial_part,
     series_power,
 )
 from .curves import (

@@ -23,9 +23,8 @@ from .series import (
     ComplexPolynomial,
     LaurentSeries,
     LaurentSeriesAtInfinity,
+    faber_powers,
     faber_recurrence,
-    laurent_mul,
-    monic_faber,
     series_power,
 )
 
@@ -100,9 +99,8 @@ class Interval:
     def map_of(self, P: ComplexPolynomial, n_terms: int) -> LaurentSeries:
         """Series at infinity of phi(P(z)) = P + sqrt(P^2 - 1), keeping
         n_terms coefficients down from the top power deg P."""
-        p_series = P.to_series()
-        p2 = laurent_mul(p_series, p_series) - LaurentSeries(0, [1.0], exact=True)
-        return p_series + series_power(p2, (1, 2), n_terms)
+        p2 = (P * P - ComplexPolynomial([1.0])).to_series()
+        return P.to_series() + series_power(p2, (1, 2), n_terms)
 
 
 @dataclass(frozen=True, eq=False)
@@ -268,11 +266,11 @@ def faber_basis(f: CurveFamily, n: int) -> list[ComplexPolynomial]:
 
     Families that carry psi (circle, interval, an explicit map given psi)
     take them from the Faber recurrence on psi; root families and an
-    explicit map given phi from the powers of phi_series(f, n + 1).
+    explicit map given phi from the powers of phi.  Either way Fhat_n needs
+    the map's series to depth n - 1.
     """
     if isinstance(f, _ROOT_FAMILIES) or f.psi is None:
-        phi = phi_series(f, n + 1)
-        return [monic_faber(phi, k) for k in range(n + 1)]
+        return faber_powers(phi_series(f, max(n - 1, 0)), n)
     return faber_recurrence(f.psi, n)
 
 

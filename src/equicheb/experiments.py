@@ -15,10 +15,9 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .curves import (
-    Circle,
     CurveFamily,
     CurveSample,
-    Interval,
+    ExplicitMap,
     InversePolynomialImage,
     Lemniscate,
     capacity_leading_coefficient,
@@ -238,22 +237,6 @@ class InvarianceReport:
         return d
 
 
-def _invariance_oracle(f: CurveFamily, n: int) -> Optional[ComplexPolynomial]:
-    if isinstance(f, Circle):
-        coeffs = np.zeros(n + 1, dtype=complex)
-        coeffs[n] = 1.0
-        return ComplexPolynomial(coeffs)
-    if isinstance(f, Interval):
-        return monic_classical_chebyshev(n)
-    if isinstance(f, Lemniscate) and n % f.P.degree == 0:
-        power = n // f.P.degree
-        out = np.array([1.0], dtype=complex)
-        for _ in range(power):
-            out = np.convolve(out, f.P.coeffs)
-        return ComplexPolynomial(out)
-    return None
-
-
 def invariance_experiment(
     f: CurveFamily,
     n: int,
@@ -261,8 +244,9 @@ def invariance_experiment(
     opts: SolveOptions = SolveOptions(),
     M: int | None = None,
 ) -> InvarianceReport:
-    """Solve at two levels and compare; attach the closed-form oracle where
-    one exists (circles, lemniscates at multiples of deg P, the interval).
+    """Solve at two levels and compare; attach the monic Faber polynomial
+    Fhat_n as the oracle, the level-independent T_n the invariance theorems
+    give (none for an explicit map, about which they say nothing).
 
     For lemniscate-type families with n not a multiple of deg P the
     invariance theorems make no claim and the report says so instead of
@@ -280,7 +264,7 @@ def invariance_experiment(
             )
         polys.append(sol.polynomial)
     dist = polys[0].coefficient_distance(polys[1])
-    oracle = _invariance_oracle(f, n)
+    oracle = None if isinstance(f, ExplicitMap) else faber_basis(f, n)[n]
     odist = None
     if oracle is not None:
         odist = (

@@ -398,7 +398,7 @@ def chebyshev_on_points(points, n: int, opts: SolveOptions | None = None) -> Min
 # curve exchange: re-solves with the maxima of |p| along L_r added, at most
 # this many times (a safety cap; the tolerance ends it); the maxima near
 # active points (weights above _ACTIVE_WEIGHT of the largest) are placed by
-# secant steps on d|p|^2/dtheta
+# secant steps on d|p|^2/dtheta, safeguarded by a bracket
 _EXCHANGE_ROUNDS = 16
 _ACTIVE_WEIGHT = 1e-3
 _SECANT_STEPS = 8
@@ -406,23 +406,53 @@ _SECANT_STEPS = 8
 
 def _curve_maxima(p: ComplexPolynomial, sample: CurveSample, thetas, points):
     """Angles and points of the maxima of |p| along the curve within one grid
-    step of the given angles (points there).  Secant steps on the slope of
-    |p|^2 place them to rounding, which comparing values of |p| cannot: they
-    are flat to eps over about sqrt(eps) of angle."""
+    step uphill of the given angles (points there).
+
+    The sign of the slope of |p|^2 at each angle picks the step [theta,
+    theta + h] or [theta - h, theta] that |p| climbs into.  Where the slope
+    turns downhill by the step's end it brackets a maximum, and secant
+    steps on the slope, started from theta - h and theta + h, place it to
+    rounding, which comparing values of |p| cannot: they are flat to eps
+    over about sqrt(eps) of angle.  A secant step that does not land
+    strictly inside theta +- h is replaced by regula falsi on the bracket,
+    or by bisection where that lands on an end of it: the secant stays put
+    at an end where the slope is exactly zero, as at a symmetry angle where
+    |p| has a minimum.  Elsewhere the step's end is the highest point of
+    the step.
+    """
     dp = p.derivative()
 
-    def slope(th):
-        z, dz = points_at_angles(sample.family, sample.r, th, points)
+    def slope(th, near):
+        z, dz = points_at_angles(sample.family, sample.r, th, near)
         return z, (np.conj(p(z)) * dp(z) * dz).real
 
-    lo, hi = thetas - 2.0 * np.pi / sample.grid_size, thetas + 2.0 * np.pi / sample.grid_size
-    (_, g_prev), (z, g), prev, cur = slope(lo), slope(hi), lo, hi
+    h = 2.0 * np.pi / sample.grid_size
+    _, g = slope(thetas, points)
+    (z_lo, g_lo), (z_hi, g_hi) = slope(thetas - h, points), slope(thetas + h, points)
+    up = np.where(g < 0, -1.0, 1.0)
+    ends = thetas + up * h
+    z = np.where(up > 0, z_hi, z_lo)
+    # the uphill slope up * g falls from fa > 0 at a to fb <= 0 at b
+    fa, fb = up * g, up * np.where(up > 0, g_hi, g_lo)
+    turn = np.flatnonzero((fa > 0) & (fb <= 0))
+    if not len(turn):
+        return ends, z
+    start, up, near = thetas[turn], up[turn], points[turn]
+    a, fa, b, fb = start, fa[turn], ends[turn], fb[turn]
+    prev, g_prev, cur, g = start - h, g_lo[turn], start + h, g_hi[turn]
     for _ in range(_SECANT_STEPS):
         dg = g - g_prev
-        nxt = np.clip(cur - g * (cur - prev) / np.where(dg != 0, dg, 1.0), lo, hi)
-        prev, g_prev, cur = cur, g, np.where(dg != 0, nxt, cur)
-        z, g = slope(cur)
-    return cur, z
+        nxt = np.where(dg != 0, cur - g * (cur - prev) / np.where(dg != 0, dg, 1.0), cur)
+        falsi = (a * fb - b * fa) / (fb - fa)
+        falsi = np.where((falsi - a) * (falsi - b) < 0, falsi, 0.5 * (a + b))
+        prev, g_prev = cur, g
+        cur = np.where(np.abs(nxt - start) < h, nxt, falsi)
+        z_cur, g = slope(cur, near)
+        rise = up * g > 0
+        a, fa = np.where(rise, cur, a), np.where(rise, up * g, fa)
+        b, fb = np.where(rise, b, cur), np.where(rise, fb, up * g)
+    ends[turn], z[turn] = cur, z_cur
+    return ends, z
 
 
 def solve_chebyshev(

@@ -35,6 +35,10 @@ _SPREAD = 1e-8
 _MAX_ITER = 500
 # Newton-correction tolerance, relative to 1 + |root|
 _TOL = 1e-12
+# angles this close above -pi count as pi: Aberth splits a k-fold root by
+# about (C eps)^(1/k), C the root's condition, so this covers the copies of
+# a double root; a triple root's may spread wider
+_NEGATIVE_AXIS = np.finfo(float).eps ** (1.0 / 3.0)
 
 
 class RootFindingError(RuntimeError):
@@ -82,20 +86,21 @@ def _initial_guesses(coeff_rows: np.ndarray) -> np.ndarray:
 
 def _sort_roots(roots: np.ndarray) -> np.ndarray:
     """Each row by angle in (-pi, pi], ties by modulus.  An angle within
-    rounding of -pi counts as pi, so that a root on the negative real axis
-    sorts last whatever the sign of its rounding-size imaginary part."""
+    _NEGATIVE_AXIS of -pi counts as pi, so that a root on the negative real
+    axis, or a copy of a multiple one split by rounding, sorts last
+    whatever the sign of its small imaginary part."""
     angle = np.angle(roots)
-    angle = np.where(angle < -np.pi + 4 * np.finfo(float).eps, np.pi, angle)
+    angle = np.where(angle < -np.pi + _NEGATIVE_AXIS, np.pi, angle)
     order = np.lexsort((np.abs(roots), angle), axis=-1)
     return np.take_along_axis(roots, order, axis=-1)
 
 
-def _aberth_batch(coeff_rows: np.ndarray, tol: float):
+def _aberth_batch(coeff_rows: np.ndarray):
     """Aberth-Ehrlich on a batch of same-degree polynomials (rows ascending).
 
     Returns (roots, iterations, converged_mask); rows iterate independently
     but in lockstep, for at most _MAX_ITER steps.  A row is frozen at its
-    corrected iterate once every correction is below tol*(1+|z|).  From the
+    corrected iterate once every correction is below _TOL*(1+|z|).  From the
     second step on (the first always moves the spread start), a row that
     misses this test is frozen at the iterate it was evaluated at once every
     root there has a backward error at rounding level (module docstring);
@@ -132,7 +137,7 @@ def _aberth_batch(coeff_rows: np.ndarray, tol: float):
         with np.errstate(divide="ignore", invalid="ignore"):
             corr = np.where(denom != 0, newton / np.where(denom == 0, 1, denom), newton)
         znew = za - corr
-        done = np.all(np.abs(corr) < tol * (1.0 + np.abs(znew)), axis=1)
+        done = np.all(np.abs(corr) < _TOL * (1.0 + np.abs(znew)), axis=1)
         if it > 0 and not done.all():
             rest = np.flatnonzero(~done)
             modulus = np.abs(za[rest])
@@ -156,14 +161,14 @@ def _residuals(coeffs: np.ndarray, roots: np.ndarray) -> np.ndarray:
     return np.abs(pv)
 
 
-def all_roots(p: ComplexPolynomial, tol: float = _TOL) -> RootSet:
+def all_roots(p: ComplexPolynomial) -> RootSet:
     """All complex roots of p by simultaneous Aberth-Ehrlich iteration.
 
     Iteration starts at the companion-matrix eigenvalues, spread by a
     tiny fixed offset, and stops when every Newton correction falls below
-    tol*(1+|root|) or every root has a backward error at rounding level
+    _TOL*(1+|root|) or every root has a backward error at rounding level
     (module docstring); multiple roots stop by the second test.
-    Deterministic for fixed (p, tol).  Raises ValueError for a coefficient,
+    Deterministic for fixed p.  Raises ValueError for a coefficient,
     or a coefficient divided by the leading one, that is not finite, and
     RootFindingError if the budget runs out.
     """
@@ -177,7 +182,7 @@ def all_roots(p: ComplexPolynomial, tol: float = _TOL) -> RootSet:
         _monic_rows(coeffs[None, :])
         root = np.array([-coeffs[0] / coeffs[1]])
         return RootSet(root, _residuals(coeffs, root), iterations=0)
-    z, iters, conv = _aberth_batch(coeffs[None, :], tol)
+    z, iters, conv = _aberth_batch(coeffs[None, :])
     if not conv[0]:
         raise RootFindingError(f"no convergence within {_MAX_ITER} iterations (degree {deg})")
     roots = _sort_roots(z[0])
@@ -199,7 +204,7 @@ def roots_after_constant_shifts(base: ComplexPolynomial, targets: np.ndarray):
         _monic_rows(rows)
         c0, c1 = base.coeffs
         return ((targets - c0) / c1)[:, None]
-    z, _, conv = _aberth_batch(rows, _TOL)
+    z, _, conv = _aberth_batch(rows)
     if not conv.all():
         bad = int(np.flatnonzero(~conv)[0])
         raise RootFindingError(

@@ -20,11 +20,8 @@ __all__ = [
     "LaurentSeriesAtInfinity",
     "ComplexPolynomial",
     "FaberExpansion",
-    "laurent_mul",
-    "laurent_pow",
     "series_power",
-    "polynomial_part",
-    "faber_polynomial",
+    "faber_powers",
     "monic_faber",
     "faber_recurrence",
     "faber_basis_expand",
@@ -79,17 +76,6 @@ class LaurentSeries:
             )
         return complex(self.coeffs[k - self.low])
 
-    def truncate(self, low: int) -> "LaurentSeries":
-        """Drop coefficients below z^low (window shrink, exactness given up)."""
-        if low <= self.low:
-            if self.exact and low < self.low:
-                pad = np.zeros(self.low - low, dtype=complex)
-                return LaurentSeries(low, np.concatenate([pad, self.coeffs]), exact=True)
-            return self
-        if low > self.top:
-            raise DepthExhaustionError("truncation would leave no coefficients")
-        return LaurentSeries(low, self.coeffs[low - self.low :], exact=False)
-
     def __add__(self, other: "LaurentSeries") -> "LaurentSeries":
         lo = min(self.low, other.low)
         if not self.exact:
@@ -106,76 +92,11 @@ class LaurentSeries:
                 out[a - lo : b - lo + 1] += s.coeffs[a - s.low : b - s.low + 1]
         return LaurentSeries(lo, out, exact=self.exact and other.exact)
 
-    def __sub__(self, other: "LaurentSeries") -> "LaurentSeries":
-        return self + (-other)
-
-    def __neg__(self) -> "LaurentSeries":
-        return LaurentSeries(self.low, -self.coeffs, exact=self.exact)
-
     def scale(self, factor: complex) -> "LaurentSeries":
         return LaurentSeries(self.low, self.coeffs * factor, exact=self.exact)
 
     def __repr__(self):
         return f"LaurentSeries(low={self.low}, top={self.top}, exact={self.exact})"
-
-
-def as_series(s) -> LaurentSeries:
-    if isinstance(s, LaurentSeries):
-        return s
-    if isinstance(s, LaurentSeriesAtInfinity):
-        return s.to_series()
-    raise TypeError(f"cannot interpret {type(s).__name__} as a Laurent series")
-
-
-def laurent_mul(a, b) -> LaurentSeries:
-    """Product of two series; output window = what both inputs can support.
-
-    With windows [la, ta] and [lb, tb] and unknown tails O(z^(la-1)),
-    O(z^(lb-1)), the product is exact on [max(la+tb, lb+ta), ta+tb];
-    exact inputs do not contaminate.
-    """
-    a, b = as_series(a), as_series(b)
-    top = a.top + b.top
-    lo = a.low + b.low
-    if not a.exact:
-        lo = max(lo, a.low + b.top)
-    if not b.exact:
-        lo = max(lo, b.low + a.top)
-    if lo > top:
-        raise DepthExhaustionError("product has no exactly-known coefficients")
-    conv = np.convolve(a.coeffs, b.coeffs)
-    # conv[i] is the coefficient of z^(a.low+b.low+i)
-    start = lo - (a.low + b.low)
-    return LaurentSeries(lo, conv[start:], exact=a.exact and b.exact)
-
-
-def laurent_pow(phi, n: int) -> LaurentSeries:
-    """n-th power of a series at infinity by binary exponentiation.
-
-    For a map series with depth m the result is exact on powers
-    z^(n-1-m) .. z^n, so the polynomial part of the result is exact as
-    soon as m >= n - 1; the contract below demands m >= n (one spare).
-    """
-    if n < 0:
-        raise ValueError("nonnegative exponent required")
-    if isinstance(phi, LaurentSeriesAtInfinity):
-        if not phi.exact and phi.depth < n:
-            raise DepthExhaustionError(
-                f"series depth {phi.depth} insufficient for exponent {n} (need >= n)"
-            )
-    s = as_series(phi)
-    if n == 0:
-        return LaurentSeries(0, [1.0], exact=True)
-    result = None
-    base = s
-    k = n
-    while k:
-        if k & 1:
-            result = base if result is None else laurent_mul(result, base)
-        k >>= 1
-        if k:
-            base = laurent_mul(base, base)
-    return result
 
 
 def series_power(s, exponent: tuple[int, int], n_terms: int) -> LaurentSeries:
@@ -186,7 +107,6 @@ def series_power(s, exponent: tuple[int, int], n_terms: int) -> LaurentSeries:
     recurrence for (1+v)^(p/m); m must divide p*T.  The result keeps n_terms
     coefficients down from its top power p*T/m; an inexact s must hold as many.
     """
-    s = as_series(s)
     p, m = exponent
     if (s.top * p) % m:
         raise ValueError("top power times the exponent must be an integer")
@@ -211,25 +131,6 @@ def series_power(s, exponent: tuple[int, int], n_terms: int) -> LaurentSeries:
     out_top = s.top * p // m
     coeffs = (float(lead.real) ** alpha) * g[::-1]
     return LaurentSeries(out_top - (n_terms - 1), coeffs, exact=False)
-
-
-def polynomial_part(s) -> "ComplexPolynomial":
-    """Coefficients of the nonnegative powers of a series.
-
-    Raises DepthExhaustionError if any nonnegative-power coefficient lies
-    in the unknown tail; silent zeros would corrupt Faber generation.
-    """
-    s = as_series(s)
-    if s.top < 0:
-        return ComplexPolynomial([0.0])
-    if s.low > 0 and not s.exact:
-        raise DepthExhaustionError(
-            f"nonnegative powers 0..{s.low - 1} are unknown (window starts at z^{s.low})"
-        )
-    coeffs = np.zeros(s.top + 1, dtype=complex)
-    a = max(0, s.low)
-    coeffs[a:] = s.coeffs[a - s.low :]
-    return ComplexPolynomial(coeffs)
 
 
 @dataclass(frozen=True, eq=False)
@@ -257,10 +158,6 @@ class LaurentSeriesAtInfinity:
     @property
     def depth(self) -> int:
         return len(self.tail) - 1
-
-    def to_series(self) -> LaurentSeries:
-        coeffs = np.concatenate([self.tail[::-1], [self.leading_coefficient]])
-        return LaurentSeries(-self.depth, coeffs, exact=self.exact)
 
     def evaluate(self, z):
         """c z + tail(1/z) at points z, the tail by Horner in 1/z."""
@@ -389,25 +286,36 @@ class ComplexPolynomial:
         return f"ComplexPolynomial(degree={self.degree})"
 
 
-def faber_polynomial(phi: LaurentSeriesAtInfinity, n: int) -> ComplexPolynomial:
-    """Polynomial part of the n-th power of the map series.
+def faber_powers(phi: LaurentSeriesAtInfinity, n: int) -> list[ComplexPolynomial]:
+    """Monic Faber polynomials Fhat_0 .. Fhat_n of the map
+    phi(z) = c z + a_0 + a_1/z + ..., the polynomial parts of (phi/c)^k.
 
-    Degree is exactly n with leading coefficient c^n.  Requires depth >= n
-    (raises DepthExhaustionError otherwise) so every retained coefficient
-    is exact.
+    Writing phi/(c z) = 1 + v(1/z) gives (phi/c)^k = z^k (1 + v)^k, so
+    Fhat_k is the first k + 1 coefficients of (1 + v)^k in 1/z, reversed;
+    one product per degree carries (1 + v)^k, truncated at 1/z^n, to the
+    next.  Exact for an exact phi at any degree.  Fhat_n needs
+    a_0 .. a_(n-1), so an inexact phi must reach depth n - 1.
     """
-    p = polynomial_part(laurent_pow(phi, n))
-    if p.degree != n:
-        raise AssertionError("power lost its leading term")  # c > 0 forbids this
-    return p
+    if n < 0:
+        raise ValueError("degree must be nonnegative")
+    need = max(n - 1, 0)
+    if not phi.exact and phi.depth < need:
+        raise DepthExhaustionError(
+            f"phi depth {phi.depth} cannot give the degree-{n} Faber polynomial "
+            f"(needs depth {need})"
+        )
+    v = np.append(1.0, phi.truncate(need).tail / phi.leading_coefficient)[: n + 1]
+    g = np.ones(1, dtype=complex)  # (1 + v)^k in powers of 1/z
+    out = [ComplexPolynomial(g)]
+    for k in range(1, n + 1):
+        g = np.convolve(g, v)[: n + 1]
+        out.append(ComplexPolynomial(g[k::-1]))
+    return out
 
 
 def monic_faber(phi: LaurentSeriesAtInfinity, n: int) -> ComplexPolynomial:
-    """Monic renormalization c^-n * (polynomial part of the n-th power)."""
-    p = faber_polynomial(phi, n)
-    out = p.coeffs / (phi.leading_coefficient ** n)
-    out[-1] = 1.0
-    return ComplexPolynomial(out)
+    """Monic Faber polynomial Fhat_n of the map phi (``faber_powers``)."""
+    return faber_powers(phi, n)[n]
 
 
 def faber_recurrence(psi: LaurentSeriesAtInfinity, n: int) -> list[ComplexPolynomial]:
@@ -473,9 +381,11 @@ class FaberExpansion:
         }
 
 
-def faber_basis_expand(
-    q: ComplexPolynomial, basis: list[ComplexPolynomial], monic_tol: float = 1e-9
-) -> FaberExpansion:
+# distance of a leading coefficient from 1 that faber_basis_expand accepts
+_MONIC_TOL = 1e-9
+
+
+def faber_basis_expand(q: ComplexPolynomial, basis: list[ComplexPolynomial]) -> FaberExpansion:
     """Expand a monic polynomial over a monic Faber basis, ``basis[k]`` of
     degree k for k = 0 .. deg q at least (``curves.faber_basis``).
 
@@ -484,7 +394,7 @@ def faber_basis_expand(
     coefficient of the running remainder.
     """
     n = q.degree
-    if not q.is_monic(monic_tol):
+    if not q.is_monic(_MONIC_TOL):
         raise NotMonicError(f"leading coefficient {q.leading()} is not 1")
     if len(basis) <= n:
         raise ValueError(f"basis of degrees 0..{len(basis) - 1} cannot expand degree {n}")

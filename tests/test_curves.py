@@ -123,12 +123,14 @@ class TestPhiSeries:
             assert p.coefficient_distance(q) <= 1e-14 * np.abs(q.coeffs).max()
 
     def test_explicit_map_depth_contract(self):
+        # phi and psi follow one rule: depth n - 1 gives degree n
         phi = LaurentSeriesAtInfinity(2.0, [0.0, -0.5, 0.0])  # inexact depth 2
         fam = ExplicitMap(phi=phi)
         with pytest.raises(DepthExhaustionError):
             phi_series(fam, 10)
+        assert len(faber_basis(fam, 3)) == 4
         with pytest.raises(DepthExhaustionError):
-            faber_basis(fam, 2)
+            faber_basis(fam, 4)
         psi = LaurentSeriesAtInfinity(0.5, [0.0, 0.5, 0.0])  # inexact depth 2
         assert len(faber_basis(ExplicitMap(psi=psi), 3)) == 4
         with pytest.raises(DepthExhaustionError):

@@ -116,10 +116,15 @@ class TestInvariance:
         assert rep.coefficient_distance is None
 
     def test_period2_family(self):
+        # the oracle Fhat_n is the monic Chebyshev polynomial of the interval
+        # composed with P: z^2 - 3 at n = 2, (z^2 - 3)^2 - 1/2 at n = 4
         fam = InversePolynomialImage(ComplexPolynomial([-3.0, 0.0, 1.0]))
-        rep = invariance_experiment(fam, 2, (1.5, 3.0), opts=FAST, M=256)
-        assert rep.applicable and rep.oracle is None
-        assert rep.coefficient_distance < 1e-5
+        for n, expected in ((2, [-3.0, 0.0, 1.0]), (4, [8.5, 0.0, -6.0, 0.0, 1.0])):
+            rep = invariance_experiment(fam, n, (1.5, 3.0), opts=FAST, M=256)
+            assert rep.applicable
+            np.testing.assert_allclose(rep.oracle.coeffs, expected, atol=1e-14)
+            assert rep.coefficient_distance < 1e-5
+            assert max(rep.oracle_distances) <= 1e-5
 
     def test_cubic_lemniscate(self):
         # degree-3 generator: T_3 on every level curve is the generator itself
@@ -137,7 +142,7 @@ class TestInvariance:
 
         fam = ExplicitMap(psi=LaurentSeriesAtInfinity(0.5, [0.0, 0.5], exact=True))
         rep = invariance_experiment(fam, 3, (1.5, 3.0), opts=FAST, M=256)
-        assert rep.applicable
+        assert rep.applicable and rep.oracle is None
         # the series-evaluated sampler carries ulp-level asymmetries, so the
         # solve sits at certificate-level accuracy rather than the exactly
         # symmetric interval sampler's machine-level agreement

@@ -135,6 +135,20 @@ class TestAllRoots:
             ordered = _sort_roots(np.array([[complex(-2.0, noise), 2.0, 1j]]))
             np.testing.assert_array_equal(ordered[0].real, [2.0, 0.0, -2.0])
 
+    def test_split_double_root_on_negative_axis_sorts_last(self):
+        # Aberth splits the double root -1 of (z^2 - 1)^2 by about sqrt(eps),
+        # the imaginary parts' signs set by the rounding; under coefficient
+        # perturbations of at most one ulp (of max(|a_k|, 1)) both copies
+        # must still take the last two places
+        base = np.array([1.0, 0.0, -2.0, 0.0, 1.0], dtype=complex)
+        rng = np.random.default_rng(3)
+        for _ in range(40):
+            step = rng.integers(-1, 2, size=(2, 5))
+            ulp = np.spacing(np.maximum(np.abs(base.real), 1.0))
+            coeffs = base + step[0] * ulp + 1j * step[1] * np.spacing(1.0)
+            roots = all_roots(ComplexPolynomial(coeffs)).roots
+            np.testing.assert_array_equal(np.flatnonzero(roots.real < 0), [2, 3])
+
     def test_residual_bound_invariant(self):
         rng = np.random.default_rng(23)
         for deg in (4, 9, 17):
@@ -233,6 +247,6 @@ class TestBatch:
         targets = 32.0 ** 2 * np.exp(2j * np.pi * np.arange(2048) / 2048)
         rows = np.tile(np.array([-1.0, 0.0, 1.0], dtype=complex), (2048, 1))
         rows[:, 0] -= targets
-        _, iterations, converged = _aberth_batch(rows, 1e-12)
+        _, iterations, converged = _aberth_batch(rows)
         assert converged.all()
         assert iterations.max() <= 3

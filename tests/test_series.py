@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
 
-from equicheb.curves import Circle, ExplicitMap, Interval, faber_basis
+from equicheb.curves import (
+    Circle,
+    ExplicitMap,
+    Interval,
+    InversePolynomialImage,
+    Lemniscate,
+    faber_basis,
+    phi_series,
+)
 from equicheb.experiments import monic_classical_chebyshev
 from equicheb.series import (
     ComplexPolynomial,
@@ -10,12 +18,9 @@ from equicheb.series import (
     LaurentSeriesAtInfinity,
     NotMonicError,
     faber_basis_expand,
-    faber_polynomial,
+    faber_powers,
     faber_recurrence,
-    laurent_mul,
-    laurent_pow,
     monic_faber,
-    polynomial_part,
     series_power,
 )
 
@@ -48,47 +53,7 @@ def bernoulli_map(depth):
     return LaurentSeriesAtInfinity(1.0, sqrt_zsq_minus_1_tail(depth))
 
 
-def monic_basis(phi, n):
-    """Monic Faber polynomials of degrees 0..n from powers of phi."""
-    return [monic_faber(phi, k) for k in range(n + 1)]
-
-
-class TestLaurentMul:
-    def test_monomial_product(self):
-        z = LaurentSeries(1, [1.0], exact=True)
-        out = laurent_mul(z, z)
-        assert out.low == 2 and out.top == 2
-        assert out.coeffs[0] == 1.0
-
-    def test_difference_of_squares(self):
-        a = LaurentSeries(-1, [1.0, 0.0, 1.0], exact=True)   # z + 1/z
-        b = LaurentSeries(-1, [-1.0, 0.0, 1.0], exact=True)  # z - 1/z
-        out = laurent_mul(a, b)
-        assert out.low == -2 and out.top == 2
-        np.testing.assert_allclose(out.coeffs, [-1, 0, 0, 0, 1])
-
-    def test_square_with_general_coefficients(self):
-        # (z + c0 + c1/z)^2 = z^2 + 2 c0 z + (c0^2 + 2 c1) + O(1/z)
-        c0, c1 = 0.3 - 0.7j, -1.2 + 0.4j
-        s = LaurentSeries(-1, [c1, c0, 1.0], exact=True)
-        out = laurent_mul(s, s)
-        assert out.coeff(2) == 1.0
-        assert out.coeff(1) == pytest.approx(2 * c0)
-        assert out.coeff(0) == pytest.approx(c0 * c0 + 2 * c1)
-
-    def test_truncated_inputs_limit_output_window(self):
-        # inexact with low=-1: product window must start at max(la+tb, lb+ta)
-        a = LaurentSeries(-1, [1.0, 0.0, 1.0], exact=False)
-        out = laurent_mul(a, a)
-        assert out.low == 0  # -1 + 1
-        with pytest.raises(DepthExhaustionError):
-            out.coeff(-1)
-
-    def test_depth_zero_inputs_allowed(self):
-        a = LaurentSeries(0, [2.0], exact=False)
-        out = laurent_mul(a, a)
-        assert out.coeff(0) == 4.0
-
+class TestLaurentSeries:
     def test_add_with_window_entirely_below(self):
         a = LaurentSeries(0, [1.0, 2.0, 3.0], exact=False)
         b = LaurentSeries(-3, [5.0, 6.0], exact=True)
@@ -97,53 +62,16 @@ class TestLaurentMul:
         np.testing.assert_allclose(s.coeffs, [1, 2, 3])
 
 
-class TestLaurentPow:
-    def test_monomial_power(self):
-        phi = LaurentSeriesAtInfinity(1.0, [0.0], exact=True)
-        out = laurent_pow(phi, 7)
-        assert out.coeff(7) == 1.0
-        assert polynomial_part(out).degree == 7
-
-    def test_joukowski_square(self):
-        phi = LaurentSeriesAtInfinity(1.0, [0.0, 1.0], exact=True)  # z + 1/z
-        out = laurent_pow(phi, 2)
-        # z^2 + 2 + 1/z^2
-        assert out.coeff(2) == 1.0
-        assert out.coeff(0) == 2.0
-        assert out.coeff(-2) == 1.0
-        assert out.coeff(1) == 0.0
-
-    def test_truncated_interval_map_square(self):
-        # derived by expanding (z + sqrt(z^2-1))^2 with the binomial series:
-        # (2z - 1/(2z) - 1/(8z^3))^2 = 4z^2 - 2 - 1/(4z^2) + O(z^-4)
-        phi = LaurentSeriesAtInfinity(2.0, [0.0, -0.5, 0.0, -0.125])
-        out = laurent_pow(phi, 2)
-        assert out.coeff(2) == pytest.approx(4.0)
-        assert out.coeff(1) == 0.0
-        assert out.coeff(0) == pytest.approx(-2.0)
-        assert out.coeff(-2) == pytest.approx(-0.25)
-
-    def test_depth_contract(self):
-        phi = LaurentSeriesAtInfinity(1.0, np.zeros(3))  # depth 2
-        with pytest.raises(DepthExhaustionError):
-            laurent_pow(phi, 3)
-        laurent_pow(phi, 2)  # depth == n passes
-
-    def test_power_zero(self):
-        phi = LaurentSeriesAtInfinity(2.0, [1.0, 2.0])
-        out = laurent_pow(phi, 0)
-        assert out.coeff(0) == 1.0 and out.top == 0
-
-
 class TestSeriesPower:
     def test_reciprocal_times_series_is_one(self):
         s = LaurentSeries(-1, [1.0, 0.0, 1.0], exact=True)  # z + 1/z
         inv = series_power(s, (-1, 1), 12)
         assert inv.top == -1 and inv.low == -12
-        prod = laurent_mul(s, inv)
-        one = np.zeros(len(prod.coeffs))
-        one[-prod.low] = 1.0  # z^0 entry of the product window
-        np.testing.assert_allclose(prod.coeffs, one, atol=1e-15)
+        prod = np.convolve(s.coeffs, inv.coeffs)  # powers z^-13 .. z^0
+        # inv is known down to z^-12, so the product from z^-11 up
+        one = np.zeros(12)
+        one[-1] = 1.0  # z^0
+        np.testing.assert_allclose(prod[2:], one, atol=1e-15)
 
     def test_square_root_matches_binomial_oracle(self):
         s = LaurentSeries(0, [-1.0, 0.0, 1.0], exact=True)  # z^2 - 1
@@ -177,23 +105,6 @@ class TestSeriesPower:
             series_power(LaurentSeries(-1, [0.5, 0.0, 1.0]), (-1, 1), 4)
 
 
-class TestPolynomialPart:
-    def test_drops_negative_powers(self):
-        s = LaurentSeries(-2, [1.0, 0, 2.0, 0, 1.0], exact=True)  # z^2 + 2 + z^-2
-        p = polynomial_part(s)
-        np.testing.assert_allclose(p.coeffs, [2.0, 0.0, 1.0])
-
-    def test_pure_tail_gives_zero(self):
-        s = LaurentSeries(-1, [1.0], exact=True)  # 1/z
-        p = polynomial_part(s)
-        assert p.is_zero
-
-    def test_unknown_nonnegative_coefficients_refused(self):
-        s = LaurentSeries(1, [1.0], exact=False)  # window is just z^1
-        with pytest.raises(DepthExhaustionError):
-            polynomial_part(s)
-
-
 class TestFaber:
     def test_circle_faber_is_monomial(self):
         phi = LaurentSeriesAtInfinity(1.0, [0.0], exact=True)
@@ -209,10 +120,10 @@ class TestFaber:
         np.testing.assert_allclose(p.coeffs, [-0.5, 0.0, 1.0], atol=1e-15)
 
     def test_faber_leading_coefficient(self):
-        phi = interval_map(8)
-        p = faber_polynomial(phi, 3)
-        assert p.degree == 3
-        assert p.leading() == pytest.approx(2.0 ** 3)
+        # the interval's F_3 = c^3 Fhat_3, c = 2, is 2 T_3 = 8 z^3 - 6 z
+        p = monic_faber(interval_map(8), 3)
+        assert p.degree == 3 and p.leading() == 1.0
+        np.testing.assert_allclose(2.0 ** 3 * p.coeffs, [0.0, -6.0, 0.0, 8.0], atol=1e-14)
 
     def test_bernoulli_even_faber_is_generator_power(self):
         # paper-backed: even-degree monic Faber polynomials of the Bernoulli
@@ -226,41 +137,43 @@ class TestFaber:
             np.testing.assert_allclose(p.coeffs, expected, atol=1e-13)
 
     def test_faber_error_has_only_negative_powers(self):
-        # F_n - phi^n = O(1/z) for every supported map and degree
+        # Fhat_n - (phi/c)^n = O(1/z) for every supported map and degree, by
+        # an FFT on |z| = 1 of phi's window taken as a Laurent polynomial
+        # (its n-th power spans z^n .. z^(-16 n), fewer powers than points)
+        N = 512
+        z = np.exp(2j * np.pi * np.arange(N) / N)
         for phi in (interval_map(16), bernoulli_map(16)):
-            for n in range(1, 9):
-                power = laurent_pow(phi, n)
-                fn = faber_polynomial(phi, n)
-                diff = power - fn.to_series()
-                tail_poly = polynomial_part(diff)
-                assert np.abs(tail_poly.coeffs).max() < 1e-12
+            scaled = z + sum(b * z ** -k for k, b in enumerate(phi.tail)) / phi.leading_coefficient
+            for n, p in enumerate(faber_powers(phi, 8)):
+                coeffs = np.fft.fft(p(z) - scaled ** n) / N  # coeffs[m]: z^m
+                assert np.abs(coeffs[: n + 1]).max() < 1e-12
 
 
 class TestFaberBasisExpand:
     def test_identity_case(self):
-        basis = monic_basis(interval_map(8), 5)
+        basis = faber_powers(interval_map(8), 5)
         fe = faber_basis_expand(basis[5], basis)
         assert np.abs(fe.alpha).max() < 1e-14
 
     def test_joukowski_example(self):
         phi = LaurentSeriesAtInfinity(1.0, [0.0, 1.0], exact=True)
         q = ComplexPolynomial([1.0, 0.0, 1.0])  # z^2 + 1 = (z^2 + 2) - 1
-        fe = faber_basis_expand(q, monic_basis(phi, 2))
+        fe = faber_basis_expand(q, faber_powers(phi, 2))
         np.testing.assert_allclose(fe.alpha, [-1.0, 0.0], atol=1e-15)
 
     def test_rejects_non_monic(self):
-        basis = monic_basis(interval_map(4), 1)
+        basis = faber_powers(interval_map(4), 1)
         with pytest.raises(NotMonicError):
             faber_basis_expand(ComplexPolynomial([0.0, 2.0]), basis)
 
     def test_rejects_short_basis(self):
-        basis = monic_basis(interval_map(4), 2)
+        basis = faber_powers(interval_map(4), 2)
         with pytest.raises(ValueError, match="cannot expand degree 3"):
             faber_basis_expand(ComplexPolynomial([0.0, 0.0, 0.0, 1.0]), basis)
 
     def test_round_trip_degree_30(self):
         rng = np.random.default_rng(42)
-        basis = monic_basis(interval_map(32), 31)
+        basis = faber_powers(interval_map(32), 31)
         for _ in range(5):
             coeffs = rng.standard_normal(31) + 1j * rng.standard_normal(31)
             coeffs = np.append(coeffs, 1.0)
@@ -272,7 +185,7 @@ class TestFaberBasisExpand:
 
     def test_round_trip_bernoulli(self):
         rng = np.random.default_rng(7)
-        basis = monic_basis(bernoulli_map(25), 21)
+        basis = faber_powers(bernoulli_map(25), 21)
         coeffs = rng.standard_normal(21) + 1j * rng.standard_normal(21)
         coeffs = np.append(coeffs, 1.0)
         q = ComplexPolynomial(coeffs)
@@ -363,46 +276,92 @@ class TestFaberRecurrence:
         assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
 
 
+def faber_powers_mp(phi, n, dps=60):
+    """Monic Fhat_n in mpmath from its definition, the polynomial part of
+    (phi/c)^n: n products of Laurent series keyed by power, dropping the
+    powers below -n, which no later product can lift to z^0."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(dps):
+        c = mp.mpf(phi.leading_coefficient)
+        base = {1: mp.mpc(1)}
+        base.update({-k: mp.mpc(complex(b)) / c for k, b in enumerate(phi.tail[:n])})
+        power = {0: mp.mpc(1)}
+        for _ in range(n):
+            prod = {}
+            for i, x in power.items():
+                for j, y in base.items():
+                    if i + j >= -n:
+                        prod[i + j] = prod.get(i + j, 0) + x * y
+            power = prod
+        return np.array([complex(power.get(m, 0)) for m in range(n + 1)])
+
+
+class TestFaberPowers:
+    def test_against_mpmath_reference(self):
+        for fam in (
+            Lemniscate(ComplexPolynomial([0.25, -1.0, 0.0, 1.0])),
+            InversePolynomialImage(ComplexPolynomial([-3.0, 0.0, 1.0])),
+        ):
+            phi = phi_series(fam, 20)
+            ref = faber_powers_mp(phi, 21)
+            got = faber_basis(fam, 21)[21].coeffs
+            assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
+
+    def test_agrees_with_faber_recurrence(self):
+        # the same basis from phi and from psi, for maps that carry both
+        joukowski = LaurentSeriesAtInfinity(0.5, [0.0, 0.5], exact=True)
+        pairs = [
+            (phi_series(fam, 19), fam.psi) for fam in (Circle(2.5), Interval())
+        ] + [(interval_map(19), joukowski)]
+        for phi, psi in pairs:
+            by_phi = faber_basis(ExplicitMap(phi=phi), 20)
+            by_psi = faber_basis(ExplicitMap(psi=psi), 20)
+            for p, q in zip(by_phi, by_psi):
+                assert p.coefficient_distance(q) <= 1e-14 * np.abs(q.coeffs).max()
+
+    def test_depth_contract(self):
+        # an inexact phi of depth d holds a_0 .. a_d, enough for degree d + 1
+        tail = [0.2, -0.5j, 0.1, 0.05]
+        inexact = LaurentSeriesAtInfinity(1.3, tail)
+        exact = LaurentSeriesAtInfinity(1.3, tail, exact=True)
+        got = faber_powers(inexact, 4)
+        want = faber_powers(exact, 4)
+        for p, q in zip(got, want):
+            assert np.array_equal(p.coeffs, q.coeffs)
+        with pytest.raises(DepthExhaustionError):
+            faber_powers(inexact, 5)
+        assert len(faber_powers(exact, 9)) == 10
+
+    def test_low_degrees_in_closed_form(self):
+        # (z + b_0 + b_1/z + ...)^k with b = a/c: polynomial parts 1,
+        # z + b_0 and z^2 + 2 b_0 z + b_0^2 + 2 b_1
+        phi = LaurentSeriesAtInfinity(2.0, [0.6 - 0.2j, -0.4j])  # inexact depth 1
+        b0, b1 = phi.tail / 2.0
+        basis = faber_powers(phi, 2)
+        np.testing.assert_array_equal(basis[0].coeffs, [1.0])
+        np.testing.assert_allclose(basis[1].coeffs, [b0, 1.0], atol=1e-16)
+        np.testing.assert_allclose(basis[2].coeffs, [b0 ** 2 + 2 * b1, 2 * b0, 1.0], atol=1e-16)
+
+    def test_interval_map_gives_classical_chebyshev(self):
+        # the binomial series of z + sqrt(z^2 - 1), independent of phi_series
+        basis = faber_powers(interval_map(29), 30)
+        for k, p in enumerate(basis):
+            want = monic_classical_chebyshev(k)
+            assert p.coefficient_distance(want) <= 1e-14 * np.abs(want.coeffs).max()
+
+    def test_bernoulli_even_degrees_are_generator_powers(self):
+        # Fhat_2k = (z^2 - 1)^k exactly: the map's coefficients are dyadic
+        basis = faber_basis(Lemniscate(ComplexPolynomial([-1.0, 0.0, 1.0])), 40)
+        power = np.array([1.0 + 0.0j])
+        for k in range(1, 21):
+            power = np.convolve(power, [-1.0, 0.0, 1.0])
+            assert np.array_equal(basis[2 * k].coeffs, power)
+
+
 class TestAlgebraProperties:
-    def test_mul_commutes_and_associates(self):
-        rng = np.random.default_rng(17)
-        for _ in range(10):
-            def rand_series():
-                low = int(rng.integers(-5, 2))
-                width = int(rng.integers(1, 6))
-                coeffs = rng.standard_normal(width) + 1j * rng.standard_normal(width)
-                return LaurentSeries(low, coeffs, exact=bool(rng.integers(0, 2)))
-
-            a, b, c = rand_series(), rand_series(), rand_series()
-            ab = laurent_mul(a, b)
-            ba = laurent_mul(b, a)
-            assert ab.low == ba.low and ab.top == ba.top
-            np.testing.assert_allclose(ab.coeffs, ba.coeffs, atol=1e-12)
-            try:
-                left = laurent_mul(ab, c)
-                right = laurent_mul(a, laurent_mul(b, c))
-            except DepthExhaustionError:
-                continue
-            # window bookkeeping may differ by association order; compare
-            # on the common window
-            lo = max(left.low, right.low)
-            for k in range(lo, left.top + 1):
-                assert left.coeff(k) == pytest.approx(right.coeff(k), abs=1e-10)
-
-    def test_binary_and_iterated_powers_agree(self):
-        phi = interval_map(16)
-        s = phi.to_series()
-        iterated = s
-        for n in range(2, 7):
-            iterated = laurent_mul(iterated, s)
-            fast = laurent_pow(phi, n)
-            lo = max(iterated.low, fast.low)
-            for k in range(lo, fast.top + 1):
-                assert fast.coeff(k) == pytest.approx(iterated.coeff(k), rel=1e-12)
-
     def test_expansion_is_idempotent(self):
         rng = np.random.default_rng(29)
-        basis = monic_basis(bernoulli_map(14), 12)
+        basis = faber_powers(bernoulli_map(14), 12)
         coeffs = rng.standard_normal(12) + 1j * rng.standard_normal(12)
         coeffs = np.append(coeffs, 1.0)
         q = ComplexPolynomial(coeffs)
