@@ -180,11 +180,10 @@ def _refine_dd(points: dd.DD, weights: np.ndarray, n: int, center: complex) -> C
 
 
 # -- interior-point solve ------------------------------------------------------
-# min t s.t. |p(z_j)| <= t has one three-dimensional cone per point, a column
-# (x0, x1, x2), x0 >= |(x1, x2)|, of a (3, M) array; the cone's Jordan
-# algebra and the Nesterov-Todd scaling act column by column.
+# min t s.t. |p(z_j)| <= t has one cone x0 >= |xv| per point, held as a pair
+# (x0, xv) of (M,) arrays, x0 real and xv = x1 + i x2 complex; the Jordan
+# algebra, J x = (x0, -xv) and the Nesterov-Todd scaling act on the pairs.
 
-_J = np.array([1.0, -1.0, -1.0])[:, None]
 _GAP_FLOOR = 16 * np.finfo(float).eps  # s.z / t past double precision
 _STEP = 0.99  # Mehrotra's fraction of the step to the boundary
 # the certificate is about half the gap s.z / t; it is evaluated at the
@@ -231,47 +230,59 @@ def _monic_polynomial(H: np.ndarray, a: np.ndarray, center: complex, scale: floa
     return ComplexPolynomial(out)
 
 
-def _hyperbolic_norm(x: np.ndarray) -> np.ndarray:
-    """sqrt(x0^2 - x1^2 - x2^2) per cone, factored to keep digits near the
+def _hyperbolic_norm(x) -> np.ndarray:
+    """sqrt(x0^2 - |xv|^2) per cone, factored to keep digits near the
     boundary; an iterate on the boundary (W singular) raises LinAlgError."""
-    r = np.hypot(x[1], x[2])
+    r = np.abs(x[1])
     square = (x[0] - r) * (x[0] + r)
-    if not np.all(square > 0):
+    if not square.min() > 0:  # false also for NaN
         raise np.linalg.LinAlgError("an iterate reached the cone boundary in rounding")
     return np.sqrt(square)
 
 
-def _jordan(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Jordan product x o y = (x . y, x0 y_1 + y0 x_1) per cone."""
-    return np.concatenate([(x * y).sum(0, keepdims=True), x[0] * y[1:] + y[0] * x[1:]])
-
-
-def _max_step(x: np.ndarray, d: np.ndarray) -> float:
-    """Largest alpha with x + alpha d in every cone, x interior, read off
-    after the hyperbolic rotation that takes x to a multiple of (1, 0, 0)."""
-    xn = _hyperbolic_norm(x)
-    xb = x / xn
-    rho0 = xb[0] * d[0] - xb[1] * d[1] - xb[2] * d[2]
-    rho = d[1:] - (d[0] + rho0) / (xb[0] + 1.0) * xb[1:]
-    worst = float(((np.hypot(rho[0], rho[1]) - rho0) / xn).max())
+def _max_step(xb, xn: np.ndarray, d) -> float:
+    """Largest alpha with x + alpha d in every cone, for x = xn xb interior
+    and xb of unit hyperbolic norm, after the rotation taking xb to (1, 0)."""
+    rho0 = xb[0] * d[0] - (xb[1].conj() * d[1]).real
+    rho = d[1] - (d[0] + rho0) / (xb[0] + 1.0) * xb[1]
+    worst = float(((np.abs(rho) - rho0) / xn).max())
     return np.inf if worst <= 0 else 1.0 / worst
+
+
+def _nt_scaling(s, z):
+    """Nesterov-Todd scaling of interior s and z: W = beta (2 v v^T - J) and
+    W^-1 = (2 u u^T - J) / beta, with u = J v and v^T J v = 1, take z and s
+    to lam = W z = W^-1 s.  Returns (u0, uv, beta, lam)."""
+    sn, zn = _hyperbolic_norm(s), _hyperbolic_norm(z)
+    sb, zb = (s[0] / sn, s[1] / sn), (z[0] / zn, z[1] / zn)
+    gamma = np.sqrt((1.0 + sb[0] * zb[0] + (sb[1].conj() * zb[1]).real) / 2.0)
+    # v = (wb + (1, 0)) / sqrt(2 (wb0 + 1)) for wb = (sb + J zb) / (2 gamma)
+    u0 = np.sqrt((sb[0] + zb[0]) / (4.0 * gamma) + 0.5)
+    lam_v = ((gamma + zb[0]) * sb[1] + (gamma + sb[0]) * zb[1]) / (2.0 * gamma + sb[0] + zb[0])
+    uv = (zb[1] - sb[1]) / (4.0 * gamma * u0)
+    return u0, uv, np.sqrt(sn / zn), (np.sqrt(sn * zn) * gamma, np.sqrt(sn * zn) * lam_v)
+
+
+def _w_inv(u0, uv, beta, y):
+    """W^-1 y = (2 u (u . y) - J y) / beta per cone; W y for (u0, -uv, 1 / beta)."""
+    uy = 2.0 * (u0 * y[0] + (uv.conj() * y[1]).real)
+    return (uy * u0 - y[0]) / beta, (uy * uv + y[1]) / beta
 
 
 def _interior_point(B: np.ndarray, b: np.ndarray, opts: SolveOptions):
     """Primal-dual interior point for  min t  s.t.  |r_j| <= t,  r = b + B a,
-    in the real unknowns (t, Re a, Im a); cone j holds (t, Re r_j, Im r_j)
-    and the dual z_j.  Feasible start: a = 0, t = 1.1 max|b|,
-    z_j = (1/M, 0, 0).  Certificate: for the dual weights w = z_0 / sum z_0,
-    min_a sum_j w_j |r_j|^2 bounds the discrete optimum from below.  Returns
-    (a, w, steps, converged, gap) for the better, by sup norm, of the primal
-    iterate and the weighted-LS solution."""
+    in the real unknowns (t, Re a, Im a); cone j holds (t, r_j) and the dual
+    z_j.  Feasible start: a = 0, t = 1.1 max|b|, z_j = (1/M, 0).  Certificate:
+    for the dual weights w = z_0 / sum z_0, min_a sum_j w_j |r_j|^2 bounds
+    the discrete optimum from below.  Returns (a, w, steps, converged, gap)
+    for the better, by sup norm, of the primal iterate and the weighted-LS
+    solution."""
     M, n = B.shape
     B_h = B.conj().T
+    newton = np.empty((2 * n + 1, 2 * n + 1))
     a = np.zeros(n, dtype=complex)
     t = 1.1 * float(np.abs(b).max())
-    s = np.stack([np.full(M, t), b.real, b.imag])
-    z = np.zeros((3, M))
-    z[0] = 1.0 / M
+    s, z = (np.full(M, t), b), (np.full(M, 1.0 / M), np.zeros(M, dtype=complex))
     best, best_sup = a, np.inf
 
     def certify():
@@ -286,84 +297,72 @@ def _interior_point(B: np.ndarray, b: np.ndarray, opts: SolveOptions):
 
     for it in range(1, opts.max_iter + 1):
         w = z[0] / z[0].sum()
-        gap_ip = (s * z).sum() / t
+        gap_ip = (s[0] @ z[0] + np.vdot(s[1], z[1]).real) / t
         last = it == opts.max_iter or gap_ip <= _GAP_FLOOR
         if it == 1 or last or gap_ip <= _CERTIFY_FROM * opts.tol_rel:
             gap = certify()
             if gap <= opts.tol_rel or last:
                 break
         try:
-            t, a, s, z = _newton_step(B, B_h, b, t, a, s, z)
+            t, a, s, z = _newton_step(B, B_h, b, t, a, s, z, newton)
         except np.linalg.LinAlgError:
             gap = certify()
             break
     return best, w, it, gap <= opts.tol_rel, gap
 
 
-def _newton_step(B, B_h, b, t, a, s, z):
+def _newton_step(B, B_h, b, t, a, s, z, newton):
     """One Mehrotra predictor-corrector step: Nesterov-Todd scaling W with
-    W z = W^-1 s = lam, one Cholesky of G^T W^-2 G (s = h - G x), and the
-    directions formed in the scaled space."""
+    W z = W^-1 s = lam, one Cholesky of G^T W^-2 G (s = h - G x), formed in
+    ``newton``, and the directions formed in the scaled space."""
     M, n = B.shape
-    sn, zn = _hyperbolic_norm(s), _hyperbolic_norm(z)
-    sb, zb = s / sn, z / zn
-    gamma = np.sqrt((1.0 + (sb * zb).sum(0)) / 2.0)
-    wb = (sb + _J * zb) / (2.0 * gamma)
-    v = (wb + [[1.0], [0.0], [0.0]]) / np.sqrt(2.0 * (wb[0] + 1.0))
-    beta = np.sqrt(sn / zn)  # W = beta (2 v v^T - J), W^-1 = (2 J v v^T J - J) / beta
-    lam = np.sqrt(sn * zn) * np.concatenate([
-        gamma[None], ((gamma + zb[0]) * sb[1:] + (gamma + sb[0]) * zb[1:]) / (2.0 * gamma + sb[0] + zb[0])
-    ])
-    u = _J * v
-
-    def w_inv(y):
-        return (2.0 * u * (u * y).sum(0) - _J * y) / beta
-
+    u0, uv, beta, lam = _nt_scaling(s, z)
     # with y = B da, cone j adds K00 dt^2 + 2 dt Re((K01 - i K02) y)
     # + (K11 + K22) |y|^2 / 2 + Re((K11 - K22 - 2i K12) y^2) / 2 to the
-    # quadratic form, K = W_j^-2: two weighted Grams of B
-    w_inv_mat = (2.0 * u[:, None] * u[None] - np.diag(_J[:, 0])[:, :, None]) / beta
-    K = np.einsum("acj,cbj->abj", w_inv_mat, w_inv_mat)
-    g = B.T @ (K[0, 1] - 1j * K[0, 2])
-    herm = (B_h * (K[1, 1] + K[2, 2])) @ B
-    sym = B.T @ ((K[1, 1] - K[2, 2] - 2j * K[1, 2])[:, None] * B)
-    newton = np.block([
-        [K[0, 0].sum(), g.real, -g.imag],
-        [g.real[:, None], (herm.real + sym.real) / 2, -(herm.imag + sym.imag) / 2],
-        [-g.imag[:, None], (herm.imag - sym.imag) / 2, (herm.real - sym.real) / 2],
-    ])
+    # quadratic form, K = W_j^-2 = (4q u u^T - 2 u v^T - 2 v u^T + I) / beta^2,
+    # q = |u|^2: two weighted Grams of B
+    uv2, uc, b2 = np.abs(uv) ** 2, uv.conj() / beta, beta * beta
+    q4 = 4.0 * (u0 * u0 + uv2)
+    herm = (B_h * (((q4 + 4.0) * uv2 + 2.0) / b2)) @ B
+    sym = B.T @ (((q4 + 4.0) * uc * uc)[:, None] * B)
+    plus, minus, g = (herm + sym) / 2, (herm - sym) / 2, B.T @ (q4 * u0 * uc / beta)
+    k00 = ((u0 * u0 * (q4 - 4.0) + 1.0) / b2).sum()
+    newton[0] = newton[:, 0] = np.concatenate([[k00], g.real, -g.imag])
+    newton[1 : n + 1, 1 : n + 1], newton[1 : n + 1, n + 1 :] = plus.real, -plus.imag
+    newton[n + 1 :, 1 : n + 1], newton[n + 1 :, n + 1 :] = minus.imag, minus.real
     d = 1.0 / np.sqrt(np.diag(newton))
-    L_inv = np.linalg.inv(np.linalg.cholesky(newton * d[:, None] * d[None, :]))
-
-    def G(dx):
-        y = B @ (dx[1 : n + 1] + 1j * dx[n + 1 :])
-        return -np.stack([np.full(M, dx[0]), y.real, y.imag])
+    newton *= np.outer(d, d)
+    L_inv = np.linalg.inv(np.linalg.cholesky(newton))
 
     def G_T(y):
-        e = B.T @ (y[1] - 1j * y[2])
-        return -np.concatenate([[y[0].sum()], e.real, -e.imag])
+        e = B_h @ y[1]
+        return -np.concatenate([[y[0].sum()], e.real, e.imag])
 
-    r = b + B @ a
-    r_p = s - np.stack([np.full(M, t), r.real, r.imag])  # G x + s - h
+    w_rp = _w_inv(u0, uv, beta, (s[0] - t, s[1] - (b + B @ a)))  # W^-1 (G x + s - h)
     r_d = G_T(z) + np.eye(2 * n + 1)[0]  # G^T z + c
+    lam_n = _hyperbolic_norm(lam)
+    lam_b = lam[0] / lam_n, lam[1] / lam_n
 
     def directions(rhs):  # lam o (ds + dz) = rhs, G^T dz = -r_d, G dx + ds = -r_p
-        c0 = (lam[0] * rhs[0] - lam[1] * rhs[1] - lam[2] * rhs[2]) / (sn * zn)  # lam J lam
-        c = np.concatenate([c0[None], (rhs[1:] - c0 * lam[1:]) / lam[0]])  # lam o c = rhs
-        dx = d * (L_inv.T @ (L_inv @ (d * (-r_d - G_T(w_inv(w_inv(r_p) + c))))))
-        ds = -w_inv(G(dx) + r_p)
-        return dx, ds, c - ds
+        c0 = (lam[0] * rhs[0] - (lam[1].conj() * rhs[1]).real) / lam_n ** 2  # lam J lam
+        c = c0, (rhs[1] - c0 * lam[1]) / lam[0]  # lam o c = rhs
+        y = _w_inv(u0, uv, beta, (w_rp[0] + c[0], w_rp[1] + c[1]))
+        dx = d * (L_inv.T @ (L_inv @ (d * (-r_d - G_T(y)))))
+        gx = _w_inv(u0, uv, beta, (-dx[0], -(B @ (dx[1 : n + 1] + 1j * dx[n + 1 :]))))
+        ds = -gx[0] - w_rp[0], -gx[1] - w_rp[1]  # -W^-1 (G dx + r_p)
+        return dx, ds, (c[0] - ds[0], c[1] - ds[1])
 
-    lam_sq = _jordan(lam, lam)
+    lam_sq = lam[0] ** 2 + np.abs(lam[1]) ** 2, 2.0 * lam[0] * lam[1]  # lam o lam
     mu = lam_sq[0].sum() / M
-    dx, ds, dz = directions(-lam_sq)  # affine predictor
-    alpha = min(1.0, _max_step(lam, ds), _max_step(lam, dz))
-    sigma = min(1.0, max(0.0, 1.0 - alpha + alpha ** 2 * (ds * dz).sum() / (M * mu))) ** 3
-    dx, ds, dz = directions(-lam_sq - _jordan(ds, dz) + sigma * mu * np.eye(3)[:, :1])
-    alpha = min(1.0, _STEP * min(_max_step(lam, ds), _max_step(lam, dz)))
-    s_new, z_new = lam + alpha * ds, lam + alpha * dz
+    dx, ds, dz = directions((-lam_sq[0], -lam_sq[1]))  # affine predictor
+    alpha = min(1.0, _max_step(lam_b, lam_n, ds), _max_step(lam_b, lam_n, dz))
+    ds_dz = ds[0] * dz[0] + (ds[1].conj() * dz[1]).real, ds[0] * dz[1] + dz[0] * ds[1]  # ds o dz
+    sigma = min(1.0, max(0.0, 1.0 - alpha + alpha ** 2 * ds_dz[0].sum() / (M * mu))) ** 3
+    dx, ds, dz = directions((sigma * mu - lam_sq[0] - ds_dz[0], -lam_sq[1] - ds_dz[1]))
+    alpha = min(1.0, _STEP * min(_max_step(lam_b, lam_n, ds), _max_step(lam_b, lam_n, dz)))
+    s_new, z_new = [(lam[0] + alpha * e[0], lam[1] + alpha * e[1]) for e in (ds, dz)]
     a = a + alpha * (dx[1 : n + 1] + 1j * dx[n + 1 :])
-    return t + alpha * dx[0], a, beta * (2.0 * v * (v * s_new).sum(0) - _J * s_new), w_inv(z_new)
+    return t + alpha * dx[0], a, _w_inv(u0, -uv, 1.0 / beta, s_new), _w_inv(u0, uv, beta, z_new)
 
 
 def chebyshev_on_points(points, n: int, opts: SolveOptions | None = None) -> MinimaxSolution:
@@ -413,12 +412,12 @@ def _curve_maxima(p: ComplexPolynomial, sample: CurveSample, thetas, points):
     turns downhill by the step's end it brackets a maximum, and secant
     steps on the slope, started from theta - h and theta + h, place it to
     rounding, which comparing values of |p| cannot: they are flat to eps
-    over about sqrt(eps) of angle.  A secant step that does not land
-    strictly inside theta +- h is replaced by regula falsi on the bracket,
-    or by bisection where that lands on an end of it: the secant stays put
-    at an end where the slope is exactly zero, as at a symmetry angle where
-    |p| has a minimum.  Elsewhere the step's end is the highest point of
-    the step.
+    over about sqrt(eps) of angle.  A secant step off the uphill step (it
+    can settle downhill on a critical point below the start) is replaced
+    by regula falsi on the bracket, or by bisection where that lands on an
+    end of it: the secant stays put at an end where the slope is exactly
+    zero, as at a symmetry angle where |p| has a minimum.  Elsewhere the
+    step's end is the highest point of the step.
     """
     dp = p.derivative()
 
@@ -427,8 +426,8 @@ def _curve_maxima(p: ComplexPolynomial, sample: CurveSample, thetas, points):
         return z, (np.conj(p(z)) * dp(z) * dz).real
 
     h = 2.0 * np.pi / sample.grid_size
-    _, g = slope(thetas, points)
-    (z_lo, g_lo), (z_hi, g_hi) = slope(thetas - h, points), slope(thetas + h, points)
+    zs, gs = slope(np.concatenate([thetas, thetas - h, thetas + h]), np.tile(points, 3))
+    (_, z_lo, z_hi), (g, g_lo, g_hi) = np.split(zs, 3), np.split(gs, 3)
     up = np.where(g < 0, -1.0, 1.0)
     ends = thetas + up * h
     z = np.where(up > 0, z_hi, z_lo)
@@ -446,7 +445,7 @@ def _curve_maxima(p: ComplexPolynomial, sample: CurveSample, thetas, points):
         falsi = (a * fb - b * fa) / (fb - fa)
         falsi = np.where((falsi - a) * (falsi - b) < 0, falsi, 0.5 * (a + b))
         prev, g_prev = cur, g
-        cur = np.where(np.abs(nxt - start) < h, nxt, falsi)
+        cur = np.where(((nxt - start) * up > 0) & (np.abs(nxt - start) < h), nxt, falsi)
         z_cur, g = slope(cur, near)
         rise = up * g > 0
         a, fa = np.where(rise, cur, a), np.where(rise, up * g, fa)

@@ -9,7 +9,7 @@ from equicheb.curves import (
     capacity_leading_coefficient,
     sample_level_curve,
 )
-from equicheb.experiments import monic_classical_chebyshev
+from equicheb.experiments import invariance_experiment, monic_classical_chebyshev
 from equicheb.minimax import (
     RankDeficiencyError,
     SolveOptions,
@@ -147,6 +147,21 @@ class TestSolveChebyshev:
             assert sol.converged
             fine = sample_level_curve(family, r, 2 ** 16).points
             assert np.abs(sol.polynomial(fine)).max() <= sol.sup_norm * (1 + 2e-10)
+
+    @pytest.mark.parametrize(
+        "P, r, M, n",
+        [([0.1, -2.0, 0.0, 1.0], 1.05, 256, 14), ([-3.0, 0.0, 1.0], 1.5, 72, 3)],
+    )
+    def test_curve_maxima_never_step_downhill(self, P, r, M, n):
+        # started from every sample point of the discrete solution, the
+        # maximum placed in the uphill step is no lower than its start; a
+        # secant iterate on the downhill side settled on a critical point
+        # there, up to 6.8e-4 (relative) below the start
+        sample = sample_level_curve(InversePolynomialImage(ComplexPolynomial(P)), r, M)
+        sol = chebyshev_on_points(sample.points, n)
+        _, z = minimax._curve_maxima(sol.polynomial, sample, sample.thetas, sample.points)
+        drop = np.abs(sol.polynomial(sample.points)) - np.abs(sol.polynomial(z))
+        assert drop.max() <= 1e-10 * sol.sup_norm
 
     def test_exchange_cap_clears_converged(self, monkeypatch):
         # one re-solve leaves this case above the tolerance on the curve
@@ -307,3 +322,133 @@ class TestPrecisionLimitedSolves:
             assert sol.precision_limited
             dist = sol.polynomial.coefficient_distance(oracle)
             assert dist <= 1e-11 * np.abs(oracle.coeffs).max()
+
+
+def random_cones(rng, M, margin=0.5):
+    """Interior cones (x0, xv) with x0 = |xv| (1 + margin u) + margin u', u, u' uniform."""
+    xv = rng.standard_normal(M) + 1j * rng.standard_normal(M)
+    return np.abs(xv) * (1.0 + margin * rng.random(M)) + margin * rng.random(M), xv
+
+
+def explicit_w_inv(u0, uv, beta):
+    """W^-1 = (2 u u^T - J) / beta per cone as (M, 3, 3) real matrices."""
+    u = np.stack([u0, uv.real, uv.imag], axis=1)
+    return (2.0 * u[:, :, None] * u[:, None, :] - np.diag([1.0, -1.0, -1.0])) / beta[:, None, None]
+
+
+def unpacked(x):
+    return np.stack([x[0], x[1].real, x[1].imag], axis=1)
+
+
+class TestPackedCones:
+    M = 64
+
+    def test_scaling_takes_s_and_z_to_lam(self):
+        rng = np.random.default_rng(1)
+        s, z = random_cones(rng, self.M), random_cones(rng, self.M)
+        u0, uv, beta, lam = minimax._nt_scaling(s, z)
+        w_inv = explicit_w_inv(u0, uv, beta)
+        w = np.linalg.inv(w_inv)
+        for matrix, x in ((w_inv, s), (w, z)):
+            got = np.einsum("jab,jb->ja", matrix, unpacked(x))
+            np.testing.assert_allclose(got, unpacked(lam), rtol=1e-12)
+        # the packed products: W^-1 s, and W z through (u0, -uv, 1 / beta)
+        for got in (minimax._w_inv(u0, uv, beta, s), minimax._w_inv(u0, -uv, 1.0 / beta, z)):
+            np.testing.assert_allclose(unpacked(got), unpacked(lam), rtol=1e-12)
+
+    def test_closed_form_newton_matrix(self):
+        # the Newton matrix from the closed-form K equals G^T W^-1 W^-1 G
+        # formed from explicit 3 x 3 matrices, both scaled to unit diagonal
+        rng = np.random.default_rng(2)
+        n = 4
+        B = rng.standard_normal((self.M, n)) + 1j * rng.standard_normal((self.M, n))
+        b = rng.standard_normal(self.M) + 1j * rng.standard_normal(self.M)
+        s, z = random_cones(rng, self.M), random_cones(rng, self.M)
+        newton = np.empty((2 * n + 1, 2 * n + 1))
+        minimax._newton_step(B, B.conj().T, b, 1.0, np.zeros(n, complex), s, z, newton)
+        u0, uv, beta, _ = minimax._nt_scaling(s, z)
+        w_inv = explicit_w_inv(u0, uv, beta)
+        K = w_inv @ w_inv
+        G = np.zeros((self.M, 3, 2 * n + 1))  # s = h - G x, x = (t, Re a, Im a)
+        G[:, 0, 0] = -1.0
+        G[:, 1, 1 : n + 1], G[:, 1, n + 1 :] = -B.real, B.imag
+        G[:, 2, 1 : n + 1], G[:, 2, n + 1 :] = -B.imag, -B.real
+        N = np.einsum("jai,jab,jbk->ik", G, K, G)
+        d = 1.0 / np.sqrt(np.diag(N))
+        np.testing.assert_allclose(newton, N * np.outer(d, d), atol=1e-12)
+
+    def test_max_step_agrees_with_bisection(self):
+        rng = np.random.default_rng(3)
+        for _ in range(20):
+            x = random_cones(rng, self.M)
+            d = random_cones(rng, self.M)
+            d = d[0] - 2.0 * np.abs(d[1]), d[1]  # mostly out of the cone: alpha is finite
+            xn = minimax._hyperbolic_norm(x)
+            alpha = minimax._max_step((x[0] / xn, x[1] / xn), xn, d)
+
+            def inside(step):
+                return np.all(x[0] + step * d[0] >= np.abs(x[1] + step * d[1]))
+
+            lo, hi = 0.0, 1.0
+            while inside(hi):
+                lo, hi = hi, 2.0 * hi
+            for _ in range(60):
+                mid = 0.5 * (lo + hi)
+                lo, hi = (mid, hi) if inside(mid) else (lo, mid)
+            assert alpha == pytest.approx(lo, rel=1e-10)
+        # a direction into the cone never leaves it
+        xn = minimax._hyperbolic_norm(x)
+        assert minimax._max_step((x[0] / xn, x[1] / xn), xn, x) == np.inf
+
+    def test_boundary_iterate_ends_on_the_certificate(self, monkeypatch):
+        # the third step meets an iterate with one cone on the boundary: W is
+        # singular there, the step raises LinAlgError and the solve ends with
+        # the certificate of the dual weights it has
+        pts = sample_level_curve(BERNOULLI, 2.0, 128).points
+        center = complex(pts.mean())
+        Q, _ = minimax._arnoldi((pts - center) / np.abs(pts - center).max(), 5)
+        step, steps = minimax._newton_step, []
+
+        def flattened(B, B_h, b, t, a, s, z, newton):
+            steps.append(len(steps))
+            if len(steps) == 3:
+                s = (np.concatenate([[np.abs(s[1][0])], s[0][1:]]), s[1])
+            return step(B, B_h, b, t, a, s, z, newton)
+
+        monkeypatch.setattr(minimax, "_newton_step", flattened)
+        with pytest.raises(np.linalg.LinAlgError):
+            minimax._hyperbolic_norm((np.array([1.0, 2.0]), np.array([0.5, 2.0])))
+        a, w, it, converged, gap = minimax._interior_point(Q[:, :5], Q[:, 5], SolveOptions())
+        assert it == 3 and len(steps) == 3
+        assert not converged and 0.0 < gap < 1.0
+        assert w.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+def test_invariance_step_count(monkeypatch):
+    # the inputs of criteria 1-4 at the settings of the benchmark's
+    # invariance workload (seed 0): a cheaper step must not cost steps
+    solves = []
+    ip = minimax._interior_point
+
+    def counted(B, b, opts):
+        out = ip(B, b, opts)
+        solves.append(out[2])
+        return out
+
+    monkeypatch.setattr(minimax, "_interior_point", counted)
+    exact = SolveOptions(tol_rel=1e-8, max_iter=600)
+    levels = (1.5, 2.0, 4.0)
+    for n in range(1, 11):
+        for r in levels:
+            solve_chebyshev(sample_level_curve(Circle(1.0), r, max(256, 16 * n)), n)
+    for family, degrees in ((Interval(), range(1, 9)), (BERNOULLI, (2, 4, 6, 8))):
+        for n in degrees:
+            for r in levels:
+                solve_chebyshev(sample_level_curve(family, r, 512), n, exact)
+    period2 = InversePolynomialImage(
+        ComplexPolynomial([-3.0, 0.0, 1.0]), alternation_points=[-2.0, -np.sqrt(2.0), 2.0]
+    )
+    for n in (2, 4):
+        invariance_experiment(period2, n, (1.5, 3.0), SolveOptions(3e-4, 8000), M=512)
+    assert len(solves) <= 79
+    assert sum(solves) <= 349
