@@ -10,14 +10,12 @@ from .series import (
     ComplexPolynomial,
     DepthExhaustionError,
     FaberExpansion,
-    LaurentSeries,
     LaurentSeriesAtInfinity,
     NotMonicError,
     faber_basis_expand,
     faber_powers,
     faber_recurrence,
     monic_faber,
-    series_power,
 )
 from .curves import (
     Circle,

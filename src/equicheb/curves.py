@@ -21,11 +21,9 @@ from . import dd
 from .rootfind import roots_after_constant_shifts
 from .series import (
     ComplexPolynomial,
-    LaurentSeries,
     LaurentSeriesAtInfinity,
     faber_powers,
     faber_recurrence,
-    series_power,
 )
 
 __all__ = [
@@ -81,9 +79,10 @@ class Circle:
         """Exact inverse map psi(w) = R w, built once per instance."""
         return _read_only_psi(self.radius, [0.0])
 
-    def map_of(self, P: ComplexPolynomial, n_terms: int) -> LaurentSeries:
-        """Series at infinity of phi(P(z)) = P(z)/R; exact, so all n_terms hold."""
-        return P.to_series().scale(1.0 / self.radius)
+    def map_of(self, P: ComplexPolynomial, n_terms: int) -> np.ndarray:
+        """First n_terms descending coefficients of phi(P(z)) = P(z)/R, from
+        z^(deg P) down."""
+        return P.coeffs[::-1][:n_terms] * (1.0 / self.radius)
 
 
 @dataclass(frozen=True)
@@ -96,11 +95,13 @@ class Interval:
         once per instance."""
         return _read_only_psi(0.5, [0.0, 0.5])
 
-    def map_of(self, P: ComplexPolynomial, n_terms: int) -> LaurentSeries:
-        """Series at infinity of phi(P(z)) = P + sqrt(P^2 - 1), keeping
-        n_terms coefficients down from the top power deg P."""
-        p2 = (P * P - ComplexPolynomial([1.0])).to_series()
-        return P.to_series() + series_power(p2, (1, 2), n_terms)
+    def map_of(self, P: ComplexPolynomial, n_terms: int) -> np.ndarray:
+        """First n_terms descending coefficients of phi(P(z)) = P + sqrt(P^2 - 1),
+        from z^(deg P) down."""
+        out = np.zeros(n_terms, dtype=complex)
+        head = P.coeffs[::-1][:n_terms]
+        out[: len(head)] += head
+        return out + _series_power((P * P - ComplexPolynomial([1.0])).coeffs[::-1], (1, 2), n_terms)
 
 
 @dataclass(frozen=True, eq=False)
@@ -205,12 +206,6 @@ class CurveSample:
     def size(self) -> int:
         return len(self.points)
 
-    def to_csv_rows(self):
-        return [
-            (float(t), float(z.real), float(z.imag))
-            for t, z in zip(self.thetas, self.points)
-        ]
-
 
 def _preimage(f: CurveFamily) -> tuple[ComplexPolynomial, LaurentSeriesAtInfinity]:
     """(P, psi) with L_r = P^{-1}(psi(|w| = r^m)), m = deg P: a root family's
@@ -239,6 +234,34 @@ def capacity_leading_coefficient(f: CurveFamily) -> float:
 # -- map series --------------------------------------------------------------
 
 
+def _series_power(s: np.ndarray, exponent: tuple[int, int], n_terms: int) -> np.ndarray:
+    """First n_terms descending coefficients of the principal power s^(p/m),
+    exponent = (p, m), of a series at infinity given by its descending
+    coefficients s, s[0] positive real; those past the end of s count as zero.
+
+    Writes s = s[0] z^T (1 + v(1/z)) and applies J. C. P. Miller's
+    recurrence for (1 + v)^(p/m); the result's top power is p T/m.
+    """
+    p, m = exponent
+    lead = s[0]
+    if not (lead.imag == 0.0 and lead.real > 0):
+        raise ValueError("leading coefficient must be positive real")
+    # v in the variable u = 1/z: v[j] = coeff of z^(T-j) / lead, v[0] = 1
+    v = np.zeros(n_terms, dtype=complex)
+    have = min(len(s), n_terms)
+    v[:have] = s[:have] / lead
+    alpha = p / m
+    g = np.zeros(n_terms, dtype=complex)
+    g[0] = 1.0
+    for k in range(1, n_terms):
+        acc = 0.0 + 0.0j
+        for j in range(1, k + 1):
+            if v[j] != 0:
+                acc += ((alpha + 1.0) * j - k) * v[j] * g[k - j]
+        g[k] = acc / k
+    return (float(lead.real) ** alpha) * g
+
+
 def phi_series(f: CurveFamily, depth: int) -> LaurentSeriesAtInfinity:
     """Map series at infinity with the stated truncation depth.
 
@@ -254,11 +277,12 @@ def phi_series(f: CurveFamily, depth: int) -> LaurentSeriesAtInfinity:
             raise ValueError("an explicit map given psi has no phi series; use faber_basis")
         return f.phi.truncate(depth)
     if isinstance(f, _ROOT_FAMILIES):
-        s = series_power(f.base.map_of(f.P, depth + 2), (1, f.P.degree), depth + 2)
+        s = _series_power(f.base.map_of(f.P, depth + 2), (1, f.P.degree), depth + 2)
     else:
         s = f.map_of(ComplexPolynomial([0.0, 1.0]), depth + 2)
-    phi = LaurentSeriesAtInfinity(s.coeffs[-1].real, s.coeffs[:-1][::-1], exact=s.exact)
-    return phi.truncate(depth)  # pads the circle's exact z/R to the depth
+    # only the circle's z/R is a Laurent polynomial; truncate pads it to the depth
+    phi = LaurentSeriesAtInfinity(s[0].real, s[1:], exact=isinstance(f, Circle))
+    return phi.truncate(depth)
 
 
 def faber_basis(f: CurveFamily, n: int) -> list[ComplexPolynomial]:

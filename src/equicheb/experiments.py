@@ -52,6 +52,8 @@ __all__ = [
 
 # relative solver floor below which a measured deviation counts as exact zero
 _EXACT_MATCH_FLOOR = 1e-10
+# points of L_r on which sup norms are measured, at least 8 per degree
+_M_EVAL = 4096
 
 
 class ExperimentError(RuntimeError):
@@ -139,7 +141,6 @@ def rate_experiment(
     r_grid: Sequence[float],
     opts: SolveOptions = SolveOptions(),
     M: int | None = None,
-    M_eval: int = 4096,
 ) -> RateReport:
     """Measure D(r) = sup over the level curve of |T_n - monic Faber|.
 
@@ -173,7 +174,7 @@ def rate_experiment(
                 n=n,
                 solution=sol,
             )
-        eval_pts = sample_level_curve(f, r, max(M_eval, 8 * n)).points
+        eval_pts = sample_level_curve(f, r, max(_M_EVAL, 8 * n)).points
         diff = sol.polynomial - fhat
         D[i] = float(np.abs(diff(eval_pts)).max())
         cheb_sup[i] = float(np.abs(sol.polynomial(eval_pts)).max())
@@ -313,7 +314,6 @@ def widom_experiment(
     r: float,
     n_max: int,
     opts: SolveOptions = SolveOptions(),
-    M_eval: int = 4096,
 ) -> WidomReport:
     """Normalized error sequence (c/r)^n * sup|T_n - monic Faber| at fixed r.
 
@@ -326,6 +326,7 @@ def widom_experiment(
         raise ValueError("level r must be finite and exceed 1")
     c = capacity_leading_coefficient(f)
     basis = faber_basis(f, n_max)
+    eval_pts = sample_level_curve(f, r, max(_M_EVAL, 8 * n_max)).points
     values: List[Optional[float]] = []
     sups: List[Optional[float]] = []
     for n in range(1, n_max + 1):
@@ -336,7 +337,6 @@ def widom_experiment(
             sups.append(None)
             continue
         fhat = basis[n]
-        eval_pts = sample_level_curve(f, r, max(M_eval, 8 * n)).points
         diff = sol.polynomial - fhat
         norm = (c / r) ** n
         values.append(float(norm * np.abs(diff(eval_pts)).max()))
@@ -575,9 +575,7 @@ class FaberErrorReport:
         }
 
 
-def faber_error_decay(
-    f: CurveFamily, n: int, r_grid: Sequence[float], M: int = 2048
-) -> FaberErrorReport:
+def faber_error_decay(f: CurveFamily, n: int, r_grid: Sequence[float]) -> FaberErrorReport:
     """sup over the level curve of |Fhat_n(z) - (phi(z)/c)^n| across levels.
 
     Uses the exact map values phi(z_j) = r*exp(i*theta_j) of the sample
@@ -594,7 +592,7 @@ def faber_error_decay(
     fhat = faber_basis(f, n)[n]
     vals = np.zeros(len(r_values))
     for i, r in enumerate(r_values):
-        sample = sample_level_curve(f, r, max(M, 8 * n))
+        sample = sample_level_curve(f, r, max(_M_EVAL, 8 * n))
         phi = r * np.exp(1j * sample.thetas)
         vals[i] = float(np.abs(fhat(sample.points) - (phi / c) ** n).max())
     fit = np.polyfit(np.log(r_values), np.log(np.maximum(vals, 1e-300)), 1)

@@ -39,6 +39,9 @@ _TOL = 1e-12
 # about (C eps)^(1/k), C the root's condition, so this covers the copies of
 # a double root; a triple root's may spread wider
 _NEGATIVE_AXIS = np.finfo(float).eps ** (1.0 / 3.0)
+# roots this close to the origin, relative to 1 + max |root|, have an angle
+# of pure rounding noise
+_ORIGIN = np.sqrt(np.finfo(float).eps)
 
 
 class RootFindingError(RuntimeError):
@@ -88,10 +91,14 @@ def _sort_roots(roots: np.ndarray) -> np.ndarray:
     """Each row by angle in (-pi, pi], ties by modulus.  An angle within
     _NEGATIVE_AXIS of -pi counts as pi, so that a root on the negative real
     axis, or a copy of a multiple one split by rounding, sorts last
-    whatever the sign of its small imaginary part."""
+    whatever the sign of its small imaginary part.  Roots within _ORIGIN
+    (1 + max |root|) of the origin sort first, by modulus alone."""
+    modulus = np.abs(roots)
     angle = np.angle(roots)
     angle = np.where(angle < -np.pi + _NEGATIVE_AXIS, np.pi, angle)
-    order = np.lexsort((np.abs(roots), angle), axis=-1)
+    at_origin = modulus <= _ORIGIN * (1.0 + modulus.max(axis=-1, keepdims=True))
+    angle = np.where(at_origin, -np.inf, angle)
+    order = np.lexsort((modulus, angle), axis=-1)
     return np.take_along_axis(roots, order, axis=-1)
 
 

@@ -1,10 +1,11 @@
-"""Truncated Laurent series at infinity, Faber polynomials, and basis changes.
+"""Map series at infinity, Faber polynomials, and basis changes.
 
-A series here is a finite window of exactly-known coefficients.  Every
-operation states which output coefficients are exact, so that high-degree
-Faber coefficients can never be silently corrupted by truncation: if an
-operation cannot guarantee a coefficient, it raises DepthExhaustionError
-instead of guessing.
+A map series, LaurentSeriesAtInfinity, holds c*z + tail(1/z) to a stated
+depth; ``exact`` marks a Laurent polynomial, known at every depth.  Every
+reader of a series that needs coefficients below its depth (``truncate``
+and the Faber kernels) raises DepthExhaustionError instead of guessing, so
+that high-degree Faber coefficients can never be silently corrupted by
+truncation.
 """
 
 from __future__ import annotations
@@ -16,11 +17,9 @@ import numpy as np
 __all__ = [
     "DepthExhaustionError",
     "NotMonicError",
-    "LaurentSeries",
     "LaurentSeriesAtInfinity",
     "ComplexPolynomial",
     "FaberExpansion",
-    "series_power",
     "faber_powers",
     "monic_faber",
     "faber_recurrence",
@@ -29,108 +28,11 @@ __all__ = [
 
 
 class DepthExhaustionError(ValueError):
-    """Requested coefficients lie below the exactly-known window."""
+    """Requested coefficients lie below a series' known depth."""
 
 
 class NotMonicError(ValueError):
     """Operation requires a monic polynomial."""
-
-
-@dataclass(frozen=True, eq=False)
-class LaurentSeries:
-    """Finite Laurent expansion  sum_{k=low..top} coeffs[k-low] * z^k.
-
-    ``exact=True`` means all coefficients outside the window are exactly
-    zero (a Laurent polynomial).  ``exact=False`` means coefficients below
-    ``low`` are unknown, i.e. the series carries an O(z^(low-1)) error term;
-    coefficients above ``top`` are still exactly zero (series at infinity).
-    """
-
-    low: int
-    coeffs: np.ndarray
-    exact: bool = False
-
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", np.asarray(self.coeffs, dtype=complex).ravel())
-        if len(self.coeffs) == 0:
-            raise ValueError("empty coefficient window")
-
-    @property
-    def top(self) -> int:
-        return self.low + len(self.coeffs) - 1
-
-    @property
-    def depth(self) -> int:
-        """Depth below z^0 of the known window (-low); negative if low > 0."""
-        return -self.low
-
-    def coeff(self, k: int) -> complex:
-        """Exact coefficient of z^k; raises if k is in the unknown tail."""
-        if k > self.top:
-            return 0.0 + 0.0j
-        if k < self.low:
-            if self.exact:
-                return 0.0 + 0.0j
-            raise DepthExhaustionError(
-                f"coefficient of z^{k} is below the known window (low={self.low})"
-            )
-        return complex(self.coeffs[k - self.low])
-
-    def __add__(self, other: "LaurentSeries") -> "LaurentSeries":
-        lo = min(self.low, other.low)
-        if not self.exact:
-            lo = max(lo, self.low)
-        if not other.exact:
-            lo = max(lo, other.low)
-        hi = max(self.top, other.top)
-        if lo > hi:
-            raise DepthExhaustionError("sum has no exactly-known coefficients")
-        out = np.zeros(hi - lo + 1, dtype=complex)
-        for s in (self, other):
-            a, b = max(lo, s.low), min(hi, s.top)
-            if a <= b:
-                out[a - lo : b - lo + 1] += s.coeffs[a - s.low : b - s.low + 1]
-        return LaurentSeries(lo, out, exact=self.exact and other.exact)
-
-    def scale(self, factor: complex) -> "LaurentSeries":
-        return LaurentSeries(self.low, self.coeffs * factor, exact=self.exact)
-
-    def __repr__(self):
-        return f"LaurentSeries(low={self.low}, top={self.top}, exact={self.exact})"
-
-
-def series_power(s, exponent: tuple[int, int], n_terms: int) -> LaurentSeries:
-    """Principal power s^(p/m), exponent = (p, m), of a series with positive
-    real leading coefficient.
-
-    Writes s = a * z^T * (1 + v(1/z)) and applies J. C. P. Miller's
-    recurrence for (1+v)^(p/m); m must divide p*T.  The result keeps n_terms
-    coefficients down from its top power p*T/m; an inexact s must hold as many.
-    """
-    p, m = exponent
-    if (s.top * p) % m:
-        raise ValueError("top power times the exponent must be an integer")
-    lead = s.coeffs[-1]
-    if not (lead.imag == 0.0 and lead.real > 0):
-        raise ValueError("leading coefficient must be positive real")
-    if not s.exact and len(s.coeffs) < n_terms:
-        raise DepthExhaustionError("series window too shallow for requested power depth")
-    # v in the variable u = 1/z: v[j] = coeff of z^(T-j) / lead, v[0] = 1
-    v = np.zeros(n_terms, dtype=complex)
-    have = min(len(s.coeffs), n_terms)
-    v[:have] = s.coeffs[::-1][:have] / lead
-    alpha = p / m
-    g = np.zeros(n_terms, dtype=complex)
-    g[0] = 1.0
-    for k in range(1, n_terms):
-        acc = 0.0 + 0.0j
-        for j in range(1, k + 1):
-            if v[j] != 0:
-                acc += ((alpha + 1.0) * j - k) * v[j] * g[k - j]
-        g[k] = acc / k
-    out_top = s.top * p // m
-    coeffs = (float(lead.real) ** alpha) * g[::-1]
-    return LaurentSeries(out_top - (n_terms - 1), coeffs, exact=False)
 
 
 @dataclass(frozen=True, eq=False)
@@ -222,10 +124,6 @@ class ComplexPolynomial:
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
-    @property
-    def is_zero(self) -> bool:
-        return self.degree == 0 and self.coeffs[0] == 0
-
     def leading(self) -> complex:
         return complex(self.coeffs[-1])
 
@@ -258,9 +156,6 @@ class ComplexPolynomial:
         return ComplexPolynomial(self.coeffs * complex(other))
 
     __rmul__ = __mul__
-
-    def to_series(self) -> LaurentSeries:
-        return LaurentSeries(0, self.coeffs, exact=True)
 
     def derivative(self) -> "ComplexPolynomial":
         if self.degree == 0:

@@ -344,12 +344,6 @@ class TestSampling:
                 d2 = np.abs(sample_level_curve(fam, 2 * r, 128).points).max()
                 assert 1.9 <= d2 / d1 <= 2.1
 
-    def test_csv_rows(self):
-        s = sample_level_curve(Circle(1.0), 2.0, 4)
-        rows = s.to_csv_rows()
-        assert len(rows) == 4
-        assert rows[1][0] == pytest.approx(np.pi / 2)
-
 
 class TestSamplePointsDD:
     """Double-double points lie on L_r at the sampled map angles exactly,

@@ -40,12 +40,12 @@ class TestClassicalChebyshev:
 
 class TestRateExperiment:
     def test_circle_exact_match_flag(self):
-        rep = rate_experiment(Circle(1.0), 3, [2, 4, 8, 16, 32], opts=FAST, M=256, M_eval=512)
+        rep = rate_experiment(Circle(1.0), 3, [2, 4, 8, 16, 32], opts=FAST, M=256)
         assert rep.exact_match
         assert rep.slope is None
 
     def test_bernoulli_rate(self):
-        rep = rate_experiment(BERNOULLI, 3, [2, 4, 8, 16, 32], opts=FAST, M=512, M_eval=2048)
+        rep = rate_experiment(BERNOULLI, 3, [2, 4, 8, 16, 32], opts=FAST, M=512)
         assert not rep.exact_match
         assert rep.slope <= -0.9
         assert rep.D[-1] < rep.D[0] / 10
@@ -61,7 +61,7 @@ class TestRateExperiment:
             assert np.abs(sol.polynomial(fine)).max() <= sol.sup_norm * (1 + 2e-10)
 
     def test_bound_chain(self):
-        rep = rate_experiment(BERNOULLI, 4, [2, 4, 8, 16], opts=FAST, M=256, M_eval=1024)
+        rep = rate_experiment(BERNOULLI, 4, [2, 4, 8, 16], opts=FAST, M=256)
         assert np.all(rep.cheb_sup <= rep.faber_sup * (1 + 1e-12))
 
     def test_grid_validation(self):
@@ -80,12 +80,12 @@ class TestRateExperiment:
     def test_interval_rate_decays(self):
         # T is level-independent here, so D(r) measures the distance of the
         # fixed classical polynomial to its own large-r limit: still decays
-        rep = rate_experiment(Interval(), 4, [2, 4, 8, 16, 32], opts=FAST, M=256, M_eval=1024)
+        rep = rate_experiment(Interval(), 4, [2, 4, 8, 16, 32], opts=FAST, M=256)
         assert rep.exact_match or rep.slope <= -0.9
 
     def test_determinism(self):
-        a = rate_experiment(BERNOULLI, 3, [2, 4, 8, 16], opts=FAST, M=256, M_eval=512)
-        b = rate_experiment(BERNOULLI, 3, [2, 4, 8, 16], opts=FAST, M=256, M_eval=512)
+        a = rate_experiment(BERNOULLI, 3, [2, 4, 8, 16], opts=FAST, M=256)
+        b = rate_experiment(BERNOULLI, 3, [2, 4, 8, 16], opts=FAST, M=256)
         assert json.dumps(a.to_json_dict(), sort_keys=True) == json.dumps(
             b.to_json_dict(), sort_keys=True
         )

@@ -135,6 +135,19 @@ class TestAllRoots:
             ordered = _sort_roots(np.array([[complex(-2.0, noise), 2.0, 1j]]))
             np.testing.assert_array_equal(ordered[0].real, [2.0, 0.0, -2.0])
 
+    def test_root_at_the_origin_sorts_first(self):
+        # the angle of a root at the origin is rounding noise; under
+        # perturbations of the constant term of z (z^2 - 1)(z^2 + 1/2) at
+        # 1e-13 the near-origin root must still take the first place
+        base = np.array([0.0, -0.5, 0.0, -0.5, 0.0, 1.0], dtype=complex)
+        rng = np.random.default_rng(5)
+        for _ in range(40):
+            coeffs = base.copy()
+            coeffs[0] = 1e-13 * complex(*rng.standard_normal(2))
+            roots = all_roots(ComplexPolynomial(coeffs)).roots
+            assert abs(roots[0]) < 1e-12
+            assert np.abs(roots[1:]).min() > 0.5
+
     def test_split_double_root_on_negative_axis_sorts_last(self):
         # Aberth splits the double root -1 of (z^2 - 1)^2 by about sqrt(eps),
         # the imaginary parts' signs set by the rounding; under coefficient
