@@ -431,7 +431,10 @@ def zero_trajectories(
     against the roots of the monic Faber polynomial.  ``precision_limited``
     marks the levels whose solves double precision could not resolve and
     which were refined in double-double (see ``solve_chebyshev``).
+    Raises ValueError for n < 1, which has no zeros to track.
     """
+    if n < 1:
+        raise ValueError("degree must be at least 1")
     r_values = np.asarray(sorted(float(r) for r in r_grid))
     root_sets: List[Optional[RootSet]] = []
     limited = np.zeros(len(r_values), dtype=bool)

@@ -3,9 +3,10 @@
 The discrete problem  min_p max_j |p(z_j)|  over monic p is a second-order
 cone program, solved in the Arnoldi basis of the points.  Its dual weights
 certify convergence: their weighted least-squares minimum bounds the
-discrete optimum from below.  A curve exchange adds the maxima of |p|
-between the sample points until none exceeds the discrete sup by more than
-the tolerance, so that the solution tracks the curve, not only the sample.
+discrete optimum from below.  A curve exchange places the maxima of |p|
+that the sample's grid steps bracket along the curve and adds them to the
+points until none exceeds the discrete sup by more than the tolerance, so
+that the solution tracks the curve, not only the sample.
 Solves that double precision cannot resolve near K are refined in
 double-double arithmetic.
 """
@@ -71,8 +72,9 @@ class MinimaxSolution:
     ``weights`` are the normalized dual weights of the final discrete solve,
     one per point used, and ``equioscillation_gap`` is their certificate;
     ``iterations`` counts interior-point steps.  From ``solve_chebyshev``,
-    ``converged`` also means that no maximum of |p| on the curve exceeds
-    ``sup_norm`` by more than the tolerance.  ``precision_limited`` marks
+    ``converged`` also means that no maximum of |p| on the curve bracketed
+    by a grid step of the sample exceeds ``sup_norm`` by more than the
+    tolerance.  ``precision_limited`` marks
     a solve whose values on the curve are too
     large for double precision to pin the low-order coefficients (see
     ``solve_chebyshev``); its polynomial was refined in double-double.
@@ -395,29 +397,28 @@ def chebyshev_on_points(points, n: int, opts: SolveOptions | None = None) -> Min
 
 
 # curve exchange: re-solves with the maxima of |p| along L_r added, at most
-# this many times (a safety cap; the tolerance ends it); the maxima near
-# active points (weights above _ACTIVE_WEIGHT of the largest) are placed by
-# secant steps on d|p|^2/dtheta, safeguarded by a bracket
+# this many times (a safety cap; the tolerance ends it); each maximum is
+# placed by secant steps on d|p|^2/dtheta, safeguarded by its grid step
 _EXCHANGE_ROUNDS = 16
-_ACTIVE_WEIGHT = 1e-3
 _SECANT_STEPS = 8
 
 
-def _curve_maxima(p: ComplexPolynomial, sample: CurveSample, thetas, points):
-    """Angles and points of the maxima of |p| along the curve within one grid
-    step uphill of the given angles (points there).
+def _curve_maxima(p: ComplexPolynomial, sample: CurveSample) -> np.ndarray:
+    """Points of the maxima of |p| along the curve that the sample's grid
+    steps bracket.
 
-    The sign of the slope of |p|^2 at each angle picks the step [theta,
-    theta + h] or [theta - h, theta] that |p| climbs into.  Where the slope
-    turns downhill by the step's end it brackets a maximum, and secant
-    steps on the slope, started from theta - h and theta + h, place it to
-    rounding, which comparing values of |p| cannot: they are flat to eps
-    over about sqrt(eps) of angle.  A secant step off the uphill step (it
-    can settle downhill on a critical point below the start) is replaced
-    by regula falsi on the bracket, or by bisection where that lands on an
-    end of it: the secant stays put at an end where the slope is exactly
-    zero, as at a symmetry angle where |p| has a minimum.  Elsewhere the
-    step's end is the highest point of the step.
+    The slope of |p|^2 is taken at every sample angle theta and at theta + h,
+    h the grid step, by continuation from the same sample point.  A step
+    where it turns from > 0 to <= 0 brackets one maximum, and secant steps
+    on the slope, started from the step's two ends, place it to rounding,
+    which comparing values of |p| cannot: they are flat to eps over about
+    sqrt(eps) of angle.  A secant step out of the bracket is replaced by
+    regula falsi, or by bisection where that lands on an end, whose slope
+    is then zero to rounding: at a minimum of |p| on a symmetry angle the
+    secant would stay put there.  Bisection in turn stops a fraction of the
+    step short of a maximum on an end, so each step returns the highest of
+    its last iterate and its two ends.  A maximum and a minimum of |p|
+    within one grid step leave no sign change and are not seen.
     """
     dp = p.derivative()
 
@@ -426,32 +427,25 @@ def _curve_maxima(p: ComplexPolynomial, sample: CurveSample, thetas, points):
         return z, (np.conj(p(z)) * dp(z) * dz).real
 
     h = 2.0 * np.pi / sample.grid_size
-    zs, gs = slope(np.concatenate([thetas, thetas - h, thetas + h]), np.tile(points, 3))
-    (_, z_lo, z_hi), (g, g_lo, g_hi) = np.split(zs, 3), np.split(gs, 3)
-    up = np.where(g < 0, -1.0, 1.0)
-    ends = thetas + up * h
-    z = np.where(up > 0, z_hi, z_lo)
-    # the uphill slope up * g falls from fa > 0 at a to fb <= 0 at b
-    fa, fb = up * g, up * np.where(up > 0, g_hi, g_lo)
-    turn = np.flatnonzero((fa > 0) & (fb <= 0))
-    if not len(turn):
-        return ends, z
-    start, up, near = thetas[turn], up[turn], points[turn]
-    a, fa, b, fb = start, fa[turn], ends[turn], fb[turn]
-    prev, g_prev, cur, g = start - h, g_lo[turn], start + h, g_hi[turn]
+    z, g = slope(np.concatenate([sample.thetas, sample.thetas + h]), np.tile(sample.points, 2))
+    g_a, g_b = np.split(g, 2)
+    turn = np.flatnonzero((g_a > 0) & (g_b <= 0))
+    a, fa, b, fb = sample.thetas[turn], g_a[turn], sample.thetas[turn] + h, g_b[turn]
+    near, prev, g_prev, cur, g = sample.points[turn], a, fa, b, fb
+    z_end = np.split(z, 2)[1][turn]
     for _ in range(_SECANT_STEPS):
         dg = g - g_prev
         nxt = np.where(dg != 0, cur - g * (cur - prev) / np.where(dg != 0, dg, 1.0), cur)
         falsi = (a * fb - b * fa) / (fb - fa)
         falsi = np.where((falsi - a) * (falsi - b) < 0, falsi, 0.5 * (a + b))
         prev, g_prev = cur, g
-        cur = np.where(((nxt - start) * up > 0) & (np.abs(nxt - start) < h), nxt, falsi)
-        z_cur, g = slope(cur, near)
-        rise = up * g > 0
-        a, fa = np.where(rise, cur, a), np.where(rise, up * g, fa)
-        b, fb = np.where(rise, b, cur), np.where(rise, fb, up * g)
-    ends[turn], z[turn] = cur, z_cur
-    return ends, z
+        cur = np.where((nxt - a) * (nxt - b) < 0, nxt, falsi)
+        z, g = slope(cur, near)
+        rise = g > 0
+        a, fa = np.where(rise, cur, a), np.where(rise, g, fa)
+        b, fb = np.where(rise, b, cur), np.where(rise, fb, g)
+    z = np.stack([z, near, z_end])
+    return z[np.abs(p(z)).argmax(axis=0), np.arange(len(turn))]
 
 
 def solve_chebyshev(
@@ -460,13 +454,14 @@ def solve_chebyshev(
     """Monic degree-n polynomial of least maximum modulus over the curve.
 
     Solves the discrete problem on the sample, then runs a curve exchange:
-    it places the maxima of |p| along L_r near the active points, adds
-    those that exceed the discrete sup by more than ``tol_rel`` to the
-    points used and re-solves, until none does.  ``converged`` means the
-    discrete certificate on all points used and that curve test; a solve
-    still above it after _EXCHANGE_ROUNDS re-solves returns
-    ``converged=False``.  ``iterations`` counts every interior-point step
-    of the call.
+    it places the maxima of |p| along L_r that the sample's grid steps
+    bracket and, while any of them exceeds the discrete sup by more than
+    ``tol_rel``, adds all of them to the points used and re-solves.
+    ``converged`` means the discrete certificate on all points used and
+    that no maximum bracketed by a grid step exceeds ``sup_norm`` by more
+    than ``tol_rel``; a solve still above it after _EXCHANGE_ROUNDS
+    re-solves returns ``converged=False``.  ``iterations`` counts every
+    interior-point step of the call.
 
     A solve is precision-limited when rounding at eps * sup_norm, in
     capacity units (times c^n), exceeds the root-accuracy budget 1e-3:
@@ -482,20 +477,17 @@ def solve_chebyshev(
     sol = chebyshev_on_points(sample.points, n, opts)
     growth = capacity_leading_coefficient(sample.family) ** n
     if n == 0 or np.finfo(float).eps * sol.sup_norm * growth <= _ROOT_ACCURACY_BUDGET:
-        steps, points, thetas = sol.iterations, sample.points, sample.thetas
+        steps, points = sol.iterations, sample.points
         for rounds in range(_EXCHANGE_ROUNDS + 1):
             if not sol.converged:
                 break
-            active = sol.weights > _ACTIVE_WEIGHT * sol.weights.max()
-            new_thetas, new_points = _curve_maxima(sol.polynomial, sample, thetas[active], points[active])
-            over = np.abs(sol.polynomial(new_points)) > sol.sup_norm * (1.0 + opts.tol_rel)
-            if not over.any():
+            maxima = _curve_maxima(sol.polynomial, sample)
+            if not (np.abs(sol.polynomial(maxima)) > sol.sup_norm * (1.0 + opts.tol_rel)).any():
                 break
             if rounds == _EXCHANGE_ROUNDS:
                 sol = replace(sol, converged=False)
                 break
-            points = np.concatenate([points, new_points[over]])
-            thetas = np.concatenate([thetas, new_thetas[over]])
+            points = np.concatenate([points, maxima])
             sol = chebyshev_on_points(points, n, opts)
             steps += sol.iterations
         return replace(sol, iterations=steps)

@@ -161,13 +161,6 @@ def _aberth_batch(coeff_rows: np.ndarray):
     return z, iterations, ~active
 
 
-def _residuals(coeffs: np.ndarray, roots: np.ndarray) -> np.ndarray:
-    pv = np.zeros_like(roots)
-    for c in coeffs[::-1]:
-        pv = pv * roots + c
-    return np.abs(pv)
-
-
 def all_roots(p: ComplexPolynomial) -> RootSet:
     """All complex roots of p by simultaneous Aberth-Ehrlich iteration.
 
@@ -188,12 +181,12 @@ def all_roots(p: ComplexPolynomial) -> RootSet:
     if deg == 1:
         _monic_rows(coeffs[None, :])
         root = np.array([-coeffs[0] / coeffs[1]])
-        return RootSet(root, _residuals(coeffs, root), iterations=0)
+        return RootSet(root, np.abs(p(root)), iterations=0)
     z, iters, conv = _aberth_batch(coeffs[None, :])
     if not conv[0]:
         raise RootFindingError(f"no convergence within {_MAX_ITER} iterations (degree {deg})")
     roots = _sort_roots(z[0])
-    return RootSet(roots, _residuals(coeffs, roots), iterations=int(iters[0]))
+    return RootSet(roots, np.abs(p(roots)), iterations=int(iters[0]))
 
 
 def roots_after_constant_shifts(base: ComplexPolynomial, targets: np.ndarray):

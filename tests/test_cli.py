@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from equicheb import cli, minimax
+from equicheb import cli, experiments, minimax
 from equicheb.cli import run
 from equicheb.experiments import ExperimentError
 from equicheb.minimax import SolveOptions
@@ -178,6 +178,18 @@ class TestZerosCommand:
                 "--M", "64", "--r-grid", grid, "-o", str(out)]
         assert run(argv) == 1
         assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+    def test_degree_zero_refused_before_solving(self, tmp_path, capsys, monkeypatch):
+        # a constant has no zeros: refused before the first level is solved
+        solved = []
+        monkeypatch.setattr(experiments, "solve_chebyshev", lambda *a, **k: solved.append(a))
+        out = tmp_path / "out"
+        argv = ["zeros", "--family", "lemniscate", "--P", "1,0,-1", "--n", "0",
+                "--M", "64", "--r-grid", "1.5,2", "-o", str(out)]
+        assert run(argv) == 1
+        assert capsys.readouterr().err.startswith("error: degree must be at least 1")
+        assert not solved
         assert not out.exists()
 
 
