@@ -9,7 +9,6 @@ harnesses for the convergence/invariance behavior that connects them.
 from .series import (
     ComplexPolynomial,
     DepthExhaustionError,
-    FaberExpansion,
     LaurentSeriesAtInfinity,
     NotMonicError,
     faber_basis_expand,
@@ -36,6 +35,7 @@ from .minimax import (
     RankDeficiencyError,
     SolveOptions,
     chebyshev_on_points,
+    curve_sup_norm,
     solve_chebyshev,
     weighted_ls_monic,
 )

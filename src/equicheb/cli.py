@@ -272,7 +272,7 @@ def _execute(args) -> dict:
             "family": family_to_json_dict(args.family),
             "n": args.n,
             "c": capacity_leading_coefficient(args.family),
-            "coeffs": [[float(v.real), float(v.imag)] for v in poly.coeffs],
+            **poly.to_json_dict(),
         }
     elif args.subcommand == "cheb":
         M = args.M if args.M is not None else max(256, 16 * args.n)

@@ -390,23 +390,15 @@ def points_at_angles(f: CurveFamily, r: float, thetas, near):
 # -- JSON family specs -------------------------------------------------------
 
 
-def _poly_to_pairs(p: ComplexPolynomial):
-    return [[float(c.real), float(c.imag)] for c in p.coeffs]
-
-
-def _poly_from_pairs(pairs) -> ComplexPolynomial:
-    return ComplexPolynomial([complex(re, im) for re, im in pairs])
-
-
 def family_to_json_dict(f: CurveFamily) -> dict:
     if isinstance(f, Circle):
         return {"family": "circle", "R": f.radius}
     if isinstance(f, Interval):
         return {"family": "interval"}
     if isinstance(f, Lemniscate):
-        return {"family": "lemniscate", "P": _poly_to_pairs(f.P), "R": f.R}
+        return {"family": "lemniscate", "P": f.P.to_json_dict()["coeffs"], "R": f.R}
     if isinstance(f, InversePolynomialImage):
-        d = {"family": "inverse-image", "P": _poly_to_pairs(f.P)}
+        d = {"family": "inverse-image", "P": f.P.to_json_dict()["coeffs"]}
         if f.alternation_points is not None:
             d["alternation_points"] = [float(x) for x in f.alternation_points]
         return d
@@ -431,11 +423,11 @@ def family_from_json_dict(d: dict) -> CurveFamily:
             return Circle(float(d.get("R", 1.0)))
         if kind == "interval":
             return Interval()
-        if kind == "lemniscate":
-            return Lemniscate(_poly_from_pairs(d["P"]), float(d.get("R", 1.0)))
-        if kind == "inverse-image":
-            pts = d.get("alternation_points")
-            return InversePolynomialImage(_poly_from_pairs(d["P"]), pts)
+        if kind in ("lemniscate", "inverse-image"):
+            P = ComplexPolynomial.from_json_dict({"coeffs": d["P"]})
+            if kind == "lemniscate":
+                return Lemniscate(P, float(d.get("R", 1.0)))
+            return InversePolynomialImage(P, d.get("alternation_points"))
         if kind == "explicit":
             phi = LaurentSeriesAtInfinity.from_json_dict(d["phi"]) if "phi" in d else None
             psi = LaurentSeriesAtInfinity.from_json_dict(d["psi"]) if "psi" in d else None

@@ -26,9 +26,9 @@ from .curves import (
     phi_series,
     sample_level_curve,
 )
-from .minimax import MinimaxSolution, SolveOptions, solve_chebyshev
+from .minimax import MinimaxSolution, SolveOptions, curve_sup_norm, solve_chebyshev
 from .rootfind import RootFindingError, RootSet, all_roots
-from .series import ComplexPolynomial, FaberExpansion, faber_basis_expand, monic_faber
+from .series import ComplexPolynomial, faber_basis_expand, monic_faber
 
 # phi_series and monic_faber are unused here but stay bound: perfbench patches them by name
 
@@ -52,7 +52,9 @@ __all__ = [
 
 # relative solver floor below which a measured deviation counts as exact zero
 _EXACT_MATCH_FLOOR = 1e-10
-# points of L_r on which sup norms are measured, at least 8 per degree
+# points of L_r on which faber_error_decay measures its remainder, at least
+# 8 per degree; the remainder is not a polynomial, so the solver's curve scan
+# (curve_sup_norm) does not apply to it
 _M_EVAL = 4096
 
 
@@ -102,7 +104,7 @@ class RateReport:
     slope: Optional[float]
     intercept: Optional[float]
     exact_match: bool
-    alphas: List[FaberExpansion]
+    alphas: np.ndarray  # Faber coefficients alpha_k of T_n, shape (len(r), n)
     scaled_alpha: np.ndarray  # |alpha_k| * r^(k+1), shape (len(r), n)
     solutions: List[MinimaxSolution]
 
@@ -118,9 +120,7 @@ class RateReport:
             "slope": self.slope,
             "intercept": self.intercept,
             "exact_match": self.exact_match,
-            "alphas": [
-                [[float(a.real), float(a.imag)] for a in fe.alpha] for fe in self.alphas
-            ],
+            "alphas": [[[float(a.real), float(a.imag)] for a in row] for row in self.alphas],
             "scaled_alpha": [[float(v) for v in row] for row in self.scaled_alpha],
         }
 
@@ -130,7 +130,7 @@ class RateReport:
         for i, r in enumerate(self.r_values):
             rows.append(
                 [repr(float(r)), repr(float(self.D[i]))]
-                + [str(complex(a)) for a in self.alphas[i].alpha]
+                + [str(complex(a)) for a in self.alphas[i]]
             )
         return rows
 
@@ -144,11 +144,15 @@ def rate_experiment(
 ) -> RateReport:
     """Measure D(r) = sup over the level curve of |T_n - monic Faber|.
 
-    Solves the discrete Chebyshev problem at each level, expands each
-    solution over the monic Faber basis, and fits a log-log line to
-    (r, D(r)).  Families whose Chebyshev polynomials equal the Faber
-    polynomial exactly are reported with ``exact_match`` instead of a
-    slope.  Any unconverged solve aborts with diagnostics.
+    Solves the Chebyshev problem at each level, expands each solution over
+    the monic Faber basis, and fits a log-log line to (r, D(r)).  Every norm
+    on L_r is a curve sup, taken on the sample the level was solved on:
+    D(r) and the Faber norm by ``curve_sup_norm``, the Chebyshev norm as
+    the solve's ``sup_norm``, which its curve exchange certifies (a
+    precision-limited solve skips the exchange; see ``solve_chebyshev``).
+    Families whose Chebyshev polynomials equal the Faber polynomial exactly
+    are reported with ``exact_match`` instead of a slope.  Any unconverged
+    solve aborts with diagnostics.
     """
     r_values = np.asarray(sorted(float(r) for r in r_grid))
     if len(r_values) < 4:
@@ -160,9 +164,8 @@ def rate_experiment(
     D = np.zeros(len(r_values))
     cheb_sup = np.zeros(len(r_values))
     faber_sup = np.zeros(len(r_values))
-    alphas: List[FaberExpansion] = []
+    alphas = np.zeros((len(r_values), n), dtype=complex)
     solutions: List[MinimaxSolution] = []
-    scaled = np.zeros((len(r_values), n))
     for i, r in enumerate(r_values):
         sample = _experiment_sample(f, r, n, M)
         sol = solve_chebyshev(sample, n, opts)
@@ -174,14 +177,10 @@ def rate_experiment(
                 n=n,
                 solution=sol,
             )
-        eval_pts = sample_level_curve(f, r, max(_M_EVAL, 8 * n)).points
-        diff = sol.polynomial - fhat
-        D[i] = float(np.abs(diff(eval_pts)).max())
-        cheb_sup[i] = float(np.abs(sol.polynomial(eval_pts)).max())
-        faber_sup[i] = float(np.abs(fhat(eval_pts)).max())
-        fe = faber_basis_expand(sol.polynomial, basis)
-        alphas.append(fe)
-        scaled[i] = np.abs(fe.alpha) * r ** (np.arange(n) + 1.0)
+        D[i] = curve_sup_norm(sol.polynomial - fhat, sample)
+        cheb_sup[i] = sol.sup_norm
+        faber_sup[i] = curve_sup_norm(fhat, sample)
+        alphas[i] = faber_basis_expand(sol.polynomial, basis)
         solutions.append(sol)
     exact = bool(np.all(D <= _EXACT_MATCH_FLOOR * cheb_sup))
     if exact:
@@ -200,7 +199,7 @@ def rate_experiment(
         intercept=intercept,
         exact_match=exact,
         alphas=alphas,
-        scaled_alpha=scaled,
+        scaled_alpha=np.abs(alphas) * r_values[:, None] ** (np.arange(n) + 1.0),
         solutions=solutions,
     )
 
@@ -319,14 +318,18 @@ def widom_experiment(
 
     Alongside it, the normalized sup (c/r)^n * sup|T_n| of each solution,
     the scale against which an error counts as zero (families whose T_n
-    equal their Faber polynomials give pure rounding noise).  Unconverged
-    solves are recorded as gaps (None), not failures.
+    equal their Faber polynomials give pure rounding noise).  Both sups are
+    taken on the curve, on the sample each degree was solved on: the error
+    by ``curve_sup_norm``, sup|T_n| as the solve's ``sup_norm``.
+    Unconverged solves are recorded as gaps (None), not failures.  Raises
+    ValueError for n_max < 1, which leaves no degree to report.
     """
     if not 1.0 < r < np.inf:
         raise ValueError("level r must be finite and exceed 1")
+    if n_max < 1:
+        raise ValueError("n_max must be at least 1")
     c = capacity_leading_coefficient(f)
     basis = faber_basis(f, n_max)
-    eval_pts = sample_level_curve(f, r, max(_M_EVAL, 8 * n_max)).points
     values: List[Optional[float]] = []
     sups: List[Optional[float]] = []
     for n in range(1, n_max + 1):
@@ -336,11 +339,9 @@ def widom_experiment(
             values.append(None)
             sups.append(None)
             continue
-        fhat = basis[n]
-        diff = sol.polynomial - fhat
         norm = (c / r) ** n
-        values.append(float(norm * np.abs(diff(eval_pts)).max()))
-        sups.append(float(norm * np.abs(sol.polynomial(eval_pts)).max()))
+        values.append(float(norm * curve_sup_norm(sol.polynomial - basis[n], sample)))
+        sups.append(float(norm * sol.sup_norm))
     present = [v for v in values if v is not None]
     ratio = (present[-1] / present[0]) if len(present) >= 2 and present[0] > 0 else None
     return WidomReport(f, float(r), n_max, values, ratio, sups)

@@ -37,6 +37,7 @@ __all__ = [
     "weighted_ls_monic",
     "chebyshev_on_points",
     "solve_chebyshev",
+    "curve_sup_norm",
 ]
 
 
@@ -89,14 +90,13 @@ class MinimaxSolution:
     iterations: int
     converged: bool
     equioscillation_gap: float
-    basis_center: complex
     precision_limited: bool = False
 
     def to_json_dict(self, n: int | None = None, r: float | None = None) -> dict:
         return {
             "n": self.polynomial.degree if n is None else n,
             "r": r,
-            "coeffs": [[float(c.real), float(c.imag)] for c in self.polynomial.coeffs],
+            **self.polynomial.to_json_dict(),
             "sup_norm": self.sup_norm,
             "iterations": self.iterations,
             "converged": self.converged,
@@ -392,7 +392,6 @@ def chebyshev_on_points(points, n: int, opts: SolveOptions | None = None) -> Min
         iterations=steps,
         converged=converged,
         equioscillation_gap=float(gap),
-        basis_center=center,
     )
 
 
@@ -448,6 +447,13 @@ def _curve_maxima(p: ComplexPolynomial, sample: CurveSample) -> np.ndarray:
     return z[np.abs(p(z)).argmax(axis=0), np.arange(len(turn))]
 
 
+def curve_sup_norm(p: ComplexPolynomial, sample: CurveSample) -> float:
+    """Sup of |p| over the sample's curve: the largest of its values at the
+    sample points and at the maxima that the grid steps bracket
+    (``_curve_maxima``, blind to a maximum and a minimum within one step)."""
+    return float(np.abs(p(np.concatenate([sample.points, _curve_maxima(p, sample)]))).max())
+
+
 def solve_chebyshev(
     sample: CurveSample, n: int, opts: SolveOptions | None = None
 ) -> MinimaxSolution:
@@ -491,7 +497,7 @@ def solve_chebyshev(
             sol = chebyshev_on_points(points, n, opts)
             steps += sol.iterations
         return replace(sol, iterations=steps)
-    poly = _refine_dd(sample_points_dd(sample), sol.weights, n, sol.basis_center)
+    poly = _refine_dd(sample_points_dd(sample), sol.weights, n, complex(sample.points.mean()))
     resolved = bool(_DD_EPS * sol.sup_norm * growth <= _ROOT_ACCURACY_BUDGET)
     return replace(
         sol,

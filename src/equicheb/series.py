@@ -19,7 +19,6 @@ __all__ = [
     "NotMonicError",
     "LaurentSeriesAtInfinity",
     "ComplexPolynomial",
-    "FaberExpansion",
     "faber_powers",
     "monic_faber",
     "faber_recurrence",
@@ -245,44 +244,15 @@ def faber_recurrence(psi: LaurentSeriesAtInfinity, n: int) -> list[ComplexPolyno
     return [ComplexPolynomial(F[k, : k + 1]) for k in range(n + 1)]
 
 
-@dataclass(frozen=True, eq=False)
-class FaberExpansion:
-    """Coefficients of a monic polynomial over a monic Faber basis.
-
-    With basis elements B_k = ``basis[k]`` (monic of degree k), the expanded
-    polynomial is  B_n + sum_{k<n} alpha[k] * B_k.
-    """
-
-    degree: int
-    alpha: np.ndarray
-    basis: list[ComplexPolynomial]
-
-    def __post_init__(self):
-        object.__setattr__(self, "alpha", np.asarray(self.alpha, dtype=complex).ravel())
-        if len(self.alpha) != self.degree:
-            raise ValueError("alpha must have length equal to the degree")
-
-    def reconstruct(self) -> ComplexPolynomial:
-        out = self.basis[self.degree]
-        for k in range(self.degree):
-            if self.alpha[k] != 0:
-                out = out + self.alpha[k] * self.basis[k]
-        return out
-
-    def to_json_dict(self) -> dict:
-        return {
-            "degree": self.degree,
-            "alpha": [[float(v.real), float(v.imag)] for v in self.alpha],
-        }
-
-
 # distance of a leading coefficient from 1 that faber_basis_expand accepts
 _MONIC_TOL = 1e-9
 
 
-def faber_basis_expand(q: ComplexPolynomial, basis: list[ComplexPolynomial]) -> FaberExpansion:
-    """Expand a monic polynomial over a monic Faber basis, ``basis[k]`` of
-    degree k for k = 0 .. deg q at least (``curves.faber_basis``).
+def faber_basis_expand(q: ComplexPolynomial, basis: list[ComplexPolynomial]) -> np.ndarray:
+    """Coefficients alpha of a monic polynomial q over a monic Faber basis,
+    ``basis[k]`` of degree k for k = 0 .. deg q at least
+    (``curves.faber_basis``):  q = basis[n] + sum_{k<n} alpha[k] basis[k],
+    n = deg q.
 
     Back-substitution through the unit-upper-triangular change of basis:
     the degree-k basis element is monic, so alpha_k is read off the z^k
@@ -301,4 +271,4 @@ def faber_basis_expand(q: ComplexPolynomial, basis: list[ComplexPolynomial]) -> 
         alpha[k] = rem[k]
         if alpha[k] != 0:
             rem[: k + 1] -= alpha[k] * basis[k].coeffs
-    return FaberExpansion(n, alpha, basis[: n + 1])
+    return alpha

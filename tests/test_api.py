@@ -19,7 +19,6 @@ PUBLIC = {
     "ExperimentError",
     "ExplicitMap",
     "FaberErrorReport",
-    "FaberExpansion",
     "Interval",
     "InvarianceReport",
     "InversePolynomialImage",
@@ -38,6 +37,7 @@ PUBLIC = {
     "all_roots",
     "capacity_leading_coefficient",
     "chebyshev_on_points",
+    "curve_sup_norm",
     "faber_basis",
     "faber_basis_expand",
     "faber_error_decay",

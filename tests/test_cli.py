@@ -220,6 +220,14 @@ class TestWidomCommand:
             rows = list(csv.reader(fh))
         assert rows[0] == ["n", "normalized_error"]
 
+    def test_no_degree_refused(self, tmp_path, capsys):
+        # n_max < 1 leaves no degree to report: no empty report is written
+        out = tmp_path / "out"
+        argv = ["widom", "--family", "interval", "--r", "2", "--n-max", "0", "-o", str(out)]
+        assert run(argv) == 1
+        assert capsys.readouterr().err.startswith("error: n_max must be at least 1")
+        assert not (out / "widom.json").exists()
+
     def test_sample_size_flag_refused(self, tmp_path):
         # widom_experiment has no sample-size parameter, so --M is not
         # registered on widom

@@ -3,7 +3,14 @@ import json
 import numpy as np
 import pytest
 
-from equicheb.curves import Circle, Interval, InversePolynomialImage, Lemniscate, sample_level_curve
+from equicheb.curves import (
+    Circle,
+    Interval,
+    InversePolynomialImage,
+    Lemniscate,
+    faber_basis,
+    sample_level_curve,
+)
 from equicheb.experiments import (
     ExperimentError,
     faber_error_decay,
@@ -59,6 +66,20 @@ class TestRateExperiment:
         for r, sol in zip(rep.r_values, rep.solutions):
             fine = sample_level_curve(BERNOULLI, r, 2 ** 14).points
             assert np.abs(sol.polynomial(fine)).max() <= sol.sup_norm * (1 + 2e-10)
+
+    def test_norms_reach_the_curve_sup(self):
+        # D and the Faber norm are curve sups from the solve's own sample,
+        # never below the maximum over a dense sample of L_r; the Chebyshev
+        # norm is the solve's certified sup_norm
+        f = InversePolynomialImage(ComplexPolynomial([0.1, -2.0, 0.0, 1.0]))
+        rep = rate_experiment(f, 4, [1.5, 3, 6, 12])
+        fhat = faber_basis(f, 4)[4]
+        for i, r in enumerate(rep.r_values):
+            fine = sample_level_curve(f, r, 2 ** 16).points
+            sol = rep.solutions[i]
+            assert rep.faber_sup[i] >= (1 - 1e-12) * np.abs(fhat(fine)).max()
+            assert rep.D[i] >= (1 - 1e-12) * np.abs((sol.polynomial - fhat)(fine)).max()
+            assert rep.cheb_sup[i] == sol.sup_norm
 
     def test_bound_chain(self):
         rep = rate_experiment(BERNOULLI, 4, [2, 4, 8, 16], opts=FAST, M=256)

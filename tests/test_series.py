@@ -125,17 +125,25 @@ class TestFaber:
                 assert np.abs(coeffs[: n + 1]).max() < 1e-12
 
 
+def faber_sum(alpha, basis):
+    """basis[n] + sum_k alpha[k] basis[k], n = len(alpha)."""
+    out = basis[len(alpha)]
+    for k, a in enumerate(alpha):
+        out = out + a * basis[k]
+    return out
+
+
 class TestFaberBasisExpand:
     def test_identity_case(self):
         basis = faber_powers(interval_map(8), 5)
-        fe = faber_basis_expand(basis[5], basis)
-        assert np.abs(fe.alpha).max() < 1e-14
+        alpha = faber_basis_expand(basis[5], basis)
+        assert np.abs(alpha).max() < 1e-14
 
     def test_joukowski_example(self):
         phi = LaurentSeriesAtInfinity(1.0, [0.0, 1.0], exact=True)
         q = ComplexPolynomial([1.0, 0.0, 1.0])  # z^2 + 1 = (z^2 + 2) - 1
-        fe = faber_basis_expand(q, faber_powers(phi, 2))
-        np.testing.assert_allclose(fe.alpha, [-1.0, 0.0], atol=1e-15)
+        alpha = faber_basis_expand(q, faber_powers(phi, 2))
+        np.testing.assert_allclose(alpha, [-1.0, 0.0], atol=1e-15)
 
     def test_rejects_non_monic(self):
         basis = faber_powers(interval_map(4), 1)
@@ -154,8 +162,7 @@ class TestFaberBasisExpand:
             coeffs = rng.standard_normal(31) + 1j * rng.standard_normal(31)
             coeffs = np.append(coeffs, 1.0)
             q = ComplexPolynomial(coeffs)
-            fe = faber_basis_expand(q, basis)
-            back = fe.reconstruct()
+            back = faber_sum(faber_basis_expand(q, basis), basis)
             scale = np.abs(q.coeffs).max()
             assert back.coefficient_distance(q) <= 1e-12 * scale
 
@@ -165,8 +172,8 @@ class TestFaberBasisExpand:
         coeffs = rng.standard_normal(21) + 1j * rng.standard_normal(21)
         coeffs = np.append(coeffs, 1.0)
         q = ComplexPolynomial(coeffs)
-        fe = faber_basis_expand(q, basis)
-        assert fe.reconstruct().coefficient_distance(q) <= 1e-12 * np.abs(q.coeffs).max()
+        back = faber_sum(faber_basis_expand(q, basis), basis)
+        assert back.coefficient_distance(q) <= 1e-12 * np.abs(q.coeffs).max()
 
 
 def laurent_oracle_coefficients(psi, p, n, radius=2.0, N=512):
@@ -341,9 +348,9 @@ class TestAlgebraProperties:
         coeffs = rng.standard_normal(12) + 1j * rng.standard_normal(12)
         coeffs = np.append(coeffs, 1.0)
         q = ComplexPolynomial(coeffs)
-        fe = faber_basis_expand(q, basis)
-        fe2 = faber_basis_expand(fe.reconstruct(), basis)
-        np.testing.assert_allclose(fe2.alpha, fe.alpha, atol=1e-10)
+        alpha = faber_basis_expand(q, basis)
+        again = faber_basis_expand(faber_sum(alpha, basis), basis)
+        np.testing.assert_allclose(again, alpha, atol=1e-10)
 
 
 class TestMonicNormalization:
