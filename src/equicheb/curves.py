@@ -12,7 +12,7 @@ psi(|w| = r); degree-1 generators are solved in closed form.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -182,6 +182,9 @@ class ExplicitMap:
         _check_finite(np.append(s.tail, s.leading_coefficient), "map coefficients")
 
 
+_IDENTITY = ComplexPolynomial([0.0, 1.0])  # P = z, shared read-only
+_IDENTITY.coeffs.flags.writeable = False
+
 CurveFamily = Union[Circle, Interval, Lemniscate, InversePolynomialImage, ExplicitMap]
 # families whose generator P and base family's psi define their level curves
 _ROOT_FAMILIES = (Lemniscate, InversePolynomialImage)
@@ -193,7 +196,8 @@ class CurveSample:
 
     ``thetas`` holds the map-angle parameter of each point, a multiple
     2*pi*k/grid_size of the sampler's equispaced angle grid of grid_size
-    angles.
+    angles.  A sample is not changed after it is made, so ``grid_steps`` is
+    computed on first use and kept.
     """
 
     r: float
@@ -206,6 +210,20 @@ class CurveSample:
     def size(self) -> int:
         return len(self.points)
 
+    @cached_property
+    def grid_steps(self) -> tuple[np.ndarray, np.ndarray]:
+        """Points of L_r and tangents dz/dtheta at both ends of every grid
+        step: at each sample angle theta (the first ``size`` entries) and at
+        theta + h, h = 2 pi/grid_size (the rest), both continued from the
+        sample point by ``points_at_angles``.  They do not depend on the
+        polynomial scanned, so every curve scan on the sample shares them;
+        computed once, read-only."""
+        h = 2.0 * np.pi / self.grid_size
+        z, dz = points_at_angles(self.family, self.r, np.concatenate([self.thetas, self.thetas + h]),
+                                 np.tile(self.points, 2))
+        z.flags.writeable = dz.flags.writeable = False
+        return z, dz
+
 
 def _preimage(f: CurveFamily) -> tuple[ComplexPolynomial, LaurentSeriesAtInfinity]:
     """(P, psi) with L_r = P^{-1}(psi(|w| = r^m)), m = deg P: a root family's
@@ -215,7 +233,18 @@ def _preimage(f: CurveFamily) -> tuple[ComplexPolynomial, LaurentSeriesAtInfinit
     psi = f.psi
     if psi is None:
         raise ValueError("an explicit map given phi cannot be sampled; give its inverse map psi")
-    return ComplexPolynomial([0.0, 1.0]), psi
+    return _IDENTITY, psi
+
+
+@lru_cache(maxsize=16)
+def _level_map_parts(f: CurveFamily):
+    """(P, psi, P', T') for ``points_at_angles``: ``_preimage(f)``, the
+    derivative of P and that of psi's tail T as a polynomial in 1/w, built
+    once per family; the two derivatives are read-only."""
+    P, psi = _preimage(f)
+    dP, dT = P.derivative(), ComplexPolynomial(psi.tail).derivative()
+    dP.coeffs.flags.writeable = dT.coeffs.flags.writeable = False
+    return P, psi, dP, dT
 
 
 def capacity_leading_coefficient(f: CurveFamily) -> float:
@@ -279,7 +308,7 @@ def phi_series(f: CurveFamily, depth: int) -> LaurentSeriesAtInfinity:
     if isinstance(f, _ROOT_FAMILIES):
         s = _series_power(f.base.map_of(f.P, depth + 2), (1, f.P.degree), depth + 2)
     else:
-        s = f.map_of(ComplexPolynomial([0.0, 1.0]), depth + 2)
+        s = f.map_of(_IDENTITY, depth + 2)
     # only the circle's z/R is a Laurent polynomial; truncate pads it to the depth
     phi = LaurentSeriesAtInfinity(s[0].real, s[1:], exact=isinstance(f, Circle))
     return phi.truncate(depth)
@@ -369,18 +398,19 @@ def points_at_angles(f: CurveFamily, r: float, thetas, near):
 
     Solves P(z) = psi(r^m e^(i m theta)): in closed form for a degree-1 P,
     else by Newton steps from ``near``, points of L_r at nearby angles that
-    pick the root, as ``sample_points_dd`` does.
+    pick the root, as ``sample_points_dd`` does.  P' and the derivative of
+    psi's tail are built once per family (``_level_map_parts``); a curve
+    scan takes the points at its grid steps from ``CurveSample.grid_steps``.
     """
-    P, psi = _preimage(f)
+    P, psi, dP, dT = _level_map_parts(f)
     m = P.degree
     w = r ** m * np.exp(1j * m * np.asarray(thetas, dtype=float))
     # psi'(w) = c - T'(1/w) / w^2, T the tail as a polynomial in 1/w
-    dz = 1j * m * w * (psi.leading_coefficient - ComplexPolynomial(psi.tail).derivative()(1 / w) / w ** 2)
+    dz = 1j * m * w * (psi.leading_coefficient - dT(1 / w) / w ** 2)
     target = psi.evaluate(w)
     if m == 1:
         c0, c1 = P.coeffs
         return (target - c0) / c1, dz / c1
-    dP = P.derivative()
     z = np.broadcast_to(np.asarray(near, dtype=complex), w.shape)
     for _ in range(_CONTINUATION_STEPS):
         z = z - (P(z) - target) / dP(z)

@@ -407,7 +407,8 @@ def _curve_maxima(p: ComplexPolynomial, sample: CurveSample) -> np.ndarray:
     steps bracket.
 
     The slope of |p|^2 is taken at every sample angle theta and at theta + h,
-    h the grid step, by continuation from the same sample point.  A step
+    h the grid step, at the points continued there from the sample point,
+    which ``sample.grid_steps`` holds for every scan of the sample.  A step
     where it turns from > 0 to <= 0 brackets one maximum, and secant steps
     on the slope, started from the step's two ends, place it to rounding,
     which comparing values of |p| cannot: they are flat to eps over about
@@ -421,17 +422,18 @@ def _curve_maxima(p: ComplexPolynomial, sample: CurveSample) -> np.ndarray:
     """
     dp = p.derivative()
 
-    def slope(th, near):
-        z, dz = points_at_angles(sample.family, sample.r, th, near)
-        return z, (np.conj(p(z)) * dp(z) * dz).real
+    def slope(z, dz):
+        return (np.conj(p(z)) * dp(z) * dz).real
 
     h = 2.0 * np.pi / sample.grid_size
-    z, g = slope(np.concatenate([sample.thetas, sample.thetas + h]), np.tile(sample.points, 2))
-    g_a, g_b = np.split(g, 2)
+    z, dz = sample.grid_steps
+    g = slope(z, dz)
+    M = sample.size
+    g_a, g_b = g[:M], g[M:]
     turn = np.flatnonzero((g_a > 0) & (g_b <= 0))
     a, fa, b, fb = sample.thetas[turn], g_a[turn], sample.thetas[turn] + h, g_b[turn]
     near, prev, g_prev, cur, g = sample.points[turn], a, fa, b, fb
-    z_end = np.split(z, 2)[1][turn]
+    z_end = z[M:][turn]
     for _ in range(_SECANT_STEPS):
         dg = g - g_prev
         nxt = np.where(dg != 0, cur - g * (cur - prev) / np.where(dg != 0, dg, 1.0), cur)
@@ -439,7 +441,8 @@ def _curve_maxima(p: ComplexPolynomial, sample: CurveSample) -> np.ndarray:
         falsi = np.where((falsi - a) * (falsi - b) < 0, falsi, 0.5 * (a + b))
         prev, g_prev = cur, g
         cur = np.where((nxt - a) * (nxt - b) < 0, nxt, falsi)
-        z, g = slope(cur, near)
+        z, dz = points_at_angles(sample.family, sample.r, cur, near)
+        g = slope(z, dz)
         rise = g > 0
         a, fa = np.where(rise, cur, a), np.where(rise, g, fa)
         b, fb = np.where(rise, b, cur), np.where(rise, fb, g)

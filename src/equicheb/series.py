@@ -130,10 +130,14 @@ class ComplexPolynomial:
         return abs(self.leading() - 1.0) <= tol
 
     def __call__(self, z):
+        """Horner's rule, started from c_n z + c_(n-1) rather than from zero."""
         z = np.asarray(z, dtype=complex)
-        acc = np.zeros_like(z)
-        for c in self.coeffs[::-1]:
-            acc = acc * z + c
+        c = self.coeffs
+        if len(c) == 1:
+            return np.zeros_like(z) * z + c[0]
+        acc = c[-1] * z + c[-2]
+        for a in c[-3::-1]:
+            acc = acc * z + a
         return acc
 
     def __add__(self, other: "ComplexPolynomial") -> "ComplexPolynomial":

@@ -1,6 +1,9 @@
 import csv
 import json
+import os
 import shlex
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -35,6 +38,16 @@ class TestReadmeExamples:
             cli._check_args(cli._make_parser().parse_args(argv))
             return
         assert run(argv + ["-o", str(tmp_path)]) == 0
+
+
+class TestModuleEntryPoint:
+    def test_python_m_runs_the_command(self, tmp_path):
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        argv = ["faber", "--family", "interval", "--n", "3", "-o", str(tmp_path)]
+        done = subprocess.run([sys.executable, "-m", "equicheb", *argv], env=env, capture_output=True)
+        assert done.returncode == 0, done.stderr
+        assert read_json(tmp_path / "faber.json")["family"] == {"family": "interval"}
 
 
 class TestChebCommand:

@@ -17,6 +17,7 @@ from equicheb.curves import (
     sample_level_curve,
     sample_points_dd,
 )
+from equicheb import minimax
 from equicheb.experiments import monic_classical_chebyshev
 from equicheb.series import ComplexPolynomial, DepthExhaustionError, LaurentSeriesAtInfinity
 
@@ -223,6 +224,49 @@ class TestSharedMaps:
         assert Interval() == Interval() and hash(Interval()) == hash(Interval())
         twin = Lemniscate(BERNOULLI.P, 1.0)
         assert BERNOULLI == BERNOULLI and BERNOULLI != twin
+
+
+GRID_FAMILIES = {
+    "circle": Circle(1.5),
+    "interval": Interval(),
+    "lemniscate": BERNOULLI,
+    "preimage": PERIOD2,
+    "explicit": ExplicitMap(psi=LaurentSeriesAtInfinity(1.5, [0.1, 0.3, 0.05j, 0.01], exact=True)),
+}
+
+
+class TestGridSteps:
+    """A sample's grid continuation is computed once and shared by every
+    curve scan on it, with the same bits as a direct continuation."""
+
+    @pytest.mark.parametrize("name", GRID_FAMILIES)
+    def test_equals_direct_continuation(self, name):
+        f = GRID_FAMILIES[name]
+        s = sample_level_curve(f, 1.7, 60)
+        h = 2.0 * np.pi / s.grid_size
+        z, dz = points_at_angles(f, s.r, np.concatenate([s.thetas, s.thetas + h]), np.tile(s.points, 2))
+        got_z, got_dz = s.grid_steps
+        assert np.array_equal(got_z, z) and np.array_equal(got_dz, dz)
+        assert s.grid_steps is s.grid_steps
+
+    @pytest.mark.parametrize("name", GRID_FAMILIES)
+    def test_read_only(self, name):
+        z, dz = sample_level_curve(GRID_FAMILIES[name], 1.7, 60).grid_steps
+        with pytest.raises(ValueError):
+            z[0] = 0.0
+        with pytest.raises(ValueError):
+            dz[0] = 0.0
+
+    @pytest.mark.parametrize("name", GRID_FAMILIES)
+    def test_repeated_scans_agree(self, name):
+        f = GRID_FAMILIES[name]
+        rng = np.random.default_rng(7)
+        p = ComplexPolynomial(np.append(rng.standard_normal(5) + 1j * rng.standard_normal(5), 1.0))
+        s = sample_level_curve(f, 1.7, 60)
+        first, again = minimax._curve_maxima(p, s), minimax._curve_maxima(p, s)
+        fresh = minimax._curve_maxima(p, sample_level_curve(f, 1.7, 60))
+        assert len(first) > 0
+        assert np.array_equal(first, again) and np.array_equal(first, fresh)
 
 
 class TestSampling:

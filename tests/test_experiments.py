@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from equicheb import curves, minimax
 from equicheb.curves import (
     Circle,
     Interval,
@@ -50,6 +51,22 @@ class TestRateExperiment:
         rep = rate_experiment(Circle(1.0), 3, [2, 4, 8, 16, 32], opts=FAST, M=256)
         assert rep.exact_match
         assert rep.slope is None
+
+    def test_one_grid_continuation_per_level(self, monkeypatch):
+        # the exchange rounds, D and the Faber norm all scan one sample per
+        # level and share its grid continuation: one 2M-point call a level
+        M, calls = 512, []
+        direct = curves.points_at_angles
+
+        def counted(f, r, thetas, near):
+            calls.append(np.size(thetas))
+            return direct(f, r, thetas, near)
+
+        monkeypatch.setattr(curves, "points_at_angles", counted)
+        monkeypatch.setattr(minimax, "points_at_angles", counted)
+        levels = [2, 4, 8, 16]
+        rate_experiment(BERNOULLI, 3, levels, M=M)
+        assert calls.count(2 * M) == len(levels)
 
     def test_bernoulli_rate(self):
         rep = rate_experiment(BERNOULLI, 3, [2, 4, 8, 16, 32], opts=FAST, M=512)

@@ -3,6 +3,7 @@ import pytest
 
 from equicheb.curves import (
     Circle,
+    CurveSample,
     Interval,
     InversePolynomialImage,
     Lemniscate,
@@ -167,6 +168,22 @@ class TestSolveChebyshev:
         assert (np.abs(p(nearest)) - np.abs(p(z))).max() <= 1e-10 * sol.sup_norm
         curve = np.abs(p(sample_level_curve(family, r, 2 ** 14).points)).max()
         assert sol.sup_norm < curve <= np.abs(p(z)).max() * (1 + 1e-10)
+
+    def test_curve_maxima_bisect_off_a_zero_slope_end(self):
+        # one grid step ends exactly at theta = 0, where |z^5 - r^5/2| on the
+        # circle |z| = r has a minimum with a slope of exactly zero (real
+        # coefficients); the secant and regula falsi both stay on that end,
+        # and only bisection reaches the maximum 1.5 r^5 at theta = -pi/5
+        # (the step's other end, -pi/4, is at 44.77)
+        r, N = 2.0, 8
+        h = 2.0 * np.pi / N
+        thetas = 2.0 * np.pi * np.arange(N) / N - h
+        sample = CurveSample(r=r, points=r * np.exp(1j * thetas), family=Circle(1.0),
+                             thetas=thetas, grid_size=N)
+        p = ComplexPolynomial([-(r ** 5) / 2, 0, 0, 0, 0, 1.0])
+        z = minimax._curve_maxima(p, sample)
+        in_step = z[np.abs(np.angle(z) + np.pi / 5).argmin()]
+        assert abs(p(in_step)) == pytest.approx(1.5 * r ** 5, rel=1e-12)
 
     def test_exchange_adds_each_maximum_once(self):
         # each curve maximum is placed once a round, so the points used

@@ -341,6 +341,28 @@ class TestFaberPowers:
             assert np.array_equal(basis[2 * k].coeffs, power)
 
 
+def horner_from_zero(coeffs, z):
+    """Horner's rule started from a zero array, one multiply-add per
+    coefficient."""
+    z = np.asarray(z, dtype=complex)
+    acc = np.zeros_like(z)
+    for c in coeffs[::-1]:
+        acc = acc * z + c
+    return acc
+
+
+class TestEvaluation:
+    @pytest.mark.parametrize("shape", [(), (7,), (3, 5)], ids=str)
+    def test_horner_matches_zero_start_bit_for_bit(self, shape):
+        rng = np.random.default_rng(31)
+        for degree in range(26):
+            p = ComplexPolynomial(rng.standard_normal(degree + 1) + 1j * rng.standard_normal(degree + 1))
+            z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            got, want = p(z), horner_from_zero(p.coeffs, z)
+            assert type(got) is type(want) and np.shape(got) == shape
+            assert np.array_equal(got, want)
+
+
 class TestAlgebraProperties:
     def test_expansion_is_idempotent(self):
         rng = np.random.default_rng(29)
