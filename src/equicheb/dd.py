@@ -19,7 +19,6 @@ import numpy as np
 __all__ = ["DD", "dot", "polyval", "recip", "roots_of_unity"]
 
 _SPLITTER = 134217729.0  # 2**27 + 1
-_BLOCK = 128
 
 
 def _two_sum(a, b):
@@ -102,15 +101,15 @@ class DD:
 
     def powers(self, n: int) -> "DD":
         """Last axis k = 0..n (n >= 1) holds self**k; each new block of
-        columns is earlier ones times the highest power so far (blocks of
-        at most four columns keep the temporaries small)."""
+        columns is earlier ones times the highest power so far, so the
+        blocks double: ceil(log2 n) products."""
         hi = np.empty(self.hi.shape + (n + 1,), dtype=complex)
         lo = np.empty_like(hi)
         hi[..., 0], lo[..., 0] = 1.0, 0.0
         hi[..., 1], lo[..., 1] = self.hi, self.lo
         k = 1
         while k < n:
-            width = min(k, n - k, 4)
+            width = min(k, n - k)
             top = DD(hi[..., k : k + 1], lo[..., k : k + 1])
             block = DD(hi[..., 1 : width + 1], lo[..., 1 : width + 1]) * top
             hi[..., k + 1 : k + width + 1], lo[..., k + 1 : k + width + 1] = block.hi, block.lo
@@ -157,19 +156,12 @@ def dot(a: DD, b: DD) -> DD:
     """a @ b for a 2-d matrix and a 1-d vector, with an error of about
     eps^2 times |a| @ |b|.
 
-    a.hi @ b.hi is summed exactly by BLAS over pairs of slices; the cross
-    terms a.hi @ b.lo + a.lo @ b.hi need only double precision.  Blocks of
-    at most _BLOCK rows and columns keep the temporaries small.
+    a.hi @ b.hi is summed exactly by BLAS over pairs of slices, in one pass
+    whose slice width follows from k; the cross terms a.hi @ b.lo + a.lo @
+    b.hi need only double precision.  The temporaries stay within a small
+    multiple of a (two arrays of its shape, and the partial sums).
     """
-    m, k = a.hi.shape
-    if m > _BLOCK:
-        rows = [dot(a[i : i + _BLOCK], b) for i in range(0, m, _BLOCK)]
-        return DD(np.concatenate([r.hi for r in rows]), np.concatenate([r.lo for r in rows]))
-    if k > _BLOCK:
-        total = dot(a[:, :_BLOCK], b[:_BLOCK])
-        for j in range(_BLOCK, k, _BLOCK):
-            total = total + dot(a[:, j : j + _BLOCK], b[j : j + _BLOCK])
-        return total
+    k = a.hi.shape[1]
     # a sum of 2k slice products, each of at most 2*bits + 2 bits, stays
     # exact in 53 bits; the slices cover 2^-106 of each row and of b
     bits = int(51 - np.ceil(np.log2(2 * k))) // 2

@@ -44,9 +44,10 @@ def test_dot_recovers_what_double_cancellation_loses():
     assert to_mp(dot(a, b))[0] == mp.mpf(1.25)
 
 
-@pytest.mark.parametrize("shape", [(30, 22), (21, 512)])
+@pytest.mark.parametrize("shape", [(30, 22), (21, 512), (600, 22)])
 def test_dot_carries_32_digits(shape):
-    # rows spanning many binades, as the columns of a Vandermonde matrix do
+    # rows spanning many binades, as the columns of a Vandermonde matrix do;
+    # (21, 512) and (600, 22) are the shapes of V^T x and V y in the refinement
     rng = np.random.default_rng(5)
     m, k = shape
     a = random_dd(rng, m * k)
@@ -61,7 +62,7 @@ def test_dot_carries_32_digits(shape):
         assert abs(got[i] - mp.fsum(terms)) <= 1e-31 * bound
 
 
-@pytest.mark.parametrize("n", [1, 8, 9, 21])
+@pytest.mark.parametrize("n", [1, 8, 9, 21, 40])
 def test_powers(n):
     rng = np.random.default_rng(3)
     z = random_dd(rng, 6)

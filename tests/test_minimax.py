@@ -185,6 +185,29 @@ class TestSolveChebyshev:
         in_step = z[np.abs(np.angle(z) + np.pi / 5).argmin()]
         assert abs(p(in_step)) == pytest.approx(1.5 * r ** 5, rel=1e-12)
 
+    @pytest.mark.parametrize("shift, target", [
+        # the mirror of the case above: on the same sample the step [0, pi/4]
+        # starts at the minimum theta = 0, slope exactly zero, and holds the
+        # maximum at pi/5
+        pytest.param(np.pi / 4, np.pi / 5, id="zero-slope-start"),
+        # unshifted, the step [7 pi/4, 2 pi] ends on that minimum with a slope
+        # of -3.1e-12, not zero: the secant lands ulps inside the end, so
+        # bisection never runs and the step returns 7 pi/4 (|p| = 44.77)
+        pytest.param(0.0, -np.pi / 5, id="rounding-sized-end-slope",
+                     marks=pytest.mark.xfail(strict=True, reason="blind spot of the scan")),
+    ])
+    def test_curve_maxima_places_the_maximum_of_a_step(self, shift, target):
+        # |z^5 - r^5/2| on |z| = r has its maxima 1.5 r^5 at pi/5 + 2 pi j/5
+        r, N = 2.0, 8
+        thetas = 2.0 * np.pi * np.arange(N) / N - shift
+        sample = CurveSample(r=r, points=r * np.exp(1j * thetas), family=Circle(1.0),
+                             thetas=thetas, grid_size=N)
+        p = ComplexPolynomial([-(r ** 5) / 2, 0, 0, 0, 0, 1.0])
+        z = minimax._curve_maxima(p, sample)
+        near = np.abs(np.angle(z) - target) <= 1e-6
+        assert near.any()
+        assert np.abs(p(z[near])) == pytest.approx(1.5 * r ** 5, rel=1e-12)
+
     def test_exchange_adds_each_maximum_once(self):
         # each curve maximum is placed once a round, so the points used
         # grow by the number of maxima a round, not by one per search
