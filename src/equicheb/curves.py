@@ -392,9 +392,11 @@ def sample_points_dd(sample: CurveSample) -> dd.DD:
 _CONTINUATION_STEPS = 5  # Newton steps; from a grid neighbour: 1e-2, 1e-4, 1e-8, ...
 
 
-def points_at_angles(f: CurveFamily, r: float, thetas, near):
+def points_at_angles(f: CurveFamily, r: float | np.ndarray, thetas, near):
     """Points of L_r at map angles ``thetas`` off the sampler's grid, and the
-    tangents dz/dtheta there.
+    tangents dz/dtheta there; ``r`` is one level, or an array of levels
+    aligned with ``thetas``, so that one call serves the samples of many
+    levels.
 
     Solves P(z) = psi(r^m e^(i m theta)): in closed form for a degree-1 P,
     else by Newton steps from ``near``, points of L_r at nearby angles that
@@ -404,7 +406,13 @@ def points_at_angles(f: CurveFamily, r: float, thetas, near):
     """
     P, psi, dP, dT = _level_map_parts(f)
     m = P.degree
-    w = r ** m * np.exp(1j * m * np.asarray(thetas, dtype=float))
+    # r^m level by level in Python, as for one level: numpy's vectorized
+    # power rounds some of them differently
+    if np.ndim(r) == 0:
+        rm = r ** m
+    else:
+        rm = np.array([x ** m for x in np.asarray(r, dtype=float).tolist()])
+    w = rm * np.exp(1j * m * np.asarray(thetas, dtype=float))
     # psi'(w) = c - T'(1/w) / w^2, T the tail as a polynomial in 1/w
     dz = 1j * m * w * (psi.leading_coefficient - dT(1 / w) / w ** 2)
     target = psi.evaluate(w)

@@ -10,7 +10,7 @@ silently accepted.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -26,7 +26,7 @@ from .curves import (
     phi_series,
     sample_level_curve,
 )
-from .minimax import MinimaxSolution, SolveOptions, curve_sup_norm, solve_chebyshev
+from .minimax import MinimaxSolution, SolveOptions, curve_sup_norms, solve_chebyshev
 from .rootfind import RootFindingError, RootSet, all_roots
 from .series import ComplexPolynomial, faber_basis_expand, monic_faber
 
@@ -54,7 +54,7 @@ __all__ = [
 _EXACT_MATCH_FLOOR = 1e-10
 # points of L_r on which faber_error_decay measures its remainder, at least
 # 8 per degree; the remainder is not a polynomial, so the solver's curve scan
-# (curve_sup_norm) does not apply to it
+# (curve_sup_norms) does not apply to it
 _M_EVAL = 4096
 
 
@@ -68,8 +68,12 @@ class ExperimentError(RuntimeError):
         self.solution = solution
 
 
+def _sample_size(n: int) -> int:
+    return max(512, 32 * n)
+
+
 def _experiment_sample(f: CurveFamily, r: float, n: int, M: int | None = None) -> CurveSample:
-    return sample_level_curve(f, r, M if M is not None else max(512, 32 * n))
+    return sample_level_curve(f, r, M if M is not None else _sample_size(n))
 
 
 def monic_classical_chebyshev(n: int) -> ComplexPolynomial:
@@ -144,15 +148,16 @@ def rate_experiment(
 ) -> RateReport:
     """Measure D(r) = sup over the level curve of |T_n - monic Faber|.
 
-    Solves the Chebyshev problem at each level, expands each solution over
-    the monic Faber basis, and fits a log-log line to (r, D(r)).  Every norm
-    on L_r is a curve sup, taken on the sample the level was solved on:
-    D(r) and the Faber norm by ``curve_sup_norm``, the Chebyshev norm as
-    the solve's ``sup_norm``, which its curve exchange certifies (a
-    precision-limited solve skips the exchange; see ``solve_chebyshev``).
+    Solves the Chebyshev problem at each level in turn, expands each
+    solution over the monic Faber basis, and fits a log-log line to
+    (r, D(r)).  Every norm on L_r is a curve sup, taken on the sample the
+    level was solved on: the Chebyshev norm as the solve's ``sup_norm``,
+    which its curve exchange certifies (a precision-limited solve skips the
+    exchange; see ``solve_chebyshev``), and D(r) and the Faber norm of every
+    level by ``curve_sup_norms``, in one curve scan after the last solve.
     Families whose Chebyshev polynomials equal the Faber polynomial exactly
-    are reported with ``exact_match`` instead of a slope.  Any unconverged
-    solve aborts with diagnostics.
+    are reported with ``exact_match`` instead of a slope.  The first
+    unconverged solve aborts with diagnostics.
     """
     r_values = np.asarray(sorted(float(r) for r in r_grid))
     if len(r_values) < 4:
@@ -161,10 +166,8 @@ def rate_experiment(
         raise ValueError("grid must span at least a factor of 8")
     basis = faber_basis(f, n)
     fhat = basis[n]
-    D = np.zeros(len(r_values))
-    cheb_sup = np.zeros(len(r_values))
-    faber_sup = np.zeros(len(r_values))
     alphas = np.zeros((len(r_values), n), dtype=complex)
+    samples: List[CurveSample] = []
     solutions: List[MinimaxSolution] = []
     for i, r in enumerate(r_values):
         sample = _experiment_sample(f, r, n, M)
@@ -177,11 +180,13 @@ def rate_experiment(
                 n=n,
                 solution=sol,
             )
-        D[i] = curve_sup_norm(sol.polynomial - fhat, sample)
-        cheb_sup[i] = sol.sup_norm
-        faber_sup[i] = curve_sup_norm(fhat, sample)
         alphas[i] = faber_basis_expand(sol.polynomial, basis)
+        samples.append(sample)
         solutions.append(sol)
+    pairs = [(sol.polynomial - fhat, s) for sol, s in zip(solutions, samples)]
+    norms = np.array(curve_sup_norms(pairs + [(fhat, s) for s in samples]))
+    D, faber_sup = norms[: len(r_values)], norms[len(r_values):]
+    cheb_sup = np.array([sol.sup_norm for sol in solutions])
     exact = bool(np.all(D <= _EXACT_MATCH_FLOOR * cheb_sup))
     if exact:
         slope = intercept = None
@@ -319,8 +324,10 @@ def widom_experiment(
     Alongside it, the normalized sup (c/r)^n * sup|T_n| of each solution,
     the scale against which an error counts as zero (families whose T_n
     equal their Faber polynomials give pure rounding noise).  Both sups are
-    taken on the curve, on the sample each degree was solved on: the error
-    by ``curve_sup_norm``, sup|T_n| as the solve's ``sup_norm``.
+    taken on the curve, on the sample each degree was solved on, one sample
+    per sample size (every n <= 16 solves on the same 512 points): sup|T_n|
+    as the solve's ``sup_norm``, and the errors of every converged degree by
+    ``curve_sup_norms``, in one curve scan after the last solve.
     Unconverged solves are recorded as gaps (None), not failures.  Raises
     ValueError for n_max < 1, which leaves no degree to report.
     """
@@ -330,18 +337,21 @@ def widom_experiment(
         raise ValueError("n_max must be at least 1")
     c = capacity_leading_coefficient(f)
     basis = faber_basis(f, n_max)
-    values: List[Optional[float]] = []
-    sups: List[Optional[float]] = []
-    for n in range(1, n_max + 1):
-        sample = _experiment_sample(f, r, n)
-        sol = solve_chebyshev(sample, n, opts)
-        if not sol.converged:
-            values.append(None)
-            sups.append(None)
-            continue
-        norm = (c / r) ** n
-        values.append(float(norm * curve_sup_norm(sol.polynomial - basis[n], sample)))
-        sups.append(float(norm * sol.sup_norm))
+    degrees = range(1, n_max + 1)
+    samples: Dict[int, CurveSample] = {}
+    solved: Dict[int, Tuple[MinimaxSolution, CurveSample]] = {}
+    for n in degrees:
+        M = _sample_size(n)
+        if M not in samples:
+            samples[M] = sample_level_curve(f, r, M)
+        sol = solve_chebyshev(samples[M], n, opts)
+        if sol.converged:
+            solved[n] = (sol, samples[M])
+    errors = dict(zip(solved, curve_sup_norms(
+        [(sol.polynomial - basis[n], sample) for n, (sol, sample) in solved.items()]
+    )))
+    values = [float((c / r) ** n * errors[n]) if n in solved else None for n in degrees]
+    sups = [float((c / r) ** n * solved[n][0].sup_norm) if n in solved else None for n in degrees]
     present = [v for v in values if v is not None]
     ratio = (present[-1] / present[0]) if len(present) >= 2 and present[0] > 0 else None
     return WidomReport(f, float(r), n_max, values, ratio, sups)

@@ -14,7 +14,9 @@ double-double arithmetic.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import accumulate
 from math import comb
+from typing import Sequence
 
 import numpy as np
 
@@ -26,7 +28,7 @@ from .curves import (
     sample_level_curve,
     sample_points_dd,
 )
-from .series import ComplexPolynomial
+from .series import ComplexPolynomial, horner
 
 # sample_level_curve is unused here but stays bound: perfbench patches it by name
 
@@ -38,6 +40,7 @@ __all__ = [
     "chebyshev_on_points",
     "solve_chebyshev",
     "curve_sup_norm",
+    "curve_sup_norms",
 ]
 
 
@@ -401,38 +404,58 @@ _EXCHANGE_ROUNDS = 16
 _SECANT_STEPS = 8
 
 
-def _curve_maxima(p: ComplexPolynomial, sample: CurveSample) -> np.ndarray:
+def _curve_maxima(pairs: Sequence[tuple[ComplexPolynomial, CurveSample]]) -> list[np.ndarray]:
     """Points of the maxima of |p| along the curve that the sample's grid
-    steps bracket.
+    steps bracket, for each (p, sample) pair of a batch on one family.
 
-    The slope of |p|^2 is taken at both ends of every grid step, at the
-    points ``sample.grid_steps`` holds for every scan of the sample.  A step
-    where it turns from > 0 to <= 0, or from exactly 0 to < 0, brackets one
-    maximum, which secant steps on the slope place (values of |p| are flat
-    to eps over sqrt(eps) of angle): within 1e-10 (relative) of 2^16-point
-    maxima on 512-point samples, but 3.7e-6 rad off and 3.8e-11 low on an
-    8-point circle.  A secant step out of the bracket is replaced by regula
-    falsi, or by bisection where that lands on an end (at a minimum of |p|
-    on a symmetry angle the slope is zero); as bisection stops short of a
+    The slope of |p|^2 is taken at both ends of every grid step, pair by
+    pair, at the points ``sample.grid_steps`` holds for every scan of the
+    sample.  A step where it turns from > 0 to <= 0, or from exactly 0 to
+    < 0, brackets one maximum, which secant steps on the slope place
+    (values of |p| are flat to eps over sqrt(eps) of angle): within 1e-10
+    (relative) of 2^16-point maxima on 512-point samples, but 3.7e-6 rad off
+    and 3.8e-11 low on an 8-point circle.  One loop of secant steps serves
+    the brackets of every pair, each with its own level, grid step and
+    polynomial (coefficient rows for ``horner``), so a batch costs one
+    loop's fixed costs, and each pair's maxima are the bits a batch of one
+    gives.  A secant step out of the bracket is replaced by regula falsi,
+    or by bisection where that lands on an end (at a minimum of |p| on a
+    symmetry angle the slope is zero); as bisection stops short of a
     maximum on an end, each step returns the highest of its last iterate
     and its ends.  Not seen: a maximum and a minimum of |p| in one step, and
     a maximum in a step that ends on a stationary point of rounding-sized
     slope, where the secant lands ulps inside that end, so no bisection.
+    Raises ValueError for samples of more than one family.
     """
-    dp = p.derivative()
+    if not pairs:
+        return []
+    family = pairs[0][1].family
+    if any(sample.family != family for _, sample in pairs):
+        raise ValueError("a curve scan takes samples of one family")
+    derivatives = [p.derivative() for p, _ in pairs]
+    a, fa, b, fb, near, z_end, counts = [], [], [], [], [], [], []
+    for (p, sample), dp in zip(pairs, derivatives):
+        z, dz = sample.grid_steps
+        g = (np.conj(p(z)) * dp(z) * dz).real
+        M = sample.size
+        g_a, g_b = g[:M], g[M:]
+        turn = np.flatnonzero(((g_a > 0) & (g_b <= 0)) | ((g_a == 0) & (g_b < 0)))
+        a.append(sample.thetas[turn])
+        fa.append(g_a[turn])
+        b.append(sample.thetas[turn] + 2.0 * np.pi / sample.grid_size)
+        fb.append(g_b[turn])
+        near.append(sample.points[turn])
+        z_end.append(z[M:][turn])
+        counts.append(len(turn))
+    a, fa, b, fb, near, z_end = map(np.concatenate, (a, fa, b, fb, near, z_end))
+    r = np.repeat([sample.r for _, sample in pairs], counts)
+    rows = _coefficient_rows([p for p, _ in pairs], counts)
+    drows = _coefficient_rows(derivatives, counts)
 
     def slope(z, dz):
-        return (np.conj(p(z)) * dp(z) * dz).real
+        return (np.conj(horner(rows, z)) * horner(drows, z) * dz).real
 
-    h = 2.0 * np.pi / sample.grid_size
-    z, dz = sample.grid_steps
-    g = slope(z, dz)
-    M = sample.size
-    g_a, g_b = g[:M], g[M:]
-    turn = np.flatnonzero(((g_a > 0) & (g_b <= 0)) | ((g_a == 0) & (g_b < 0)))
-    a, fa, b, fb = sample.thetas[turn], g_a[turn], sample.thetas[turn] + h, g_b[turn]
-    near, prev, g_prev, cur, g = sample.points[turn], a, fa, b, fb
-    z_end = z[M:][turn]
+    prev, g_prev, cur, g = a, fa, b, fb
     for _ in range(_SECANT_STEPS):
         dg = g - g_prev
         nxt = np.where(dg != 0, cur - g * (cur - prev) / np.where(dg != 0, dg, 1.0), cur)
@@ -440,19 +463,39 @@ def _curve_maxima(p: ComplexPolynomial, sample: CurveSample) -> np.ndarray:
         falsi = np.where((falsi - a) * (falsi - b) < 0, falsi, 0.5 * (a + b))
         prev, g_prev = cur, g
         cur = np.where((nxt - a) * (nxt - b) < 0, nxt, falsi)
-        z, dz = points_at_angles(sample.family, sample.r, cur, near)
+        z, dz = points_at_angles(family, r, cur, near)
         g = slope(z, dz)
         rise = g > 0
         a, fa = np.where(rise, cur, a), np.where(rise, g, fa)
         b, fb = np.where(rise, b, cur), np.where(rise, fb, g)
     z = np.stack([z, near, z_end])
-    return z[np.abs(p(z)).argmax(axis=0), np.arange(len(turn))]
+    best = z[np.abs(horner(rows, z)).argmax(axis=0), np.arange(len(a))]
+    return [best[end - k : end] for end, k in zip(accumulate(counts), counts)]
+
+
+def _coefficient_rows(polys: Sequence[ComplexPolynomial], counts: Sequence[int]) -> np.ndarray:
+    """Ascending coefficients of each polynomial, repeated in ``counts`` of
+    its columns, as rows of shape (max degree + 1, sum of counts); lower
+    degrees padded with zeros."""
+    rows = np.zeros((max(q.degree for q in polys) + 1, sum(counts)), dtype=complex)
+    for q, end, k in zip(polys, accumulate(counts), counts):
+        rows[: len(q.coeffs), end - k : end] = q.coeffs[:, None]
+    return rows
+
+
+def curve_sup_norms(pairs: Sequence[tuple[ComplexPolynomial, CurveSample]]) -> list[float]:
+    """``curve_sup_norm`` of each (p, sample) pair of a batch on one family,
+    from one curve scan of the whole batch."""
+    maxima = _curve_maxima(pairs)
+    return [float(np.abs(p(np.concatenate([sample.points, mx]))).max())
+            for (p, sample), mx in zip(pairs, maxima)]
 
 
 def curve_sup_norm(p: ComplexPolynomial, sample: CurveSample) -> float:
     """Sup of |p| over the sample's curve: the largest of its values at the
-    sample points and at the maxima that ``_curve_maxima`` places."""
-    return float(np.abs(p(np.concatenate([sample.points, _curve_maxima(p, sample)]))).max())
+    sample points and at the maxima that ``_curve_maxima`` places.  A batch
+    of pairs on one family is measured in one scan by ``curve_sup_norms``."""
+    return curve_sup_norms([(p, sample)])[0]
 
 
 def solve_chebyshev(
@@ -488,7 +531,7 @@ def solve_chebyshev(
         for rounds in range(_EXCHANGE_ROUNDS + 1):
             if not sol.converged:
                 break
-            maxima = _curve_maxima(sol.polynomial, sample)
+            maxima = _curve_maxima([(sol.polynomial, sample)])[0]
             if not (np.abs(sol.polynomial(maxima)) > sol.sup_norm * (1.0 + opts.tol_rel)).any():
                 break
             if rounds == _EXCHANGE_ROUNDS:

@@ -23,6 +23,7 @@ __all__ = [
     "monic_faber",
     "faber_recurrence",
     "faber_basis_expand",
+    "horner",
 ]
 
 
@@ -106,6 +107,20 @@ class LaurentSeriesAtInfinity:
         )
 
 
+def horner(c, z: np.ndarray) -> np.ndarray:
+    """Horner's rule on the ascending coefficients c at complex points z,
+    started from c_n z + c_(n-1) rather than from zero.  Each c_k is a
+    scalar, or a row of coefficients that broadcasts against z, so that
+    one pass evaluates a polynomial per point (a lower degree padded with
+    leading zeros, which leave the accumulator an exact zero)."""
+    if len(c) == 1:
+        return np.zeros_like(z) * z + c[0]
+    acc = c[-1] * z + c[-2]
+    for a in c[-3::-1]:
+        acc = acc * z + a
+    return acc
+
+
 @dataclass(frozen=True, eq=False)
 class ComplexPolynomial:
     """Dense complex polynomial, coefficients in ascending degree order."""
@@ -130,15 +145,7 @@ class ComplexPolynomial:
         return abs(self.leading() - 1.0) <= tol
 
     def __call__(self, z):
-        """Horner's rule, started from c_n z + c_(n-1) rather than from zero."""
-        z = np.asarray(z, dtype=complex)
-        c = self.coeffs
-        if len(c) == 1:
-            return np.zeros_like(z) * z + c[0]
-        acc = c[-1] * z + c[-2]
-        for a in c[-3::-1]:
-            acc = acc * z + a
-        return acc
+        return horner(self.coeffs, np.asarray(z, dtype=complex))
 
     def __add__(self, other: "ComplexPolynomial") -> "ComplexPolynomial":
         n = max(len(self.coeffs), len(other.coeffs))

@@ -226,6 +226,36 @@ class TestSharedMaps:
         assert BERNOULLI == BERNOULLI and BERNOULLI != twin
 
 
+class TestPointsAtLevels:
+    """``points_at_angles`` given an array of levels aligned with the angles
+    places each point with the bits of a call at that point's level alone."""
+
+    FAMILIES = {
+        "lemniscate": BERNOULLI,
+        "interval": Interval(),
+        "cubic-preimage": InversePolynomialImage(ComplexPolynomial([0.1, -2.0, 0.0, 1.0])),
+    }
+
+    @pytest.mark.parametrize("name", FAMILIES)
+    def test_same_bits_as_per_level_calls(self, name):
+        # 48 random levels, so that a vectorized r^m, which rounds some
+        # levels' powers differently from Python's, would show
+        f = self.FAMILIES[name]
+        rng = np.random.default_rng(17)
+        levels = np.exp(rng.uniform(np.log(1.05), np.log(40.0), 48))
+        thetas, near, r, alone = [], [], [], []
+        for level in levels:
+            s = sample_level_curve(f, float(level), 12)
+            t = s.thetas + rng.uniform(0.0, 2.0 * np.pi / s.grid_size, s.size)
+            alone.append(points_at_angles(f, float(level), t, s.points))
+            thetas.append(t)
+            near.append(s.points)
+            r.append(np.full(s.size, level))
+        z, dz = points_at_angles(f, np.concatenate(r), np.concatenate(thetas), np.concatenate(near))
+        assert z.tobytes() == np.concatenate([a[0] for a in alone]).tobytes()
+        assert dz.tobytes() == np.concatenate([a[1] for a in alone]).tobytes()
+
+
 GRID_FAMILIES = {
     "circle": Circle(1.5),
     "interval": Interval(),
@@ -263,8 +293,8 @@ class TestGridSteps:
         rng = np.random.default_rng(7)
         p = ComplexPolynomial(np.append(rng.standard_normal(5) + 1j * rng.standard_normal(5), 1.0))
         s = sample_level_curve(f, 1.7, 60)
-        first, again = minimax._curve_maxima(p, s), minimax._curve_maxima(p, s)
-        fresh = minimax._curve_maxima(p, sample_level_curve(f, 1.7, 60))
+        first, again = minimax._curve_maxima([(p, s)])[0], minimax._curve_maxima([(p, s)])[0]
+        fresh = minimax._curve_maxima([(p, sample_level_curve(f, 1.7, 60))])[0]
         assert len(first) > 0
         assert np.array_equal(first, again) and np.array_equal(first, fresh)
 

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from equicheb import curves, minimax
+from equicheb import curves, experiments, minimax
 from equicheb.curves import (
     Circle,
     Interval,
@@ -53,8 +53,9 @@ class TestRateExperiment:
         assert rep.slope is None
 
     def test_one_grid_continuation_per_level(self, monkeypatch):
-        # the exchange rounds, D and the Faber norm all scan one sample per
-        # level and share its grid continuation: one 2M-point call a level
+        # the exchange rounds of a level and the sweep's one scan for D and
+        # the Faber norm all scan one sample per level and share its grid
+        # continuation: one 2M-point call a level
         M, calls = 512, []
         direct = curves.points_at_angles
 
@@ -67,6 +68,30 @@ class TestRateExperiment:
         levels = [2, 4, 8, 16]
         rate_experiment(BERNOULLI, 3, levels, M=M)
         assert calls.count(2 * M) == len(levels)
+
+    def test_one_norm_scan_per_sweep(self, monkeypatch):
+        # D and the Faber norm of every level come from one batched scan
+        # after the solves: its secant steps make as many off-grid calls
+        # as one exchange-test scan does, not two more scans a level
+        off_grid, scans = [], []
+        direct_points, direct_scan = minimax.points_at_angles, minimax._curve_maxima
+
+        def counted_points(f, r, thetas, near):
+            off_grid.append(np.size(thetas))
+            return direct_points(f, r, thetas, near)
+
+        def counted_scan(pairs):
+            scans.append(len(pairs))
+            return direct_scan(pairs)
+
+        monkeypatch.setattr(minimax, "points_at_angles", counted_points)
+        monkeypatch.setattr(minimax, "_curve_maxima", counted_scan)
+        levels = [2, 4, 8, 16]
+        rate_experiment(BERNOULLI, 3, levels, M=512)
+        exchange_tests = scans.count(1)
+        assert exchange_tests >= len(levels)
+        assert sorted(scans) == [1] * exchange_tests + [2 * len(levels)]
+        assert len(off_grid) == minimax._SECANT_STEPS * (exchange_tests + 1)
 
     def test_bernoulli_rate(self):
         rep = rate_experiment(BERNOULLI, 3, [2, 4, 8, 16, 32], opts=FAST, M=512)
@@ -194,6 +219,21 @@ class TestWidom:
         rep = widom_experiment(Circle(1.0), 2.0, 6, opts=FAST)
         vals = [v for v in rep.values if v is not None]
         assert max(vals) < 1e-12
+
+    def test_one_sample_per_size(self, monkeypatch):
+        # every n <= 16 solves on the same 512 points; 17 and 18 take 544
+        # and 576
+        sizes = []
+        direct = experiments.sample_level_curve
+
+        def counted(f, r, M):
+            sizes.append(M)
+            return direct(f, r, M)
+
+        monkeypatch.setattr(experiments, "sample_level_curve", counted)
+        rep = widom_experiment(Interval(), 2.0, 18)
+        assert sizes == [512, 544, 576]
+        assert all(v is not None for v in rep.values)
 
     def test_lemniscate_even_degrees_zero(self):
         rep = widom_experiment(BERNOULLI, 2.0, 6, opts=FAST)

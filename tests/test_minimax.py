@@ -163,7 +163,7 @@ class TestSolveChebyshev:
         sample = sample_level_curve(family, r, M)
         sol = chebyshev_on_points(sample.points, n)
         p = sol.polynomial
-        z = minimax._curve_maxima(p, sample)
+        z = minimax._curve_maxima([(p, sample)])[0]
         nearest = sample.points[np.abs(z[:, None] - sample.points[None, :]).argmin(axis=1)]
         assert (np.abs(p(nearest)) - np.abs(p(z))).max() <= 1e-10 * sol.sup_norm
         curve = np.abs(p(sample_level_curve(family, r, 2 ** 14).points)).max()
@@ -181,7 +181,7 @@ class TestSolveChebyshev:
         sample = CurveSample(r=r, points=r * np.exp(1j * thetas), family=Circle(1.0),
                              thetas=thetas, grid_size=N)
         p = ComplexPolynomial([-(r ** 5) / 2, 0, 0, 0, 0, 1.0])
-        z = minimax._curve_maxima(p, sample)
+        z = minimax._curve_maxima([(p, sample)])[0]
         in_step = z[np.abs(np.angle(z) + np.pi / 5).argmin()]
         assert abs(p(in_step)) == pytest.approx(1.5 * r ** 5, rel=1e-12)
 
@@ -203,7 +203,7 @@ class TestSolveChebyshev:
         sample = CurveSample(r=r, points=r * np.exp(1j * thetas), family=Circle(1.0),
                              thetas=thetas, grid_size=N)
         p = ComplexPolynomial([-(r ** 5) / 2, 0, 0, 0, 0, 1.0])
-        z = minimax._curve_maxima(p, sample)
+        z = minimax._curve_maxima([(p, sample)])[0]
         near = np.abs(np.angle(z) - target) <= 1e-6
         assert near.any()
         assert np.abs(p(z[near])) == pytest.approx(1.5 * r ** 5, rel=1e-12)
@@ -269,6 +269,80 @@ class TestSolveChebyshev:
         assert sol.converged
         assert sol.equioscillation_gap <= opts.tol_rel
         assert sol.iterations <= 30
+
+
+class TestBatchedCurveScan:
+    """One curve scan of a batch of (p, sample) pairs on one family places,
+    for each pair, the maxima that a scan of that pair alone places."""
+
+    @staticmethod
+    def random_poly(rng, degree, scale=1.0):
+        c = rng.standard_normal(degree + 1) + 1j * rng.standard_normal(degree + 1)
+        return ComplexPolynomial(np.append(scale * c[:-1], 1.0))
+
+    @staticmethod
+    def assert_same_bits(pairs):
+        batch = minimax._curve_maxima(pairs)
+        assert len(batch) == len(pairs)
+        counts = []
+        for (p, sample), got in zip(pairs, batch):
+            alone = minimax._curve_maxima([(p, sample)])[0]
+            assert got.dtype == alone.dtype and got.shape == alone.shape
+            assert got.tobytes() == alone.tobytes()
+            counts.append(len(alone))
+        return counts
+
+    def test_mixed_levels_sizes_and_degrees(self):
+        # widom's sample size goes from 512 to 544 at n = 17; a degree-1
+        # polynomial leaves its derivative rows constant; a nonzero constant
+        # has a zero slope everywhere, so no bracket
+        rng = np.random.default_rng(11)
+        pairs = [
+            (self.random_poly(rng, 21, 0.3), sample_level_curve(BERNOULLI, 1.3, 512)),
+            (self.random_poly(rng, 3), sample_level_curve(BERNOULLI, 2.5, 544)),
+            (ComplexPolynomial([0.3 + 0.2j, 1.0]), sample_level_curve(BERNOULLI, 4.0, 512)),
+            (ComplexPolynomial([2.0]), sample_level_curve(BERNOULLI, 1.7, 512)),
+            (self.random_poly(rng, 3), sample_level_curve(BERNOULLI, 1.3, 512)),
+        ]
+        counts = self.assert_same_bits(pairs)
+        assert counts[3] == 0 and min(counts[:3] + counts[4:]) > 0
+
+    def test_identically_zero_polynomial(self):
+        # on the circle T_n = Fhat_n = z^n, so T_n - Fhat_n is identically zero
+        circle, n = Circle(1.0), 4
+        fhat = ComplexPolynomial([0.0] * n + [1.0])
+        zero = fhat - fhat
+        assert zero.degree == 0 and zero.coeffs[0] == 0
+        rng = np.random.default_rng(5)
+        pairs = [
+            (zero, sample_level_curve(circle, 2.0, 64)),
+            (self.random_poly(rng, 5), sample_level_curve(circle, 3.0, 96)),
+            (zero, sample_level_curve(circle, 3.0, 96)),
+        ]
+        counts = self.assert_same_bits(pairs)
+        assert counts[0] == counts[2] == 0 and counts[1] > 0
+
+    def test_closed_form_family(self):
+        rng = np.random.default_rng(3)
+        pairs = [(self.random_poly(rng, n), sample_level_curve(Interval(), r, M))
+                 for n, r, M in [(1, 1.5, 512), (6, 2.0, 544), (21, 4.0, 672)]]
+        assert min(self.assert_same_bits(pairs)) > 0
+
+    def test_empty_batch(self):
+        assert minimax._curve_maxima([]) == []
+        assert minimax.curve_sup_norms([]) == []
+
+    def test_mixed_families_refused(self):
+        p = ComplexPolynomial([0.5, 0.0, 1.0])
+        pairs = [(p, sample_level_curve(f, 2.0, 64)) for f in (BERNOULLI, Interval())]
+        with pytest.raises(ValueError, match="one family"):
+            minimax._curve_maxima(pairs)
+
+    def test_sup_norms_match_one_pair_norms(self):
+        rng = np.random.default_rng(8)
+        pairs = [(self.random_poly(rng, n), sample_level_curve(BERNOULLI, r, 512))
+                 for n, r in [(3, 2.0), (5, 4.0), (5, 2.0)]]
+        assert minimax.curve_sup_norms(pairs) == [minimax.curve_sup_norm(p, s) for p, s in pairs]
 
 
 class TestDiscreteVersusCurve:
