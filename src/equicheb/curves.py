@@ -40,6 +40,7 @@ __all__ = [
     "sample_level_curve",
     "sample_points_dd",
     "points_at_angles",
+    "curve_jets",
     "joukowski",
     "family_to_json_dict",
     "family_from_json_dict",
@@ -238,13 +239,16 @@ def _preimage(f: CurveFamily) -> tuple[ComplexPolynomial, LaurentSeriesAtInfinit
 
 @lru_cache(maxsize=16)
 def _level_map_parts(f: CurveFamily):
-    """(P, psi, P', T') for ``points_at_angles``: ``_preimage(f)``, the
-    derivative of P and that of psi's tail T as a polynomial in 1/w, built
-    once per family; the two derivatives are read-only."""
+    """(P, psi, P', T', P'', T'') for ``points_at_angles`` and
+    ``curve_jets``: ``_preimage(f)``, the first two derivatives of P and
+    those of psi's tail T as a polynomial in 1/w, built once per family;
+    the derivatives are read-only."""
     P, psi = _preimage(f)
     dP, dT = P.derivative(), ComplexPolynomial(psi.tail).derivative()
-    dP.coeffs.flags.writeable = dT.coeffs.flags.writeable = False
-    return P, psi, dP, dT
+    d2P, d2T = dP.derivative(), dT.derivative()
+    for q in (dP, dT, d2P, d2T):
+        q.coeffs.flags.writeable = False
+    return P, psi, dP, dT, d2P, d2T
 
 
 def capacity_leading_coefficient(f: CurveFamily) -> float:
@@ -404,7 +408,7 @@ def points_at_angles(f: CurveFamily, r: float | np.ndarray, thetas, near):
     psi's tail are built once per family (``_level_map_parts``); a curve
     scan takes the points at its grid steps from ``CurveSample.grid_steps``.
     """
-    P, psi, dP, dT = _level_map_parts(f)
+    P, psi, dP, dT = _level_map_parts(f)[:4]
     m = P.degree
     # r^m level by level in Python, as for one level: numpy's vectorized
     # power rounds some of them differently
@@ -423,6 +427,23 @@ def points_at_angles(f: CurveFamily, r: float | np.ndarray, thetas, near):
     for _ in range(_CONTINUATION_STEPS):
         z = z - (P(z) - target) / dP(z)
     return z, dz / dP(z)
+
+
+def curve_jets(f: CurveFamily, r: float, thetas, near):
+    """Points of L_r at map angles ``thetas``, as ``points_at_angles`` gives
+    them, with dz/dtheta and d^2z/dtheta^2.
+
+    With w = r^m e^(i m theta) and psi(w) = c w + T(1/w), the target
+    tau = psi(w) has tau'' = -m^2 (c w + T'(1/w)/w + T''(1/w)/w^2); a
+    degree-1 P gives z'' = tau''/P', any other P(z) = tau differentiated
+    twice gives z'' = (tau'' - P''(z) z'^2)/P'(z).
+    """
+    P, psi, dP, dT, d2P, d2T = _level_map_parts(f)
+    z, dz = points_at_angles(f, r, thetas, near)
+    m = P.degree
+    u = np.exp(-1j * m * np.asarray(thetas, dtype=float)) / r ** m  # 1/w
+    d2tau = -m * m * (psi.leading_coefficient / u + dT(u) * u + d2T(u) * u * u)
+    return z, dz, (d2tau - d2P(z) * dz * dz) / dP(z)
 
 
 # -- JSON family specs -------------------------------------------------------

@@ -4,9 +4,12 @@ The discrete problem  min_p max_j |p(z_j)|  over monic p is a second-order
 cone program, solved in the Arnoldi basis of the points.  Its dual weights
 certify convergence: their weighted least-squares minimum bounds the
 discrete optimum from below.  A curve exchange places the maxima of |p|
-that the sample's grid steps bracket along the curve and adds them to the
-points until none exceeds the discrete sup by more than the tolerance, so
-that the solution tracks the curve, not only the sample.
+that the sample's grid steps bracket along the curve.  Where one exceeds
+the discrete sup by more than the tolerance, Newton's method on the KKT
+system of the curve problem, over an extremal set seeded from those
+maxima and the dual weights, takes the solution to the curve's optimum;
+where Newton is refused, re-solves add the maxima to the points until none
+exceeds the discrete sup by more than the tolerance.
 Solves that double precision cannot resolve near K are refined in
 double-double arithmetic.
 """
@@ -24,6 +27,7 @@ from . import dd
 from .curves import (
     CurveSample,
     capacity_leading_coefficient,
+    curve_jets,
     points_at_angles,
     sample_level_curve,
     sample_points_dd,
@@ -78,7 +82,12 @@ class MinimaxSolution:
     ``iterations`` counts interior-point steps.  From ``solve_chebyshev``,
     ``converged`` also means that no maximum of |p| on the curve bracketed
     by a grid step of the sample exceeds ``sup_norm`` by more than the
-    tolerance.  ``precision_limited`` marks
+    tolerance.  ``exchange`` says what ended the curve exchange: "none"
+    (no maximum above the tolerance, or no exchange), "newton" (Newton on
+    the extremal set; ``weights`` are zero on the sample's points and the
+    KKT point's lambda on the extremal points appended to them) or
+    "resolve" (re-solves with the maxima added); ``newton_steps`` counts
+    Newton steps, also those of a refused attempt.  ``precision_limited`` marks
     a solve whose values on the curve are too
     large for double precision to pin the low-order coefficients (see
     ``solve_chebyshev``); its polynomial was refined in double-double.
@@ -94,6 +103,8 @@ class MinimaxSolution:
     converged: bool
     equioscillation_gap: float
     precision_limited: bool = False
+    exchange: str = "none"
+    newton_steps: int = 0
 
     def to_json_dict(self, n: int | None = None, r: float | None = None) -> dict:
         return {
@@ -378,8 +389,12 @@ def chebyshev_on_points(points, n: int, opts: SolveOptions | None = None) -> Min
     their certificate.  Raises RankDeficiencyError when the points take
     fewer than n+1 distinct values.
     """
-    opts = opts or SolveOptions()
-    points = np.asarray(points, dtype=complex)
+    return _solve_on_points(np.asarray(points, dtype=complex), n, opts or SolveOptions())[0]
+
+
+def _solve_on_points(points: np.ndarray, n: int, opts: SolveOptions):
+    """``chebyshev_on_points`` and its basis (Q, H, a, center, scale): the
+    Arnoldi basis of the points and the interior point's coefficients in it."""
     center = complex(points.mean())
     scale = float(np.abs(points - center).max())
     if scale == 0:
@@ -387,7 +402,7 @@ def chebyshev_on_points(points, n: int, opts: SolveOptions | None = None) -> Min
     Q, H = _arnoldi((points - center) / scale, n)
     a, weights, steps, converged, gap = _interior_point(Q[:, :n], Q[:, n], opts)
     poly = _monic_polynomial(H, a, center, scale)
-    return MinimaxSolution(
+    sol = MinimaxSolution(
         polynomial=poly,
         sup_norm=float(np.abs(poly(points)).max()),
         weights=weights,
@@ -395,11 +410,13 @@ def chebyshev_on_points(points, n: int, opts: SolveOptions | None = None) -> Min
         converged=converged,
         equioscillation_gap=float(gap),
     )
+    return sol, (Q, H, a, center, scale)
 
 
-# curve exchange: re-solves with the maxima of |p| along L_r added, at most
-# this many times (a safety cap; the tolerance ends it); each maximum is
-# placed by secant steps on d|p|^2/dtheta, safeguarded by its grid step
+# curve exchange, where Newton on the extremal set is refused: re-solves with
+# the maxima of |p| along L_r added, at most this many times (a safety cap;
+# the tolerance ends it); each maximum is placed by secant steps on
+# d|p|^2/dtheta, safeguarded by its grid step
 _EXCHANGE_ROUNDS = 16
 _SECANT_STEPS = 8
 
@@ -498,6 +515,147 @@ def curve_sup_norm(p: ComplexPolynomial, sample: CurveSample) -> float:
     return curve_sup_norms([(p, sample)])[0]
 
 
+# Newton on the extremal set: at most this many steps, ended by the second
+# of two steps in a row of at most _NEWTON_TOL in every unknown (converging
+# quadratically, the second lands at rounding); a cluster of dual weights
+# below _ACTIVE of the largest names no extremal point
+_NEWTON_STEPS = 8
+_NEWTON_TOL = 1e-7
+_ACTIVE = 1e-3
+
+
+def _arnoldi_jets(H: np.ndarray, zeta: np.ndarray) -> np.ndarray:
+    """The Arnoldi basis q_k of H and its first two derivatives at zeta,
+    stacked (3, len(zeta), n+1), from zeta q_k = sum_i H[i, k] q_i."""
+    n = H.shape[1]
+    Q = np.zeros((3, len(zeta), n + 1), dtype=complex)
+    Q[0, :, 0] = 1.0
+    for k in range(n):
+        Q[:, :, k + 1] = zeta * Q[:, :, k] - Q[:, :, : k + 1] @ H[: k + 1, k]
+        Q[1, :, k + 1] += Q[0, :, k]
+        Q[2, :, k + 1] += 2.0 * Q[1, :, k]
+        Q[:, :, k + 1] /= H[k + 1, k]
+    return Q
+
+
+def _kkt_system(c: np.ndarray, s: float, lam: np.ndarray, Q: np.ndarray, dzeta, d2zeta):
+    """Residual and Jacobian of the KKT system of ``_newton_exchange`` in the
+    real unknowns (Re a, Im a, s, lambda, theta), c = (a, 1), for the basis
+    jets Q at the extremal points and the derivatives of zeta(theta) there."""
+    K, n = len(lam), len(c) - 1
+    g, p1, p2 = Q @ c
+    g1, g2 = p1 * dzeta, p2 * dzeta * dzeta + p1 * d2zeta
+    q, q1 = Q[0, :, :n], Q[1, :, :n] * dzeta[:, None]
+    fa = q.conj().T @ (lam * g)
+    ft = (g.conj() * g1).real
+    res = np.concatenate([fa.real, fa.imag, [lam.sum() - 1.0], np.abs(g) ** 2 - s, ft])
+    # rows: the n complex orthogonality conditions, the sum of lambda, |g|^2 = s
+    # and the slopes; a complex-linear derivative A da takes (da real, da
+    # imaginary) to the real rows (Re A, -Im A), imaginary rows (Im A, Re A)
+    A = q.conj().T @ (lam[:, None] * q)
+    d_theta = (q1.conj().T * g + q.conj().T * g1) * lam
+    u = g.conj()[:, None] * q  # d|g|^2 = 2 Re(u da)
+    v1, v2 = q.conj() * g1[:, None], g.conj()[:, None] * q1  # d ft = Re(v1 conj(da) + v2 da)
+    zero, eye = np.zeros((K, K)), np.eye(K)
+    jac = np.block([
+        [A.real, -A.imag, np.zeros((n, 1)), (q.conj().T * g).real, d_theta.real],
+        [A.imag, A.real, np.zeros((n, 1)), (q.conj().T * g).imag, d_theta.imag],
+        [np.zeros((1, 2 * n + 1)), np.ones((1, K)), np.zeros((1, K))],
+        [2.0 * u.real, -2.0 * u.imag, -np.ones((K, 1)), zero, 2.0 * ft * eye],
+        [(v1 + v2).real, (v1 - v2).imag, np.zeros((K, 1)), zero,
+         (np.abs(g1) ** 2 + (g.conj() * g2).real) * eye],
+    ])
+    return res, jac
+
+
+def _newton_exchange(sample: CurveSample, n: int, opts: SolveOptions, sol: MinimaxSolution,
+                     basis, maxima: np.ndarray):
+    """Newton's method on the KKT system of the curve problem, started from
+    the discrete solution ``sol`` on the sample, its Arnoldi ``basis`` and
+    the ``maxima`` of |p| that its scan placed.  Returns (the solution or
+    None, Newton steps).
+
+    Each sample point's dual weight goes to its nearest maximum; the maxima
+    holding at least _ACTIVE of the largest cluster are the extremal set,
+    with lambda_j their cluster weights, theta_j their angles (a tangent
+    step from the nearest sample point) and t the highest of them.  In the
+    Arnoldi basis of the sample, p = q_n + sum_k a_k q_k and g_j(theta) =
+    p(z(theta)), the square system in (a, s = t^2, lambda, theta) is
+        sum_j lambda_j conj(q_k(z_j)) g_j = 0   (k < n),
+        sum_j lambda_j = 1,
+        |g_j|^2 = s,   Re(conj(g_j) g_j') = 0,
+    solved with its analytic Jacobian.  Refused (None): fewer than n + 1
+    or more than 2n + 1 extremal points, a singular Jacobian, a step of an
+    angle by more than the grid step, no convergence in _NEWTON_STEPS, a
+    lambda_j <= 0, a certificate above ``tol_rel``, or a value of |p| at
+    the sample's points or at the maxima of its curve scan above
+    t (1 + tol_rel), t the largest |p| on the extremal points.  What passes
+    is optimal on the curve: lambda's least-squares minimum bounds every
+    monic p's sup on the extremal points from below.
+    """
+    Q_sample, H, a, center, scale = basis
+    cluster = np.bincount(np.abs(sample.points[:, None] - maxima).argmin(axis=1),
+                          weights=sol.weights, minlength=len(maxima))
+    keep = cluster >= _ACTIVE * cluster.max()
+    if not n + 1 <= keep.sum() <= 2 * n + 1:
+        return None, 0
+    z, lam = maxima[keep], cluster[keep] / cluster[keep].sum()
+    K = len(lam)
+    near = np.abs(z[:, None] - sample.points).argmin(axis=1)
+    tangent = sample.grid_steps[1][near]
+    theta = sample.thetas[near] + ((z - sample.points[near]) * tangent.conj()).real / np.abs(tangent) ** 2
+    c = np.append(a, 1.0)
+    s = float(np.abs(_arnoldi_jets(H, (z - center) / scale)[0] @ c).max()) ** 2
+    h = 2.0 * np.pi / sample.grid_size
+    converged = small = False
+    steps = 0
+    while not converged and steps < _NEWTON_STEPS:
+        steps += 1
+        z, dz, d2z = curve_jets(sample.family, sample.r, theta, z)
+        Q = _arnoldi_jets(H, (z - center) / scale)
+        res, jac = _kkt_system(c, s, lam, Q, dz / scale, d2z / scale)
+        try:
+            dx = np.linalg.solve(jac, -res)
+        except np.linalg.LinAlgError:
+            return None, steps
+        if not np.abs(dx[-K:]).max() <= h:
+            return None, steps
+        c[:n] += dx[:n] + 1j * dx[n : 2 * n]
+        s += dx[2 * n]
+        lam = lam + dx[2 * n + 1 : -K]
+        theta = theta + dx[-K:]
+        step = float(np.abs(dx).max())
+        converged, small = small and step <= _NEWTON_TOL, step <= _NEWTON_TOL
+    if not (converged and lam.min() > 0):
+        return None, steps
+    z = curve_jets(sample.family, sample.r, theta, z)[0]
+    Q = _arnoldi_jets(H, (z - center) / scale)[0]
+    lam = lam / lam.sum()
+    try:
+        a_ls = _weighted_ls(Q[:, :n], Q[:, n], lam)
+    except RankDeficiencyError:
+        return None, steps
+    bound = float(np.sqrt(lam @ np.abs(Q[:, :n] @ a_ls + Q[:, n]) ** 2))
+    gap = 1.0 - bound / float(np.abs(np.concatenate([Q_sample @ c, Q @ c])).max())
+    if not gap <= opts.tol_rel:
+        return None, steps
+    poly = _monic_polynomial(H, c[:n], center, scale)
+    t = float(np.abs(poly(z)).max())
+    on_curve = np.abs(poly(np.concatenate([sample.points, _curve_maxima([(poly, sample)])[0]])))
+    if (on_curve > t * (1.0 + opts.tol_rel)).any():
+        return None, steps
+    return MinimaxSolution(
+        polynomial=poly,
+        sup_norm=max(t, float(on_curve[: sample.size].max())),
+        weights=np.concatenate([np.zeros(sample.size), lam]),
+        iterations=sol.iterations,
+        converged=True,
+        equioscillation_gap=gap,
+        exchange="newton",
+        newton_steps=steps,
+    ), steps
+
+
 def solve_chebyshev(
     sample: CurveSample, n: int, opts: SolveOptions | None = None
 ) -> MinimaxSolution:
@@ -505,13 +663,21 @@ def solve_chebyshev(
 
     Solves the discrete problem on the sample, then runs a curve exchange:
     it places the maxima of |p| along L_r that the sample's grid steps
-    bracket and, while any of them exceeds the discrete sup by more than
-    ``tol_rel``, adds all of them to the points used and re-solves.
-    ``converged`` means the discrete certificate on all points used and
-    that no maximum bracketed by a grid step exceeds ``sup_norm`` by more
-    than ``tol_rel``; a solve still above it after _EXCHANGE_ROUNDS
-    re-solves returns ``converged=False``.  ``iterations`` counts every
-    interior-point step of the call.
+    bracket.  Where none exceeds the discrete sup by more than ``tol_rel``
+    the discrete solution is returned unchanged.  Otherwise Newton's method
+    on the extremal set (``_newton_exchange``) solves the curve problem's
+    KKT system, and its point is returned where every lambda_j > 0, its
+    certificate reaches ``tol_rel`` and the sample's scan finds no maximum
+    above its sup by more than ``tol_rel``.  Where Newton is refused, the
+    exchange adds all the maxima to the points used and re-solves, while
+    any maximum exceeds the discrete sup by more than ``tol_rel``.
+    ``converged`` means an accepted Newton point, or the discrete
+    certificate on all points used with no maximum bracketed by a grid
+    step above ``sup_norm`` by more than ``tol_rel``; a solve still above
+    it after _EXCHANGE_ROUNDS re-solves returns ``converged=False``.
+    ``iterations`` counts every interior-point step of the call,
+    ``newton_steps`` the Newton steps, and ``exchange`` names the path
+    that ended the exchange.
 
     A solve is precision-limited when rounding at eps * sup_norm, in
     capacity units (times c^n), exceeds the root-accuracy budget 1e-3:
@@ -524,23 +690,28 @@ def solve_chebyshev(
     refinement runs out too; such a solve returns ``converged=False``.
     """
     opts = opts or SolveOptions()
-    sol = chebyshev_on_points(sample.points, n, opts)
+    sol, basis = _solve_on_points(sample.points, n, opts)
     growth = capacity_leading_coefficient(sample.family) ** n
     if n == 0 or np.finfo(float).eps * sol.sup_norm * growth <= _ROOT_ACCURACY_BUDGET:
-        steps, points = sol.iterations, sample.points
+        steps, points, newton_steps = sol.iterations, sample.points, 0
         for rounds in range(_EXCHANGE_ROUNDS + 1):
             if not sol.converged:
                 break
             maxima = _curve_maxima([(sol.polynomial, sample)])[0]
             if not (np.abs(sol.polynomial(maxima)) > sol.sup_norm * (1.0 + opts.tol_rel)).any():
                 break
+            if rounds == 0:
+                newton, newton_steps = _newton_exchange(sample, n, opts, sol, basis, maxima)
+                if newton is not None:
+                    return newton
             if rounds == _EXCHANGE_ROUNDS:
                 sol = replace(sol, converged=False)
                 break
             points = np.concatenate([points, maxima])
             sol = chebyshev_on_points(points, n, opts)
             steps += sol.iterations
-        return replace(sol, iterations=steps)
+        return replace(sol, iterations=steps, exchange="resolve" if rounds else "none",
+                       newton_steps=newton_steps)
     poly = _refine_dd(sample_points_dd(sample), sol.weights, n, complex(sample.points.mean()))
     resolved = bool(_DD_EPS * sol.sup_norm * growth <= _ROOT_ACCURACY_BUDGET)
     return replace(

@@ -21,6 +21,7 @@ tolerance in one step.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -35,13 +36,16 @@ _SPREAD = 1e-8
 _MAX_ITER = 500
 # Newton-correction tolerance, relative to 1 + |root|
 _TOL = 1e-12
-# angles this close above -pi count as pi: Aberth splits a k-fold root by
-# about (C eps)^(1/k), C the root's condition, so this covers the copies of
-# a double root; a triple root's may spread wider
+# angles this close above -pi count as pi: a root on the negative real axis
+# has an imaginary part of rounding size, of either sign
 _NEGATIVE_AXIS = np.finfo(float).eps ** (1.0 / 3.0)
 # roots this close to the origin, relative to 1 + max |root|, have an angle
 # of pure rounding noise
 _ORIGIN = np.sqrt(np.finfo(float).eps)
+# roots this close together, relative to 1 + max |root|, are one cluster:
+# Aberth splits a k-fold root by about (C eps)^(1/k), C the root's
+# condition, 1.7e-5 for the triple root of (z + 1)^3 (z - 1)
+_CLUSTER = np.finfo(float).eps ** 0.25
 
 
 class RootFindingError(RuntimeError):
@@ -87,18 +91,50 @@ def _initial_guesses(coeff_rows: np.ndarray) -> np.ndarray:
     return eig + radius[:, None] * np.exp(1j * angles)
 
 
+@lru_cache(maxsize=64)
+def _pairs(deg: int) -> tuple[np.ndarray, np.ndarray]:
+    """Index pairs i < j of ``deg`` roots, read-only, built once per degree."""
+    pairs = np.triu_indices(deg, 1)
+    for index in pairs:
+        index.flags.writeable = False
+    return pairs
+
+
 def _sort_roots(roots: np.ndarray) -> np.ndarray:
-    """Each row by angle in (-pi, pi], ties by modulus.  An angle within
-    _NEGATIVE_AXIS of -pi counts as pi, so that a root on the negative real
-    axis, or a copy of a multiple one split by rounding, sorts last
-    whatever the sign of its small imaginary part.  Roots within _ORIGIN
-    (1 + max |root|) of the origin sort first, by modulus alone."""
-    modulus = np.abs(roots)
-    angle = np.angle(roots)
-    angle = np.where(angle < -np.pi + _NEGATIVE_AXIS, np.pi, angle)
-    at_origin = modulus <= _ORIGIN * (1.0 + modulus.max(axis=-1, keepdims=True))
-    angle = np.where(at_origin, -np.inf, angle)
-    order = np.lexsort((modulus, angle), axis=-1)
+    """Each row by angle in (-pi, pi], ties by modulus, cluster by cluster.
+
+    Roots within _CLUSTER (1 + max |root|) of each other, linked in chains,
+    form a cluster, such as the copies of a multiple root split by rounding;
+    a cluster sorts by the angle and modulus of its mean, which rounding
+    moves far less than its copies, and within itself by theirs.  An angle
+    within _NEGATIVE_AXIS of -pi counts as pi, so that a root or cluster on
+    the negative real axis sorts last whatever the sign of its small
+    imaginary part.  Roots whose cluster mean lies within _ORIGIN
+    (1 + max |root|) of the origin sort first, by modulus alone.  A root
+    alone in its cluster is its own mean, so roots that are all apart sort
+    by their own angles and moduli."""
+    size = 1.0 + np.abs(roots).max(axis=-1, keepdims=True)
+
+    def keys(z):
+        modulus, angle = np.abs(z), np.angle(z)
+        angle = np.where(angle < -np.pi + _NEGATIVE_AXIS, np.pi, angle)
+        return modulus, np.where(modulus <= _ORIGIN * size, -np.inf, angle)
+
+    order_keys = keys(roots)
+    deg = roots.shape[-1]
+    i, j = _pairs(deg)
+    if (np.abs(roots[..., i] - roots[..., j]) <= _CLUSTER * size).any():
+        near = np.abs(roots[..., :, None] - roots[..., None, :]) <= _CLUSTER * size[..., None]
+        label = np.broadcast_to(np.arange(deg), roots.shape)
+        for _ in range(deg - 1):  # each cluster takes its least index as label
+            linked = np.where(near, label[..., None, :], deg).min(axis=-1)
+            if (linked == label).all():
+                break
+            label = linked
+        same = label[..., :, None] == label[..., None, :]
+        mean = (same * roots[..., None, :]).sum(axis=-1) / same.sum(axis=-1)
+        order_keys = (*order_keys, *keys(mean))
+    order = np.lexsort(order_keys, axis=-1)
     return np.take_along_axis(roots, order, axis=-1)
 
 

@@ -8,6 +8,7 @@ from equicheb.curves import (
     InversePolynomialImage,
     Lemniscate,
     capacity_leading_coefficient,
+    curve_jets,
     faber_basis,
     family_from_json_dict,
     family_to_json_dict,
@@ -297,6 +298,21 @@ class TestGridSteps:
         fresh = minimax._curve_maxima([(p, sample_level_curve(f, 1.7, 60))])[0]
         assert len(first) > 0
         assert np.array_equal(first, again) and np.array_equal(first, fresh)
+
+
+@pytest.mark.parametrize("name", [*GRID_FAMILIES, "linear-lemniscate"])
+def test_curve_jets_differentiate_the_continuation(name):
+    # z and dz/dtheta are those of points_at_angles, bit for bit, and
+    # d2z/dtheta2 is the central difference of dz/dtheta
+    f = GRID_FAMILIES.get(name) or Lemniscate(ComplexPolynomial([2.0, 1.0]), 1.5)
+    s = sample_level_curve(f, 1.7, 60)
+    thetas = s.thetas + 0.3 * 2.0 * np.pi / s.grid_size
+    z, dz, d2z = curve_jets(f, s.r, thetas, s.points)
+    direct = points_at_angles(f, s.r, thetas, s.points)
+    assert z.tobytes() == direct[0].tobytes() and dz.tobytes() == direct[1].tobytes()
+    e = 1e-5
+    up, down = (points_at_angles(f, s.r, thetas + d, z)[1] for d in (e, -e))
+    assert np.abs((up - down) / (2 * e) - d2z).max() <= 1e-7 * np.abs(d2z).max()
 
 
 class TestSampling:

@@ -20,7 +20,7 @@ from equicheb.minimax import (
 )
 from equicheb.series import ComplexPolynomial, monic_faber
 from equicheb.curves import phi_series
-from equicheb import minimax
+from equicheb import experiments, minimax
 
 BERNOULLI = Lemniscate(ComplexPolynomial([-1.0, 0.0, 1.0]), 1.0)
 
@@ -216,11 +216,50 @@ class TestSolveChebyshev:
         assert len(sol.weights) <= 600
 
     def test_exchange_cap_clears_converged(self, monkeypatch):
-        # one re-solve leaves this case above the tolerance on the curve
+        # one re-solve leaves this case above the tolerance on the curve;
+        # Newton on the extremal set, which ends it otherwise, gets no steps
         monkeypatch.setattr(minimax, "_EXCHANGE_ROUNDS", 1)
+        monkeypatch.setattr(minimax, "_NEWTON_STEPS", 0)
         sol = solve_chebyshev(sample_level_curve(BERNOULLI, 1.2, 512), 3)
         assert sol.equioscillation_gap <= SolveOptions().tol_rel
         assert not sol.converged
+        assert sol.exchange == "resolve"
+
+    def test_exchange_ends_in_newton(self):
+        # the discrete solution on the sample misses the curve maxima by
+        # 1.7e-5; Newton on its four extremal points ends the exchange
+        # with the KKT point's weights on them as the certificate
+        sample = sample_level_curve(BERNOULLI, 1.2, 512)
+        sol = solve_chebyshev(sample, 3)
+        assert sol.converged and sol.exchange == "newton"
+        assert 1 <= sol.newton_steps <= minimax._NEWTON_STEPS
+        assert sol.iterations == chebyshev_on_points(sample.points, 3).iterations
+        assert sol.equioscillation_gap <= 1e-14
+        extremal = sol.weights[sample.size:]
+        assert len(sol.weights) == sample.size + 4 and not sol.weights[: sample.size].any()
+        assert extremal.min() > 0 and sol.weights.sum() == pytest.approx(1.0, abs=1e-14)
+        fine = sample_level_curve(BERNOULLI, 1.2, 2 ** 16).points
+        assert np.abs(sol.polynomial(fine)).max() <= sol.sup_norm * (1 + 1e-14)
+
+    def test_refused_newton_falls_back_to_re_solves(self, monkeypatch):
+        # with no Newton steps allowed the re-solve rounds end the exchange,
+        # as they did before Newton, and report that path
+        sample = sample_level_curve(BERNOULLI, 1.2, 512)
+        newton = solve_chebyshev(sample, 3)
+        monkeypatch.setattr(minimax, "_NEWTON_STEPS", 0)
+        sol = solve_chebyshev(sample, 3)
+        assert sol.converged and sol.exchange == "resolve" and sol.newton_steps == 0
+        assert sol.iterations > newton.iterations
+        assert sol.sup_norm == pytest.approx(newton.sup_norm, rel=1e-10)
+
+    @pytest.mark.parametrize("n", [3, 5, 6, 7])
+    @pytest.mark.parametrize("r", [1.5, 2.0])
+    def test_newton_reaches_the_closed_form(self, n, r):
+        # the maxima of T_n on the ellipse lie off a 512-point grid for these
+        # n; the re-solve rounds left the coefficients 8e-12 to 2.1e-10 off
+        sol = solve_chebyshev(sample_level_curve(Interval(), r, 512), n, SolveOptions(1e-8, 600))
+        assert sol.converged and sol.exchange == "newton"
+        assert sol.polynomial.coefficient_distance(monic_classical_chebyshev(n)) <= 1e-12
 
     def test_sample_doubling_refused(self):
         # the field stays only for callers that pass adapt=False
@@ -558,29 +597,38 @@ class TestPackedCones:
 
 def test_invariance_step_count(monkeypatch):
     # the inputs of criteria 1-4 at the settings of the benchmark's
-    # invariance workload (seed 0): a cheaper step must not cost steps
-    solves = []
-    ip = minimax._interior_point
+    # invariance workload (seed 0): a cheaper step must not cost steps.
+    # Nine exchanges run, on the interval, and Newton on the extremal set
+    # ends each of them: a silent fallback to re-solves costs 9 solves more
+    solves, exchanges = [], []
+    ip, solve = minimax._interior_point, minimax.solve_chebyshev
 
     def counted(B, b, opts):
         out = ip(B, b, opts)
         solves.append(out[2])
         return out
 
+    def recorded(sample, n, opts=None):
+        sol = solve(sample, n, opts)
+        exchanges.append(sol.exchange)
+        return sol
+
     monkeypatch.setattr(minimax, "_interior_point", counted)
+    monkeypatch.setattr(experiments, "solve_chebyshev", recorded)
     exact = SolveOptions(tol_rel=1e-8, max_iter=600)
     levels = (1.5, 2.0, 4.0)
     for n in range(1, 11):
         for r in levels:
-            solve_chebyshev(sample_level_curve(Circle(1.0), r, max(256, 16 * n)), n)
+            recorded(sample_level_curve(Circle(1.0), r, max(256, 16 * n)), n)
     for family, degrees in ((Interval(), range(1, 9)), (BERNOULLI, (2, 4, 6, 8))):
         for n in degrees:
             for r in levels:
-                solve_chebyshev(sample_level_curve(family, r, 512), n, exact)
+                recorded(sample_level_curve(family, r, 512), n, exact)
     period2 = InversePolynomialImage(
         ComplexPolynomial([-3.0, 0.0, 1.0]), alternation_points=[-2.0, -np.sqrt(2.0), 2.0]
     )
     for n in (2, 4):
         invariance_experiment(period2, n, (1.5, 3.0), SolveOptions(3e-4, 8000), M=512)
-    assert len(solves) <= 79
-    assert sum(solves) <= 349
+    assert len(exchanges) == len(solves) <= 70
+    assert sum(solves) <= 260
+    assert exchanges.count("newton") == 9 and exchanges.count("resolve") == 0

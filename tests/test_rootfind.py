@@ -162,6 +162,20 @@ class TestAllRoots:
             roots = all_roots(ComplexPolynomial(coeffs)).roots
             np.testing.assert_array_equal(np.flatnonzero(roots.real < 0), [2, 3])
 
+    def test_split_triple_root_sorts_together(self):
+        # the copies of the triple root -1 of (z + 1)^3 (z - 1) spread up to
+        # 1.7e-5 from it, some with an angle near -pi, beyond the window
+        # that keeps a double root's copies last; under one-ulp
+        # perturbations their cluster must still take the last three places
+        base = np.array([-1.0, -2.0, 0.0, 2.0, 1.0], dtype=complex)
+        rng = np.random.default_rng(3)
+        for _ in range(200):
+            step = rng.integers(-1, 2, size=(2, 5))
+            ulp = np.spacing(np.maximum(np.abs(base.real), 1.0))
+            coeffs = base + step[0] * ulp + 1j * step[1] * np.spacing(1.0)
+            roots = all_roots(ComplexPolynomial(coeffs)).roots
+            np.testing.assert_array_equal(np.flatnonzero(roots.real < 0), [1, 2, 3])
+
     def test_residual_bound_invariant(self):
         rng = np.random.default_rng(23)
         for deg in (4, 9, 17):
