@@ -19,11 +19,7 @@ from typing import List, Sequence
 import numpy as np
 
 from .curves import (
-    Circle,
     CurveFamily,
-    Interval,
-    InversePolynomialImage,
-    Lemniscate,
     capacity_leading_coefficient,
     faber_basis,
     family_from_json_dict,
@@ -65,28 +61,23 @@ def _parse_float_list(text: str) -> List[float]:
 
 
 def _build_family(args) -> CurveFamily:
-    if getattr(args, "family_json", None):
+    """The family of --family-json, or of --family, --R and --P as a spec."""
+    if args.family_json:
         try:
             spec = json.loads(Path(args.family_json).read_text())
         except OSError as e:
             raise ValueError(f"cannot read family spec: {e}") from e
         except json.JSONDecodeError as e:
             raise ValueError(f"malformed family spec JSON: {e}") from e
-        return family_from_json_dict(spec)
-    kind = args.family
-    if kind == "circle":
-        return Circle(args.R if args.R is not None else 1.0)
-    if kind == "interval":
-        return Interval()
-    if kind == "lemniscate":
-        if args.P is None:
-            raise ValueError("lemniscate needs --P")
-        return Lemniscate(_parse_poly_flag(args.P), args.R if args.R is not None else 1.0)
-    if kind == "inverse-image":
-        if args.P is None:
-            raise ValueError("inverse-image needs --P")
-        return InversePolynomialImage(_parse_poly_flag(args.P))
-    raise ValueError(f"unknown family {kind!r}")
+    else:
+        spec = {"family": args.family}
+        if args.R is not None:
+            spec["R"] = args.R
+        if args.family in ("lemniscate", "inverse-image"):
+            if args.P is None:
+                raise ValueError(f"{args.family} needs --P")
+            spec["P"] = _parse_poly_flag(args.P).to_json_dict()["coeffs"]
+    return family_from_json_dict(spec)
 
 
 def _write_json(path: Path, payload: dict):
@@ -331,15 +322,12 @@ def run(argv: Sequence[str] | None = None) -> int:
 
     try:
         out = _execute(args)
-    except (ValueError,) as e:
+    except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except ExperimentError as e:
         print(f"numerical failure: {e}", file=sys.stderr)
         return 2
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
 
     try:
         outdir = Path(args.outdir or os.environ.get(_OUTDIR_ENV) or os.getcwd())

@@ -4,7 +4,8 @@ The discrete problem  min_p max_j |p(z_j)|  over monic p is a second-order
 cone program, solved in the Arnoldi basis of the points.  Its dual weights
 certify convergence: their weighted least-squares minimum bounds the
 discrete optimum from below.  A curve exchange places the maxima of |p|
-that the sample's grid steps bracket along the curve.  Where one exceeds
+that the sample's grid steps bracket along the curve, by secant steps
+with one guarded bisection fallback.  Where one exceeds
 the discrete sup by more than the tolerance, Newton's method on the KKT
 system of the curve problem, over an extremal set seeded from those
 maxima and the dual weights, takes the solution to the curve's optimum;
@@ -127,6 +128,13 @@ def _weighted_ls(V: np.ndarray, target: np.ndarray, w: np.ndarray) -> np.ndarray
     if rank < n:
         raise RankDeficiencyError(f"weighted points have rank {rank} < {n} free coefficients")
     return coef
+
+
+def _certificate(V: np.ndarray, target: np.ndarray, w: np.ndarray):
+    """``_weighted_ls`` and its residual sqrt(sum_j w_j |(V coef + target)_j|^2),
+    for dual weights w summing to 1 a lower bound on the discrete optimum."""
+    coef = _weighted_ls(V, target, w)
+    return coef, float(np.sqrt(w @ np.abs(target + V @ coef) ** 2))
 
 
 def weighted_ls_monic(
@@ -302,8 +310,7 @@ def _interior_point(B: np.ndarray, b: np.ndarray, opts: SolveOptions):
 
     def certify():
         nonlocal best, best_sup
-        ls = _weighted_ls(B, b, w)
-        bound = float(np.sqrt(w @ np.abs(b + B @ ls) ** 2))
+        ls, bound = _certificate(B, b, w)
         for coef in (a, ls):
             sup = float(np.abs(b + B @ coef).max())
             if sup < best_sup:
@@ -416,9 +423,11 @@ def _solve_on_points(points: np.ndarray, n: int, opts: SolveOptions):
 # curve exchange, where Newton on the extremal set is refused: re-solves with
 # the maxima of |p| along L_r added, at most this many times (a safety cap;
 # the tolerance ends it); each maximum is placed by secant steps on
-# d|p|^2/dtheta, safeguarded by its grid step
+# d|p|^2/dtheta, guarded by bisection
 _EXCHANGE_ROUNDS = 16
 _SECANT_STEPS = 8
+# secant steps this close to an end of their grid step, in grid steps, bisect
+_GUARD = np.sqrt(np.finfo(float).eps)
 
 
 def _curve_maxima(pairs: Sequence[tuple[ComplexPolynomial, CurveSample]]) -> list[np.ndarray]:
@@ -435,14 +444,14 @@ def _curve_maxima(pairs: Sequence[tuple[ComplexPolynomial, CurveSample]]) -> lis
     the brackets of every pair, each with its own level, grid step and
     polynomial (coefficient rows for ``horner``), so a batch costs one
     loop's fixed costs, and each pair's maxima are the bits a batch of one
-    gives.  A secant step out of the bracket is replaced by regula falsi,
-    or by bisection where that lands on an end (at a minimum of |p| on a
-    symmetry angle the slope is zero); as bisection stops short of a
-    maximum on an end, each step returns the highest of its last iterate
-    and its ends.  Not seen: a maximum and a minimum of |p| in one step, and
-    a maximum in a step that ends on a stationary point of rounding-sized
-    slope, where the secant lands ulps inside that end, so no bisection.
-    Raises ValueError for samples of more than one family.
+    gives.  A secant step is kept only strictly inside the current bracket
+    and at least _GUARD grid steps from the ends of its grid step: at a
+    stationary end (a minimum of |p| on a symmetry angle) the slope is
+    zero or rounding-sized, and the secant stays on or lands ulps inside
+    that end.  Any other step bisects the bracket; as bisection stops
+    short of a maximum on an end, each step returns the highest of its
+    last iterate and its ends.  Not seen: a maximum and a minimum of |p|
+    in one step.  Raises ValueError for samples of more than one family.
     """
     if not pairs:
         return []
@@ -465,6 +474,7 @@ def _curve_maxima(pairs: Sequence[tuple[ComplexPolynomial, CurveSample]]) -> lis
         z_end.append(z[M:][turn])
         counts.append(len(turn))
     a, fa, b, fb, near, z_end = map(np.concatenate, (a, fa, b, fb, near, z_end))
+    lo, hi = a + _GUARD * (b - a), b - _GUARD * (b - a)
     r = np.repeat([sample.r for _, sample in pairs], counts)
     rows = _coefficient_rows([p for p, _ in pairs], counts)
     drows = _coefficient_rows(derivatives, counts)
@@ -476,15 +486,13 @@ def _curve_maxima(pairs: Sequence[tuple[ComplexPolynomial, CurveSample]]) -> lis
     for _ in range(_SECANT_STEPS):
         dg = g - g_prev
         nxt = np.where(dg != 0, cur - g * (cur - prev) / np.where(dg != 0, dg, 1.0), cur)
-        falsi = (a * fb - b * fa) / (fb - fa)
-        falsi = np.where((falsi - a) * (falsi - b) < 0, falsi, 0.5 * (a + b))
         prev, g_prev = cur, g
-        cur = np.where((nxt - a) * (nxt - b) < 0, nxt, falsi)
+        inside = (np.maximum(a, lo) < nxt) & (nxt < np.minimum(b, hi))
+        cur = np.where(inside, nxt, 0.5 * (a + b))
         z, dz = points_at_angles(family, r, cur, near)
         g = slope(z, dz)
         rise = g > 0
-        a, fa = np.where(rise, cur, a), np.where(rise, g, fa)
-        b, fb = np.where(rise, b, cur), np.where(rise, fb, g)
+        a, b = np.where(rise, cur, a), np.where(rise, b, cur)
     z = np.stack([z, near, z_end])
     best = z[np.abs(horner(rows, z)).argmax(axis=0), np.arange(len(a))]
     return [best[end - k : end] for end, k in zip(accumulate(counts), counts)]
@@ -632,10 +640,9 @@ def _newton_exchange(sample: CurveSample, n: int, opts: SolveOptions, sol: Minim
     Q = _arnoldi_jets(H, (z - center) / scale)[0]
     lam = lam / lam.sum()
     try:
-        a_ls = _weighted_ls(Q[:, :n], Q[:, n], lam)
+        bound = _certificate(Q[:, :n], Q[:, n], lam)[1]
     except RankDeficiencyError:
         return None, steps
-    bound = float(np.sqrt(lam @ np.abs(Q[:, :n] @ a_ls + Q[:, n]) ** 2))
     gap = 1.0 - bound / float(np.abs(np.concatenate([Q_sample @ c, Q @ c])).max())
     if not gap <= opts.tol_rel:
         return None, steps

@@ -25,7 +25,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .series import ComplexPolynomial
+from .series import ComplexPolynomial, horner
 
 __all__ = ["RootSet", "RootFindingError", "all_roots"]
 
@@ -164,12 +164,8 @@ def _aberth_batch(coeff_rows: np.ndarray):
         za = z[active]
         ca = coeff_rows[active]
         da = deriv[active]
-        pv = np.zeros_like(za)
-        for k in range(width - 1, -1, -1):
-            pv = pv * za + ca[:, k][:, None]
-        dv = np.zeros_like(za)
-        for k in range(deg - 1, -1, -1):
-            dv = dv * za + da[:, k][:, None]
+        pv = horner(ca.T[:, :, None], za)
+        dv = horner(da.T[:, :, None], za)
         with np.errstate(divide="ignore", invalid="ignore"):
             newton = np.where(dv != 0, pv / np.where(dv == 0, 1, dv), 0.0)
         diff = za[:, :, None] - za[:, None, :]
@@ -183,10 +179,7 @@ def _aberth_batch(coeff_rows: np.ndarray):
         done = np.all(np.abs(corr) < _TOL * (1.0 + np.abs(znew)), axis=1)
         if it > 0 and not done.all():
             rest = np.flatnonzero(~done)
-            modulus = np.abs(za[rest])
-            bound = np.zeros_like(modulus)
-            for k in range(width - 1, -1, -1):
-                bound = bound * modulus + np.abs(ca[rest, k])[:, None]
+            bound = horner(np.abs(ca[rest]).T[:, :, None], np.abs(za[rest]))
             held = rest[np.all(np.abs(pv[rest]) <= backward * bound, axis=1)]
             znew[held] = za[held]
             done[held] = True

@@ -62,13 +62,9 @@ class LaurentSeriesAtInfinity:
         return len(self.tail) - 1
 
     def evaluate(self, z):
-        """c z + tail(1/z) at points z, the tail by Horner in 1/z."""
+        """c z + tail(1/z) at points z, the tail by ``horner`` in 1/z."""
         z = np.asarray(z, dtype=complex)
-        u = 1.0 / z
-        acc = np.full_like(u, self.tail[-1])
-        for c in self.tail[-2::-1]:
-            acc = acc * u + c
-        return self.leading_coefficient * z + acc
+        return self.leading_coefficient * z + horner(self.tail, 1.0 / z)
 
     def truncate(self, depth: int) -> "LaurentSeriesAtInfinity":
         if depth > self.depth:
@@ -110,9 +106,10 @@ class LaurentSeriesAtInfinity:
 def horner(c, z: np.ndarray) -> np.ndarray:
     """Horner's rule on the ascending coefficients c at complex points z,
     started from c_n z + c_(n-1) rather than from zero.  Each c_k is a
-    scalar, or a row of coefficients that broadcasts against z, so that
-    one pass evaluates a polynomial per point (a lower degree padded with
-    leading zeros, which leave the accumulator an exact zero)."""
+    scalar, or an array of coefficients that broadcasts against z, so that
+    one pass evaluates a polynomial per point or per row of points (a lower
+    degree padded with leading zeros, which leave the accumulator an exact
+    zero)."""
     if len(c) == 1:
         return np.zeros_like(z) * z + c[0]
     acc = c[-1] * z + c[-2]
@@ -173,12 +170,7 @@ class ComplexPolynomial:
         return ComplexPolynomial(self.coeffs[1:] * np.arange(1, len(self.coeffs)))
 
     def coefficient_distance(self, other: "ComplexPolynomial") -> float:
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = np.zeros(n, dtype=complex)
-        b = np.zeros(n, dtype=complex)
-        a[: len(self.coeffs)] = self.coeffs
-        b[: len(other.coeffs)] = other.coeffs
-        return float(np.abs(a - b).max())
+        return float(np.abs((self - other).coeffs).max())
 
     def to_json_dict(self) -> dict:
         return {"coeffs": [[float(v.real), float(v.imag)] for v in self.coeffs]}

@@ -81,11 +81,13 @@ class TestChebCommand:
         assert code == 2
         assert read_json(tmp_path / "cheb.json")["converged"] is False
 
-    def test_validation_errors(self, tmp_path):
+    def test_validation_errors(self, tmp_path, capsys):
         assert run(["cheb", "--family", "circle", "--r", "0.5", "--n", "3",
                     "-o", str(tmp_path)]) == 1
-        assert run(["cheb", "--family", "lemniscate", "--r", "2", "--n", "3",
-                    "-o", str(tmp_path)]) == 1  # missing --P
+        for family in ("lemniscate", "inverse-image"):
+            assert run(["cheb", "--family", family, "--r", "2", "--n", "3",
+                        "-o", str(tmp_path)]) == 1
+            assert capsys.readouterr().err.endswith(f"error: {family} needs --P\n")
         assert run(["cheb", "--family", "circle", "--r", "2", "--n", "3",
                     "--M", "2", "-o", str(tmp_path)]) == 1
         assert run(["nonsense"]) == 1
@@ -319,6 +321,23 @@ class TestFamilyJsonFlag:
         assert run(["faber", "--family-json", str(path), "--n", "2",
                     "-o", str(tmp_path)]) == 1
         assert capsys.readouterr().err.startswith("error: ")
+
+
+    @pytest.mark.parametrize("flags, spec", [
+        (["--family", "circle", "--R", "2.5"], {"family": "circle", "R": 2.5}),
+        (["--family", "interval"], {"family": "interval"}),
+        (["--family", "lemniscate", "--P", "1,0,-1+2i"],
+         {"family": "lemniscate", "P": [[-1.0, 2.0], [0.0, 0.0], [1.0, 0.0]]}),
+        (["--family", "inverse-image", "--P", "1,0,-2,0.1"],
+         {"family": "inverse-image", "P": [[0.1, 0.0], [-2.0, 0.0], [0.0, 0.0], [1.0, 0.0]]}),
+    ], ids=["circle", "interval", "lemniscate", "inverse-image"])
+    def test_flags_give_the_family_of_their_spec(self, tmp_path, flags, spec):
+        path = tmp_path / "fam.json"
+        path.write_text(json.dumps(spec))
+        assert run(["faber", *flags, "--n", "5", "-o", str(tmp_path), "--tag", "flags"]) == 0
+        assert run(["faber", "--family-json", str(path), "--n", "5",
+                    "-o", str(tmp_path), "--tag", "spec"]) == 0
+        assert read_json(tmp_path / "flags.json") == read_json(tmp_path / "spec.json")
 
 
 class TestNonFiniteInput:

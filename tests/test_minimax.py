@@ -172,8 +172,8 @@ class TestSolveChebyshev:
     def test_curve_maxima_bisect_off_a_zero_slope_end(self):
         # one grid step ends exactly at theta = 0, where |z^5 - r^5/2| on the
         # circle |z| = r has a minimum with a slope of exactly zero (real
-        # coefficients); the secant and regula falsi both stay on that end,
-        # and only bisection reaches the maximum 1.5 r^5 at theta = -pi/5
+        # coefficients); the secant stays on that end, and only bisection
+        # reaches the maximum 1.5 r^5 at theta = -pi/5
         # (the step's other end, -pi/4, is at 44.77)
         r, N = 2.0, 8
         h = 2.0 * np.pi / N
@@ -185,20 +185,26 @@ class TestSolveChebyshev:
         in_step = z[np.abs(np.angle(z) + np.pi / 5).argmin()]
         assert abs(p(in_step)) == pytest.approx(1.5 * r ** 5, rel=1e-12)
 
-    @pytest.mark.parametrize("shift, target", [
+    @pytest.mark.parametrize("N, shift, target", [
         # the mirror of the case above: on the same sample the step [0, pi/4]
         # starts at the minimum theta = 0, slope exactly zero, and holds the
         # maximum at pi/5
-        pytest.param(np.pi / 4, np.pi / 5, id="zero-slope-start"),
+        pytest.param(8, np.pi / 4, np.pi / 5, id="zero-slope-start"),
         # unshifted, the step [7 pi/4, 2 pi] ends on that minimum with a slope
-        # of -3.1e-12, not zero: the secant lands ulps inside the end, so
-        # bisection never runs and the step returns 7 pi/4 (|p| = 44.77)
-        pytest.param(0.0, -np.pi / 5, id="rounding-sized-end-slope",
-                     marks=pytest.mark.xfail(strict=True, reason="blind spot of the scan")),
+        # of -3.1e-12, not zero: the secant lands ulps inside the end, within
+        # the guard sqrt(eps) h of it, so the step bisects instead and places
+        # the maximum at 9 pi/5 (the step's start 7 pi/4 is at 44.77)
+        pytest.param(8, 0.0, -np.pi / 5, id="rounding-sized-end-slope"),
+        # on 16 points the step ending at -pi/5 + sqrt(eps) h / 2 holds the
+        # maximum at -pi/5 within the guard of its end and no minimum: the
+        # secant steps into the guard are refused, and bisection places the
+        # maximum there to 4e-11 rad
+        pytest.param(16, np.pi / 5 - 0.5 * np.sqrt(np.finfo(float).eps) * np.pi / 8, -np.pi / 5,
+                     id="maximum-within-guard-of-end"),
     ])
-    def test_curve_maxima_places_the_maximum_of_a_step(self, shift, target):
+    def test_curve_maxima_places_the_maximum_of_a_step(self, N, shift, target):
         # |z^5 - r^5/2| on |z| = r has its maxima 1.5 r^5 at pi/5 + 2 pi j/5
-        r, N = 2.0, 8
+        r = 2.0
         thetas = 2.0 * np.pi * np.arange(N) / N - shift
         sample = CurveSample(r=r, points=r * np.exp(1j * thetas), family=Circle(1.0),
                              thetas=thetas, grid_size=N)
@@ -251,6 +257,17 @@ class TestSolveChebyshev:
         assert sol.converged and sol.exchange == "resolve" and sol.newton_steps == 0
         assert sol.iterations > newton.iterations
         assert sol.sup_norm == pytest.approx(newton.sup_norm, rel=1e-10)
+
+    def test_newton_refused_unforced(self):
+        # on the z^2 - 3 preimage at r = 1.05 Newton on the extremal set
+        # does not converge in its steps (each step about half the last);
+        # the re-solves end the exchange instead
+        family = InversePolynomialImage(ComplexPolynomial([-3.0, 0.0, 1.0]))
+        sol = solve_chebyshev(sample_level_curve(family, 1.05, 256), 6)
+        assert sol.converged and sol.exchange == "resolve"
+        assert sol.newton_steps == minimax._NEWTON_STEPS == 8
+        fine = sample_level_curve(family, 1.05, 2 ** 15).points
+        assert np.abs(sol.polynomial(fine)).max() <= sol.sup_norm * (1 + 2e-10)
 
     @pytest.mark.parametrize("n", [3, 5, 6, 7])
     @pytest.mark.parametrize("r", [1.5, 2.0])
