@@ -79,7 +79,9 @@ class MinimaxSolution:
     """Result of a Chebyshev solve.
 
     ``weights`` are the normalized dual weights of the final discrete solve,
-    one per point used, and ``equioscillation_gap`` is their certificate;
+    one per point used (uniform on the start's extremal set where that set
+    certifies the start, see ``_interior_point``), and
+    ``equioscillation_gap`` is their certificate;
     ``iterations`` counts interior-point steps.  From ``solve_chebyshev``,
     ``converged`` also means that no maximum of |p| on the curve bracketed
     by a grid step of the sample exceeds ``sup_norm`` by more than the
@@ -116,6 +118,11 @@ class MinimaxSolution:
             "iterations": self.iterations,
             "converged": self.converged,
             "precision_limited": self.precision_limited,
+            "diagnostics": {
+                "equioscillation_gap": self.equioscillation_gap,
+                "exchange": self.exchange,
+                "newton_steps": self.newton_steps,
+            },
         }
 
 
@@ -299,7 +306,16 @@ def _interior_point(B: np.ndarray, b: np.ndarray, opts: SolveOptions):
     for the dual weights w = z_0 / sum z_0, min_a sum_j w_j |r_j|^2 bounds
     the discrete optimum from below.  Returns (a, w, steps, converged, gap)
     for the better, by sup norm, of the primal iterate and the weighted-LS
-    solution."""
+    solution.
+
+    Before the first step the start's extremal set S, the j with |b_j| >=
+    (1 - tol_rel) max|b|, is weighed: where 2n <= |S| < M (the start
+    equioscillates, as T_n does on ellipses and preimages whose extremal
+    points lie on the grid), weights uniform on S are certified,
+    and a gap <= tol_rel returns them after one step.  Any weights summing
+    to 1 give a lower bound, so a refused S (or one whose points cannot pin
+    the coefficients) leaves the steps below unchanged.  Where S holds
+    every point, the first step's uniform weights are the same test."""
     M, n = B.shape
     B_h = B.conj().T
     newton = np.empty((2 * n + 1, 2 * n + 1))
@@ -317,6 +333,17 @@ def _interior_point(B: np.ndarray, b: np.ndarray, opts: SolveOptions):
                 best, best_sup = coef, sup
         return 1.0 - bound / best_sup
 
+    top = np.abs(b)
+    extremal = top >= (1.0 - opts.tol_rel) * top.max()
+    if 2 * n <= extremal.sum() < M:
+        w = extremal / extremal.sum()
+        try:
+            gap = certify()
+        except RankDeficiencyError:
+            gap = np.inf
+        if gap <= opts.tol_rel:
+            return best, w, 1, True, gap
+        best, best_sup = a, np.inf  # a refused set leaves no trace in the steps
     for it in range(1, opts.max_iter + 1):
         w = z[0] / z[0].sum()
         gap_ip = (s[0] @ z[0] + np.vdot(s[1], z[1]).real) / t
@@ -448,10 +475,11 @@ def _curve_maxima(pairs: Sequence[tuple[ComplexPolynomial, CurveSample]]) -> lis
     and at least _GUARD grid steps from the ends of its grid step: at a
     stationary end (a minimum of |p| on a symmetry angle) the slope is
     zero or rounding-sized, and the secant stays on or lands ulps inside
-    that end.  Any other step bisects the bracket; as bisection stops
-    short of a maximum on an end, each step returns the highest of its
-    last iterate and its ends.  Not seen: a maximum and a minimum of |p|
-    in one step.  Raises ValueError for samples of more than one family.
+    that end.  Any other step bisects the bracket, also one whose secant
+    has converged onto an end of the bracket, so each step returns the
+    highest point it evaluated: one of its ends or of its iterates.  Not
+    seen: a maximum and a minimum of |p| in one step.  Raises ValueError
+    for samples of more than one family.
     """
     if not pairs:
         return []
@@ -479,9 +507,10 @@ def _curve_maxima(pairs: Sequence[tuple[ComplexPolynomial, CurveSample]]) -> lis
     rows = _coefficient_rows([p for p, _ in pairs], counts)
     drows = _coefficient_rows(derivatives, counts)
 
-    def slope(z, dz):
-        return (np.conj(horner(rows, z)) * horner(drows, z) * dz).real
-
+    ends = np.stack([near, z_end])
+    top = np.abs(horner(rows, ends))
+    pick = top.argmax(axis=0), np.arange(len(a))
+    best, best_val = ends[pick], top[pick]
     prev, g_prev, cur, g = a, fa, b, fb
     for _ in range(_SECANT_STEPS):
         dg = g - g_prev
@@ -490,11 +519,13 @@ def _curve_maxima(pairs: Sequence[tuple[ComplexPolynomial, CurveSample]]) -> lis
         inside = (np.maximum(a, lo) < nxt) & (nxt < np.minimum(b, hi))
         cur = np.where(inside, nxt, 0.5 * (a + b))
         z, dz = points_at_angles(family, r, cur, near)
-        g = slope(z, dz)
+        pz = horner(rows, z)
+        g = (np.conj(pz) * horner(drows, z) * dz).real
+        value = np.abs(pz)
+        higher = value >= best_val
+        best, best_val = np.where(higher, z, best), np.where(higher, value, best_val)
         rise = g > 0
         a, b = np.where(rise, cur, a), np.where(rise, b, cur)
-    z = np.stack([z, near, z_end])
-    best = z[np.abs(horner(rows, z)).argmax(axis=0), np.arange(len(a))]
     return [best[end - k : end] for end, k in zip(accumulate(counts), counts)]
 
 

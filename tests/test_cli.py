@@ -63,9 +63,21 @@ class TestChebCommand:
         coeffs = np.array([complex(a, b) for a, b in rep["coeffs"]])
         np.testing.assert_allclose(coeffs, [0, 0, 0, 1], atol=1e-10)
 
+    def test_diagnostics_show_the_path(self, tmp_path):
+        # T_4's eight extremal points on the ellipse lie on the grid: the
+        # start certifies in one step and no exchange runs
+        assert run(["cheb", "--family", "interval", "--r", "1.5", "--n", "4",
+                    "-o", str(tmp_path)]) == 0
+        rep = read_json(tmp_path / "cheb.json")
+        assert rep["iterations"] == 1
+        diagnostics = rep["diagnostics"]
+        assert set(diagnostics) == {"equioscillation_gap", "exchange", "newton_steps"}
+        assert abs(diagnostics["equioscillation_gap"]) <= 1e-14
+        assert diagnostics["exchange"] == "none" and diagnostics["newton_steps"] == 0
+
     def test_unconverged_exit_code(self, tmp_path, monkeypatch):
         code = run([
-            "cheb", "--family", "interval", "--r", "2", "--n", "2",
+            "cheb", "--family", "interval", "--r", "2", "--n", "3",
             "--max-iter", "3", "--tol", "1e-14",
             "-o", str(tmp_path),
         ])

@@ -90,8 +90,10 @@ class TestSolveChebyshev:
             assert sol.sup_norm == pytest.approx(r ** 2, rel=1e-10)
 
     def test_unconverged_flagged_not_hidden(self):
+        # n = 3: T_3's extremal points on the ellipse miss the grid, so the
+        # start does not certify and five steps stop short of 1e-14
         s = sample_level_curve(Interval(), 2.0, 256)
-        sol = solve_chebyshev(s, 2, SolveOptions(tol_rel=1e-14, max_iter=5))
+        sol = solve_chebyshev(s, 3, SolveOptions(tol_rel=1e-14, max_iter=5))
         assert not sol.converged
         assert sol.iterations == 5
 
@@ -214,6 +216,19 @@ class TestSolveChebyshev:
         assert near.any()
         assert np.abs(p(z[near])) == pytest.approx(1.5 * r ** 5, rel=1e-12)
 
+    def test_curve_maxima_keep_the_highest_iterate(self):
+        # on this scan one secant step converges onto an end of its bracket
+        # and bisection then moves away from it: the last iterate lies
+        # 2.0e-3 rad from the best one and 3.2e-13 below it (relative).
+        # Every maximum returned is at least the 2^16-point maximum near it
+        sample = sample_level_curve(BERNOULLI, 2.5, 512)
+        p = chebyshev_on_points(sample.points, 21).polynomial
+        z = minimax._curve_maxima([(p, sample)])[0]
+        fine = sample_level_curve(BERNOULLI, 2.5, 2 ** 16).points
+        values = np.abs(p(fine))
+        near = np.abs(z[:, None] - fine).argmin(axis=1)[:, None] + np.arange(-128, 129)
+        assert (np.abs(p(z)) >= values[near % len(fine)].max(axis=1) * (1 - 1e-14)).all()
+
     def test_exchange_adds_each_maximum_once(self):
         # each curve maximum is placed once a round, so the points used
         # grow by the number of maxima a round, not by one per search
@@ -246,6 +261,14 @@ class TestSolveChebyshev:
         assert extremal.min() > 0 and sol.weights.sum() == pytest.approx(1.0, abs=1e-14)
         fine = sample_level_curve(BERNOULLI, 1.2, 2 ** 16).points
         assert np.abs(sol.polynomial(fine)).max() <= sol.sup_norm * (1 + 1e-14)
+
+    def test_json_diagnostics_name_the_path(self):
+        sol = solve_chebyshev(sample_level_curve(BERNOULLI, 1.2, 512), 3)
+        assert sol.to_json_dict()["diagnostics"] == {
+            "equioscillation_gap": sol.equioscillation_gap,
+            "exchange": "newton",
+            "newton_steps": sol.newton_steps,
+        }
 
     def test_refused_newton_falls_back_to_re_solves(self, monkeypatch):
         # with no Newton steps allowed the re-solve rounds end the exchange,
@@ -528,6 +551,58 @@ def unpacked(x):
     return np.stack([x[0], x[1].real, x[1].imag], axis=1)
 
 
+class TestStartCertificate:
+    # the start q_n is the least-squares minimizer for the sample's uniform
+    # weights; where it equioscillates on 2n or more of its points, weights
+    # uniform on them certify it before the first step
+
+    @pytest.mark.parametrize("r", [1.5, 2.0])
+    @pytest.mark.parametrize("n", [1, 2, 4, 8])
+    def test_interval_certifies_in_one_step(self, n, r):
+        # T_n's 2n extremal points on the ellipse, where w^n is real, lie
+        # on the 512-point grid for these n
+        sol = solve_chebyshev(sample_level_curve(Interval(), r, 512), n,
+                              SolveOptions(tol_rel=1e-8, max_iter=600))
+        assert sol.converged and sol.iterations == 1 and sol.exchange == "none"
+        support = sol.weights[sol.weights > 0]
+        assert len(support) == 2 * n and (support == support[0]).all()
+        assert sol.equioscillation_gap <= 1e-14
+        np.testing.assert_allclose(sol.polynomial.coeffs, monic_classical_chebyshev(n).coeffs,
+                                   rtol=0, atol=1e-14)
+
+    def test_preimage_certifies_every_solve_in_one_step(self, monkeypatch):
+        period2 = InversePolynomialImage(
+            ComplexPolynomial([-3.0, 0.0, 1.0]), alternation_points=[-2.0, -np.sqrt(2.0), 2.0]
+        )
+        steps, solve = [], minimax.solve_chebyshev
+
+        def recorded(sample, n, opts=None):
+            sol = solve(sample, n, opts)
+            steps.append(sol.iterations)
+            return sol
+
+        monkeypatch.setattr(experiments, "solve_chebyshev", recorded)
+        for n in (2, 4):
+            invariance_experiment(period2, n, (1.5, 3.0), SolveOptions(3e-4, 8000), M=512)
+        assert steps == [1, 1, 1, 1]
+
+    def test_short_extremal_set_is_not_tried(self):
+        # T_3 on Bernoulli's lemniscate peaks at 4 sample points, fewer
+        # than 2n = 6: the interior point takes its steps
+        sol = solve_chebyshev(sample_level_curve(BERNOULLI, 2.0, 512), 3,
+                              SolveOptions(tol_rel=1e-8, max_iter=600))
+        assert sol.converged and sol.iterations > 1
+
+    def test_repeated_point_extremal_set_takes_steps(self):
+        # for n = 2 the start peaks on the four copies of -1: weights on one
+        # distinct point cannot pin the coefficients, and the steps run as
+        # without the test, to (z + 1)^2 - 1/2, which equioscillates on
+        # -2, -1 and 0
+        sol = chebyshev_on_points(np.repeat([-2.0, -1.0, 0.0], [3, 4, 3]), 2)
+        assert sol.converged and sol.iterations > 1
+        np.testing.assert_allclose(sol.polynomial.coeffs, [0.5, 2.0, 1.0], rtol=0, atol=1e-9)
+
+
 class TestPackedCones:
     M = 64
 
@@ -616,8 +691,10 @@ def test_invariance_step_count(monkeypatch):
     # the inputs of criteria 1-4 at the settings of the benchmark's
     # invariance workload (seed 0): a cheaper step must not cost steps.
     # Nine exchanges run, on the interval, and Newton on the extremal set
-    # ends each of them: a silent fallback to re-solves costs 9 solves more
-    solves, exchanges = [], []
+    # ends each of them: a silent fallback to re-solves costs 9 solves more.
+    # The interval levels at n = 1, 2, 4, 8 (their extremal points lie on
+    # the grid) certify their start in one step, and so does n = 7 at r = 4
+    solves, exchanges, interval = [], [], []
     ip, solve = minimax._interior_point, minimax.solve_chebyshev
 
     def counted(B, b, opts):
@@ -640,12 +717,15 @@ def test_invariance_step_count(monkeypatch):
     for family, degrees in ((Interval(), range(1, 9)), (BERNOULLI, (2, 4, 6, 8))):
         for n in degrees:
             for r in levels:
-                recorded(sample_level_curve(family, r, 512), n, exact)
+                sol = recorded(sample_level_curve(family, r, 512), n, exact)
+                if isinstance(family, Interval):
+                    interval.append(sol.iterations)
     period2 = InversePolynomialImage(
         ComplexPolynomial([-3.0, 0.0, 1.0]), alternation_points=[-2.0, -np.sqrt(2.0), 2.0]
     )
     for n in (2, 4):
         invariance_experiment(period2, n, (1.5, 3.0), SolveOptions(3e-4, 8000), M=512)
     assert len(exchanges) == len(solves) <= 70
-    assert sum(solves) <= 260
+    assert sum(solves) <= 157
+    assert len(interval) == 24 and interval.count(1) == 13
     assert exchanges.count("newton") == 9 and exchanges.count("resolve") == 0
