@@ -225,6 +225,29 @@ class CurveSample:
         z.flags.writeable = dz.flags.writeable = False
         return z, dz
 
+    @cached_property
+    def _successors(self) -> np.ndarray:
+        """Index of the sample point where each grid step ends, at theta + h:
+        of the m points (m = deg P) at that angle, the one nearest the
+        step's continued end.  -1 throughout for a sample not laid out as
+        ``sample_level_curve`` lays it out: m points at each of grid_size/m
+        consecutive grid angles, angle-major, one period 2 pi/m.  Computed
+        once, read-only."""
+        m = _preimage(self.family)[0].degree
+        period = self.grid_size // m
+        first = self.thetas[::m]
+        steps = np.diff(np.rint(first * (self.grid_size / (2.0 * np.pi))))
+        if (self.size != self.grid_size or len(first) != period
+                or (self.thetas != np.repeat(first, m)).any() or (steps != 1).any()):
+            out = np.full(self.size, -1)
+        else:
+            following = (np.arange(self.size) // m + 1) % period * m  # the next angle's first point
+            end = self.grid_steps[0][self.size:]
+            out = following + np.abs(self.points[following[:, None] + np.arange(m)]
+                                     - end[:, None]).argmin(axis=1)
+        out.flags.writeable = False
+        return out
+
 
 def _preimage(f: CurveFamily) -> tuple[ComplexPolynomial, LaurentSeriesAtInfinity]:
     """(P, psi) with L_r = P^{-1}(psi(|w| = r^m)), m = deg P: a root family's

@@ -3,7 +3,10 @@
 The discrete problem  min_p max_j |p(z_j)|  over monic p is a second-order
 cone program, solved in the Arnoldi basis of the points.  Its dual weights
 certify convergence: their weighted least-squares minimum bounds the
-discrete optimum from below.  A curve exchange places the maxima of |p|
+discrete optimum from below.  The start, q_n of that basis, is weighed
+first, on its extremal points on the grid or, placed by one curve scan,
+on the curve; where it equioscillates there it is returned after one
+step.  Otherwise a curve exchange places the maxima of |p|
 that the sample's grid steps bracket along the curve, by secant steps
 with one guarded bisection fallback.  Where one exceeds
 the discrete sup by more than the tolerance, Newton's method on the KKT
@@ -79,19 +82,22 @@ class MinimaxSolution:
     """Result of a Chebyshev solve.
 
     ``weights`` are the normalized dual weights of the final discrete solve,
-    one per point used (uniform on the start's extremal set where that set
-    certifies the start, see ``_interior_point``), and
-    ``equioscillation_gap`` is their certificate;
-    ``iterations`` counts interior-point steps.  From ``solve_chebyshev``,
-    ``converged`` also means that no maximum of |p| on the curve bracketed
-    by a grid step of the sample exceeds ``sup_norm`` by more than the
-    tolerance.  ``exchange`` says what ended the curve exchange: "none"
-    (no maximum above the tolerance, or no exchange), "newton" (Newton on
-    the extremal set; ``weights`` are zero on the sample's points and the
-    KKT point's lambda on the extremal points appended to them) or
-    "resolve" (re-solves with the maxima added); ``newton_steps`` counts
-    Newton steps, also those of a refused attempt.  ``precision_limited`` marks
-    a solve whose values on the curve are too
+    one per point used (uniform on the start's extremal set, or on every
+    point, where those weights certify the start, see ``_solve_on_points``),
+    and ``equioscillation_gap`` is their certificate; ``iterations`` counts
+    interior-point steps, one where the start certifies.  From
+    ``solve_chebyshev``, ``converged`` also means that no maximum of |p| on
+    the curve bracketed by a grid step of the sample exceeds ``sup_norm``
+    by more than the tolerance.  ``exchange`` says what ended the curve
+    exchange: "none" (no maximum above the tolerance, or no exchange),
+    "start" (the start certified on its curve maxima, ``_curve_start``:
+    ``weights`` are zero on the sample's points and uniform on the
+    extremal maxima appended to them, and ``sup_norm`` is the curve sup),
+    "newton" (Newton on the extremal set; ``weights`` are zero on the
+    sample's points and the KKT point's lambda on the extremal points
+    appended to them) or "resolve" (re-solves with the maxima added);
+    ``newton_steps`` counts Newton steps, also those of a refused attempt.
+    ``precision_limited`` marks a solve whose values on the curve are too
     large for double precision to pin the low-order coefficients (see
     ``solve_chebyshev``); its polynomial was refined in double-double.
     Such a solve has ``converged=False`` also when its values are too large
@@ -165,6 +171,14 @@ _ROOT_ACCURACY_BUDGET = 1e-3
 # double-double resolution, relative to the monic coefficient
 _DD_EPS = np.finfo(float).eps ** 2
 _DD_MAX_STEPS = 4
+
+
+def _precision_limited(sup_norm: float, family, n: int, eps: float) -> bool:
+    """Rounding at eps * sup_norm, in capacity units (times c^n), exceeds
+    the root-accuracy budget: coefficients resolved to eps cannot fix the
+    degree-n polynomial near K, where its zeros lie."""
+    growth = capacity_leading_coefficient(family) ** n
+    return n > 0 and not eps * sup_norm * growth <= _ROOT_ACCURACY_BUDGET
 
 
 def _refine_dd(points: dd.DD, weights: np.ndarray, n: int, center: complex) -> ComplexPolynomial:
@@ -299,23 +313,26 @@ def _w_inv(u0, uv, beta, y):
     return (uy * u0 - y[0]) / beta, (uy * uv + y[1]) / beta
 
 
+def _extremal_weights(values: np.ndarray, top: float, n: int, tol_rel: float) -> np.ndarray | None:
+    """Weights uniform on the start's extremal set: the points where its
+    |q_n|, ``values``, is at least (1 - tol_rel) ``top``, its sup.  None
+    where fewer than 2n points are in the set (an equioscillating start,
+    as T_n is on ellipses and preimage levels, peaks at 2n or more)."""
+    extremal = values >= (1.0 - tol_rel) * top
+    count = int(extremal.sum())
+    return extremal / count if count >= 2 * n else None
+
+
 def _interior_point(B: np.ndarray, b: np.ndarray, opts: SolveOptions):
     """Primal-dual interior point for  min t  s.t.  |r_j| <= t,  r = b + B a,
     in the real unknowns (t, Re a, Im a); cone j holds (t, r_j) and the dual
     z_j.  Feasible start: a = 0, t = 1.1 max|b|, z_j = (1/M, 0).  Certificate:
     for the dual weights w = z_0 / sum z_0, min_a sum_j w_j |r_j|^2 bounds
-    the discrete optimum from below.  Returns (a, w, steps, converged, gap)
-    for the better, by sup norm, of the primal iterate and the weighted-LS
-    solution.
-
-    Before the first step the start's extremal set S, the j with |b_j| >=
-    (1 - tol_rel) max|b|, is weighed: where 2n <= |S| < M (the start
-    equioscillates, as T_n does on ellipses and preimages whose extremal
-    points lie on the grid), weights uniform on S are certified,
-    and a gap <= tol_rel returns them after one step.  Any weights summing
-    to 1 give a lower bound, so a refused S (or one whose points cannot pin
-    the coefficients) leaves the steps below unchanged.  Where S holds
-    every point, the first step's uniform weights are the same test."""
+    the discrete optimum from below; it is evaluated at the last step and
+    once the gap s.z / t is within _CERTIFY_FROM tolerances.  Returns (a, w,
+    steps, converged, gap) for the better, by sup norm, of the primal
+    iterate and the weighted-LS solution.  The caller has weighed the start
+    (``_solve_on_points``): the steps begin where that is refused."""
     M, n = B.shape
     B_h = B.conj().T
     newton = np.empty((2 * n + 1, 2 * n + 1))
@@ -333,22 +350,11 @@ def _interior_point(B: np.ndarray, b: np.ndarray, opts: SolveOptions):
                 best, best_sup = coef, sup
         return 1.0 - bound / best_sup
 
-    top = np.abs(b)
-    extremal = top >= (1.0 - opts.tol_rel) * top.max()
-    if 2 * n <= extremal.sum() < M:
-        w = extremal / extremal.sum()
-        try:
-            gap = certify()
-        except RankDeficiencyError:
-            gap = np.inf
-        if gap <= opts.tol_rel:
-            return best, w, 1, True, gap
-        best, best_sup = a, np.inf  # a refused set leaves no trace in the steps
     for it in range(1, opts.max_iter + 1):
         w = z[0] / z[0].sum()
         gap_ip = (s[0] @ z[0] + np.vdot(s[1], z[1]).real) / t
         last = it == opts.max_iter or gap_ip <= _GAP_FLOOR
-        if it == 1 or last or gap_ip <= _CERTIFY_FROM * opts.tol_rel:
+        if last or gap_ip <= _CERTIFY_FROM * opts.tol_rel:
             gap = certify()
             if gap <= opts.tol_rel or last:
                 break
@@ -426,15 +432,52 @@ def chebyshev_on_points(points, n: int, opts: SolveOptions | None = None) -> Min
     return _solve_on_points(np.asarray(points, dtype=complex), n, opts or SolveOptions())[0]
 
 
-def _solve_on_points(points: np.ndarray, n: int, opts: SolveOptions):
+def _solve_on_points(points: np.ndarray, n: int, opts: SolveOptions,
+                     sample: CurveSample | None = None):
     """``chebyshev_on_points`` and its basis (Q, H, a, center, scale): the
-    Arnoldi basis of the points and the interior point's coefficients in it."""
+    Arnoldi basis of the points and the solution's coefficients in it.
+
+    Before the first step the start a = 0 (q_n, the least-squares
+    minimizer for uniform weights) is weighed with weights uniform on its
+    extremal set S (``_extremal_weights``, where S is not every point),
+    then with weights uniform on every point, the first step's.  Either
+    certificate with a gap <= tol_rel returns the better, by sup on the
+    points, of the start and the weights' least-squares solution, after
+    one step.  Where both are refused and a ``sample`` of the curve is
+    given, ``_curve_start`` weighs the start on the curve; a solution from
+    there has ``exchange="start"``.  Otherwise the interior point takes its
+    steps, as if no test had been made.
+    """
     center = complex(points.mean())
     scale = float(np.abs(points - center).max())
     if scale == 0:
         raise RankDeficiencyError("all points coincide")
     Q, H = _arnoldi((points - center) / scale, n)
-    a, weights, steps, converged, gap = _interior_point(Q[:, :n], Q[:, n], opts)
+    B, b = Q[:, :n], Q[:, n]
+    a, top = np.zeros(n, dtype=complex), float(np.abs(b).max())
+    extremal = _extremal_weights(np.abs(b), top, n, opts.tol_rel)
+    uniform = np.full(len(b), 1.0 / len(b))
+    # the first step's weights z_0 / sum z_0, formed as the interior point forms them
+    tests = [uniform / uniform.sum()]
+    if extremal is not None and extremal.min() == 0:
+        tests.insert(0, extremal)
+    for weights in tests:
+        try:
+            ls, bound = _certificate(B, b, weights)
+        except RankDeficiencyError:  # repeated points: S may pin fewer values
+            continue
+        ls_sup = float(np.abs(b + B @ ls).max())
+        gap = 1.0 - bound / min(top, ls_sup)
+        if gap <= opts.tol_rel:
+            a = ls if ls_sup < top else a
+            steps, converged = 1, True
+            break
+    else:
+        if sample is not None and opts.max_iter > 1:
+            curve = _curve_start(sample, n, opts, H, center, scale, top)
+            if curve is not None:
+                return curve, (Q, H, a, center, scale)
+        a, weights, steps, converged, gap = _interior_point(B, b, opts)
     poly = _monic_polynomial(H, a, center, scale)
     sol = MinimaxSolution(
         polynomial=poly,
@@ -445,6 +488,51 @@ def _solve_on_points(points: np.ndarray, n: int, opts: SolveOptions):
         equioscillation_gap=float(gap),
     )
     return sol, (Q, H, a, center, scale)
+
+
+def _curve_start(sample: CurveSample, n: int, opts: SolveOptions, H: np.ndarray,
+                 center: complex, scale: float, top: float) -> MinimaxSolution | None:
+    """The start q_n (a = 0 in the Arnoldi basis H of the sample, ``top``
+    its sup there) certified on the curve, where its extremal points miss
+    the sample's grid.  Returns the start as the solution, or None.
+
+    Gate: at least 2n grid steps bracket a maximum of |p| (``_turns``, the
+    scan's first phase), p the monic start, and p is not precision-limited
+    (``solve_chebyshev``).  Then one curve scan places its maxima, the
+    maxima of |q_n| within tol_rel of its curve sup are its extremal set
+    (``_extremal_weights``), and ``_certificate`` weighs them in the
+    Arnoldi basis there.  A gap <= tol_rel returns p after one step, with
+    ``weights`` zero on the sample's points and uniform on the extremal
+    points appended to them, ``sup_norm`` its curve sup, and
+    ``exchange="start"``: the scan has made the exchange's test."""
+    p = _monic_polynomial(H, np.zeros(n, dtype=complex), center, scale)
+    if len(_turns(p, p.derivative(), sample)[0]) < 2 * n:
+        return None
+    on_sample = float(np.abs(p(sample.points)).max())
+    if _precision_limited(on_sample, sample.family, n, np.finfo(float).eps):
+        return None
+    maxima = _curve_maxima([(p, sample)])[0]
+    rows = _arnoldi_jets(H, (maxima - center) / scale)[0]
+    values = np.abs(rows[:, n])
+    curve_top = max(top, float(values.max()))
+    weights = _extremal_weights(values, curve_top, n, opts.tol_rel)
+    if weights is None:
+        return None
+    try:
+        gap = 1.0 - _certificate(rows[:, :n], rows[:, n], weights)[1] / curve_top
+    except RankDeficiencyError:
+        return None
+    if not gap <= opts.tol_rel:
+        return None
+    return MinimaxSolution(
+        polynomial=p,
+        sup_norm=max(on_sample, float(np.abs(p(maxima)).max())),
+        weights=np.concatenate([np.zeros(sample.size), weights[weights > 0]]),
+        iterations=1,
+        converged=True,
+        equioscillation_gap=gap,
+        exchange="start",
+    )
 
 
 # curve exchange, where Newton on the extremal set is refused: re-solves with
@@ -464,10 +552,10 @@ def _curve_maxima(pairs: Sequence[tuple[ComplexPolynomial, CurveSample]]) -> lis
     The slope of |p|^2 is taken at both ends of every grid step, pair by
     pair, at the points ``sample.grid_steps`` holds for every scan of the
     sample.  A step where it turns from > 0 to <= 0, or from exactly 0 to
-    < 0, brackets one maximum, which secant steps on the slope place
-    (values of |p| are flat to eps over sqrt(eps) of angle): within 1e-10
-    (relative) of 2^16-point maxima on 512-point samples, but 3.7e-6 rad off
-    and 3.8e-11 low on an 8-point circle.  One loop of secant steps serves
+    < 0, brackets one maximum (``_turns``), which secant steps on the
+    slope place (values of |p| are flat to eps over sqrt(eps) of angle):
+    within 1e-10 (relative) of 2^16-point maxima on 512-point samples, but
+    3.7e-6 rad off and 3.8e-11 low on an 8-point circle.  One loop of secant steps serves
     the brackets of every pair, each with its own level, grid step and
     polynomial (coefficient rows for ``horner``), so a batch costs one
     loop's fixed costs, and each pair's maxima are the bits a batch of one
@@ -478,8 +566,12 @@ def _curve_maxima(pairs: Sequence[tuple[ComplexPolynomial, CurveSample]]) -> lis
     that end.  Any other step bisects the bracket, also one whose secant
     has converged onto an end of the bracket, so each step returns the
     highest point it evaluated: one of its ends or of its iterates.  Not
-    seen: a maximum and a minimum of |p| in one step.  Raises ValueError
-    for samples of more than one family.
+    seen: a maximum and a minimum of |p| in one step.  Seen since the turn
+    is read at the sample point: a maximum on a grid angle whose slope
+    rounds to opposite signs at the continued end of one step and at the
+    sample point that starts the next (the interval's T_3 at r = 1.5 on
+    512 points: +8.2e-17 at 2 pi, -5.6e-17 at 0), which neither step
+    bracketed.  Raises ValueError for samples of more than one family.
     """
     if not pairs:
         return []
@@ -489,17 +581,13 @@ def _curve_maxima(pairs: Sequence[tuple[ComplexPolynomial, CurveSample]]) -> lis
     derivatives = [p.derivative() for p, _ in pairs]
     a, fa, b, fb, near, z_end, counts = [], [], [], [], [], [], []
     for (p, sample), dp in zip(pairs, derivatives):
-        z, dz = sample.grid_steps
-        g = (np.conj(p(z)) * dp(z) * dz).real
-        M = sample.size
-        g_a, g_b = g[:M], g[M:]
-        turn = np.flatnonzero(((g_a > 0) & (g_b <= 0)) | ((g_a == 0) & (g_b < 0)))
+        turn, g_a, g_b = _turns(p, dp, sample)
         a.append(sample.thetas[turn])
         fa.append(g_a[turn])
         b.append(sample.thetas[turn] + 2.0 * np.pi / sample.grid_size)
         fb.append(g_b[turn])
         near.append(sample.points[turn])
-        z_end.append(z[M:][turn])
+        z_end.append(sample.grid_steps[0][sample.size:][turn])
         counts.append(len(turn))
     a, fa, b, fb, near, z_end = map(np.concatenate, (a, fa, b, fb, near, z_end))
     lo, hi = a + _GUARD * (b - a), b - _GUARD * (b - a)
@@ -527,6 +615,27 @@ def _curve_maxima(pairs: Sequence[tuple[ComplexPolynomial, CurveSample]]) -> lis
         rise = g > 0
         a, b = np.where(rise, cur, a), np.where(rise, b, cur)
     return [best[end - k : end] for end, k in zip(accumulate(counts), counts)]
+
+
+def _turns(p: ComplexPolynomial, dp: ComplexPolynomial, sample: CurveSample):
+    """The grid steps of the sample that bracket a maximum of |p| (indices),
+    and the slopes of |p|^2 at their starts and continued ends (all steps).
+
+    A step brackets one maximum where the slope turns from > 0 to <= 0, or
+    from exactly 0 to < 0.  The turn is read at the sample point where the
+    step ends, where the sample holds one (``CurveSample._successors``), so
+    the point that two steps share gives both of them one slope: the
+    continued end differs from that point by rounding, and at a maximum on
+    a grid angle the two slopes, both rounding-sized, can take opposite
+    signs, which hid the maximum or bracketed it twice.  The continued
+    ends' slopes still start the secant steps."""
+    z, dz = sample.grid_steps
+    g = (np.conj(p(z)) * dp(z) * dz).real
+    g_a, g_b = g[: sample.size], g[sample.size :]
+    successor = sample._successors
+    g_end = np.where(successor >= 0, g_a[successor], g_b)
+    turn = np.flatnonzero(((g_a > 0) & (g_end <= 0)) | ((g_a == 0) & (g_end < 0)))
+    return turn, g_a, g_b
 
 
 def _coefficient_rows(polys: Sequence[ComplexPolynomial], counts: Sequence[int]) -> np.ndarray:
@@ -701,17 +810,20 @@ def solve_chebyshev(
 
     Solves the discrete problem on the sample, then runs a curve exchange:
     it places the maxima of |p| along L_r that the sample's grid steps
-    bracket.  Where none exceeds the discrete sup by more than ``tol_rel``
-    the discrete solution is returned unchanged.  Otherwise Newton's method
+    bracket.  Where the start certifies on its curve maxima
+    (``_curve_start``, tried where its grid certificates are refused) that
+    scan was the exchange's test, and the start is returned after one step
+    with ``exchange="start"``.  Where no maximum exceeds the discrete sup
+    by more than ``tol_rel`` the discrete solution is returned unchanged.  Otherwise Newton's method
     on the extremal set (``_newton_exchange``) solves the curve problem's
     KKT system, and its point is returned where every lambda_j > 0, its
     certificate reaches ``tol_rel`` and the sample's scan finds no maximum
     above its sup by more than ``tol_rel``.  Where Newton is refused, the
     exchange adds all the maxima to the points used and re-solves, while
     any maximum exceeds the discrete sup by more than ``tol_rel``.
-    ``converged`` means an accepted Newton point, or the discrete
-    certificate on all points used with no maximum bracketed by a grid
-    step above ``sup_norm`` by more than ``tol_rel``; a solve still above
+    ``converged`` means a start certified on the curve, an accepted Newton
+    point, or the discrete certificate on all points used with no maximum
+    bracketed by a grid step above ``sup_norm`` by more than ``tol_rel``; a solve still above
     it after _EXCHANGE_ROUNDS re-solves returns ``converged=False``.
     ``iterations`` counts every interior-point step of the call,
     ``newton_steps`` the Newton steps, and ``exchange`` names the path
@@ -720,7 +832,8 @@ def solve_chebyshev(
     A solve is precision-limited when rounding at eps * sup_norm, in
     capacity units (times c^n), exceeds the root-accuracy budget 1e-3:
     then the double coefficients cannot resolve the polynomial near K,
-    where its zeros lie.  Such a solution skips the exchange, keeps its dual
+    where its zeros lie.  Such a solution skips the curve start and the
+    exchange, keeps its dual
     weights and certificate, and its polynomial is replaced by the weighted
     least-squares polynomial for those weights solved to double-double
     accuracy on the sample placed exactly on the curve.  The same rule with
@@ -728,9 +841,10 @@ def solve_chebyshev(
     refinement runs out too; such a solve returns ``converged=False``.
     """
     opts = opts or SolveOptions()
-    sol, basis = _solve_on_points(sample.points, n, opts)
-    growth = capacity_leading_coefficient(sample.family) ** n
-    if n == 0 or np.finfo(float).eps * sol.sup_norm * growth <= _ROOT_ACCURACY_BUDGET:
+    sol, basis = _solve_on_points(sample.points, n, opts, sample)
+    if sol.exchange == "start":
+        return sol
+    if not _precision_limited(sol.sup_norm, sample.family, n, np.finfo(float).eps):
         steps, points, newton_steps = sol.iterations, sample.points, 0
         for rounds in range(_EXCHANGE_ROUNDS + 1):
             if not sol.converged:
@@ -751,11 +865,10 @@ def solve_chebyshev(
         return replace(sol, iterations=steps, exchange="resolve" if rounds else "none",
                        newton_steps=newton_steps)
     poly = _refine_dd(sample_points_dd(sample), sol.weights, n, complex(sample.points.mean()))
-    resolved = bool(_DD_EPS * sol.sup_norm * growth <= _ROOT_ACCURACY_BUDGET)
     return replace(
         sol,
         polynomial=poly,
         sup_norm=float(np.abs(poly(sample.points)).max()),
-        converged=sol.converged and resolved,
+        converged=sol.converged and not _precision_limited(sol.sup_norm, sample.family, n, _DD_EPS),
         precision_limited=True,
     )

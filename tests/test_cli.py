@@ -75,9 +75,22 @@ class TestChebCommand:
         assert abs(diagnostics["equioscillation_gap"]) <= 1e-14
         assert diagnostics["exchange"] == "none" and diagnostics["newton_steps"] == 0
 
+    def test_diagnostics_show_the_curve_start(self, tmp_path):
+        # T_3's six extremal points on the ellipse miss the grid: the start
+        # certifies on its curve maxima in one step, and no exchange runs
+        assert run(["cheb", "--family", "interval", "--r", "1.5", "--n", "3",
+                    "-o", str(tmp_path)]) == 0
+        rep = read_json(tmp_path / "cheb.json")
+        assert rep["converged"] and rep["iterations"] == 1
+        assert rep["diagnostics"]["exchange"] == "start"
+        assert rep["diagnostics"]["newton_steps"] == 0
+        assert abs(rep["diagnostics"]["equioscillation_gap"]) <= 1e-14
+
     def test_unconverged_exit_code(self, tmp_path, monkeypatch):
+        # T_3 on Bernoulli's lemniscate is not its start: three steps stop
+        # short of 1e-14
         code = run([
-            "cheb", "--family", "interval", "--r", "2", "--n", "3",
+            "cheb", "--family", "lemniscate", "--P", "1,0,-1", "--r", "2", "--n", "3",
             "--max-iter", "3", "--tol", "1e-14",
             "-o", str(tmp_path),
         ])

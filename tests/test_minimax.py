@@ -90,9 +90,10 @@ class TestSolveChebyshev:
             assert sol.sup_norm == pytest.approx(r ** 2, rel=1e-10)
 
     def test_unconverged_flagged_not_hidden(self):
-        # n = 3: T_3's extremal points on the ellipse miss the grid, so the
-        # start does not certify and five steps stop short of 1e-14
-        s = sample_level_curve(Interval(), 2.0, 256)
+        # T_3 on Bernoulli's lemniscate is not its start (odd degree, no
+        # invariance), so neither start certificate passes and five steps
+        # stop short of 1e-14
+        s = sample_level_curve(BERNOULLI, 2.0, 256)
         sol = solve_chebyshev(s, 3, SolveOptions(tol_rel=1e-14, max_iter=5))
         assert not sol.converged
         assert sol.iterations == 5
@@ -229,6 +230,23 @@ class TestSolveChebyshev:
         near = np.abs(z[:, None] - fine).argmin(axis=1)[:, None] + np.arange(-128, 129)
         assert (np.abs(p(z)) >= values[near % len(fine)].max(axis=1) * (1 - 1e-14)).all()
 
+    def test_curve_maxima_see_a_maximum_on_a_grid_angle(self):
+        # the start of the interval's n = 3 solve at r = 1.5 is T_3, whose
+        # six maxima include theta = 0, a sample angle.  The slope of |p|^2
+        # there is rounding-sized, +8.2e-17 at the continued end 2 pi of the
+        # last grid step and -5.6e-17 at the sample point that starts the
+        # first: read from both, neither step turned, and the scan returned
+        # the other five, all below |p| at that sample point
+        sample = sample_level_curve(Interval(), 1.5, 512)
+        center = complex(sample.points.mean())
+        scale = float(np.abs(sample.points - center).max())
+        _, H = minimax._arnoldi((sample.points - center) / scale, 3)
+        p = minimax._monic_polynomial(H, np.zeros(3, dtype=complex), center, scale)
+        z = minimax._curve_maxima([(p, sample)])[0]
+        assert len(z) == 6
+        assert np.abs(z - sample.points[0]).min() <= 1e-12
+        assert np.abs(p(z)).min() >= abs(p(sample.points[0])) * (1 - 1e-14)
+
     def test_exchange_adds_each_maximum_once(self):
         # each curve maximum is placed once a round, so the points used
         # grow by the number of maxima a round, not by one per search
@@ -270,6 +288,14 @@ class TestSolveChebyshev:
             "newton_steps": sol.newton_steps,
         }
 
+    def test_json_diagnostics_name_the_curve_start(self):
+        sol = solve_chebyshev(sample_level_curve(Interval(), 1.5, 512), 3)
+        assert sol.to_json_dict()["diagnostics"] == {
+            "equioscillation_gap": sol.equioscillation_gap,
+            "exchange": "start",
+            "newton_steps": 0,
+        }
+
     def test_refused_newton_falls_back_to_re_solves(self, monkeypatch):
         # with no Newton steps allowed the re-solve rounds end the exchange,
         # as they did before Newton, and report that path
@@ -282,24 +308,42 @@ class TestSolveChebyshev:
         assert sol.sup_norm == pytest.approx(newton.sup_norm, rel=1e-10)
 
     def test_newton_refused_unforced(self):
-        # on the z^2 - 3 preimage at r = 1.05 Newton on the extremal set
-        # does not converge in its steps (each step about half the last);
+        # on the z^2 - 3 preimage at r = 1.05 and odd n the start is not
+        # T_n; Newton on the 28 extremal points the dual weights name
+        # converges in 4 steps, but its certificate is refused (2n = 30):
         # the re-solves end the exchange instead
         family = InversePolynomialImage(ComplexPolynomial([-3.0, 0.0, 1.0]))
-        sol = solve_chebyshev(sample_level_curve(family, 1.05, 256), 6)
+        sol = solve_chebyshev(sample_level_curve(family, 1.05, 256), 15)
         assert sol.converged and sol.exchange == "resolve"
-        assert sol.newton_steps == minimax._NEWTON_STEPS == 8
+        assert sol.newton_steps == 4
         fine = sample_level_curve(family, 1.05, 2 ** 15).points
         assert np.abs(sol.polynomial(fine)).max() <= sol.sup_norm * (1 + 2e-10)
 
     @pytest.mark.parametrize("n", [3, 5, 6, 7])
     @pytest.mark.parametrize("r", [1.5, 2.0])
-    def test_newton_reaches_the_closed_form(self, n, r):
+    def test_newton_reaches_the_closed_form(self, n, r, monkeypatch):
         # the maxima of T_n on the ellipse lie off a 512-point grid for these
-        # n; the re-solve rounds left the coefficients 8e-12 to 2.1e-10 off
+        # n; the re-solve rounds left the coefficients 8e-12 to 2.1e-10 off.
+        # The curve start certifies these levels in one step, and every
+        # level with a closed form T_n has T_n as its start, so the curve
+        # start is refused here to reach Newton
+        monkeypatch.setattr(minimax, "_curve_start", lambda *args: None)
         sol = solve_chebyshev(sample_level_curve(Interval(), r, 512), n, SolveOptions(1e-8, 600))
         assert sol.converged and sol.exchange == "newton"
         assert sol.polynomial.coefficient_distance(monic_classical_chebyshev(n)) <= 1e-12
+
+    @pytest.mark.parametrize("n", [3, 5, 7])
+    @pytest.mark.parametrize("r", [1.5, 2.0])
+    def test_newton_does_not_depend_on_the_sample(self, n, r):
+        # Newton solves the curve's optimality conditions, so its polynomial
+        # does not depend on the sample it starts from: on 384 and 512
+        # points of Bernoulli's lemniscate (odd n: the start is not T_n and
+        # does not certify) the solutions agree to 4e-14, where the
+        # discrete solutions differ by 1e-3 and more
+        sols = [solve_chebyshev(sample_level_curve(BERNOULLI, r, M), n, SolveOptions(1e-8, 600))
+                for M in (384, 512)]
+        assert all(sol.converged and sol.exchange == "newton" for sol in sols)
+        assert sols[0].polynomial.coefficient_distance(sols[1].polynomial) <= 1e-13
 
     def test_sample_doubling_refused(self):
         # the field stays only for callers that pass adapt=False
@@ -593,6 +637,68 @@ class TestStartCertificate:
                               SolveOptions(tol_rel=1e-8, max_iter=600))
         assert sol.converged and sol.iterations > 1
 
+    @pytest.mark.parametrize("r", [1.5, 2.0, 4.0])
+    @pytest.mark.parametrize("n", [3, 5, 6, 7])
+    def test_curve_start_certifies_off_grid_levels(self, n, r):
+        # for these n T_n's 2n extremal points on the ellipse miss the
+        # 512-point grid, and the grid certificate refuses the start; the
+        # start's curve maxima are those points, and weights uniform on
+        # them certify it in one step
+        sample = sample_level_curve(Interval(), r, 512)
+        sol = solve_chebyshev(sample, n)
+        assert sol.converged and sol.iterations == 1 and sol.exchange == "start"
+        assert sol.newton_steps == 0 and sol.equioscillation_gap <= 1e-10
+        assert not sol.weights[: sample.size].any()
+        support = sol.weights[sample.size :]
+        assert len(support) == 2 * n and (support == support[0]).all()
+        assert sol.polynomial.coefficient_distance(monic_classical_chebyshev(n)) <= 1e-14
+        fine = sample_level_curve(Interval(), r, 2 ** 15).points
+        assert np.abs(sol.polynomial(fine)).max() <= sol.sup_norm * (1 + 1e-14)
+
+    @staticmethod
+    def record_curve_starts(monkeypatch) -> list:
+        """(curve scans it ran, its result) for each curve-start attempt."""
+        scans, attempts = [], []
+        scan, curve_start = minimax._curve_maxima, minimax._curve_start
+
+        def counted_start(*args):
+            before = len(scans)
+            out = curve_start(*args)
+            attempts.append((len(scans) - before, out))
+            return out
+
+        monkeypatch.setattr(minimax, "_curve_maxima", lambda pairs: scans.append(1) or scan(pairs))
+        monkeypatch.setattr(minimax, "_curve_start", counted_start)
+        return attempts
+
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_curve_start_gate_runs_no_scan(self, n, monkeypatch):
+        # Bernoulli's T_n at odd n peaks n + 1 times along the curve, fewer
+        # than 2n: the gate refuses the curve start without a scan
+        attempts = self.record_curve_starts(monkeypatch)
+        sol = solve_chebyshev(sample_level_curve(BERNOULLI, 2.0, 512), n)
+        assert attempts == [(0, None)]
+        assert sol.converged and sol.iterations > 1 and sol.exchange == "newton"
+
+    def test_refused_curve_start_leaves_the_solve_unchanged(self, monkeypatch):
+        # on the z^2 - 3 preimage at n = 3 the start's grid steps bracket
+        # at least 2n maxima, but they do not equioscillate: the
+        # certificate is refused after its scan, and the solve is the one
+        # made without the attempt, bit for bit
+        family = InversePolynomialImage(ComplexPolynomial([-3.0, 0.0, 1.0]))
+        sample = sample_level_curve(family, 1.5, 256)
+        attempts = self.record_curve_starts(monkeypatch)
+        tried = solve_chebyshev(sample, 3)
+        assert attempts == [(1, None)]
+        monkeypatch.setattr(minimax, "_curve_start", lambda *args: None)
+        plain = solve_chebyshev(sample, 3)
+        assert tried.polynomial.coeffs.tobytes() == plain.polynomial.coeffs.tobytes()
+        assert tried.weights.tobytes() == plain.weights.tobytes()
+        assert (tried.sup_norm, tried.iterations, tried.equioscillation_gap, tried.exchange,
+                tried.newton_steps) == (plain.sup_norm, plain.iterations,
+                                        plain.equioscillation_gap, plain.exchange,
+                                        plain.newton_steps)
+
     def test_repeated_point_extremal_set_takes_steps(self):
         # for n = 2 the start peaks on the four copies of -1: weights on one
         # distinct point cannot pin the coefficients, and the steps run as
@@ -690,24 +796,20 @@ class TestPackedCones:
 def test_invariance_step_count(monkeypatch):
     # the inputs of criteria 1-4 at the settings of the benchmark's
     # invariance workload (seed 0): a cheaper step must not cost steps.
-    # Nine exchanges run, on the interval, and Newton on the extremal set
-    # ends each of them: a silent fallback to re-solves costs 9 solves more.
-    # The interval levels at n = 1, 2, 4, 8 (their extremal points lie on
-    # the grid) certify their start in one step, and so does n = 7 at r = 4
-    solves, exchanges, interval = [], [], []
-    ip, solve = minimax._interior_point, minimax.solve_chebyshev
-
-    def counted(B, b, opts):
-        out = ip(B, b, opts)
-        solves.append(out[2])
-        return out
+    # Every one of the 70 solves certifies its start in one step: the
+    # circles, even-degree Bernoulli levels and criterion 4's z^2 - 3
+    # levels on the grid, and the interval on the grid (n = 1, 2, 4, 8,
+    # and n = 7 at r = 4) or on the curve (the other 11), so neither Newton
+    # nor a re-solve runs
+    steps, exchanges, interval = [], [], []
+    solve = minimax.solve_chebyshev
 
     def recorded(sample, n, opts=None):
         sol = solve(sample, n, opts)
+        steps.append(sol.iterations)
         exchanges.append(sol.exchange)
         return sol
 
-    monkeypatch.setattr(minimax, "_interior_point", counted)
     monkeypatch.setattr(experiments, "solve_chebyshev", recorded)
     exact = SolveOptions(tol_rel=1e-8, max_iter=600)
     levels = (1.5, 2.0, 4.0)
@@ -719,13 +821,13 @@ def test_invariance_step_count(monkeypatch):
             for r in levels:
                 sol = recorded(sample_level_curve(family, r, 512), n, exact)
                 if isinstance(family, Interval):
-                    interval.append(sol.iterations)
+                    interval.append((sol.iterations, sol.exchange))
     period2 = InversePolynomialImage(
         ComplexPolynomial([-3.0, 0.0, 1.0]), alternation_points=[-2.0, -np.sqrt(2.0), 2.0]
     )
     for n in (2, 4):
         invariance_experiment(period2, n, (1.5, 3.0), SolveOptions(3e-4, 8000), M=512)
-    assert len(exchanges) == len(solves) <= 70
-    assert sum(solves) <= 157
-    assert len(interval) == 24 and interval.count(1) == 13
-    assert exchanges.count("newton") == 9 and exchanges.count("resolve") == 0
+    assert len(steps) == 70 and sum(steps) <= 70
+    assert len(interval) == 24 and all(it == 1 for it, _ in interval)
+    assert [path for _, path in interval].count("start") == 11
+    assert exchanges.count("newton") == 0 and exchanges.count("resolve") == 0
