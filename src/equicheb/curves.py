@@ -213,38 +213,35 @@ class CurveSample:
 
     @cached_property
     def grid_steps(self) -> tuple[np.ndarray, np.ndarray]:
-        """Points of L_r and tangents dz/dtheta at both ends of every grid
-        step: at each sample angle theta (the first ``size`` entries) and at
-        theta + h, h = 2 pi/grid_size (the rest), both continued from the
-        sample point by ``points_at_angles``.  They do not depend on the
-        polynomial scanned, so every curve scan on the sample shares them;
-        computed once, read-only."""
-        h = 2.0 * np.pi / self.grid_size
-        z, dz = points_at_angles(self.family, self.r, np.concatenate([self.thetas, self.thetas + h]),
-                                 np.tile(self.points, 2))
+        """Points of L_r and tangents dz/dtheta at the sample's angles,
+        continued from its points by ``points_at_angles``.  A grid step runs
+        from each of them to the point at the next angle
+        (``_successors``).  They do not depend on the polynomial scanned, so
+        every curve scan on the sample shares them; computed once,
+        read-only."""
+        z, dz = points_at_angles(self.family, self.r, self.thetas, self.points)
         z.flags.writeable = dz.flags.writeable = False
         return z, dz
 
     @cached_property
     def _successors(self) -> np.ndarray:
-        """Index of the sample point where each grid step ends, at theta + h:
-        of the m points (m = deg P) at that angle, the one nearest the
-        step's continued end.  -1 throughout for a sample not laid out as
-        ``sample_level_curve`` lays it out: m points at each of grid_size/m
-        consecutive grid angles, angle-major, one period 2 pi/m.  Computed
-        once, read-only."""
+        """Index of the point where each grid step ends, at theta + h, h =
+        2 pi/grid_size: of the m points (m = deg P) at that angle, the one
+        nearest the tangent step z + h dz/dtheta.  Raises ValueError for a
+        sample not laid out as ``sample_level_curve`` lays it out: m points
+        at each of grid_size/m consecutive grid angles, angle-major, one
+        period 2 pi/m.  Computed once, read-only."""
         m = _preimage(self.family)[0].degree
         period = self.grid_size // m
         first = self.thetas[::m]
-        steps = np.diff(np.rint(first * (self.grid_size / (2.0 * np.pi))))
+        steps = np.rint(np.diff(first) * (self.grid_size / (2.0 * np.pi)))
         if (self.size != self.grid_size or len(first) != period
                 or (self.thetas != np.repeat(first, m)).any() or (steps != 1).any()):
-            out = np.full(self.size, -1)
-        else:
-            following = (np.arange(self.size) // m + 1) % period * m  # the next angle's first point
-            end = self.grid_steps[0][self.size:]
-            out = following + np.abs(self.points[following[:, None] + np.arange(m)]
-                                     - end[:, None]).argmin(axis=1)
+            raise ValueError("a curve scan needs m points at each of grid_size/m consecutive grid angles")
+        z, dz = self.grid_steps
+        following = (np.arange(self.size) // m + 1) % period * m  # the next angle's first point
+        end = z + (2.0 * np.pi / self.grid_size) * dz
+        out = following + np.abs(z[following[:, None] + np.arange(m)] - end[:, None]).argmin(axis=1)
         out.flags.writeable = False
         return out
 

@@ -81,22 +81,13 @@ class SolveOptions:
 class MinimaxSolution:
     """Result of a Chebyshev solve.
 
-    ``weights`` are the normalized dual weights of the final discrete solve,
-    one per point used (uniform on the start's extremal set, or on every
-    point, where those weights certify the start, see ``_solve_on_points``),
-    and ``equioscillation_gap`` is their certificate; ``iterations`` counts
-    interior-point steps, one where the start certifies.  From
-    ``solve_chebyshev``, ``converged`` also means that no maximum of |p| on
-    the curve bracketed by a grid step of the sample exceeds ``sup_norm``
-    by more than the tolerance.  ``exchange`` says what ended the curve
-    exchange: "none" (no maximum above the tolerance, or no exchange),
-    "start" (the start certified on its curve maxima, ``_curve_start``:
-    ``weights`` are zero on the sample's points and uniform on the
-    extremal maxima appended to them, and ``sup_norm`` is the curve sup),
-    "newton" (Newton on the extremal set; ``weights`` are zero on the
-    sample's points and the KKT point's lambda on the extremal points
-    appended to them) or "resolve" (re-solves with the maxima added);
-    ``newton_steps`` counts Newton steps, also those of a refused attempt.
+    ``weights`` are the normalized dual weights that certify the solution,
+    one per point used, and ``equioscillation_gap`` is their certificate;
+    ``iterations`` counts interior-point steps, one where the start
+    certifies.  ``exchange`` names the path that ended the curve exchange
+    and ``newton_steps`` counts Newton steps, also those of a refused
+    attempt; ``solve_chebyshev`` says what each path returns and what
+    ``converged`` means there.
     ``precision_limited`` marks a solve whose values on the curve are too
     large for double precision to pin the low-order coefficients (see
     ``solve_chebyshev``); its polynomial was refined in double-double.
@@ -315,7 +306,7 @@ def _w_inv(u0, uv, beta, y):
 
 def _extremal_weights(values: np.ndarray, top: float, n: int, tol_rel: float) -> np.ndarray | None:
     """Weights uniform on the start's extremal set: the points where its
-    |q_n|, ``values``, is at least (1 - tol_rel) ``top``, its sup.  None
+    modulus, ``values``, is at least (1 - tol_rel) ``top``, its sup.  None
     where fewer than 2n points are in the set (an equioscillating start,
     as T_n is on ellipses and preimage levels, peaks at 2n or more)."""
     extremal = values >= (1.0 - tol_rel) * top
@@ -474,7 +465,7 @@ def _solve_on_points(points: np.ndarray, n: int, opts: SolveOptions,
             break
     else:
         if sample is not None and opts.max_iter > 1:
-            curve = _curve_start(sample, n, opts, H, center, scale, top)
+            curve = _curve_start(sample, n, opts, (Q, H, a, center, scale))
             if curve is not None:
                 return curve, (Q, H, a, center, scale)
         a, weights, steps, converged, gap = _interior_point(B, b, opts)
@@ -490,48 +481,64 @@ def _solve_on_points(points: np.ndarray, n: int, opts: SolveOptions,
     return sol, (Q, H, a, center, scale)
 
 
-def _curve_start(sample: CurveSample, n: int, opts: SolveOptions, H: np.ndarray,
-                 center: complex, scale: float, top: float) -> MinimaxSolution | None:
-    """The start q_n (a = 0 in the Arnoldi basis H of the sample, ``top``
-    its sup there) certified on the curve, where its extremal points miss
-    the sample's grid.  Returns the start as the solution, or None.
+def _curve_start(sample: CurveSample, n: int, opts: SolveOptions, basis) -> MinimaxSolution | None:
+    """The start q_n (a = 0 in the sample's Arnoldi ``basis``) certified on
+    the curve, where its extremal points miss the sample's grid.  Returns
+    the start as the solution, or None.
 
     Gate: at least 2n grid steps bracket a maximum of |p| (``_turns``, the
     scan's first phase), p the monic start, and p is not precision-limited
-    (``solve_chebyshev``).  Then one curve scan places its maxima, the
-    maxima of |q_n| within tol_rel of its curve sup are its extremal set
-    (``_extremal_weights``), and ``_certificate`` weighs them in the
-    Arnoldi basis there.  A gap <= tol_rel returns p after one step, with
-    ``weights`` zero on the sample's points and uniform on the extremal
-    points appended to them, ``sup_norm`` its curve sup, and
-    ``exchange="start"``: the scan has made the exchange's test."""
-    p = _monic_polynomial(H, np.zeros(n, dtype=complex), center, scale)
+    (``solve_chebyshev``).  Then one curve scan places its maxima; those
+    within tol_rel of the sup of |p| over them and the sample are its
+    extremal set (``_extremal_weights``), and ``_curve_certificate`` weighs
+    it uniformly, returning p after one step with ``exchange="start"``: the
+    scan has made the exchange's test."""
+    Q, H, a, center, scale = basis
+    p = _monic_polynomial(H, a, center, scale)
     if len(_turns(p, p.derivative(), sample)[0]) < 2 * n:
         return None
     on_sample = float(np.abs(p(sample.points)).max())
     if _precision_limited(on_sample, sample.family, n, np.finfo(float).eps):
         return None
     maxima = _curve_maxima([(p, sample)])[0]
-    rows = _arnoldi_jets(H, (maxima - center) / scale)[0]
-    values = np.abs(rows[:, n])
-    curve_top = max(top, float(values.max()))
-    weights = _extremal_weights(values, curve_top, n, opts.tol_rel)
+    values = np.abs(_arnoldi_jets(H, (maxima - center) / scale)[0][:, n])
+    weights = _extremal_weights(values, max(float(np.abs(Q[:, n]).max()), float(values.max())), n,
+                                opts.tol_rel)
     if weights is None:
         return None
+    keep = weights > 0
+    return _curve_certificate(sample, basis, np.append(a, 1.0), maxima[keep], weights[keep],
+                              opts.tol_rel, iterations=1, exchange="start")
+
+
+def _curve_certificate(sample: CurveSample, basis, c: np.ndarray, z: np.ndarray, lam: np.ndarray,
+                       tol_rel: float, **counts) -> MinimaxSolution | None:
+    """The polynomial p = sum_k c_k q_k (c_n = 1) in the sample's Arnoldi
+    ``basis`` certified on points z of the curve by weights lam summing to
+    1: ``_certificate`` in the Arnoldi basis at z, its gap measured against
+    the larger of the sup of |p| on the sample and on z.  Returns None where
+    the gap exceeds ``tol_rel`` or the weighted points cannot pin the
+    coefficients, else the solution with ``weights`` zero on
+    the sample's points and lam appended, ``sup_norm`` the sup of |p| over
+    both, and the path's ``counts`` (iterations, exchange, newton_steps)."""
+    Q_sample, H, _, center, scale = basis
+    n = len(c) - 1
+    Q = _arnoldi_jets(H, (z - center) / scale)[0]
     try:
-        gap = 1.0 - _certificate(rows[:, :n], rows[:, n], weights)[1] / curve_top
+        bound = _certificate(Q[:, :n], Q[:, n], lam)[1]
     except RankDeficiencyError:
         return None
-    if not gap <= opts.tol_rel:
+    gap = 1.0 - bound / float(np.abs(np.concatenate([Q_sample @ c, Q @ c])).max())
+    if not gap <= tol_rel:
         return None
+    poly = _monic_polynomial(H, c[:n], center, scale)
     return MinimaxSolution(
-        polynomial=p,
-        sup_norm=max(on_sample, float(np.abs(p(maxima)).max())),
-        weights=np.concatenate([np.zeros(sample.size), weights[weights > 0]]),
-        iterations=1,
+        polynomial=poly,
+        sup_norm=float(np.abs(poly(np.concatenate([sample.points, z]))).max()),
+        weights=np.concatenate([np.zeros(sample.size), lam]),
         converged=True,
         equioscillation_gap=gap,
-        exchange="start",
+        **counts,
     )
 
 
@@ -549,13 +556,15 @@ def _curve_maxima(pairs: Sequence[tuple[ComplexPolynomial, CurveSample]]) -> lis
     """Points of the maxima of |p| along the curve that the sample's grid
     steps bracket, for each (p, sample) pair of a batch on one family.
 
-    The slope of |p|^2 is taken at both ends of every grid step, pair by
-    pair, at the points ``sample.grid_steps`` holds for every scan of the
-    sample.  A step where it turns from > 0 to <= 0, or from exactly 0 to
-    < 0, brackets one maximum (``_turns``), which secant steps on the
-    slope place (values of |p| are flat to eps over sqrt(eps) of angle):
-    within 1e-10 (relative) of 2^16-point maxima on 512-point samples, but
-    3.7e-6 rad off and 3.8e-11 low on an 8-point circle.  One loop of secant steps serves
+    The slope of |p|^2 is taken, pair by pair, at the points
+    ``sample.grid_steps`` holds for every scan of the sample; a grid step
+    runs from each of them to the point at the next angle.  A step where
+    the slope turns from > 0 to <= 0, or from exactly 0 to < 0, brackets
+    one maximum (``_turns``), which secant steps on the slope, started from
+    the step's two ends, place (values of |p| are flat to eps over
+    sqrt(eps) of angle): within 1e-10 (relative) of 2^16-point maxima on
+    512-point samples, and up to 4.9e-9 rad off but within 1.1e-16 of the
+    maximum on 8-point circles.  One loop of secant steps serves
     the brackets of every pair, each with its own level, grid step and
     polynomial (coefficient rows for ``horner``), so a batch costs one
     loop's fixed costs, and each pair's maxima are the bits a batch of one
@@ -566,12 +575,9 @@ def _curve_maxima(pairs: Sequence[tuple[ComplexPolynomial, CurveSample]]) -> lis
     that end.  Any other step bisects the bracket, also one whose secant
     has converged onto an end of the bracket, so each step returns the
     highest point it evaluated: one of its ends or of its iterates.  Not
-    seen: a maximum and a minimum of |p| in one step.  Seen since the turn
-    is read at the sample point: a maximum on a grid angle whose slope
-    rounds to opposite signs at the continued end of one step and at the
-    sample point that starts the next (the interval's T_3 at r = 1.5 on
-    512 points: +8.2e-17 at 2 pi, -5.6e-17 at 0), which neither step
-    bracketed.  Raises ValueError for samples of more than one family.
+    seen: a maximum and a minimum of |p| in one step.  Raises ValueError
+    for samples of more than one family, or not laid out as
+    ``sample_level_curve`` lays them out.
     """
     if not pairs:
         return []
@@ -581,13 +587,14 @@ def _curve_maxima(pairs: Sequence[tuple[ComplexPolynomial, CurveSample]]) -> lis
     derivatives = [p.derivative() for p, _ in pairs]
     a, fa, b, fb, near, z_end, counts = [], [], [], [], [], [], []
     for (p, sample), dp in zip(pairs, derivatives):
-        turn, g_a, g_b = _turns(p, dp, sample)
+        turn, g = _turns(p, dp, sample)
+        end = sample._successors[turn]
         a.append(sample.thetas[turn])
-        fa.append(g_a[turn])
+        fa.append(g[turn])
         b.append(sample.thetas[turn] + 2.0 * np.pi / sample.grid_size)
-        fb.append(g_b[turn])
+        fb.append(g[end])
         near.append(sample.points[turn])
-        z_end.append(sample.grid_steps[0][sample.size:][turn])
+        z_end.append(sample.grid_steps[0][end])
         counts.append(len(turn))
     a, fa, b, fb, near, z_end = map(np.concatenate, (a, fa, b, fb, near, z_end))
     lo, hi = a + _GUARD * (b - a), b - _GUARD * (b - a)
@@ -619,23 +626,18 @@ def _curve_maxima(pairs: Sequence[tuple[ComplexPolynomial, CurveSample]]) -> lis
 
 def _turns(p: ComplexPolynomial, dp: ComplexPolynomial, sample: CurveSample):
     """The grid steps of the sample that bracket a maximum of |p| (indices),
-    and the slopes of |p|^2 at their starts and continued ends (all steps).
+    and the slope of |p|^2 at every point of ``sample.grid_steps``.
 
-    A step brackets one maximum where the slope turns from > 0 to <= 0, or
-    from exactly 0 to < 0.  The turn is read at the sample point where the
-    step ends, where the sample holds one (``CurveSample._successors``), so
-    the point that two steps share gives both of them one slope: the
-    continued end differs from that point by rounding, and at a maximum on
-    a grid angle the two slopes, both rounding-sized, can take opposite
-    signs, which hid the maximum or bracketed it twice.  The continued
-    ends' slopes still start the secant steps."""
+    A step brackets one maximum where the slope turns from > 0 at its start
+    to <= 0 at its end, the point at the next angle
+    (``CurveSample._successors``), or from exactly 0 to < 0.  The steps
+    that meet at a point read one slope there, so a maximum on a grid angle,
+    where the slope is rounding-sized, turns exactly one of them."""
     z, dz = sample.grid_steps
     g = (np.conj(p(z)) * dp(z) * dz).real
-    g_a, g_b = g[: sample.size], g[sample.size :]
-    successor = sample._successors
-    g_end = np.where(successor >= 0, g_a[successor], g_b)
-    turn = np.flatnonzero(((g_a > 0) & (g_end <= 0)) | ((g_a == 0) & (g_end < 0)))
-    return turn, g_a, g_b
+    g_end = g[sample._successors]
+    turn = np.flatnonzero(((g > 0) & (g_end <= 0)) | ((g == 0) & (g_end < 0)))
+    return turn, g
 
 
 def _coefficient_rows(polys: Sequence[ComplexPolynomial], counts: Sequence[int]) -> np.ndarray:
@@ -735,13 +737,13 @@ def _newton_exchange(sample: CurveSample, n: int, opts: SolveOptions, sol: Minim
     solved with its analytic Jacobian.  Refused (None): fewer than n + 1
     or more than 2n + 1 extremal points, a singular Jacobian, a step of an
     angle by more than the grid step, no convergence in _NEWTON_STEPS, a
-    lambda_j <= 0, a certificate above ``tol_rel``, or a value of |p| at
-    the sample's points or at the maxima of its curve scan above
-    t (1 + tol_rel), t the largest |p| on the extremal points.  What passes
-    is optimal on the curve: lambda's least-squares minimum bounds every
-    monic p's sup on the extremal points from below.
+    lambda_j <= 0, a certificate above ``tol_rel`` (``_curve_certificate``),
+    or a value of |p| at the sample's points or at the maxima of its curve
+    scan above t (1 + tol_rel), t the largest |p| on the extremal points.
+    What passes is optimal on the curve: lambda's least-squares minimum
+    bounds every monic p's sup on the extremal points from below.
     """
-    Q_sample, H, a, center, scale = basis
+    _, H, a, center, scale = basis
     cluster = np.bincount(np.abs(sample.points[:, None] - maxima).argmin(axis=1),
                           weights=sol.weights, minlength=len(maxima))
     keep = cluster >= _ACTIVE * cluster.max()
@@ -777,30 +779,16 @@ def _newton_exchange(sample: CurveSample, n: int, opts: SolveOptions, sol: Minim
     if not (converged and lam.min() > 0):
         return None, steps
     z = curve_jets(sample.family, sample.r, theta, z)[0]
-    Q = _arnoldi_jets(H, (z - center) / scale)[0]
-    lam = lam / lam.sum()
-    try:
-        bound = _certificate(Q[:, :n], Q[:, n], lam)[1]
-    except RankDeficiencyError:
+    out = _curve_certificate(sample, basis, c, z, lam / lam.sum(), opts.tol_rel,
+                             iterations=sol.iterations, exchange="newton", newton_steps=steps)
+    if out is None:
         return None, steps
-    gap = 1.0 - bound / float(np.abs(np.concatenate([Q_sample @ c, Q @ c])).max())
-    if not gap <= opts.tol_rel:
-        return None, steps
-    poly = _monic_polynomial(H, c[:n], center, scale)
+    poly = out.polynomial
     t = float(np.abs(poly(z)).max())
     on_curve = np.abs(poly(np.concatenate([sample.points, _curve_maxima([(poly, sample)])[0]])))
     if (on_curve > t * (1.0 + opts.tol_rel)).any():
         return None, steps
-    return MinimaxSolution(
-        polynomial=poly,
-        sup_norm=max(t, float(on_curve[: sample.size].max())),
-        weights=np.concatenate([np.zeros(sample.size), lam]),
-        iterations=sol.iterations,
-        converged=True,
-        equioscillation_gap=gap,
-        exchange="newton",
-        newton_steps=steps,
-    ), steps
+    return out, steps
 
 
 def solve_chebyshev(
@@ -814,28 +802,31 @@ def solve_chebyshev(
     (``_curve_start``, tried where its grid certificates are refused) that
     scan was the exchange's test, and the start is returned after one step
     with ``exchange="start"``.  Where no maximum exceeds the discrete sup
-    by more than ``tol_rel`` the discrete solution is returned unchanged.  Otherwise Newton's method
-    on the extremal set (``_newton_exchange``) solves the curve problem's
-    KKT system, and its point is returned where every lambda_j > 0, its
+    by more than ``tol_rel`` the discrete solution is returned unchanged.
+    Otherwise Newton's method on the extremal set (``_newton_exchange``)
+    solves the curve problem's KKT system, and its point is returned where every lambda_j > 0, its
     certificate reaches ``tol_rel`` and the sample's scan finds no maximum
     above its sup by more than ``tol_rel``.  Where Newton is refused, the
     exchange adds all the maxima to the points used and re-solves, while
     any maximum exceeds the discrete sup by more than ``tol_rel``.
     ``converged`` means a start certified on the curve, an accepted Newton
     point, or the discrete certificate on all points used with no maximum
-    bracketed by a grid step above ``sup_norm`` by more than ``tol_rel``; a solve still above
-    it after _EXCHANGE_ROUNDS re-solves returns ``converged=False``.
-    ``iterations`` counts every interior-point step of the call,
-    ``newton_steps`` the Newton steps, and ``exchange`` names the path
-    that ended the exchange.
+    bracketed by a grid step above ``sup_norm`` by more than ``tol_rel``; a
+    solve still above it after _EXCHANGE_ROUNDS re-solves returns
+    ``converged=False``.  ``exchange`` names the path that ended the
+    exchange: "start", "newton", "resolve", or "none" (no maximum above the
+    tolerance, or no exchange).  On "start" and "newton" ``weights`` are
+    zero on the sample's points with the certifying weights on the curve
+    points appended (``_curve_certificate``), and ``sup_norm`` is the sup
+    of |p| over both.  ``iterations`` counts every interior-point step of
+    the call and ``newton_steps`` the Newton steps.
 
     A solve is precision-limited when rounding at eps * sup_norm, in
     capacity units (times c^n), exceeds the root-accuracy budget 1e-3:
     then the double coefficients cannot resolve the polynomial near K,
     where its zeros lie.  Such a solution skips the curve start and the
-    exchange, keeps its dual
-    weights and certificate, and its polynomial is replaced by the weighted
-    least-squares polynomial for those weights solved to double-double
+    exchange, keeps its dual weights and certificate, and its polynomial
+    is replaced by the weighted least-squares polynomial for those weights solved to double-double
     accuracy on the sample placed exactly on the curve.  The same rule with
     the double-double resolution eps^2 in place of eps marks where that
     refinement runs out too; such a solve returns ``converged=False``.

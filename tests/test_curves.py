@@ -272,13 +272,29 @@ class TestGridSteps:
 
     @pytest.mark.parametrize("name", GRID_FAMILIES)
     def test_equals_direct_continuation(self, name):
+        # one point and tangent per sample point, at the sample's own angles
         f = GRID_FAMILIES[name]
         s = sample_level_curve(f, 1.7, 60)
-        h = 2.0 * np.pi / s.grid_size
-        z, dz = points_at_angles(f, s.r, np.concatenate([s.thetas, s.thetas + h]), np.tile(s.points, 2))
+        z, dz = points_at_angles(f, s.r, s.thetas, s.points)
         got_z, got_dz = s.grid_steps
         assert np.array_equal(got_z, z) and np.array_equal(got_dz, dz)
         assert s.grid_steps is s.grid_steps
+
+    @pytest.mark.parametrize("family", [
+        Circle(1.0),
+        Interval(),
+        BERNOULLI,
+        Lemniscate(ComplexPolynomial([0.25, -1.0, 0.0, 1.0]), 1.0),
+        PERIOD2,
+        InversePolynomialImage(ComplexPolynomial([0.1, -2.0, 0.0, 1.0])),
+    ], ids=["circle", "interval", "bernoulli", "cubic-lemniscate", "period2", "cubic-preimage"])
+    @pytest.mark.parametrize("M", [256, 512])
+    def test_successors_are_a_bijection(self, family, M):
+        # every sample point ends exactly one grid step, also next to the
+        # critical level r = 1 of the root families
+        for r in [1.0005, *np.geomspace(1.05, 3, 8)]:
+            s = sample_level_curve(family, r, M)
+            assert np.array_equal(np.sort(s._successors), np.arange(s.size)), r
 
     @pytest.mark.parametrize("name", GRID_FAMILIES)
     def test_read_only(self, name):

@@ -55,7 +55,7 @@ class TestRateExperiment:
     def test_one_grid_continuation_per_level(self, monkeypatch):
         # the exchange rounds of a level and the sweep's one scan for D and
         # the Faber norm all scan one sample per level and share its grid
-        # continuation: one 2M-point call a level
+        # continuation: one M-point call a level
         M, calls = 512, []
         direct = curves.points_at_angles
 
@@ -67,7 +67,7 @@ class TestRateExperiment:
         monkeypatch.setattr(minimax, "points_at_angles", counted)
         levels = [2, 4, 8, 16]
         rate_experiment(BERNOULLI, 3, levels, M=M)
-        assert calls.count(2 * M) == len(levels)
+        assert calls.count(M) == len(levels)
 
     def test_one_norm_scan_per_sweep(self, monkeypatch):
         # D and the Faber norm of every level come from one batched scan

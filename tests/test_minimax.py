@@ -172,6 +172,20 @@ class TestSolveChebyshev:
         curve = np.abs(p(sample_level_curve(family, r, 2 ** 14).points)).max()
         assert sol.sup_norm < curve <= np.abs(p(z)).max() * (1 + 1e-10)
 
+    @pytest.mark.parametrize("keep", [
+        pytest.param(slice(None, None, 2), id="every-other-angle"),
+        pytest.param(np.r_[0, 2, 1, 3:8], id="two-angles-swapped"),
+    ])
+    def test_scan_refuses_a_sample_off_the_grid_layout(self, keep):
+        # a grid step ends at the point at the next grid angle: a sample
+        # without one there has no grid steps to scan
+        r, N = 2.0, 8
+        thetas = (2.0 * np.pi * np.arange(N) / N)[keep]
+        sample = CurveSample(r=r, points=r * np.exp(1j * thetas), family=Circle(1.0),
+                             thetas=thetas, grid_size=N)
+        with pytest.raises(ValueError):
+            minimax.curve_sup_norm(ComplexPolynomial([-1.0, 0, 0, 1.0]), sample)
+
     def test_curve_maxima_bisect_off_a_zero_slope_end(self):
         # one grid step ends exactly at theta = 0, where |z^5 - r^5/2| on the
         # circle |z| = r has a minimum with a slope of exactly zero (real
@@ -193,11 +207,14 @@ class TestSolveChebyshev:
         # starts at the minimum theta = 0, slope exactly zero, and holds the
         # maximum at pi/5
         pytest.param(8, np.pi / 4, np.pi / 5, id="zero-slope-start"),
-        # unshifted, the step [7 pi/4, 2 pi] ends on that minimum with a slope
-        # of -3.1e-12, not zero: the secant lands ulps inside the end, within
-        # the guard sqrt(eps) h of it, so the step bisects instead and places
-        # the maximum at 9 pi/5 (the step's start 7 pi/4 is at 44.77)
-        pytest.param(8, 0.0, -np.pi / 5, id="rounding-sized-end-slope"),
+        # angles offset by 3 pi/20, the step [3 pi/20, 2 pi/5] ends on the
+        # minimum at 2 pi/5 with a slope of -4.2e-13, not zero: the secant
+        # lands an ulp inside the end, within the guard sqrt(eps) h of it,
+        # so the step bisects instead and places the maximum at pi/5
+        pytest.param(8, -3 * np.pi / 20, np.pi / 5, id="rounding-sized-end-slope"),
+        # angles offset by half a grid step are still equispaced: the scan
+        # takes the sample and brackets the maximum at pi/5 in [pi/8, 3 pi/8]
+        pytest.param(8, np.pi / 8, np.pi / 5, id="half-step-offset"),
         # on 16 points the step ending at -pi/5 + sqrt(eps) h / 2 holds the
         # maximum at -pi/5 within the guard of its end and no minimum: the
         # secant steps into the guard are refused, and bisection places the
