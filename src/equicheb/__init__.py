@@ -37,7 +37,6 @@ from .minimax import (
     chebyshev_on_points,
     curve_sup_norm,
     solve_chebyshev,
-    weighted_ls_monic,
 )
 from .rootfind import RootFindingError, RootSet, all_roots
 from .experiments import (

@@ -366,8 +366,9 @@ def sample_level_curve(f: CurveFamily, r: float, M: int) -> CurveSample:
     interval and explicit maps, where P = z).
 
     Solves P(z) = psi(r^m exp(i*m*theta_j)) per angle, all m roots per
-    target, deterministic ordering (theta-major, solver root order minor),
-    so each angle is repeated m times in ``thetas``.  Coincident roots,
+    target (in closed form for m <= 2, by batched Aberth for m >= 3),
+    deterministic ordering (theta-major, solver root order minor), so each
+    angle is repeated m times in ``thetas``.  Coincident roots,
     at a critical value of P, are kept: every sample has exactly
     m * ceil(M/m) points.
     """

@@ -44,7 +44,6 @@ __all__ = [
     "RankDeficiencyError",
     "SolveOptions",
     "MinimaxSolution",
-    "weighted_ls_monic",
     "chebyshev_on_points",
     "solve_chebyshev",
     "curve_sup_norm",
@@ -141,21 +140,6 @@ def _certificate(V: np.ndarray, target: np.ndarray, w: np.ndarray):
     return coef, float(np.sqrt(w @ np.abs(target + V @ coef) ** 2))
 
 
-def weighted_ls_monic(
-    points: np.ndarray, weights: np.ndarray, n: int, center: complex, scale: float
-) -> ComplexPolynomial:
-    """Monic degree-n minimizer of sum_j w_j |p(z_j)|^2, by an orthogonal-
-    factorization least-squares solve in the Arnoldi basis of
-    (z-center)/scale.  Raises RankDeficiencyError when the (weighted) points
-    cannot pin down the n free coefficients."""
-    points = np.asarray(points, dtype=complex)
-    if scale <= 0:
-        raise ValueError("scale must be positive")
-    Q, H = _arnoldi((points - center) / scale, n)
-    a = _weighted_ls(Q[:, :n], Q[:, n], np.asarray(weights, dtype=float))
-    return _monic_polynomial(H, a, center, scale)
-
-
 # rounding of the solution's values on the curve, in capacity units, above
 # which double coefficients no longer fix the zeros to this accuracy
 _ROOT_ACCURACY_BUDGET = 1e-3
@@ -229,21 +213,23 @@ _CERTIFY_FROM = 10.0
 def _arnoldi(zeta: np.ndarray, n: int):
     """Vandermonde with Arnoldi: Q (M, n+1) with Q[:, k] = q_k(zeta), q_k of
     degree k, Q^H Q = M I, and H with zeta Q[:, :n] = Q H.  A breakdown (the
-    points take fewer than n+1 distinct values) raises RankDeficiencyError."""
+    points take fewer than n+1 distinct values) raises RankDeficiencyError.
+    Q is the transposed view of contiguous rows q_k, so that a projection
+    conj(rows @ conj(q)) conjugates the vector q, not the block of rows."""
     M = len(zeta)
-    Q = np.ones((M, n + 1), dtype=complex)
+    Q = np.ones((n + 1, M), dtype=complex)
     H = np.zeros((n + 1, n), dtype=complex)
     for k in range(n):
-        q = zeta * Q[:, k]
+        q = zeta * Q[k]
         for _ in range(2):  # Gram-Schmidt twice keeps Q orthogonal to rounding
-            h = Q[:, : k + 1].conj().T @ q / M
-            q -= Q[:, : k + 1] @ h
+            h = (Q[: k + 1] @ q.conj()).conj() / M
+            q -= h @ Q[: k + 1]
             H[: k + 1, k] += h
         H[k + 1, k] = np.linalg.norm(q) / np.sqrt(M)
         if not H[k + 1, k].real > 1e-12 * np.abs(zeta).max():
             raise RankDeficiencyError(f"the points take fewer than {n + 1} distinct values")
-        Q[:, k + 1] = q / H[k + 1, k]
-    return Q, H
+        Q[k + 1] = q / H[k + 1, k]
+    return Q.T, H
 
 
 def _monic_polynomial(H: np.ndarray, a: np.ndarray, center: complex, scale: float) -> ComplexPolynomial:

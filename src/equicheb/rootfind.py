@@ -1,9 +1,11 @@
 """Simultaneous polynomial root finding (Aberth-Ehrlich).
 
 One deterministic solver used both standalone and, in batch form, by the
-level-curve samplers (the per-angle solves are independent, so the batch
-path runs them as one vectorized iteration with per-row convergence masks;
-it produces exactly the same iterates as solving one at a time).
+level-curve samplers of degree >= 3 (the per-angle solves are independent,
+so the batch path runs them as one vectorized iteration with per-row
+convergence masks; it produces exactly the same iterates as solving one at
+a time).  The samplers' degree-1 and degree-2 batches are solved in closed
+form.
 
 Aberth starts at the eigenvalues of each polynomial's companion matrix,
 which are backward stable (Edelman & Murakami 1995), spread apart by a
@@ -222,17 +224,26 @@ def roots_after_constant_shifts(base: ComplexPolynomial, targets: np.ndarray):
     """Roots of base(z) = target for every target, batched.
 
     Level-curve samplers call this once per curve; rows keep the solver's
-    deterministic per-polynomial ordering.  A degree-1 base is solved in
-    closed form, (target - c0) / c1.  Raises ValueError as all_roots does,
-    for any row, and RootFindingError if any row fails to converge.
+    deterministic per-polynomial ordering.  Degree 1 is solved in closed
+    form, and so is degree 2: z1 = -(h + d), h half the monic linear
+    coefficient and d = sqrt(h^2 - c) signed so that h + d does not cancel,
+    and z2 = c / z1, c the monic constant coefficient (z1 = 0 only where
+    c = 0); its rows are sorted as Aberth's are.  Raises ValueError as
+    all_roots does, for any row, and RootFindingError if any row fails to
+    converge.
     """
     targets = np.asarray(targets, dtype=complex).ravel()
     rows = np.tile(np.asarray(base.coeffs, dtype=complex), (len(targets), 1))
     rows[:, 0] -= targets
-    if base.degree == 1:
-        _monic_rows(rows)
-        c0, c1 = base.coeffs
-        return ((targets - c0) / c1)[:, None]
+    if base.degree <= 2:
+        monic = _monic_rows(rows)
+        if base.degree == 1:
+            c0, c1 = base.coeffs
+            return ((targets - c0) / c1)[:, None]
+        c, h = monic[:, 0], 0.5 * monic[:, 1]
+        d = np.sqrt(h * h - c)
+        z1 = -(h + np.where((h.conj() * d).real < 0, -d, d))
+        return _sort_roots(np.stack([z1, c / np.where(z1 == 0, 1, z1)], axis=1))
     z, _, conv = _aberth_batch(rows)
     if not conv.all():
         bad = int(np.flatnonzero(~conv)[0])

@@ -52,7 +52,6 @@ PUBLIC = {
     "rivlin_check",
     "sample_level_curve",
     "solve_chebyshev",
-    "weighted_ls_monic",
     "widom_experiment",
     "zero_trajectories",
 }

@@ -16,13 +16,20 @@ from equicheb.minimax import (
     SolveOptions,
     chebyshev_on_points,
     solve_chebyshev,
-    weighted_ls_monic,
 )
 from equicheb.series import ComplexPolynomial, monic_faber
 from equicheb.curves import phi_series
 from equicheb import experiments, minimax
 
 BERNOULLI = Lemniscate(ComplexPolynomial([-1.0, 0.0, 1.0]), 1.0)
+
+
+def weighted_ls_monic(points, weights, n, center, scale):
+    """Monic degree-n minimizer of sum_j w_j |p(z_j)|^2: the weighted
+    least-squares solve in the Arnoldi basis of (z - center)/scale."""
+    Q, H = minimax._arnoldi((np.asarray(points, dtype=complex) - center) / scale, n)
+    a = minimax._weighted_ls(Q[:, :n], Q[:, n], np.asarray(weights, dtype=float))
+    return minimax._monic_polynomial(H, a, center, scale)
 
 
 class TestWeightedLsMonic:
@@ -61,6 +68,45 @@ class TestWeightedLsMonic:
     def test_too_few_points(self):
         with pytest.raises(RankDeficiencyError):
             weighted_ls_monic(np.array([1.0, 2.0]), np.array([0.5, 0.5]), 2, 0.0, 1.0)
+
+
+def arnoldi_by_columns(zeta, n):
+    """Vandermonde with Arnoldi on the columns of an (M, n+1) array, the
+    reference for ``minimax._arnoldi``."""
+    M = len(zeta)
+    Q = np.ones((M, n + 1), dtype=complex)
+    H = np.zeros((n + 1, n), dtype=complex)
+    for k in range(n):
+        q = zeta * Q[:, k]
+        for _ in range(2):
+            h = Q[:, : k + 1].conj().T @ q / M
+            q -= Q[:, : k + 1] @ h
+            H[: k + 1, k] += h
+        H[k + 1, k] = np.linalg.norm(q) / np.sqrt(M)
+        Q[:, k + 1] = q / H[k + 1, k]
+    return Q, H
+
+
+class TestArnoldi:
+    @pytest.mark.parametrize("r", [1.05, 2.0, 8.0])
+    def test_contract_on_the_zeros_input(self, r):
+        # Bernoulli, n = 21, M = 512, centred and scaled as the solve does
+        n, points = 21, sample_level_curve(BERNOULLI, r, 512).points
+        center = points.mean()
+        zeta = (points - center) / np.abs(points - center).max()
+        Q, H = minimax._arnoldi(zeta, n)
+        M = len(zeta)
+        assert Q.shape == (M, n + 1) and H.shape == (n + 1, n)
+        np.testing.assert_array_equal(Q[:, 0], 1.0)
+        assert np.abs(Q.conj().T @ Q - M * np.eye(n + 1)).max() <= 1e-12 * M
+        assert np.abs(zeta[:, None] * Q[:, :n] - Q @ H).max() <= 1e-12
+        Q_ref, H_ref = arnoldi_by_columns(zeta, n)
+        assert np.abs(Q - Q_ref).max() <= 1e-12
+        assert np.abs(H - H_ref).max() <= 1e-12
+
+    def test_three_distinct_points_break_down(self):
+        with pytest.raises(RankDeficiencyError):
+            minimax._arnoldi(np.array([1.0, -1.0, 0.5j, 1.0, -1.0, 0.5j]), 3)
 
 
 class TestSolveChebyshev:

@@ -1,9 +1,15 @@
 import numpy as np
 import pytest
 
-from equicheb.curves import Lemniscate, faber_basis
-from equicheb.rootfind import RootFindingError, all_roots, roots_after_constant_shifts
-from equicheb.series import ComplexPolynomial
+from equicheb.curves import InversePolynomialImage, Lemniscate, _preimage, faber_basis
+from equicheb.rootfind import (
+    RootFindingError,
+    _aberth_batch,
+    _sort_roots,
+    all_roots,
+    roots_after_constant_shifts,
+)
+from equicheb.series import ComplexPolynomial, horner
 
 
 def from_roots(roots):
@@ -199,8 +205,10 @@ class TestAllRoots:
         monkeypatch.setattr(rootfind, "_MAX_ITER", 1)
         with pytest.raises(RootFindingError, match="within 1 iterations"):
             all_roots(from_roots([1.0, 2.0, 3.0]))
+        # degree-2 batches are solved in closed form; the cubic base
+        # z^3 - z + 1/4 still iterates
         with pytest.raises(RootFindingError, match="target index 0"):
-            roots_after_constant_shifts(ComplexPolynomial([-1.0, 0.0, 1.0]), [3.0, 4.0])
+            roots_after_constant_shifts(ComplexPolynomial([0.25, -1.0, 0.0, 1.0]), [3.0, 4.0])
 
 
 class TestInputContract:
@@ -268,12 +276,70 @@ class TestBatch:
         assert np.abs(batch[1].imag).max() < 1e-12
 
     def test_sampler_batch_converges_in_a_few_steps(self):
-        # the r = 32 sampler batch of z^2 - 1, 2048 targets
-        from equicheb.rootfind import _aberth_batch
-
-        targets = 32.0 ** 2 * np.exp(2j * np.pi * np.arange(2048) / 2048)
-        rows = np.tile(np.array([-1.0, 0.0, 1.0], dtype=complex), (2048, 1))
+        # the r = 32 sampler batch of the cubic z^3 - z + 1/4, 2048 targets
+        targets = 32.0 ** 3 * np.exp(2j * np.pi * np.arange(2048) / 2048)
+        rows = np.tile(np.array([0.25, -1.0, 0.0, 1.0], dtype=complex), (2048, 1))
         rows[:, 0] -= targets
         _, iterations, converged = _aberth_batch(rows)
         assert converged.all()
         assert iterations.max() <= 3
+
+
+EPS = np.finfo(float).eps
+QUADRATIC_FAMILIES = {
+    "bernoulli": Lemniscate(ComplexPolynomial([-1.0, 0.0, 1.0])),
+    "z^2+z": Lemniscate(ComplexPolynomial([0.0, 1.0, 1.0])),
+    "preimage-z^2-3": InversePolynomialImage(ComplexPolynomial([-3.0, 0.0, 1.0])),
+}
+QUADRATIC_LEVELS = [1.0005, 1.001, 1.01, *np.geomspace(1.05, 3.0, 8), 8.0, 32.0]
+
+
+def shifted_rows(coeffs, targets):
+    rows = np.tile(np.asarray(coeffs, dtype=complex), (len(targets), 1))
+    rows[:, 0] -= targets
+    return rows
+
+
+def backward_errors(rows, roots):
+    """|p(z)| / (eps sum_k |a_k| |z|^k) per root, p the root's row."""
+    value = np.abs(horner(rows.T[:, :, None], roots))
+    return value / (EPS * horner(np.abs(rows).T[:, :, None], np.abs(roots)))
+
+
+class TestClosedFormQuadratic:
+    """Degree-2 batches are solved by the quadratic formula, to within
+    Aberth's own backward-error certificate 4 (m + 1) eps sum_k |a_k| |z|^k."""
+
+    @pytest.mark.parametrize("M", [256, 512, 1024])
+    @pytest.mark.parametrize("name", list(QUADRATIC_FAMILIES))
+    def test_sampler_batches_match_aberth(self, name, M):
+        # the sampler's targets psi(r^2 e^(2 i theta)); the roots agree with
+        # Aberth's to 8 eps (1 + |z|), in the same order
+        P, psi = _preimage(QUADRATIC_FAMILIES[name])
+        thetas = 2.0 * np.pi * np.arange(M // 2) / M
+        for r in QUADRATIC_LEVELS:
+            targets = psi.evaluate(r ** 2 * np.exp(2j * thetas))
+            roots = roots_after_constant_shifts(P, targets)
+            rows = shifted_rows(P.coeffs, targets)
+            assert backward_errors(rows, roots).max() <= 4 * 3
+            aberth = _sort_roots(_aberth_batch(rows)[0])
+            assert np.all(np.abs(roots - aberth) <= 8 * EPS * (1 + np.abs(roots)))
+
+    def test_random_quadratics(self):
+        # coefficients scaled by 10^(+-3), targets by 10^(+-6)
+        rng = np.random.default_rng(0)
+        for _ in range(200):
+            coeffs = (rng.standard_normal(3) + 1j * rng.standard_normal(3)) * 10.0 ** rng.uniform(-3, 3, 3)
+            targets = (rng.standard_normal(64) + 1j * rng.standard_normal(64)) * 10.0 ** rng.uniform(-6, 6, 64)
+            roots = roots_after_constant_shifts(ComplexPolynomial(coeffs), targets)
+            assert backward_errors(shifted_rows(coeffs, targets), roots).max() <= 4 * 3
+
+    def test_does_not_iterate(self, monkeypatch):
+        from equicheb import rootfind
+
+        def refuse(rows):
+            raise AssertionError("a degree-2 batch ran Aberth")
+
+        monkeypatch.setattr(rootfind, "_aberth_batch", refuse)
+        roots = roots_after_constant_shifts(ComplexPolynomial([-1.0, 0.0, 1.0]), [3.0, -5.0])
+        np.testing.assert_allclose(roots, [[2.0, -2.0], [-2j, 2j]], atol=1e-15)
