@@ -6,9 +6,9 @@ certify convergence: their weighted least-squares minimum bounds the
 discrete optimum from below.  The start, q_n of that basis, is weighed
 first, on its extremal points on the grid or, placed by one curve scan,
 on the curve; where it equioscillates there it is returned after one
-step.  Otherwise a curve exchange places the maxima of |p|
-that the sample's grid steps bracket along the curve, by secant steps
-with one guarded bisection fallback.  Where one exceeds
+step.  Otherwise a curve exchange places the maxima of |p| that the
+sample's grid steps bracket along the curve, by guarded secant steps
+that stop once each maximum is settled.  Where one exceeds
 the discrete sup by more than the tolerance, Newton's method on the KKT
 system of the curve problem, over an extremal set seeded from those
 maxima and the dual weights, takes the solution to the curve's optimum;
@@ -21,6 +21,7 @@ double-double arithmetic.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from itertools import accumulate
 from math import comb
 from typing import Sequence
@@ -191,11 +192,18 @@ def _refine_dd(points: dd.DD, weights: np.ndarray, n: int, center: complex) -> C
     # then the Taylor shift  coeff_j = sum_k C(k, j) (-center)^(k-j) b_k
     b = y * scale ** np.arange(n, -1, -1.0)
     j, k = np.indices((n + 1, n + 1))
-    binom = np.vectorize(comb)(k, j).astype(float)
     shift = dd.DD(np.array([-center])).powers(n)[0]
-    coeffs = dd.dot(shift[np.maximum(k - j, 0)] * binom, b).to_complex()
+    coeffs = dd.dot(shift[np.maximum(k - j, 0)] * _binomials(n), b).to_complex()
     coeffs[-1] = 1.0
     return ComplexPolynomial(coeffs)
+
+
+@lru_cache(maxsize=32)
+def _binomials(n: int) -> np.ndarray:
+    """C(k, j) at [j, k], j, k <= n, rounded from exact integers; read-only."""
+    table = np.array([[float(comb(k, j)) for k in range(n + 1)] for j in range(n + 1)])
+    table.flags.writeable = False
+    return table
 
 
 # -- interior-point solve ------------------------------------------------------
@@ -531,11 +539,13 @@ def _curve_certificate(sample: CurveSample, basis, c: np.ndarray, z: np.ndarray,
 # curve exchange, where Newton on the extremal set is refused: re-solves with
 # the maxima of |p| along L_r added, at most this many times (a safety cap;
 # the tolerance ends it); each maximum is placed by secant steps on
-# d|p|^2/dtheta, guarded by bisection
+# d|p|^2/dtheta, guarded by bisection, at most _SECANT_STEPS a scan
 _EXCHANGE_ROUNDS = 16
 _SECANT_STEPS = 8
-# secant steps this close to an end of their grid step, in grid steps, bisect
+# in grid steps: the guard at each end of a grid step, and a settling secant step
 _GUARD = np.sqrt(np.finfo(float).eps)
+# a relative change of |p|^2 over a grid step, or of |p|, that is rounding
+_FLAT = 4 * np.finfo(float).eps
 
 
 def _curve_maxima(pairs: Sequence[tuple[ComplexPolynomial, CurveSample]]) -> list[np.ndarray]:
@@ -544,26 +554,27 @@ def _curve_maxima(pairs: Sequence[tuple[ComplexPolynomial, CurveSample]]) -> lis
 
     The slope of |p|^2 is taken, pair by pair, at the points
     ``sample.grid_steps`` holds for every scan of the sample; a grid step
-    runs from each of them to the point at the next angle.  A step where
-    the slope turns from > 0 to <= 0, or from exactly 0 to < 0, brackets
-    one maximum (``_turns``), which secant steps on the slope, started from
-    the step's two ends, place (values of |p| are flat to eps over
-    sqrt(eps) of angle): within 1e-10 (relative) of 2^16-point maxima on
-    512-point samples, and up to 4.9e-9 rad off but within 1.1e-16 of the
-    maximum on 8-point circles.  One loop of secant steps serves
-    the brackets of every pair, each with its own level, grid step and
-    polynomial (coefficient rows for ``horner``), so a batch costs one
-    loop's fixed costs, and each pair's maxima are the bits a batch of one
-    gives.  A secant step is kept only strictly inside the current bracket
-    and at least _GUARD grid steps from the ends of its grid step: at a
-    stationary end (a minimum of |p| on a symmetry angle) the slope is
-    zero or rounding-sized, and the secant stays on or lands ulps inside
-    that end.  Any other step bisects the bracket, also one whose secant
-    has converged onto an end of the bracket, so each step returns the
-    highest point it evaluated: one of its ends or of its iterates.  Not
-    seen: a maximum and a minimum of |p| in one step.  Raises ValueError
-    for samples of more than one family, or not laid out as
-    ``sample_level_curve`` lays them out.
+    runs from each of them to the point at the next angle.  Each step that
+    brackets one maximum (``_turns``) is searched by secant steps on the
+    slope from its two ends until settled: within 1e-10 (relative) of
+    2^16-point maxima on 512-point samples, and up to 1.3e-8 rad off but
+    within 5.6e-16 of the maximum on 8-point circles.  A step whose two
+    ends read slopes that move |p|^2 by at most _FLAT over it takes no
+    secant step: its higher end is its maximum.  A secant proposal strictly
+    inside the bracket and within _GUARD grid steps of the iterate settles
+    it.  One at or past the guard of a grid end (where a stationary end's
+    zero or rounding-sized slope leaves the secant) probes the guard's
+    edge, and settles the bracket where the slope there points to that end.
+    Other proposals off the bracket or into a guard bisect it.  The highest
+    point evaluated is returned, but an iterate (not a probe) within _FLAT
+    of it takes its place, so where |p| is flat to rounding the point
+    follows the secant, not the noise.  One loop of at most _SECANT_STEPS
+    serves the brackets of every pair, each with its own level, grid step
+    and polynomial (coefficient rows for ``horner``), and ends when none is
+    live; a settled bracket keeps its state, so each pair's maxima are the
+    bits a batch of one gives.  Not seen: a maximum and a minimum of |p| in
+    one step.  Raises ValueError for samples of more than one family, or
+    not laid out as ``sample_level_curve`` lays them out.
     """
     if not pairs:
         return []
@@ -583,7 +594,8 @@ def _curve_maxima(pairs: Sequence[tuple[ComplexPolynomial, CurveSample]]) -> lis
         z_end.append(sample.grid_steps[0][end])
         counts.append(len(turn))
     a, fa, b, fb, near, z_end = map(np.concatenate, (a, fa, b, fb, near, z_end))
-    lo, hi = a + _GUARD * (b - a), b - _GUARD * (b - a)
+    h = b - a
+    lo, hi = a + _GUARD * h, b - _GUARD * h
     r = np.repeat([sample.r for _, sample in pairs], counts)
     rows = _coefficient_rows([p for p, _ in pairs], counts)
     drows = _coefficient_rows(derivatives, counts)
@@ -592,21 +604,30 @@ def _curve_maxima(pairs: Sequence[tuple[ComplexPolynomial, CurveSample]]) -> lis
     top = np.abs(horner(rows, ends))
     pick = top.argmax(axis=0), np.arange(len(a))
     best, best_val = ends[pick], top[pick]
+    live = (2.0 * np.abs(np.stack([fa, fb])) * h > _FLAT * top ** 2).any(axis=0)
     prev, g_prev, cur, g = a, fa, b, fb
     for _ in range(_SECANT_STEPS):
         dg = g - g_prev
         nxt = np.where(dg != 0, cur - g * (cur - prev) / np.where(dg != 0, dg, 1.0), cur)
+        at_hi = nxt >= hi
+        edge = np.where(at_hi, hi, lo)
+        probe = ((nxt <= lo) | at_hi) & (a < edge) & (edge < b)
+        inside = (a < nxt) & (nxt < b)
+        live &= probe | ~inside | (np.abs(nxt - cur) > _GUARD * h)
+        if not live.any():
+            break
         prev, g_prev = cur, g
-        inside = (np.maximum(a, lo) < nxt) & (nxt < np.minimum(b, hi))
-        cur = np.where(inside, nxt, 0.5 * (a + b))
+        cur = np.where(probe, edge, np.where(inside & (lo < nxt) & (nxt < hi), nxt, 0.5 * (a + b)))
         z, dz = points_at_angles(family, r, cur, near)
         pz = horner(rows, z)
         g = (np.conj(pz) * horner(drows, z) * dz).real
         value = np.abs(pz)
-        higher = value >= best_val
-        best, best_val = np.where(higher, z, best), np.where(higher, value, best_val)
+        higher = live & ((value > best_val) | (value >= best_val * (1 - _FLAT)) & ~probe)
+        best = np.where(higher, z, best)
+        best_val = np.where(higher, np.maximum(value, best_val), best_val)
         rise = g > 0
         a, b = np.where(rise, cur, a), np.where(rise, b, cur)
+        live &= ~(probe & (rise == at_hi))
     return [best[end - k : end] for end, k in zip(accumulate(counts), counts)]
 
 
@@ -616,13 +637,17 @@ def _turns(p: ComplexPolynomial, dp: ComplexPolynomial, sample: CurveSample):
 
     A step brackets one maximum where the slope turns from > 0 at its start
     to <= 0 at its end, the point at the next angle
-    (``CurveSample._successors``), or from exactly 0 to < 0.  The steps
+    (``CurveSample._successors``), or from exactly 0 to < 0 where the step
+    ending at its start did not turn or |p| rises over the step.  The steps
     that meet at a point read one slope there, so a maximum on a grid angle,
-    where the slope is rounding-sized, turns exactly one of them."""
+    where the slope is rounding-sized or exactly 0, turns one of them."""
     z, dz = sample.grid_steps
-    g = (np.conj(p(z)) * dp(z) * dz).real
-    g_end = g[sample._successors]
-    turn = np.flatnonzero(((g > 0) & (g_end <= 0)) | ((g == 0) & (g_end < 0)))
+    pz, succ = p(z), sample._successors
+    g = (np.conj(pz) * dp(z) * dz).real
+    g_end, g_into = g[succ], np.zeros_like(g)
+    g_into[succ] = g
+    from_zero = (g == 0) & (g_end < 0) & ((g_into <= 0) | (np.abs(pz) < np.abs(pz[succ])))
+    turn = np.flatnonzero(((g > 0) & (g_end <= 0)) | from_zero)
     return turn, g
 
 

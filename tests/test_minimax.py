@@ -1,3 +1,5 @@
+from math import comb
+
 import numpy as np
 import pytest
 
@@ -256,15 +258,17 @@ class TestSolveChebyshev:
         # angles offset by 3 pi/20, the step [3 pi/20, 2 pi/5] ends on the
         # minimum at 2 pi/5 with a slope of -4.2e-13, not zero: the secant
         # lands an ulp inside the end, within the guard sqrt(eps) h of it,
-        # so the step bisects instead and places the maximum at pi/5
+        # so the step probes the guard's edge, whose slope points away from
+        # the end, and then bisects and places the maximum at pi/5
         pytest.param(8, -3 * np.pi / 20, np.pi / 5, id="rounding-sized-end-slope"),
         # angles offset by half a grid step are still equispaced: the scan
         # takes the sample and brackets the maximum at pi/5 in [pi/8, 3 pi/8]
         pytest.param(8, np.pi / 8, np.pi / 5, id="half-step-offset"),
         # on 16 points the step ending at -pi/5 + sqrt(eps) h / 2 holds the
-        # maximum at -pi/5 within the guard of its end and no minimum: the
-        # secant steps into the guard are refused, and bisection places the
-        # maximum there to 4e-11 rad
+        # maximum at -pi/5 within the guard of its end and no minimum: a
+        # secant proposal in the guard probes the guard's edge instead, where
+        # the slope points to the end, and the maximum comes back 3.3e-9
+        # rad from -pi/5
         pytest.param(16, np.pi / 5 - 0.5 * np.sqrt(np.finfo(float).eps) * np.pi / 8, -np.pi / 5,
                      id="maximum-within-guard-of-end"),
     ])
@@ -531,6 +535,78 @@ class TestBatchedCurveScan:
         assert minimax.curve_sup_norms(pairs) == [minimax.curve_sup_norm(p, s) for p, s in pairs]
 
 
+class TestScanStops:
+    """Each bracket of a curve scan stops once its maximum is settled, and
+    the scan once no bracket is live."""
+
+    @pytest.fixture
+    def secant_steps(self, monkeypatch):
+        steps, direct = [], minimax.points_at_angles
+        monkeypatch.setattr(minimax, "points_at_angles", lambda *args: steps.append(1) or direct(*args))
+        return steps
+
+    @pytest.mark.parametrize("r", [1.5, 2.0, 4.0])
+    def test_constant_modulus_takes_no_secant_step(self, r, secant_steps):
+        # |z^n| on circles and |(z^2 - 1)^k| on the Bernoulli lemniscate are
+        # r^n on L_r (n = 2k), so every bracket's two ends read a
+        # rounding-sized slope: each maximum is an end of its grid step, a
+        # sample point to rounding.  The sample points' own values of |p|
+        # lie up to 16 eps from r^n at n = 10
+        eps = np.finfo(float).eps
+        cases = [(ComplexPolynomial([0.0] * n + [1.0]), sample_level_curve(Circle(1.0), r, 256), n)
+                 for n in range(1, 11)]
+        power = ComplexPolynomial([1.0])
+        for k in range(1, 6):
+            power = power * ComplexPolynomial([-1.0, 0.0, 1.0])
+            cases.append((power, sample_level_curve(BERNOULLI, r, 512), 2 * k))
+        for p, sample, n in cases:
+            z = minimax._curve_maxima([(p, sample)])[0]
+            assert len(z) > 0 and np.abs(z[:, None] - sample.points).min(axis=1).max() <= 1e-12
+            assert np.abs(np.abs(p(z)) / r ** n - 1).max() <= 4 * n * eps
+        assert secant_steps == []
+
+    def test_degree_21_settles_before_the_cap(self, secant_steps):
+        # the 22 brackets of the discrete solution on Bernoulli at r = 1.5
+        # settle within 4 secant steps; each maximum is at least the
+        # 2^16-point maximum near it
+        sample = sample_level_curve(BERNOULLI, 1.5, 512)
+        p = chebyshev_on_points(sample.points, 21).polynomial
+        z = minimax._curve_maxima([(p, sample)])[0]
+        assert len(z) == 22 and len(secant_steps) <= 5
+        fine = sample_level_curve(BERNOULLI, 1.5, 2 ** 16).points
+        values = np.abs(p(fine))
+        near = np.abs(z[:, None] - fine).argmin(axis=1)[:, None] + np.arange(-128, 129)
+        assert (np.abs(p(z)) >= values[near % len(fine)].max(axis=1) * (1 - 1e-14)).all()
+
+    @pytest.mark.parametrize("n", [4, 8, 10])
+    @pytest.mark.parametrize("r", [1.5, 2.0, 3.0])
+    def test_interval_start_maxima_at_the_closed_form_points(self, n, r):
+        # the start q_n is T_n to rounding, with 2n maxima at
+        # psi(r e^(i pi k/n)).  Near them |T_n| is flat to rounding over
+        # up to 1e-4 rad at n = 10, r = 3, where eight secant steps on every
+        # bracket placed one 6.4e-5 off; the bound is that measurement's
+        sample = sample_level_curve(Interval(), r, 512)
+        center = complex(sample.points.mean())
+        scale = float(np.abs(sample.points - center).max())
+        _, H = minimax._arnoldi((sample.points - center) / scale, n)
+        p = minimax._monic_polynomial(H, np.zeros(n, dtype=complex), center, scale)
+        z = minimax._curve_maxima([(p, sample)])[0]
+        w = r * np.exp(1j * np.pi * np.arange(2 * n) / n)
+        exact = (w + 1 / w) / 2
+        assert len(z) == 2 * n
+        assert np.abs(z[:, None] - exact[None, :]).min(axis=1).max() <= 1e-4
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 8])
+    def test_maximum_on_an_exact_zero_slope_placed_once(self, n):
+        # T_n on the interval's L_1.5 has a maximum at theta = 0, on the real
+        # axis, where the slope of |p|^2 is exactly 0: the step ending there
+        # brackets it and the step starting there does not
+        p = monic_classical_chebyshev(n)
+        z = minimax._curve_maxima([(p, sample_level_curve(Interval(), 1.5, 512))])[0]
+        assert len(z) == 2 * n
+        assert (np.abs(z[:, None] - z[None, :]) + np.eye(2 * n)).min() > 1e-3
+
+
 class TestDiscreteVersusCurve:
     # 2n does not divide M = 512, so the discrete optimum on the ellipse
     # sample is not T_3: its sup lies below T_3's on the same points
@@ -770,6 +846,19 @@ class TestStartCertificate:
         sol = chebyshev_on_points(np.repeat([-2.0, -1.0, 0.0], [3, 4, 3]), 2)
         assert sol.converged and sol.iterations > 1
         np.testing.assert_allclose(sol.polynomial.coeffs, [0.5, 2.0, 1.0], rtol=0, atol=1e-9)
+
+
+def test_binomial_table_built_once_per_degree():
+    # the Taylor shift of the double-double refinement reads C(k, j) at
+    # [j, k]: one read-only table per degree, each entry Python's exact
+    # integer rounded once, also above 2^53 (C(60, 30) = 1.2e17)
+    assert comb(60, 30) > 2 ** 53
+    for n in (0, 1, 21, 60):
+        table = minimax._binomials(n)
+        assert table is minimax._binomials(n) and not table.flags.writeable
+        j, k = np.indices((n + 1, n + 1))
+        loop = np.vectorize(comb, otypes=[object])(k, j).astype(float)
+        assert table.tobytes() == loop.tobytes()
 
 
 class TestPackedCones:
