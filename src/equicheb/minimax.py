@@ -8,12 +8,12 @@ first, on its extremal points on the grid or, placed by one curve scan,
 on the curve; where it equioscillates there it is returned after one
 step.  Otherwise a curve exchange places the maxima of |p| that the
 sample's grid steps bracket along the curve, by guarded secant steps
-that stop once each maximum is settled.  Where one exceeds
-the discrete sup by more than the tolerance, Newton's method on the KKT
-system of the curve problem, over an extremal set seeded from those
-maxima and the dual weights, takes the solution to the curve's optimum;
-where Newton is refused, re-solves add the maxima to the points until none
-exceeds the discrete sup by more than the tolerance.
+that stop once each maximum is settled.  One scan tests every candidate:
+it is accepted where no maximum exceeds its sup by more than the
+tolerance.  After each discrete solve that fails the test, Newton's
+method on the KKT system of the curve problem, over an extremal set
+seeded from its maxima and dual weights, proposes the curve's optimum;
+where Newton is refused, a re-solve adds the maxima to the points used.
 Solves that double precision cannot resolve near K are refined in
 double-double arithmetic.
 """
@@ -85,8 +85,8 @@ class MinimaxSolution:
     one per point used, and ``equioscillation_gap`` is their certificate;
     ``iterations`` counts interior-point steps, one where the start
     certifies.  ``exchange`` names the path that ended the curve exchange
-    and ``newton_steps`` counts Newton steps, also those of a refused
-    attempt; ``solve_chebyshev`` says what each path returns and what
+    and ``newton_steps`` sums the steps of every Newton attempt, refused
+    ones included; ``solve_chebyshev`` says what each path returns and what
     ``converged`` means there.
     ``precision_limited`` marks a solve whose values on the curve are too
     large for double precision to pin the low-order coefficients (see
@@ -419,8 +419,9 @@ def chebyshev_on_points(points, n: int, opts: SolveOptions | None = None) -> Min
 
 def _solve_on_points(points: np.ndarray, n: int, opts: SolveOptions,
                      sample: CurveSample | None = None):
-    """``chebyshev_on_points`` and its basis (Q, H, a, center, scale): the
-    Arnoldi basis of the points and the solution's coefficients in it.
+    """``chebyshev_on_points`` and its basis (points, Q, H, a, center,
+    scale): the Arnoldi basis of the points and the solution's coefficients
+    in it.
 
     Before the first step the start a = 0 (q_n, the least-squares
     minimizer for uniform weights) is weighed with weights uniform on its
@@ -459,9 +460,9 @@ def _solve_on_points(points: np.ndarray, n: int, opts: SolveOptions,
             break
     else:
         if sample is not None and opts.max_iter > 1:
-            curve = _curve_start(sample, n, opts, (Q, H, a, center, scale))
+            curve = _curve_start(sample, n, opts, (points, Q, H, a, center, scale))
             if curve is not None:
-                return curve, (Q, H, a, center, scale)
+                return curve, (points, Q, H, a, center, scale)
         a, weights, steps, converged, gap = _interior_point(B, b, opts)
     poly = _monic_polynomial(H, a, center, scale)
     sol = MinimaxSolution(
@@ -472,7 +473,7 @@ def _solve_on_points(points: np.ndarray, n: int, opts: SolveOptions,
         converged=converged,
         equioscillation_gap=float(gap),
     )
-    return sol, (Q, H, a, center, scale)
+    return sol, (points, Q, H, a, center, scale)
 
 
 def _curve_start(sample: CurveSample, n: int, opts: SolveOptions, basis) -> MinimaxSolution | None:
@@ -487,7 +488,7 @@ def _curve_start(sample: CurveSample, n: int, opts: SolveOptions, basis) -> Mini
     extremal set (``_extremal_weights``), and ``_curve_certificate`` weighs
     it uniformly, returning p after one step with ``exchange="start"``: the
     scan has made the exchange's test."""
-    Q, H, a, center, scale = basis
+    _, Q, H, a, center, scale = basis
     p = _monic_polynomial(H, a, center, scale)
     if len(_turns(p, p.derivative(), sample)[0]) < 2 * n:
         return None
@@ -501,35 +502,36 @@ def _curve_start(sample: CurveSample, n: int, opts: SolveOptions, basis) -> Mini
     if weights is None:
         return None
     keep = weights > 0
-    return _curve_certificate(sample, basis, np.append(a, 1.0), maxima[keep], weights[keep],
-                              opts.tol_rel, iterations=1, exchange="start")
+    return _curve_certificate(basis, np.append(a, 1.0), maxima[keep], weights[keep], opts.tol_rel,
+                              iterations=1, exchange="start")
 
 
-def _curve_certificate(sample: CurveSample, basis, c: np.ndarray, z: np.ndarray, lam: np.ndarray,
-                       tol_rel: float, **counts) -> MinimaxSolution | None:
-    """The polynomial p = sum_k c_k q_k (c_n = 1) in the sample's Arnoldi
-    ``basis`` certified on points z of the curve by weights lam summing to
-    1: ``_certificate`` in the Arnoldi basis at z, its gap measured against
-    the larger of the sup of |p| on the sample and on z.  Returns None where
-    the gap exceeds ``tol_rel`` or the weighted points cannot pin the
-    coefficients, else the solution with ``weights`` zero on
-    the sample's points and lam appended, ``sup_norm`` the sup of |p| over
-    both, and the path's ``counts`` (iterations, exchange, newton_steps)."""
-    Q_sample, H, _, center, scale = basis
+def _curve_certificate(basis, c: np.ndarray, z: np.ndarray, lam: np.ndarray, tol_rel: float,
+                       **counts) -> MinimaxSolution | None:
+    """The polynomial p = sum_k c_k q_k (c_n = 1) in the Arnoldi ``basis``
+    of a discrete solve's points certified on points z of the curve by
+    weights lam summing to 1: ``_certificate`` in the Arnoldi basis at z,
+    its gap measured against the larger of the sup of |p| on the basis's
+    points and on z.  Returns None where the gap exceeds ``tol_rel`` or the
+    weighted points cannot pin the coefficients, else the solution with
+    ``weights`` zero on the basis's points and lam appended, ``sup_norm``
+    the sup of |p| over both, and the path's ``counts`` (iterations,
+    exchange, newton_steps)."""
+    points, Q_points, H, _, center, scale = basis
     n = len(c) - 1
     Q = _arnoldi_jets(H, (z - center) / scale)[0]
     try:
         bound = _certificate(Q[:, :n], Q[:, n], lam)[1]
     except RankDeficiencyError:
         return None
-    gap = 1.0 - bound / float(np.abs(np.concatenate([Q_sample @ c, Q @ c])).max())
+    gap = 1.0 - bound / float(np.abs(np.concatenate([Q_points @ c, Q @ c])).max())
     if not gap <= tol_rel:
         return None
     poly = _monic_polynomial(H, c[:n], center, scale)
     return MinimaxSolution(
         polynomial=poly,
-        sup_norm=float(np.abs(poly(np.concatenate([sample.points, z]))).max()),
-        weights=np.concatenate([np.zeros(sample.size), lam]),
+        sup_norm=float(np.abs(poly(np.concatenate([points, z]))).max()),
+        weights=np.concatenate([np.zeros(len(points)), lam]),
         converged=True,
         equioscillation_gap=gap,
         **counts,
@@ -538,7 +540,7 @@ def _curve_certificate(sample: CurveSample, basis, c: np.ndarray, z: np.ndarray,
 
 # curve exchange, where Newton on the extremal set is refused: re-solves with
 # the maxima of |p| along L_r added, at most this many times (a safety cap;
-# the tolerance ends it); each maximum is placed by secant steps on
+# the tolerance or Newton ends it); each maximum is placed by secant steps on
 # d|p|^2/dtheta, guarded by bisection, at most _SECANT_STEPS a scan
 _EXCHANGE_ROUNDS = 16
 _SECANT_STEPS = 8
@@ -732,30 +734,30 @@ def _kkt_system(c: np.ndarray, s: float, lam: np.ndarray, Q: np.ndarray, dzeta, 
 def _newton_exchange(sample: CurveSample, n: int, opts: SolveOptions, sol: MinimaxSolution,
                      basis, maxima: np.ndarray):
     """Newton's method on the KKT system of the curve problem, started from
-    the discrete solution ``sol`` on the sample, its Arnoldi ``basis`` and
-    the ``maxima`` of |p| that its scan placed.  Returns (the solution or
-    None, Newton steps).
+    the discrete solution ``sol`` on the points of its Arnoldi ``basis``
+    (the sample and the maxima added so far) and the ``maxima`` of |p|
+    that its scan placed.  Returns (the solution or None, Newton steps).
 
-    Each sample point's dual weight goes to its nearest maximum; the maxima
+    Each point's dual weight goes to its nearest maximum; the maxima
     holding at least _ACTIVE of the largest cluster are the extremal set,
     with lambda_j their cluster weights, theta_j their angles (a tangent
     step from the nearest sample point) and t the highest of them.  In the
-    Arnoldi basis of the sample, p = q_n + sum_k a_k q_k and g_j(theta) =
-    p(z(theta)), the square system in (a, s = t^2, lambda, theta) is
+    Arnoldi basis, p = q_n + sum_k a_k q_k and g_j(theta) = p(z(theta)),
+    the square system in (a, s = t^2, lambda, theta) is
         sum_j lambda_j conj(q_k(z_j)) g_j = 0   (k < n),
         sum_j lambda_j = 1,
         |g_j|^2 = s,   Re(conj(g_j) g_j') = 0,
-    solved with its analytic Jacobian.  Refused (None): fewer than n + 1
-    or more than 2n + 1 extremal points, a singular Jacobian, a step of an
-    angle by more than the grid step, no convergence in _NEWTON_STEPS, a
-    lambda_j <= 0, a certificate above ``tol_rel`` (``_curve_certificate``),
-    or a value of |p| at the sample's points or at the maxima of its curve
-    scan above t (1 + tol_rel), t the largest |p| on the extremal points.
-    What passes is optimal on the curve: lambda's least-squares minimum
-    bounds every monic p's sup on the extremal points from below.
+    solved with its analytic Jacobian.  Refused (None) for four reasons:
+    fewer than n + 1 or more than 2n + 1 extremal points; steps that fail
+    (a singular Jacobian, a step of an angle by more than the grid step, or
+    no convergence in _NEWTON_STEPS); a lambda_j <= 0; a certificate above
+    ``tol_rel`` (``_curve_certificate``).  What passes bounds every monic
+    p's sup on the extremal points from below; it is optimal on the curve
+    once no maximum of its own exceeds its sup, the test that
+    ``solve_chebyshev``'s scan makes of every candidate.
     """
-    _, H, a, center, scale = basis
-    cluster = np.bincount(np.abs(sample.points[:, None] - maxima).argmin(axis=1),
+    points, _, H, a, center, scale = basis
+    cluster = np.bincount(np.abs(points[:, None] - maxima).argmin(axis=1),
                           weights=sol.weights, minlength=len(maxima))
     keep = cluster >= _ACTIVE * cluster.max()
     if not n + 1 <= keep.sum() <= 2 * n + 1:
@@ -790,16 +792,8 @@ def _newton_exchange(sample: CurveSample, n: int, opts: SolveOptions, sol: Minim
     if not (converged and lam.min() > 0):
         return None, steps
     z = curve_jets(sample.family, sample.r, theta, z)[0]
-    out = _curve_certificate(sample, basis, c, z, lam / lam.sum(), opts.tol_rel,
-                             iterations=sol.iterations, exchange="newton", newton_steps=steps)
-    if out is None:
-        return None, steps
-    poly = out.polynomial
-    t = float(np.abs(poly(z)).max())
-    on_curve = np.abs(poly(np.concatenate([sample.points, _curve_maxima([(poly, sample)])[0]])))
-    if (on_curve > t * (1.0 + opts.tol_rel)).any():
-        return None, steps
-    return out, steps
+    return _curve_certificate(basis, c, z, lam / lam.sum(), opts.tol_rel, iterations=sol.iterations,
+                              exchange="newton", newton_steps=steps), steps
 
 
 def solve_chebyshev(
@@ -807,30 +801,32 @@ def solve_chebyshev(
 ) -> MinimaxSolution:
     """Monic degree-n polynomial of least maximum modulus over the curve.
 
-    Solves the discrete problem on the sample, then runs a curve exchange:
-    it places the maxima of |p| along L_r that the sample's grid steps
-    bracket.  Where the start certifies on its curve maxima
-    (``_curve_start``, tried where its grid certificates are refused) that
-    scan was the exchange's test, and the start is returned after one step
-    with ``exchange="start"``.  Where no maximum exceeds the discrete sup
-    by more than ``tol_rel`` the discrete solution is returned unchanged.
-    Otherwise Newton's method on the extremal set (``_newton_exchange``)
-    solves the curve problem's KKT system, and its point is returned where every lambda_j > 0, its
-    certificate reaches ``tol_rel`` and the sample's scan finds no maximum
-    above its sup by more than ``tol_rel``.  Where Newton is refused, the
-    exchange adds all the maxima to the points used and re-solves, while
-    any maximum exceeds the discrete sup by more than ``tol_rel``.
+    Solves the discrete problem on the sample, then runs a curve exchange.
+    Where the start certifies on its curve maxima (``_curve_start``, tried
+    where its grid certificates are refused) that scan was the exchange's
+    test, and the start is returned after one step with
+    ``exchange="start"``.  Otherwise the exchange is one loop over
+    candidates, the first being the discrete solution.  Each round scans
+    its candidate once for the maxima of |p| along L_r that the sample's
+    grid steps bracket, and accepts it where none exceeds its ``sup_norm``
+    by more than ``tol_rel``.  A discrete solution that fails hands over to
+    Newton's method on its extremal set (``_newton_exchange``), whose point
+    is the next candidate.  Where Newton is refused, or its point fails the
+    scan, the discrete solution's maxima join the points used and a
+    re-solve, in its own Arnoldi basis, is the next candidate.
     ``converged`` means a start certified on the curve, an accepted Newton
     point, or the discrete certificate on all points used with no maximum
-    bracketed by a grid step above ``sup_norm`` by more than ``tol_rel``; a
-    solve still above it after _EXCHANGE_ROUNDS re-solves returns
-    ``converged=False``.  ``exchange`` names the path that ended the
-    exchange: "start", "newton", "resolve", or "none" (no maximum above the
-    tolerance, or no exchange).  On "start" and "newton" ``weights`` are
-    zero on the sample's points with the certifying weights on the curve
-    points appended (``_curve_certificate``), and ``sup_norm`` is the sup
-    of |p| over both.  ``iterations`` counts every interior-point step of
-    the call and ``newton_steps`` the Newton steps.
+    bracketed by a grid step above ``sup_norm`` by more than ``tol_rel``;
+    where Newton is refused after _EXCHANGE_ROUNDS re-solves, the last
+    discrete solution is returned with ``converged=False``.  ``exchange``
+    names the path that ended the exchange: "start", "newton" (the
+    returned point is Newton's, also after re-solves), "resolve" (a
+    re-solve ended it), or "none" (no maximum above the tolerance, or no
+    exchange).  On "start" and "newton" ``weights`` are zero on the points
+    used with the certifying weights on the curve points appended
+    (``_curve_certificate``), and ``sup_norm`` is the sup of |p| over
+    both.  ``iterations`` counts every interior-point step of the call and
+    ``newton_steps`` the steps of every Newton attempt.
 
     A solve is precision-limited when rounding at eps * sup_norm, in
     capacity units (times c^n), exceeds the root-accuracy budget 1e-3:
@@ -846,31 +842,30 @@ def solve_chebyshev(
     sol, basis = _solve_on_points(sample.points, n, opts, sample)
     if sol.exchange == "start":
         return sol
-    if not _precision_limited(sol.sup_norm, sample.family, n, np.finfo(float).eps):
-        steps, points, newton_steps = sol.iterations, sample.points, 0
-        for rounds in range(_EXCHANGE_ROUNDS + 1):
-            if not sol.converged:
-                break
-            maxima = _curve_maxima([(sol.polynomial, sample)])[0]
-            if not (np.abs(sol.polynomial(maxima)) > sol.sup_norm * (1.0 + opts.tol_rel)).any():
-                break
-            if rounds == 0:
-                newton, newton_steps = _newton_exchange(sample, n, opts, sol, basis, maxima)
-                if newton is not None:
-                    return newton
-            if rounds == _EXCHANGE_ROUNDS:
-                sol = replace(sol, converged=False)
-                break
-            points = np.concatenate([points, maxima])
-            sol = chebyshev_on_points(points, n, opts)
-            steps += sol.iterations
-        return replace(sol, iterations=steps, exchange="resolve" if rounds else "none",
-                       newton_steps=newton_steps)
-    poly = _refine_dd(sample_points_dd(sample), sol.weights, n, complex(sample.points.mean()))
-    return replace(
-        sol,
-        polynomial=poly,
-        sup_norm=float(np.abs(poly(sample.points)).max()),
-        converged=sol.converged and not _precision_limited(sol.sup_norm, sample.family, n, _DD_EPS),
-        precision_limited=True,
-    )
+    if _precision_limited(sol.sup_norm, sample.family, n, np.finfo(float).eps):
+        poly = _refine_dd(sample_points_dd(sample), sol.weights, n, complex(sample.points.mean()))
+        return replace(
+            sol,
+            polynomial=poly,
+            sup_norm=float(np.abs(poly(sample.points)).max()),
+            converged=sol.converged and not _precision_limited(sol.sup_norm, sample.family, n, _DD_EPS),
+            precision_limited=True,
+        )
+    steps, newton_steps, resolves, candidate = sol.iterations, 0, 0, sol
+    while candidate.converged:
+        maxima = _curve_maxima([(candidate.polynomial, sample)])[0]
+        if not (np.abs(candidate.polynomial(maxima)) > candidate.sup_norm * (1.0 + opts.tol_rel)).any():
+            break
+        if candidate is sol:
+            sol_maxima = maxima
+            candidate, k = _newton_exchange(sample, n, opts, sol, basis, maxima)
+            newton_steps += k
+            if candidate is not None:
+                continue
+        if resolves == _EXCHANGE_ROUNDS:
+            candidate = sol = replace(sol, converged=False)
+            break
+        sol, basis = _solve_on_points(np.concatenate([basis[0], sol_maxima]), n, opts)
+        candidate, steps, resolves = sol, steps + sol.iterations, resolves + 1
+    return replace(candidate, iterations=steps, newton_steps=newton_steps,
+                   exchange="resolve" if candidate is sol and resolves else candidate.exchange)

@@ -377,14 +377,55 @@ class TestSolveChebyshev:
     def test_newton_refused_unforced(self):
         # on the z^2 - 3 preimage at r = 1.05 and odd n the start is not
         # T_n; Newton on the 28 extremal points the dual weights name
-        # converges in 4 steps, but its certificate is refused (2n = 30):
+        # converges in 4 steps and certifies, but the curve scan finds a
+        # maximum of its point above its sup (2n = 30).  That holds after
+        # each of the three discrete solves, 12 Newton steps in all, and
         # the re-solves end the exchange instead
         family = InversePolynomialImage(ComplexPolynomial([-3.0, 0.0, 1.0]))
         sol = solve_chebyshev(sample_level_curve(family, 1.05, 256), 15)
         assert sol.converged and sol.exchange == "resolve"
-        assert sol.newton_steps == 4
+        assert sol.newton_steps == 12
         fine = sample_level_curve(family, 1.05, 2 ** 15).points
         assert np.abs(sol.polynomial(fine)).max() <= sol.sup_norm * (1 + 2e-10)
+
+    def test_newton_after_re_solves(self):
+        # Newton's certificate is refused after the first solve and after
+        # the first re-solve; after the second re-solve Newton starts from
+        # its basis and dual weights and ends the exchange (55 interior-point
+        # steps, against 202 when only re-solves follow the first refusal).
+        # The Horner bound on the curve is 3.2e-12 of the sup, so double
+        # evaluation can check it
+        family = InversePolynomialImage(ComplexPolynomial([0.1, -2.0, 0.0, 1.0]))
+        r = np.geomspace(1.05, 3, 8)[3]
+        sol = solve_chebyshev(sample_level_curve(family, r, 256), 13)
+        assert sol.converged and sol.exchange == "newton"
+        assert sol.iterations <= 60
+        fine = sample_level_curve(family, r, 2 ** 15).points
+        assert np.abs(sol.polynomial(fine)).max() <= sol.sup_norm * (1 + 2e-10)
+
+    def test_newton_follows_every_discrete_solve(self, monkeypatch):
+        # with Newton refused at once, it is still tried after each discrete
+        # solve that leaves a maximum above the tolerance, from that solve
+        # and its basis: the first solve and every re-solve but the last,
+        # which the tolerance ends
+        solves, tried = [], []
+        solve_on_points = minimax._solve_on_points
+
+        def counted_solve(*args, **kwargs):
+            solves.append(solve_on_points(*args, **kwargs))
+            return solves[-1]
+
+        def refused_newton(sample, n, opts, sol, basis, maxima):
+            tried.append((sol, basis))
+            return None, 0
+
+        monkeypatch.setattr(minimax, "_solve_on_points", counted_solve)
+        monkeypatch.setattr(minimax, "_newton_exchange", refused_newton)
+        sol = solve_chebyshev(sample_level_curve(BERNOULLI, 1.2, 512), 3)
+        assert sol.converged and sol.exchange == "resolve" and sol.newton_steps == 0
+        assert len(solves) >= 2
+        assert len(tried) == len(solves) - 1
+        assert all(got is s and got_basis is b for (got, got_basis), (s, b) in zip(tried, solves))
 
     @pytest.mark.parametrize("n", [3, 5, 6, 7])
     @pytest.mark.parametrize("r", [1.5, 2.0])
