@@ -35,7 +35,7 @@ from .minimax import (
     RankDeficiencyError,
     SolveOptions,
     chebyshev_on_points,
-    curve_sup_norm,
+    curve_sup_norms,
     solve_chebyshev,
 )
 from .rootfind import RootFindingError, RootSet, all_roots

@@ -80,15 +80,6 @@ def _build_family(args) -> CurveFamily:
     return family_from_json_dict(spec)
 
 
-def _write_json(path: Path, payload: dict):
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-
-def _write_csv(path: Path, rows):
-    with path.open("w", newline="") as fh:
-        csv.writer(fh).writerows(rows)
-
-
 def _svg_document(polylines, points, width=640, height=640):
     """Minimal deterministic SVG: one path per polyline, circles for points."""
     xs, ys = [], []
@@ -113,20 +104,14 @@ def _svg_document(polylines, points, width=640, height=640):
     for line in polylines:
         if len(line) == 0:
             continue
-        parts.append(
-            f'<path d="{_svg_path_multi(line)}" '
-            f'fill="none" stroke="#e07020" stroke-width="{stroke:.6g}"/>'
-        )
+        path = "M " + " L ".join(f"{z.real:.6g},{-z.imag:.6g}" for z in line)
+        parts.append(f'<path d="{path}" fill="none" stroke="#e07020" stroke-width="{stroke:.6g}"/>')
     for z in points:
         parts.append(
             f'<circle cx="{z.real:.6g}" cy="{-z.imag:.6g}" r="{2*stroke:.6g}" fill="#c02020"/>'
         )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
-
-
-def _svg_path_multi(line):
-    return "M " + " L ".join(f"{z.real:.6g},{-z.imag:.6g}" for z in line)
 
 
 def _svg_loglog(r_values, values, width=640, height=480):
@@ -269,7 +254,7 @@ def _execute(args) -> dict:
         M = args.M if args.M is not None else max(256, 16 * args.n)
         sample = sample_level_curve(args.family, args.r, M)
         sol = solve_chebyshev(sample, args.n, _solve_options(args))
-        payload = sol.to_json_dict(n=args.n, r=args.r)
+        payload = sol.to_json_dict(r=args.r)
         payload["report"] = "cheb"
         payload["family"] = family_to_json_dict(args.family)
         out["json"] = payload
@@ -333,10 +318,11 @@ def run(argv: Sequence[str] | None = None) -> int:
         outdir = Path(args.outdir or os.environ.get(_OUTDIR_ENV) or os.getcwd())
         outdir.mkdir(parents=True, exist_ok=True)
         stem = outdir / (args.tag or args.subcommand)
-        _write_json(stem.with_suffix(".json"), out["json"])
+        stem.with_suffix(".json").write_text(json.dumps(out["json"], indent=2, sort_keys=True) + "\n")
         print(f"wrote {stem.with_suffix('.json')}")
         if "csv" in out:
-            _write_csv(stem.with_suffix(".csv"), out["csv"])
+            with stem.with_suffix(".csv").open("w", newline="") as fh:
+                csv.writer(fh).writerows(out["csv"])
             print(f"wrote {stem.with_suffix('.csv')}")
         if "svg" in out:
             stem.with_suffix(".svg").write_text(out["svg"])

@@ -196,16 +196,15 @@ class CurveSample:
     """A discretization of one level curve.
 
     ``thetas`` holds the map-angle parameter of each point, a multiple
-    2*pi*k/grid_size of the sampler's equispaced angle grid of grid_size
-    angles.  A sample is not changed after it is made, so ``grid_steps`` is
-    computed on first use and kept.
+    2*pi*k/size of the sampler's equispaced grid of ``size`` angles, one
+    per point.  A sample is not changed after it is made, so ``grid_steps``
+    is computed on first use and kept.
     """
 
     r: float
     points: np.ndarray
     family: CurveFamily
     thetas: np.ndarray
-    grid_size: int
 
     @property
     def size(self) -> int:
@@ -226,21 +225,21 @@ class CurveSample:
     @cached_property
     def _successors(self) -> np.ndarray:
         """Index of the point where each grid step ends, at theta + h, h =
-        2 pi/grid_size: of the m points (m = deg P) at that angle, the one
+        2 pi/size: of the m points (m = deg P) at that angle, the one
         nearest the tangent step z + h dz/dtheta.  Raises ValueError for a
         sample not laid out as ``sample_level_curve`` lays it out: m points
-        at each of grid_size/m consecutive grid angles, angle-major, one
+        at each of size/m consecutive grid angles, angle-major, one
         period 2 pi/m.  Computed once, read-only."""
         m = _preimage(self.family)[0].degree
-        period = self.grid_size // m
+        period = self.size // m
         first = self.thetas[::m]
-        steps = np.rint(np.diff(first) * (self.grid_size / (2.0 * np.pi)))
-        if (self.size != self.grid_size or len(first) != period
-                or (self.thetas != np.repeat(first, m)).any() or (steps != 1).any()):
-            raise ValueError("a curve scan needs m points at each of grid_size/m consecutive grid angles")
+        steps = np.rint((first - first[0]) * (self.size / (2.0 * np.pi)))
+        if (len(first) != period or (self.thetas != np.repeat(first, m)).any()
+                or (steps != np.arange(period)).any()):
+            raise ValueError("a curve scan needs m points at each of size/m consecutive grid angles")
         z, dz = self.grid_steps
         following = (np.arange(self.size) // m + 1) % period * m  # the next angle's first point
-        end = z + (2.0 * np.pi / self.grid_size) * dz
+        end = z + (2.0 * np.pi / self.size) * dz
         out = following + np.abs(z[following[:, None] + np.arange(m)] - end[:, None]).argmin(axis=1)
         out.flags.writeable = False
         return out
@@ -382,13 +381,12 @@ def sample_level_curve(f: CurveFamily, r: float, M: int) -> CurveSample:
     thetas = 2.0 * np.pi * np.arange(J) / (m * J)
     targets = psi.evaluate(r ** m * np.exp(1j * m * thetas))
     points = roots_after_constant_shifts(P, targets).ravel()
-    return CurveSample(r=float(r), points=points, family=f, thetas=np.repeat(thetas, m),
-                       grid_size=m * J)
+    return CurveSample(r=float(r), points=points, family=f, thetas=np.repeat(thetas, m))
 
 
 def sample_points_dd(sample: CurveSample) -> dd.DD:
     """The sample's points to double-double accuracy, on L_r and at exactly
-    equispaced map angles 2 pi k / grid_size.
+    equispaced map angles 2 pi k / size.
 
     Double sampling leaves points about 1e-15 relative off the curve and
     off their angles, too coarse for polynomials whose values on the curve
@@ -399,7 +397,7 @@ def sample_points_dd(sample: CurveSample) -> dd.DD:
     otherwise one Newton step from the double roots, whose quadratic
     convergence takes their 1e-16 relative error to about 1e-32.
     """
-    r, N = sample.r, sample.grid_size
+    r, N = sample.r, sample.size
     P, psi = _preimage(sample.family)
     m = P.degree
     k = np.rint(sample.thetas * (N / (2.0 * np.pi))).astype(np.int64)

@@ -76,6 +76,22 @@ def _experiment_sample(f: CurveFamily, r: float, n: int, M: int | None = None) -
     return sample_level_curve(f, r, M if M is not None else _sample_size(n))
 
 
+def _converged_solve(f: CurveFamily, r: float, n: int, opts: SolveOptions, M: int | None):
+    """(sample, solution) of the level-r solve; an unconverged solve raises
+    ExperimentError with the solution attached."""
+    sample = _experiment_sample(f, r, n, M)
+    sol = solve_chebyshev(sample, n, opts)
+    if not sol.converged:
+        raise ExperimentError(
+            f"solve at r={r} did not converge (gap {sol.equioscillation_gap:.2e} "
+            f"after {sol.iterations} iterations)",
+            r=r,
+            n=n,
+            solution=sol,
+        )
+    return sample, sol
+
+
 def monic_classical_chebyshev(n: int) -> ComplexPolynomial:
     """Monic Chebyshev polynomial of [-1,1] (three-term recurrence, then
     divided by the classical leading coefficient 2^(n-1))."""
@@ -170,16 +186,7 @@ def rate_experiment(
     samples: List[CurveSample] = []
     solutions: List[MinimaxSolution] = []
     for i, r in enumerate(r_values):
-        sample = _experiment_sample(f, r, n, M)
-        sol = solve_chebyshev(sample, n, opts)
-        if not sol.converged:
-            raise ExperimentError(
-                f"solve at r={r} did not converge (gap {sol.equioscillation_gap:.2e} "
-                f"after {sol.iterations} iterations)",
-                r=r,
-                n=n,
-                solution=sol,
-            )
+        sample, sol = _converged_solve(f, r, n, opts, M)
         alphas[i] = faber_basis_expand(sol.polynomial, basis)
         samples.append(sample)
         solutions.append(sol)
@@ -260,14 +267,7 @@ def invariance_experiment(
     r_lo, r_hi = float(r_pair[0]), float(r_pair[1])
     if isinstance(f, (Lemniscate, InversePolynomialImage)) and n % f.P.degree != 0:
         return InvarianceReport(f, n, (r_lo, r_hi), False, None, None, None, None)
-    polys = []
-    for r in (r_lo, r_hi):
-        sol = solve_chebyshev(_experiment_sample(f, r, n, M), n, opts)
-        if not sol.converged:
-            raise ExperimentError(
-                f"solve at r={r} did not converge", r=r, n=n, solution=sol
-            )
-        polys.append(sol.polynomial)
+    polys = [_converged_solve(f, r, n, opts, M)[1].polynomial for r in (r_lo, r_hi)]
     dist = polys[0].coefficient_distance(polys[1])
     oracle = None if isinstance(f, ExplicitMap) else faber_basis(f, n)[n]
     odist = None

@@ -47,7 +47,6 @@ __all__ = [
     "MinimaxSolution",
     "chebyshev_on_points",
     "solve_chebyshev",
-    "curve_sup_norm",
     "curve_sup_norms",
 ]
 
@@ -106,9 +105,9 @@ class MinimaxSolution:
     exchange: str = "none"
     newton_steps: int = 0
 
-    def to_json_dict(self, n: int | None = None, r: float | None = None) -> dict:
+    def to_json_dict(self, r: float | None = None) -> dict:
         return {
-            "n": self.polynomial.degree if n is None else n,
+            "n": self.polynomial.degree,
             "r": r,
             **self.polynomial.to_json_dict(),
             "sup_norm": self.sup_norm,
@@ -123,21 +122,16 @@ class MinimaxSolution:
         }
 
 
-def _weighted_ls(V: np.ndarray, target: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Coefficients minimizing sum_j w_j |(V coef + target)_j|^2; raises
-    RankDeficiencyError when the weighted rows cannot pin them down."""
+def _certificate(V: np.ndarray, target: np.ndarray, w: np.ndarray):
+    """The coefficients minimizing sum_j w_j |(V coef + target)_j|^2 and the
+    square root of that minimum, for dual weights w summing to 1 a lower
+    bound on the discrete optimum.  Raises RankDeficiencyError when the
+    weighted rows cannot pin the coefficients down."""
     n = V.shape[1]
     sw = np.sqrt(w)
     coef, _, rank, _ = np.linalg.lstsq(V * sw[:, None], -target * sw, rcond=None)
     if rank < n:
         raise RankDeficiencyError(f"weighted points have rank {rank} < {n} free coefficients")
-    return coef
-
-
-def _certificate(V: np.ndarray, target: np.ndarray, w: np.ndarray):
-    """``_weighted_ls`` and its residual sqrt(sum_j w_j |(V coef + target)_j|^2),
-    for dual weights w summing to 1 a lower bound on the discrete optimum."""
-    coef = _weighted_ls(V, target, w)
     return coef, float(np.sqrt(w @ np.abs(target + V @ coef) ** 2))
 
 
@@ -459,7 +453,7 @@ def _solve_on_points(points: np.ndarray, n: int, opts: SolveOptions,
             steps, converged = 1, True
             break
     else:
-        if sample is not None and opts.max_iter > 1:
+        if sample is not None:
             curve = _curve_start(sample, n, opts, (points, Q, H, a, center, scale))
             if curve is not None:
                 return curve, (points, Q, H, a, center, scale)
@@ -590,7 +584,7 @@ def _curve_maxima(pairs: Sequence[tuple[ComplexPolynomial, CurveSample]]) -> lis
         end = sample._successors[turn]
         a.append(sample.thetas[turn])
         fa.append(g[turn])
-        b.append(sample.thetas[turn] + 2.0 * np.pi / sample.grid_size)
+        b.append(sample.thetas[turn] + 2.0 * np.pi / sample.size)
         fb.append(g[end])
         near.append(sample.points[turn])
         z_end.append(sample.grid_steps[0][end])
@@ -664,18 +658,12 @@ def _coefficient_rows(polys: Sequence[ComplexPolynomial], counts: Sequence[int])
 
 
 def curve_sup_norms(pairs: Sequence[tuple[ComplexPolynomial, CurveSample]]) -> list[float]:
-    """``curve_sup_norm`` of each (p, sample) pair of a batch on one family,
-    from one curve scan of the whole batch."""
+    """Sup of |p| over the sample's curve for each (p, sample) pair of a
+    batch on one family: the largest of its values at the sample points and
+    at the maxima that ``_curve_maxima`` places, in one scan of the batch."""
     maxima = _curve_maxima(pairs)
     return [float(np.abs(p(np.concatenate([sample.points, mx]))).max())
             for (p, sample), mx in zip(pairs, maxima)]
-
-
-def curve_sup_norm(p: ComplexPolynomial, sample: CurveSample) -> float:
-    """Sup of |p| over the sample's curve: the largest of its values at the
-    sample points and at the maxima that ``_curve_maxima`` places.  A batch
-    of pairs on one family is measured in one scan by ``curve_sup_norms``."""
-    return curve_sup_norms([(p, sample)])[0]
 
 
 # Newton on the extremal set: at most this many steps, ended by the second
@@ -769,7 +757,7 @@ def _newton_exchange(sample: CurveSample, n: int, opts: SolveOptions, sol: Minim
     theta = sample.thetas[near] + ((z - sample.points[near]) * tangent.conj()).real / np.abs(tangent) ** 2
     c = np.append(a, 1.0)
     s = float(np.abs(_arnoldi_jets(H, (z - center) / scale)[0] @ c).max()) ** 2
-    h = 2.0 * np.pi / sample.grid_size
+    h = 2.0 * np.pi / sample.size
     converged = small = False
     steps = 0
     while not converged and steps < _NEWTON_STEPS:

@@ -183,6 +183,20 @@ class ComplexPolynomial:
         return f"ComplexPolynomial(degree={self.degree})"
 
 
+def _faber_tail(series: LaurentSeriesAtInfinity, n: int) -> np.ndarray:
+    """The map's tail to depth n - 1, all that Fhat_0 .. Fhat_n read;
+    raises DepthExhaustionError where an inexact map stops short of it."""
+    if n < 0:
+        raise ValueError("degree must be nonnegative")
+    need = max(n - 1, 0)
+    if not series.exact and series.depth < need:
+        raise DepthExhaustionError(
+            f"map depth {series.depth} cannot give the degree-{n} Faber polynomial "
+            f"(needs depth {need})"
+        )
+    return series.truncate(need).tail
+
+
 def faber_powers(phi: LaurentSeriesAtInfinity, n: int) -> list[ComplexPolynomial]:
     """Monic Faber polynomials Fhat_0 .. Fhat_n of the map
     phi(z) = c z + a_0 + a_1/z + ..., the polynomial parts of (phi/c)^k.
@@ -193,15 +207,7 @@ def faber_powers(phi: LaurentSeriesAtInfinity, n: int) -> list[ComplexPolynomial
     next.  Exact for an exact phi at any degree.  Fhat_n needs
     a_0 .. a_(n-1), so an inexact phi must reach depth n - 1.
     """
-    if n < 0:
-        raise ValueError("degree must be nonnegative")
-    need = max(n - 1, 0)
-    if not phi.exact and phi.depth < need:
-        raise DepthExhaustionError(
-            f"phi depth {phi.depth} cannot give the degree-{n} Faber polynomial "
-            f"(needs depth {need})"
-        )
-    v = np.append(1.0, phi.truncate(need).tail / phi.leading_coefficient)[: n + 1]
+    v = np.append(1.0, _faber_tail(phi, n) / phi.leading_coefficient)[: n + 1]
     g = np.ones(1, dtype=complex)  # (1 + v)^k in powers of 1/z
     out = [ComplexPolynomial(g)]
     for k in range(1, n + 1):
@@ -226,15 +232,7 @@ def faber_recurrence(psi: LaurentSeriesAtInfinity, n: int) -> list[ComplexPolyno
     exact for an exact psi at any degree.  Fhat_n needs b_0 .. b_(n-1), so an
     inexact psi must reach depth n - 1.
     """
-    if n < 0:
-        raise ValueError("degree must be nonnegative")
-    need = max(n - 1, 0)
-    if not psi.exact and psi.depth < need:
-        raise DepthExhaustionError(
-            f"psi depth {psi.depth} cannot give the degree-{n} Faber polynomial "
-            f"(needs depth {need})"
-        )
-    b = psi.truncate(need).tail
+    b = _faber_tail(psi, n)
     g = b * psi.leading_coefficient ** np.arange(len(b))  # b_k a^k
     F = np.zeros((n + 1, n + 1), dtype=complex)  # row j: Fhat_j, ascending
     F[0, 0] = 1.0

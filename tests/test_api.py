@@ -37,7 +37,7 @@ PUBLIC = {
     "all_roots",
     "capacity_leading_coefficient",
     "chebyshev_on_points",
-    "curve_sup_norm",
+    "curve_sup_norms",
     "faber_basis",
     "faber_basis_expand",
     "faber_error_decay",

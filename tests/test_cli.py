@@ -401,6 +401,32 @@ class TestNonFiniteInput:
         assert not out.exists()
 
 
+class TestRejectedArguments:
+    @pytest.mark.parametrize("argv, message", [
+        (["faber", "--family", "lemniscate", "--P", " , ", "--n", "2"], "empty polynomial spec"),
+        (["faber", "--family-json", "missing.json", "--n", "2"], "cannot read family spec"),
+        (["invariance", "--family", "interval", "--n", "2", "--r", "1.5"],
+         "--r must give exactly two levels"),
+        (["cheb", "--family", "circle", "--r", "2", "--n", "-1"], "degree must be nonnegative"),
+        (["rivlin", "--n", "3", "--trials", "0"], "trials must be positive"),
+    ], ids=["empty-P", "unreadable-family-json", "one-invariance-level", "negative-n",
+            "no-trials"])
+    def test_exits_one_and_writes_nothing(self, tmp_path, capsys, monkeypatch, argv, message):
+        monkeypatch.chdir(tmp_path)  # the family spec path is relative to it
+        out = tmp_path / "out"
+        assert run(argv + ["-o", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert not out.exists()
+
+    def test_outdir_under_a_regular_file(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        assert run(["rivlin", "--n", "3", "--trials", "10", "--grid-M", "256",
+                    "-o", str(blocker / "out")]) == 1
+        assert capsys.readouterr().err.startswith("error writing outputs: ")
+        assert [p.name for p in tmp_path.iterdir()] == ["file"] and blocker.read_text() == ""
+
+
 class TestOutputDirEnv:
     def test_env_var_default(self, tmp_path, monkeypatch):
         monkeypatch.setenv("EQUICHEB_OUTDIR", str(tmp_path))

@@ -247,7 +247,7 @@ class TestPointsAtLevels:
         thetas, near, r, alone = [], [], [], []
         for level in levels:
             s = sample_level_curve(f, float(level), 12)
-            t = s.thetas + rng.uniform(0.0, 2.0 * np.pi / s.grid_size, s.size)
+            t = s.thetas + rng.uniform(0.0, 2.0 * np.pi / s.size, s.size)
             alone.append(points_at_angles(f, float(level), t, s.points))
             thetas.append(t)
             near.append(s.points)
@@ -322,7 +322,7 @@ def test_curve_jets_differentiate_the_continuation(name):
     # d2z/dtheta2 is the central difference of dz/dtheta
     f = GRID_FAMILIES.get(name) or Lemniscate(ComplexPolynomial([2.0, 1.0]), 1.5)
     s = sample_level_curve(f, 1.7, 60)
-    thetas = s.thetas + 0.3 * 2.0 * np.pi / s.grid_size
+    thetas = s.thetas + 0.3 * 2.0 * np.pi / s.size
     z, dz, d2z = curve_jets(f, s.r, thetas, s.points)
     direct = points_at_angles(f, s.r, thetas, s.points)
     assert z.tobytes() == direct[0].tobytes() and dz.tobytes() == direct[1].tobytes()
@@ -388,7 +388,7 @@ class TestSampling:
         # and both of its roots stay in the sample
         f = Lemniscate(ComplexPolynomial([-1.0, 0.0, 1.0]), 0.5)
         s = sample_level_curve(f, np.sqrt(2.0), 64)
-        assert s.size == s.grid_size == 64
+        assert s.size == 64
         np.testing.assert_array_equal(s.thetas, np.repeat(np.pi * np.arange(32) / 32, 2))
         assert np.sum(np.abs(s.points) < 1e-6) == 2
 
@@ -464,7 +464,7 @@ class TestSamplePointsDD:
     @staticmethod
     def defects(sample, points):
         mp = pytest.importorskip("mpmath")
-        f, N = sample.family, sample.grid_size
+        f, N = sample.family, sample.size
         out = []
         with mp.workdps(40):
             r = mp.mpf(sample.r)
@@ -529,7 +529,7 @@ class TestDegreeOneGenerators:
     @pytest.mark.parametrize("r", [1.05, 4.0])
     def test_samples_and_points_at_angles(self, family, base, scale, shift, r):
         s, t = sample_level_curve(family, r, 128), sample_level_curve(base, r, 128)
-        assert s.grid_size == t.grid_size == 128
+        assert s.size == t.size == 128
         assert np.array_equal(s.thetas, t.thetas)
         assert np.array_equal(s.points, t.points * scale + shift)
         thetas = s.thetas + 0.4 * 2.0 * np.pi / 128

@@ -30,7 +30,7 @@ def weighted_ls_monic(points, weights, n, center, scale):
     """Monic degree-n minimizer of sum_j w_j |p(z_j)|^2: the weighted
     least-squares solve in the Arnoldi basis of (z - center)/scale."""
     Q, H = minimax._arnoldi((np.asarray(points, dtype=complex) - center) / scale, n)
-    a = minimax._weighted_ls(Q[:, :n], Q[:, n], np.asarray(weights, dtype=float))
+    a = minimax._certificate(Q[:, :n], Q[:, n], np.asarray(weights, dtype=float))[0]
     return minimax._monic_polynomial(H, a, center, scale)
 
 
@@ -221,18 +221,17 @@ class TestSolveChebyshev:
         assert sol.sup_norm < curve <= np.abs(p(z)).max() * (1 + 1e-10)
 
     @pytest.mark.parametrize("keep", [
-        pytest.param(slice(None, None, 2), id="every-other-angle"),
+        pytest.param(slice(None, 7), id="one-angle-missing"),
         pytest.param(np.r_[0, 2, 1, 3:8], id="two-angles-swapped"),
     ])
     def test_scan_refuses_a_sample_off_the_grid_layout(self, keep):
-        # a grid step ends at the point at the next grid angle: a sample
-        # without one there has no grid steps to scan
+        # a grid step ends at the point at the next grid angle, 2 pi/size on:
+        # seven of eight such angles, or two swapped, leave steps without one
         r, N = 2.0, 8
         thetas = (2.0 * np.pi * np.arange(N) / N)[keep]
-        sample = CurveSample(r=r, points=r * np.exp(1j * thetas), family=Circle(1.0),
-                             thetas=thetas, grid_size=N)
+        sample = CurveSample(r=r, points=r * np.exp(1j * thetas), family=Circle(1.0), thetas=thetas)
         with pytest.raises(ValueError):
-            minimax.curve_sup_norm(ComplexPolynomial([-1.0, 0, 0, 1.0]), sample)
+            minimax.curve_sup_norms([(ComplexPolynomial([-1.0, 0, 0, 1.0]), sample)])
 
     def test_curve_maxima_bisect_off_a_zero_slope_end(self):
         # one grid step ends exactly at theta = 0, where |z^5 - r^5/2| on the
@@ -243,8 +242,7 @@ class TestSolveChebyshev:
         r, N = 2.0, 8
         h = 2.0 * np.pi / N
         thetas = 2.0 * np.pi * np.arange(N) / N - h
-        sample = CurveSample(r=r, points=r * np.exp(1j * thetas), family=Circle(1.0),
-                             thetas=thetas, grid_size=N)
+        sample = CurveSample(r=r, points=r * np.exp(1j * thetas), family=Circle(1.0), thetas=thetas)
         p = ComplexPolynomial([-(r ** 5) / 2, 0, 0, 0, 0, 1.0])
         z = minimax._curve_maxima([(p, sample)])[0]
         in_step = z[np.abs(np.angle(z) + np.pi / 5).argmin()]
@@ -276,8 +274,7 @@ class TestSolveChebyshev:
         # |z^5 - r^5/2| on |z| = r has its maxima 1.5 r^5 at pi/5 + 2 pi j/5
         r = 2.0
         thetas = 2.0 * np.pi * np.arange(N) / N - shift
-        sample = CurveSample(r=r, points=r * np.exp(1j * thetas), family=Circle(1.0),
-                             thetas=thetas, grid_size=N)
+        sample = CurveSample(r=r, points=r * np.exp(1j * thetas), family=Circle(1.0), thetas=thetas)
         p = ComplexPolynomial([-(r ** 5) / 2, 0, 0, 0, 0, 1.0])
         z = minimax._curve_maxima([(p, sample)])[0]
         near = np.abs(np.angle(z) - target) <= 1e-6
@@ -590,7 +587,7 @@ class TestBatchedCurveScan:
         rng = np.random.default_rng(8)
         pairs = [(self.random_poly(rng, n), sample_level_curve(BERNOULLI, r, 512))
                  for n, r in [(3, 2.0), (5, 4.0), (5, 2.0)]]
-        assert minimax.curve_sup_norms(pairs) == [minimax.curve_sup_norm(p, s) for p, s in pairs]
+        assert minimax.curve_sup_norms(pairs) == [minimax.curve_sup_norms([pair])[0] for pair in pairs]
 
 
 class TestScanStops:
@@ -904,6 +901,70 @@ class TestStartCertificate:
         sol = chebyshev_on_points(np.repeat([-2.0, -1.0, 0.0], [3, 4, 3]), 2)
         assert sol.converged and sol.iterations > 1
         np.testing.assert_allclose(sol.polynomial.coeffs, [0.5, 2.0, 1.0], rtol=0, atol=1e-9)
+
+
+class TestSolverRefusals:
+    """Safety branches of the curve start and of Newton's exchange that no
+    solve in the suite or the default sweep reaches: a constant or a helper
+    is patched, or the helper is called on inputs no solve hands it."""
+
+    @staticmethod
+    def bernoulli_solve():
+        """Sample, discrete solution, basis and curve maxima of Bernoulli's
+        lemniscate at n = 3, r = 1.2, where Newton ends the exchange."""
+        sample = sample_level_curve(BERNOULLI, 1.2, 512)
+        sol, basis = minimax._solve_on_points(sample.points, 3, SolveOptions(), sample)
+        assert sol.exchange == "none" and sol.converged
+        return sample, sol, basis, minimax._curve_maxima([(sol.polynomial, sample)])[0]
+
+    def test_precision_limited_start_is_not_certified_on_the_curve(self, monkeypatch):
+        # the interval at n = 3, r = 1.5 is a one-step "start" solve; with a
+        # budget no double solve meets, the curve start refuses the start
+        # after its gate and the solve is refined in double-double instead
+        sample = sample_level_curve(Interval(), 1.5, 512)
+        assert solve_chebyshev(sample, 3).exchange == "start"
+        starts, curve_start = [], minimax._curve_start
+        monkeypatch.setattr(minimax, "_ROOT_ACCURACY_BUDGET", 1e-20)
+        monkeypatch.setattr(minimax, "_curve_start",
+                            lambda *args: starts.append(curve_start(*args)) or starts[-1])
+        sol = solve_chebyshev(sample, 3)
+        assert starts == [None]
+        assert sol.precision_limited and sol.converged
+        assert sol.exchange == "none" and sol.iterations > 1
+
+    @pytest.mark.parametrize("z", [
+        pytest.param(lambda s: np.full(4, s.points[0]), id="one-point-four-times"),
+        pytest.param(lambda s: s.points[:2], id="two-points"),
+    ])
+    def test_curve_certificate_refuses_points_pinning_too_few_values(self, z):
+        # n = 3 coefficients and fewer distinct curve points: even an
+        # infinite tolerance, which passes any gap, refuses weights that
+        # cannot pin the coefficients
+        sample, _, basis, _ = self.bernoulli_solve()
+        points = z(sample)
+        lam = np.full(len(points), 1.0 / len(points))
+        c = np.append(basis[3], 1.0)
+        assert minimax._curve_certificate(basis, c, points, lam, np.inf) is None
+        four = sample.points[:: len(sample.points) // 4]
+        assert minimax._curve_certificate(basis, c, four, np.full(4, 0.25), np.inf, iterations=1)
+
+    def test_newton_refuses_fewer_maxima_than_coefficients(self):
+        # n + 1 extremal points at least fix the n coefficients and the sup;
+        # given n maxima Newton takes no step
+        sample, sol, basis, maxima = self.bernoulli_solve()
+        assert minimax._newton_exchange(sample, 3, SolveOptions(), sol, basis, maxima)[0] is not None
+        assert minimax._newton_exchange(sample, 3, SolveOptions(), sol, basis, maxima[:3]) == (None, 0)
+
+    def test_newton_refuses_a_singular_jacobian(self, monkeypatch):
+        sample, sol, basis, maxima = self.bernoulli_solve()
+        kkt = minimax._kkt_system
+
+        def singular(*args):
+            res, jac = kkt(*args)
+            return res, np.zeros_like(jac)
+
+        monkeypatch.setattr(minimax, "_kkt_system", singular)
+        assert minimax._newton_exchange(sample, 3, SolveOptions(), sol, basis, maxima) == (None, 1)
 
 
 def test_binomial_table_built_once_per_degree():

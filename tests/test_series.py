@@ -247,7 +247,7 @@ class TestFaberRecurrence:
         want = faber_recurrence(exact, 4)
         for p, q in zip(got, want):
             assert np.array_equal(p.coeffs, q.coeffs)
-        with pytest.raises(DepthExhaustionError):
+        with pytest.raises(DepthExhaustionError, match=r"map depth 3 .*needs depth 4"):
             faber_recurrence(inexact, 5)
 
     def test_against_mpmath_reference(self):
@@ -311,7 +311,7 @@ class TestFaberPowers:
         want = faber_powers(exact, 4)
         for p, q in zip(got, want):
             assert np.array_equal(p.coeffs, q.coeffs)
-        with pytest.raises(DepthExhaustionError):
+        with pytest.raises(DepthExhaustionError, match=r"map depth 3 .*needs depth 4"):
             faber_powers(inexact, 5)
         assert len(faber_powers(exact, 9)) == 10
 
