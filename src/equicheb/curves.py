@@ -232,14 +232,15 @@ class CurveSample:
         period 2 pi/m.  Computed once, read-only."""
         m = _preimage(self.family)[0].degree
         period = self.size // m
-        first = self.thetas[::m]
-        steps = np.rint((first - first[0]) * (self.size / (2.0 * np.pi)))
+        first, h = self.thetas[::m], 2.0 * np.pi / self.size
+        # each angle's offset from the first is its multiple of the grid step
+        # h, to rounding: 1e-9 h, far below any offset a misplaced angle has
         if (len(first) != period or (self.thetas != np.repeat(first, m)).any()
-                or (steps != np.arange(period)).any()):
+                or not (np.abs(first - first[0] - h * np.arange(period)) <= 1e-9 * h).all()):
             raise ValueError("a curve scan needs m points at each of size/m consecutive grid angles")
         z, dz = self.grid_steps
         following = (np.arange(self.size) // m + 1) % period * m  # the next angle's first point
-        end = z + (2.0 * np.pi / self.size) * dz
+        end = z + h * dz
         out = following + np.abs(z[following[:, None] + np.arange(m)] - end[:, None]).argmin(axis=1)
         out.flags.writeable = False
         return out

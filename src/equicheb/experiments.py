@@ -26,11 +26,18 @@ from .curves import (
     phi_series,
     sample_level_curve,
 )
-from .minimax import MinimaxSolution, SolveOptions, curve_sup_norms, solve_chebyshev
-from .rootfind import RootFindingError, RootSet, all_roots
+from .minimax import (
+    MinimaxSolution,
+    SolveOptions,
+    curve_sup_norms,
+    solve_chebyshev,
+    solve_chebyshev_batch,
+)
+from .rootfind import RootSet, all_roots, all_roots_batch
 from .series import ComplexPolynomial, faber_basis_expand, monic_faber
 
-# phi_series and monic_faber are unused here but stay bound: perfbench patches them by name
+# phi_series, monic_faber and all_roots are unused here but stay bound: perfbench
+# patches them by name
 
 __all__ = [
     "ExperimentError",
@@ -433,7 +440,9 @@ def zero_trajectories(
 ) -> TrajectorySet:
     """Track the zeros of the level-curve Chebyshev polynomials across r.
 
-    Solves per level, finds all roots, and continues trajectories by
+    Solves the levels as one batch (``solve_chebyshev_batch``), finds the
+    roots of every converged solution and of the monic Faber polynomial
+    as one batch (``all_roots_batch``), and continues trajectories by
     bijective nearest-neighbor matching between consecutive root sets.  A
     matching step whose displacement exceeds a quarter of the minimal
     inter-root gap is flagged (grid too coarse there), not fatal.
@@ -447,27 +456,16 @@ def zero_trajectories(
     if n < 1:
         raise ValueError("degree must be at least 1")
     r_values = np.asarray(sorted(float(r) for r in r_grid))
-    root_sets: List[Optional[RootSet]] = []
-    limited = np.zeros(len(r_values), dtype=bool)
-    succ_roots = []
-    succ_r = []
-    for i, r in enumerate(r_values):
-        sample = _experiment_sample(f, r, n, M)
-        sol = solve_chebyshev(sample, n, opts)
-        limited[i] = sol.precision_limited
-        rs = None
-        if sol.converged:
-            try:
-                rs = all_roots(sol.polynomial)
-            except RootFindingError:
-                pass  # a gap, as for an unconverged solve
-        root_sets.append(rs)
-        if rs is None:
-            continue
-        succ_roots.append(rs.roots)
-        succ_r.append(r)
-    if not succ_roots:
+    sols = solve_chebyshev_batch((_experiment_sample(f, r, n, M) for r in r_values), n, opts)
+    polys = [sol.polynomial for sol in sols if sol.converged]
+    # a row whose root-finding budget runs out is None: a gap
+    *found, faber_roots = all_roots_batch(polys + [faber_basis(f, n)[n]])
+    found = iter(found)
+    root_sets: List[Optional[RootSet]] = [next(found) if sol.converged else None for sol in sols]
+    succ = [i for i, rs in enumerate(root_sets) if rs is not None]
+    if not succ:
         raise ExperimentError("no level produced a converged solve", n=n)
+    succ_roots = [root_sets[i].roots for i in succ]
     steps = len(succ_roots)
     traj = np.zeros((n, steps), dtype=complex)
     traj[:, 0] = succ_roots[0]
@@ -480,11 +478,8 @@ def zero_trajectories(
         np.fill_diagonal(gaps, np.inf)
         min_gap = float(gaps.min())
         flagged[s - 1] = bool(dists.max() > 0.25 * min_gap)
-    fhat = faber_basis(f, n)[n]
-    try:
-        faber_roots = all_roots(fhat)
-    except RootFindingError as e:
-        raise ExperimentError("could not locate the Faber polynomial roots", n=n) from e
+    if faber_roots is None:
+        raise ExperimentError("could not locate the Faber polynomial roots", n=n)
     _, terminal = greedy_bijective_match(traj[:, -1], faber_roots.roots)
     return TrajectorySet(
         family=f,
@@ -492,11 +487,11 @@ def zero_trajectories(
         r_grid=r_values,
         root_sets=root_sets,
         trajectories=traj,
-        successful_r=np.asarray(succ_r),
+        successful_r=r_values[succ],
         step_flagged=flagged,
         faber_roots=faber_roots,
         terminal_distances=terminal,
-        precision_limited=limited,
+        precision_limited=np.array([sol.precision_limited for sol in sols], dtype=bool),
     )
 
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import accumulate
 from math import comb
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -47,6 +47,7 @@ __all__ = [
     "MinimaxSolution",
     "chebyshev_on_points",
     "solve_chebyshev",
+    "solve_chebyshev_batch",
     "curve_sup_norms",
 ]
 
@@ -221,6 +222,7 @@ def _arnoldi(zeta: np.ndarray, n: int):
     M = len(zeta)
     Q = np.ones((n + 1, M), dtype=complex)
     H = np.zeros((n + 1, n), dtype=complex)
+    breakdown = 1e-12 * np.abs(zeta).max()
     for k in range(n):
         q = zeta * Q[k]
         for _ in range(2):  # Gram-Schmidt twice keeps Q orthogonal to rounding
@@ -228,10 +230,20 @@ def _arnoldi(zeta: np.ndarray, n: int):
             q -= h @ Q[: k + 1]
             H[: k + 1, k] += h
         H[k + 1, k] = np.linalg.norm(q) / np.sqrt(M)
-        if not H[k + 1, k].real > 1e-12 * np.abs(zeta).max():
+        if not H[k + 1, k].real > breakdown:
             raise RankDeficiencyError(f"the points take fewer than {n + 1} distinct values")
         Q[k + 1] = q / H[k + 1, k]
     return Q.T, H
+
+
+def _points_basis(points: np.ndarray, n: int):
+    """(Q, H, center, scale): ``_arnoldi`` of the points centered on their
+    mean and scaled into the unit disk."""
+    center = complex(points.mean())
+    scale = float(np.abs(points - center).max())
+    if scale == 0:
+        raise RankDeficiencyError("all points coincide")
+    return (*_arnoldi((points - center) / scale, n), center, scale)
 
 
 def _monic_polynomial(H: np.ndarray, a: np.ndarray, center: complex, scale: float) -> ComplexPolynomial:
@@ -428,11 +440,7 @@ def _solve_on_points(points: np.ndarray, n: int, opts: SolveOptions,
     there has ``exchange="start"``.  Otherwise the interior point takes its
     steps, as if no test had been made.
     """
-    center = complex(points.mean())
-    scale = float(np.abs(points - center).max())
-    if scale == 0:
-        raise RankDeficiencyError("all points coincide")
-    Q, H = _arnoldi((points - center) / scale, n)
+    Q, H, center, scale = _points_basis(points, n)
     B, b = Q[:, :n], Q[:, n]
     a, top = np.zeros(n, dtype=complex), float(np.abs(b).max())
     extremal = _extremal_weights(np.abs(b), top, n, opts.tol_rel)
@@ -784,6 +792,40 @@ def _newton_exchange(sample: CurveSample, n: int, opts: SolveOptions, sol: Minim
                               exchange="newton", newton_steps=steps), steps
 
 
+def _exceeds(sol: MinimaxSolution, maxima: np.ndarray, tol_rel: float) -> bool:
+    """Whether |p| at any of the curve ``maxima`` exceeds the solution's
+    ``sup_norm`` by more than ``tol_rel``: the exchange's test."""
+    return bool((np.abs(sol.polynomial(maxima)) > sol.sup_norm * (1.0 + tol_rel)).any())
+
+
+def _curve_exchange(sample: CurveSample, n: int, opts: SolveOptions, sol: MinimaxSolution,
+                    a: np.ndarray, maxima: np.ndarray) -> MinimaxSolution:
+    """The exchange loop of ``solve_chebyshev`` from the discrete solution
+    ``sol`` on the sample, with coefficients ``a`` in the Arnoldi basis of
+    the sample, and the ``maxima`` of its first scan.  The basis is built
+    again here, with the bits the discrete solve's had."""
+    Q, H, center, scale = _points_basis(sample.points, n)
+    basis = (sample.points, Q, H, a, center, scale)
+    steps, newton_steps, resolves, candidate = sol.iterations, 0, 0, sol
+    while candidate.converged and _exceeds(candidate, maxima, opts.tol_rel):
+        if candidate is sol:
+            sol_maxima = maxima
+            candidate, k = _newton_exchange(sample, n, opts, sol, basis, maxima)
+            newton_steps += k
+            if candidate is not None:
+                maxima = _curve_maxima([(candidate.polynomial, sample)])[0]
+                continue
+        if resolves == _EXCHANGE_ROUNDS:
+            candidate = sol = replace(sol, converged=False)
+            break
+        sol, basis = _solve_on_points(np.concatenate([basis[0], sol_maxima]), n, opts)
+        candidate, steps, resolves = sol, steps + sol.iterations, resolves + 1
+        if sol.converged:
+            maxima = _curve_maxima([(sol.polynomial, sample)])[0]
+    return replace(candidate, iterations=steps, newton_steps=newton_steps,
+                   exchange="resolve" if candidate is sol and resolves else candidate.exchange)
+
+
 def solve_chebyshev(
     sample: CurveSample, n: int, opts: SolveOptions | None = None
 ) -> MinimaxSolution:
@@ -825,35 +867,50 @@ def solve_chebyshev(
     accuracy on the sample placed exactly on the curve.  The same rule with
     the double-double resolution eps^2 in place of eps marks where that
     refinement runs out too; such a solve returns ``converged=False``.
+
+    This is ``solve_chebyshev_batch`` on one sample: a level solved in a
+    batch gets the same bits.
+    """
+    return solve_chebyshev_batch([sample], n, opts)[0]
+
+
+def solve_chebyshev_batch(samples: Iterable[CurveSample], n: int,
+                          opts: SolveOptions | None = None) -> list[MinimaxSolution]:
+    """``solve_chebyshev`` at degree n on each of ``samples``, levels of one
+    family, with the solutions in their order.
+
+    The discrete solve of each level runs in turn, refined in double-double
+    where it is precision-limited.  Then one curve scan (``_curve_maxima``)
+    tests every discrete solution that the exchange tests, and the exchange
+    (``_curve_exchange``) runs only on those it refuses.  Each level's
+    solution has the bits of its own ``solve_chebyshev`` call.  The
+    samples are read one at a time, and only a level that waits for the
+    scan keeps its sample and its coefficients; its Arnoldi basis is built
+    again (the same bits) only where the scan refuses it.  Raises
+    ValueError where levels that the scan tests are of more than one
+    family.
     """
     opts = opts or SolveOptions()
-    sol, basis = _solve_on_points(sample.points, n, opts, sample)
-    if sol.exchange == "start":
-        return sol
-    if _precision_limited(sol.sup_norm, sample.family, n, np.finfo(float).eps):
-        poly = _refine_dd(sample_points_dd(sample), sol.weights, n, complex(sample.points.mean()))
-        return replace(
-            sol,
-            polynomial=poly,
-            sup_norm=float(np.abs(poly(sample.points)).max()),
-            converged=sol.converged and not _precision_limited(sol.sup_norm, sample.family, n, _DD_EPS),
-            precision_limited=True,
-        )
-    steps, newton_steps, resolves, candidate = sol.iterations, 0, 0, sol
-    while candidate.converged:
-        maxima = _curve_maxima([(candidate.polynomial, sample)])[0]
-        if not (np.abs(candidate.polynomial(maxima)) > candidate.sup_norm * (1.0 + opts.tol_rel)).any():
-            break
-        if candidate is sol:
-            sol_maxima = maxima
-            candidate, k = _newton_exchange(sample, n, opts, sol, basis, maxima)
-            newton_steps += k
-            if candidate is not None:
-                continue
-        if resolves == _EXCHANGE_ROUNDS:
-            candidate = sol = replace(sol, converged=False)
-            break
-        sol, basis = _solve_on_points(np.concatenate([basis[0], sol_maxima]), n, opts)
-        candidate, steps, resolves = sol, steps + sol.iterations, resolves + 1
-    return replace(candidate, iterations=steps, newton_steps=newton_steps,
-                   exchange="resolve" if candidate is sol and resolves else candidate.exchange)
+    sols, waiting = [], []
+    for sample in samples:
+        # of the basis only the coefficients a are kept: no level holds its Q
+        sol, (*_, a, _, _) = _solve_on_points(sample.points, n, opts, sample)
+        if sol.exchange != "start":
+            if _precision_limited(sol.sup_norm, sample.family, n, np.finfo(float).eps):
+                poly = _refine_dd(sample_points_dd(sample), sol.weights, n, complex(sample.points.mean()))
+                sol = replace(
+                    sol,
+                    polynomial=poly,
+                    sup_norm=float(np.abs(poly(sample.points)).max()),
+                    converged=sol.converged
+                    and not _precision_limited(sol.sup_norm, sample.family, n, _DD_EPS),
+                    precision_limited=True,
+                )
+            elif sol.converged:
+                waiting.append((len(sols), sample, a))
+        sols.append(sol)
+    scans = _curve_maxima([(sols[i].polynomial, sample) for i, sample, _ in waiting])
+    for (i, sample, a), maxima in zip(waiting, scans):
+        if _exceeds(sols[i], maxima, opts.tol_rel):
+            sols[i] = _curve_exchange(sample, n, opts, sols[i], a, maxima)
+    return sols

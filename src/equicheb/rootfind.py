@@ -24,12 +24,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Sequence
 
 import numpy as np
 
 from .series import ComplexPolynomial, horner
 
-__all__ = ["RootSet", "RootFindingError", "all_roots"]
+__all__ = ["RootSet", "RootFindingError", "all_roots", "all_roots_batch"]
 
 # fixed irrational angular offset of the start spread, breaks symmetry ties
 _ANGLE_OFFSET = 0.5 * np.sqrt(2.0)
@@ -201,23 +202,42 @@ def all_roots(p: ComplexPolynomial) -> RootSet:
     (module docstring); multiple roots stop by the second test.
     Deterministic for fixed p.  Raises ValueError for a coefficient,
     or a coefficient divided by the leading one, that is not finite, and
-    RootFindingError if the budget runs out.
+    RootFindingError if the budget runs out.  This is ``all_roots_batch``
+    on one polynomial.
     """
-    coeffs = np.asarray(p.coeffs, dtype=complex)
-    deg = p.degree
+    (roots,) = all_roots_batch([p])
+    if roots is None:
+        raise RootFindingError(f"no convergence within {_MAX_ITER} iterations (degree {p.degree})")
+    return roots
+
+
+def all_roots_batch(polys: Sequence[ComplexPolynomial]) -> list[RootSet | None]:
+    """``all_roots`` of each polynomial of a batch of one degree, in one
+    Aberth iteration whose rows each get the bits of their own call
+    (``_aberth_batch``); degree 1 in closed form.  A row whose budget runs
+    out is None, a gap, and the other rows still finish.  Raises
+    ValueError as ``all_roots`` does, for any row, and for polynomials of
+    more than one degree.
+    """
+    if not polys:
+        return []
+    deg = polys[0].degree
+    if any(p.degree != deg for p in polys):
+        raise ValueError("a root batch takes polynomials of one degree")
     if deg < 1:
         raise ValueError("degree must be at least 1")
-    if coeffs[-1] == 0:
+    rows = np.array([p.coeffs for p in polys], dtype=complex)
+    if (rows[:, -1] == 0).any():
         raise ValueError("leading coefficient must be nonzero")
+    iters, conv = np.zeros(len(rows), dtype=int), np.ones(len(rows), dtype=bool)
     if deg == 1:
-        _monic_rows(coeffs[None, :])
-        root = np.array([-coeffs[0] / coeffs[1]])
-        return RootSet(root, np.abs(p(root)), iterations=0)
-    z, iters, conv = _aberth_batch(coeffs[None, :])
-    if not conv[0]:
-        raise RootFindingError(f"no convergence within {_MAX_ITER} iterations (degree {deg})")
-    roots = _sort_roots(z[0])
-    return RootSet(roots, np.abs(p(roots)), iterations=int(iters[0]))
+        _monic_rows(rows)
+        roots = -rows[:, :1] / rows[:, 1:]
+    else:
+        z, iters, conv = _aberth_batch(rows)
+        roots = _sort_roots(z)
+    return [RootSet(row, np.abs(p(row)), iterations=int(k)) if ok else None
+            for p, row, k, ok in zip(polys, roots, iters, conv)]
 
 
 def roots_after_constant_shifts(base: ComplexPolynomial, targets: np.ndarray):

@@ -78,6 +78,7 @@ def test_package_names_match_the_list():
 PATCHED_IMPORTS = {
     ("experiments", "phi_series"),
     ("experiments", "monic_faber"),
+    ("experiments", "all_roots"),
     ("minimax", "sample_level_curve"),
 }
 

@@ -225,7 +225,7 @@ class TestZerosCommand:
     def test_degree_zero_refused_before_solving(self, tmp_path, capsys, monkeypatch):
         # a constant has no zeros: refused before the first level is solved
         solved = []
-        monkeypatch.setattr(experiments, "solve_chebyshev", lambda *a, **k: solved.append(a))
+        monkeypatch.setattr(experiments, "solve_chebyshev_batch", lambda *a, **k: solved.append(a))
         out = tmp_path / "out"
         argv = ["zeros", "--family", "lemniscate", "--P", "1,0,-1", "--n", "0",
                 "--M", "64", "--r-grid", "1.5,2", "-o", str(out)]

@@ -284,30 +284,25 @@ class TestTrajectories:
         assert rep.terminal_distances.max() < 1e-3
 
     def test_root_finder_failure(self, monkeypatch):
-        # a level whose roots cannot be certified is a gap; the Faber roots
-        # are required
+        # a level whose roots cannot be certified is a gap; the Faber roots,
+        # the last row of the root batch, are required
         from equicheb import experiments
-        from equicheb.rootfind import RootFindingError, all_roots
-
-        calls = []
+        from equicheb.rootfind import all_roots_batch
 
         def failing_on(k):
-            def find(p):
-                calls.append(p)
-                if len(calls) == k:
-                    raise RootFindingError("budget exhausted")
-                return all_roots(p)
+            def find(polys):
+                found = all_roots_batch(polys)
+                found[k] = None
+                return found
             return find
 
-        monkeypatch.setattr(experiments, "all_roots", failing_on(2))
+        monkeypatch.setattr(experiments, "all_roots_batch", failing_on(1))
         rep = zero_trajectories(BERNOULLI, 2, [1.5, 2.0, 3.0], opts=FAST, M=128)
         assert rep.root_sets[1] is None
         assert rep.successful_r.tolist() == [1.5, 3.0]
-        calls.clear()
-        monkeypatch.setattr(experiments, "all_roots", failing_on(4))
-        with pytest.raises(ExperimentError, match="Faber") as exc:
+        monkeypatch.setattr(experiments, "all_roots_batch", failing_on(-1))
+        with pytest.raises(ExperimentError, match="Faber"):
             zero_trajectories(BERNOULLI, 2, [1.5, 2.0, 3.0], opts=FAST, M=128)
-        assert isinstance(exc.value.__cause__, RootFindingError)
 
     def test_default_settings_converge_at_low_levels(self):
         # criterion 9's two lowest levels, where T_21 is hardest to certify:

@@ -220,18 +220,22 @@ class TestSolveChebyshev:
         curve = np.abs(p(sample_level_curve(family, r, 2 ** 14).points)).max()
         assert sol.sup_norm < curve <= np.abs(p(z)).max() * (1 + 1e-10)
 
-    @pytest.mark.parametrize("keep", [
-        pytest.param(slice(None, 7), id="one-angle-missing"),
-        pytest.param(np.r_[0, 2, 1, 3:8], id="two-angles-swapped"),
+    @pytest.mark.parametrize("N, keep", [
+        pytest.param(8, slice(None, 7), id="one-angle-missing"),
+        pytest.param(8, np.r_[0, 2, 1, 3:8], id="two-angles-swapped"),
+        # five angles 4 pi/9 apart, each within half a 2 pi/5 step of that
+        # grid: on them the scan measured 47.35 for |z^5 - 16|, sup 48
+        pytest.param(9, slice(None, None, 2), id="every-other-of-nine"),
     ])
-    def test_scan_refuses_a_sample_off_the_grid_layout(self, keep):
+    def test_scan_refuses_a_sample_off_the_grid_layout(self, N, keep):
         # a grid step ends at the point at the next grid angle, 2 pi/size on:
-        # seven of eight such angles, or two swapped, leave steps without one
-        r, N = 2.0, 8
+        # seven of eight such angles, two swapped, or angles off the grid
+        # leave steps without one
+        r = 2.0
         thetas = (2.0 * np.pi * np.arange(N) / N)[keep]
         sample = CurveSample(r=r, points=r * np.exp(1j * thetas), family=Circle(1.0), thetas=thetas)
         with pytest.raises(ValueError):
-            minimax.curve_sup_norms([(ComplexPolynomial([-1.0, 0, 0, 1.0]), sample)])
+            minimax.curve_sup_norms([(ComplexPolynomial([-16.0, 0, 0, 0, 0, 1.0]), sample)])
 
     def test_curve_maxima_bisect_off_a_zero_slope_end(self):
         # one grid step ends exactly at theta = 0, where |z^5 - r^5/2| on the
@@ -421,7 +425,8 @@ class TestSolveChebyshev:
         # with Newton refused at once, it is still tried after each discrete
         # solve that leaves a maximum above the tolerance, from that solve
         # and its basis: the first solve and every re-solve but the last,
-        # which the tolerance ends
+        # which the tolerance ends.  The first solve's basis is built again
+        # for the exchange, with the same bits
         solves, tried = [], []
         solve_on_points = minimax._solve_on_points
 
@@ -439,7 +444,8 @@ class TestSolveChebyshev:
         assert sol.converged and sol.exchange == "resolve" and sol.newton_steps == 0
         assert len(solves) >= 2
         assert len(tried) == len(solves) - 1
-        assert all(got is s and got_basis is b for (got, got_basis), (s, b) in zip(tried, solves))
+        assert all(got is s and all(np.array_equal(x, y) for x, y in zip(got_basis, b))
+                   for (got, got_basis), (s, b) in zip(tried, solves))
 
     @pytest.mark.parametrize("n", [3, 5, 6, 7])
     @pytest.mark.parametrize("r", [1.5, 2.0])
@@ -588,6 +594,61 @@ class TestBatchedCurveScan:
         pairs = [(self.random_poly(rng, n), sample_level_curve(BERNOULLI, r, 512))
                  for n, r in [(3, 2.0), (5, 4.0), (5, 2.0)]]
         assert minimax.curve_sup_norms(pairs) == [minimax.curve_sup_norms([pair])[0] for pair in pairs]
+
+
+def solution_bits(sol):
+    return (sol.polynomial.coeffs.tobytes(), repr(sol.sup_norm), sol.weights.tobytes(), sol.iterations,
+            sol.exchange, sol.newton_steps, sol.precision_limited, sol.converged,
+            repr(sol.equioscillation_gap))
+
+
+def solve_path(sol):
+    if not sol.converged:
+        return "unconverged"
+    return "precision-limited" if sol.precision_limited else sol.exchange
+
+
+CRITERION_9 = [*np.geomspace(1.05, 8.0, 24), 32.0]  # r = 32: beyond double-double too
+
+
+class TestSolveBatch:
+    """A batch of levels of one family gives each level the solution that a
+    solve_chebyshev call of its own gives, bit for bit."""
+
+    @pytest.mark.parametrize("family, n, levels, M, opts, paths", [
+        pytest.param(BERNOULLI, 21, CRITERION_9, 512, SolveOptions(5e-4, 4000),
+                     {"none", "precision-limited", "unconverged"}, id="criterion-9-tol-5e-4"),
+        pytest.param(BERNOULLI, 21, CRITERION_9, 512, SolveOptions(),
+                     {"none", "newton", "precision-limited", "unconverged"}, id="criterion-9-defaults"),
+        pytest.param(Interval(), 5, [1.05, 2.0], 256, SolveOptions(), {"start"}, id="interval-start"),
+        pytest.param(InversePolynomialImage(ComplexPolynomial([-3.0, 0.0, 1.0])), 15, [1.05, 1.22], 256,
+                     SolveOptions(), {"resolve", "newton"}, id="preimage-resolve"),
+    ])
+    def test_each_level_gets_its_own_solve(self, family, n, levels, M, opts, paths):
+        samples = [sample_level_curve(family, r, M) for r in levels]
+        batch = minimax.solve_chebyshev_batch((sample for sample in samples), n, opts)
+        alone = [solve_chebyshev(sample, n, opts) for sample in samples]
+        assert [solution_bits(sol) for sol in batch] == [solution_bits(sol) for sol in alone]
+        assert {solve_path(sol) for sol in alone} == paths
+
+    def test_one_scan_tests_every_waiting_level(self, monkeypatch):
+        # criterion 9's levels at the workload's tolerance: the 16 levels
+        # that neither start nor refine are tested by one curve scan
+        scans = []
+        curve_maxima = minimax._curve_maxima
+
+        def counted(pairs):
+            scans.append(len(pairs))
+            return curve_maxima(pairs)
+
+        monkeypatch.setattr(minimax, "_curve_maxima", counted)
+        samples = [sample_level_curve(BERNOULLI, r, 512) for r in np.geomspace(1.05, 8.0, 24)]
+        sols = minimax.solve_chebyshev_batch(samples, 21, SolveOptions(5e-4, 4000))
+        assert scans == [16]
+        assert sum(sol.exchange == "none" and not sol.precision_limited for sol in sols) == 16
+
+    def test_empty_batch(self):
+        assert minimax.solve_chebyshev_batch([], 3) == []
 
 
 class TestScanStops:

@@ -7,8 +7,10 @@ from equicheb.rootfind import (
     _aberth_batch,
     _sort_roots,
     all_roots,
+    all_roots_batch,
     roots_after_constant_shifts,
 )
+from equicheb import rootfind
 from equicheb.series import ComplexPolynomial, horner
 
 
@@ -266,6 +268,42 @@ class TestBatch:
         for i in range(len(rows)):
             order = np.lexsort((np.abs(roots[i]), np.angle(roots[i])))
             assert ordered[i].tobytes() == roots[i][order].tobytes()
+
+    @staticmethod
+    def root_bits(rs):
+        return rs.roots.tobytes(), rs.residuals.tobytes(), rs.iterations
+
+    def test_polynomial_batch_matches_all_roots(self, monkeypatch):
+        # roots 1e-4 ... 1e4 take Aberth 4 steps from the companion
+        # eigenvalues, the random rows 2; with a budget of 3 that row is a
+        # gap and the others finish with the bits all_roots gives them
+        rng = np.random.default_rng(4)
+        spread = from_roots(10.0 ** np.arange(-4, 5))
+        polys = [ComplexPolynomial(np.append(rng.standard_normal(9) + 1j * rng.standard_normal(9), 1.0))
+                 for _ in range(3)]
+        polys.insert(1, spread)
+        linear = [ComplexPolynomial([2.0 - 1.0j, 3.0j]), ComplexPolynomial([1e-300, 7.0]),
+                  ComplexPolynomial([-0.5, 1.0])]
+        for rows in (polys, linear):
+            assert [self.root_bits(rs) for rs in all_roots_batch(rows)] == \
+                [self.root_bits(all_roots(p)) for p in rows]
+        assert all_roots(spread).iterations == 4
+        monkeypatch.setattr(rootfind, "_MAX_ITER", 3)
+        batch = all_roots_batch(polys)
+        assert batch[1] is None
+        with pytest.raises(RootFindingError):
+            all_roots(spread)
+        assert [self.root_bits(batch[i]) for i in (0, 2, 3)] == \
+            [self.root_bits(all_roots(polys[i])) for i in (0, 2, 3)]
+
+    def test_polynomial_batch_refusals(self):
+        assert all_roots_batch([]) == []
+        with pytest.raises(ValueError, match="one degree"):
+            all_roots_batch([ComplexPolynomial([1.0, 1.0]), ComplexPolynomial([1.0, 0.0, 1.0])])
+        with pytest.raises(ValueError, match="at least 1"):
+            all_roots_batch([ComplexPolynomial([2.0])])
+        with pytest.raises(ValueError, match="finite"):
+            all_roots_batch([ComplexPolynomial([1.0, 1.0]), ComplexPolynomial([np.nan, 1.0])])
 
     @pytest.mark.filterwarnings("error")
     def test_critical_value_target(self):
