@@ -17,7 +17,6 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from . import dd
 from .rootfind import roots_after_constant_shifts
 from .series import (
     ComplexPolynomial,
@@ -38,7 +37,6 @@ __all__ = [
     "phi_series",
     "faber_basis",
     "sample_level_curve",
-    "sample_points_dd",
     "points_at_angles",
     "curve_jets",
     "joukowski",
@@ -351,13 +349,6 @@ def faber_basis(f: CurveFamily, n: int) -> list[ComplexPolynomial]:
     return faber_recurrence(f.psi, n)
 
 
-def _map_points_dd(psi: LaurentSeriesAtInfinity, unit: dd.DD, r) -> dd.DD:
-    """psi(r * unit) in double-double for |unit| = 1 and r > 0 (double or
-    DD), where 1/w = conj(unit)/r."""
-    tail = dd.polyval(psi.tail, unit.conj() * dd.recip(r))
-    return unit * r * psi.leading_coefficient + tail
-
-
 # -- sampling ----------------------------------------------------------------
 
 
@@ -385,34 +376,6 @@ def sample_level_curve(f: CurveFamily, r: float, M: int) -> CurveSample:
     return CurveSample(r=float(r), points=points, family=f, thetas=np.repeat(thetas, m))
 
 
-def sample_points_dd(sample: CurveSample) -> dd.DD:
-    """The sample's points to double-double accuracy, on L_r and at exactly
-    equispaced map angles 2 pi k / size.
-
-    Double sampling leaves points about 1e-15 relative off the curve and
-    off their angles, too coarse for polynomials whose values on the curve
-    reach 1e16 and more: both the curve and the equal spacing (which makes
-    uniform weights an exact quadrature of the harmonic measure) must
-    hold to the digits the solution needs.  The targets psi(r^m e^(i m theta))
-    are formed in double-double; a degree-1 P is solved in closed form, and
-    otherwise one Newton step from the double roots, whose quadratic
-    convergence takes their 1e-16 relative error to about 1e-32.
-    """
-    r, N = sample.r, sample.size
-    P, psi = _preimage(sample.family)
-    m = P.degree
-    k = np.rint(sample.thetas * (N / (2.0 * np.pi))).astype(np.int64)
-    rho = dd.DD(r)
-    for _ in range(m - 1):
-        rho = rho * r
-    target = _map_points_dd(psi, dd.roots_of_unity(N)[(m * k) % N], rho)
-    if m == 1:
-        return (target - P.coeffs[0]) * dd.recip(P.coeffs[1])
-    z0 = dd.DD(sample.points)
-    step = (target - dd.polyval(P.coeffs, z0)).to_complex()
-    return z0 + step / P.derivative()(sample.points)
-
-
 _CONTINUATION_STEPS = 5  # Newton steps; from a grid neighbour: 1e-2, 1e-4, 1e-8, ...
 
 
@@ -424,9 +387,9 @@ def points_at_angles(f: CurveFamily, r: float | np.ndarray, thetas, near):
 
     Solves P(z) = psi(r^m e^(i m theta)): in closed form for a degree-1 P,
     else by Newton steps from ``near``, points of L_r at nearby angles that
-    pick the root, as ``sample_points_dd`` does.  P' and the derivative of
-    psi's tail are built once per family (``_level_map_parts``); a curve
-    scan takes the points at its grid steps from ``CurveSample.grid_steps``.
+    pick the root.  P' and the derivative of psi's tail are built once per
+    family (``_level_map_parts``); a curve scan takes the points at its grid
+    steps from ``CurveSample.grid_steps``.
     """
     P, psi, dP, dT = _level_map_parts(f)[:4]
     m = P.degree

@@ -1,22 +1,30 @@
-"""Vectorized complex double-double arithmetic.
+"""Vectorized complex double-double arithmetic, and ``refine``, the
+precision-limited path of the minimax solve, which resolves to ``EPS``.
 
 A value is the unevaluated sum hi + lo of two complex float64 arrays,
-carrying about 32 significant digits per component.  Only what the
-level-curve samplers and the minimax refinement need is here: sums,
-products, conjugates, reciprocals of positive reals, powers, roots of
-unity, and matrix-vector products.  Products use Dekker's splitting and
-sums Knuth's two-sum, both error-free transformations in plain float64
-arithmetic, applied to the real and imaginary parts alike; matrix-vector
-products split their operands so that BLAS sums them exactly.
+carrying about 32 significant digits per component.  Only what ``refine``
+needs is here: sums, products, conjugates, reciprocals of positive reals,
+powers, roots of unity, and matrix-vector products.  Products use
+Dekker's splitting and sums Knuth's two-sum, both error-free
+transformations in plain float64 arithmetic, applied to the real and
+imaginary parts alike; matrix-vector products split their operands so
+that BLAS sums them exactly.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from math import comb
 
 import numpy as np
 
-__all__ = ["DD", "dot", "polyval", "recip", "roots_of_unity"]
+from .curves import CurveSample, _preimage
+from .series import ComplexPolynomial
+
+__all__ = ["EPS", "DD", "dot", "polyval", "recip", "roots_of_unity", "refine"]
+
+EPS = np.finfo(float).eps ** 2  # resolution, relative to the monic coefficient
+_MAX_STEPS = 4  # refinement steps
 
 _SPLITTER = 134217729.0  # 2**27 + 1
 
@@ -214,3 +222,85 @@ def polyval(coeffs, z: DD) -> DD:
     for c in coeffs[-2::-1]:
         acc = acc * z + c
     return acc
+
+
+def _curve_points(sample: CurveSample) -> DD:
+    """The sample's points to double-double accuracy, on L_r and at exactly
+    equispaced map angles 2 pi k / size.
+
+    Double sampling leaves points about 1e-15 relative off the curve and
+    off their angles, too coarse for polynomials whose values on the curve
+    reach 1e16 and more: both the curve and the equal spacing (which makes
+    uniform weights an exact quadrature of the harmonic measure) must
+    hold to the digits the solution needs.  The targets psi(r^m e^(i m theta))
+    are formed in double-double; a degree-1 P is solved in closed form, and
+    otherwise one Newton step from the double roots, whose quadratic
+    convergence takes their 1e-16 relative error to about 1e-32.
+    """
+    r, N = sample.r, sample.size
+    P, psi = _preimage(sample.family)
+    m = P.degree
+    k = np.rint(sample.thetas * (N / (2.0 * np.pi))).astype(np.int64)
+    rho = DD(r)
+    for _ in range(m - 1):
+        rho = rho * r
+    # psi(rho * unit) with |unit| = 1, where 1/w = conj(unit)/rho
+    unit = roots_of_unity(N)[(m * k) % N]
+    target = unit * rho * psi.leading_coefficient + polyval(psi.tail, unit.conj() * recip(rho))
+    if m == 1:
+        return (target - P.coeffs[0]) * recip(P.coeffs[1])
+    z0 = DD(sample.points)
+    step = (target - polyval(P.coeffs, z0)).to_complex()
+    return z0 + step / P.derivative()(sample.points)
+
+
+def refine(sample: CurveSample, weights: np.ndarray, n: int) -> ComplexPolynomial:
+    """Weighted least-squares monic polynomial of degree n for the dual
+    ``weights`` on the sample's points placed by ``_curve_points``,
+    accurate to double-double.
+
+    Iterative refinement of the normal equations  V^H W V y = 0  (y_n = 1)
+    in the basis zeta = (z - center)/scale, center the sample's mean: the
+    gradient is formed in double-double from double-double points, the
+    correction is solved in double with the Gram matrix.  Rounding the
+    residual instead (plain LS refinement) stalls: the residual is O(1) and
+    its tiny component in the range of V is what fixes the low-order
+    coefficients.  The scale is a power of two, so the change back to
+    z-coefficients, done in double-double, keeps the resolved digits.
+    """
+    points, center = _curve_points(sample), complex(sample.points.mean())
+    scale = 2.0 ** np.round(np.log2(np.abs(points.hi - center).max()))
+    V = ((points - center) * (1.0 / scale)).powers(n)
+    sw = np.sqrt(weights)
+    design = V.hi[:, :n] * sw[:, None]
+    gram = design.conj().T @ design
+    y = DD(np.append(np.linalg.solve(gram, -(design.conj().T @ (V.hi[:, n] * sw))), 1.0))
+    basis_t = DD(V.hi[:, :n].T, V.lo[:, :n].T)
+    last = None
+    for _ in range(_MAX_STEPS):
+        # V^H (W V y), as the conjugate of V^T conj(W V y)
+        grad = dot(basis_t, (dot(V, y) * weights).conj()).to_complex().conj()
+        step = np.linalg.solve(gram, grad)
+        y = y - np.append(step, 0.0)
+        # the error contracts linearly: the next correction is about
+        # size * (size / last); stop once that is below the resolution
+        size = float(np.abs(step).max())
+        if size == 0.0 or (last and size * (size / last) <= EPS):
+            break
+        last = size
+    # p(z) = sum_k b_k (z - center)^k with b_k = y_k scale^(n-k) (exact),
+    # then the Taylor shift  coeff_j = sum_k C(k, j) (-center)^(k-j) b_k
+    b = y * scale ** np.arange(n, -1, -1.0)
+    j, k = np.indices((n + 1, n + 1))
+    shift = DD(np.array([-center])).powers(n)[0]
+    coeffs = dot(shift[np.maximum(k - j, 0)] * _binomials(n), b).to_complex()
+    coeffs[-1] = 1.0
+    return ComplexPolynomial(coeffs)
+
+
+@lru_cache(maxsize=32)
+def _binomials(n: int) -> np.ndarray:
+    """C(k, j) at [j, k], j, k <= n, rounded from exact integers; read-only."""
+    table = np.array([[float(comb(k, j)) for k in range(n + 1)] for j in range(n + 1)])
+    table.flags.writeable = False
+    return table

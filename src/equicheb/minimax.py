@@ -14,16 +14,14 @@ tolerance.  After each discrete solve that fails the test, Newton's
 method on the KKT system of the curve problem, over an extremal set
 seeded from its maxima and dual weights, proposes the curve's optimum;
 where Newton is refused, a re-solve adds the maxima to the points used.
-Solves that double precision cannot resolve near K are refined in
-double-double arithmetic.
+Solves that double precision cannot resolve near K are handed to
+``dd.refine``, which refines them in double-double arithmetic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import lru_cache
 from itertools import accumulate
-from math import comb
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -35,7 +33,6 @@ from .curves import (
     curve_jets,
     points_at_angles,
     sample_level_curve,
-    sample_points_dd,
 )
 from .series import ComplexPolynomial, horner
 
@@ -139,9 +136,6 @@ def _certificate(V: np.ndarray, target: np.ndarray, w: np.ndarray):
 # rounding of the solution's values on the curve, in capacity units, above
 # which double coefficients no longer fix the zeros to this accuracy
 _ROOT_ACCURACY_BUDGET = 1e-3
-# double-double resolution, relative to the monic coefficient
-_DD_EPS = np.finfo(float).eps ** 2
-_DD_MAX_STEPS = 4
 
 
 def _precision_limited(sup_norm: float, family, n: int, eps: float) -> bool:
@@ -150,55 +144,6 @@ def _precision_limited(sup_norm: float, family, n: int, eps: float) -> bool:
     degree-n polynomial near K, where its zeros lie."""
     growth = capacity_leading_coefficient(family) ** n
     return n > 0 and not eps * sup_norm * growth <= _ROOT_ACCURACY_BUDGET
-
-
-def _refine_dd(points: dd.DD, weights: np.ndarray, n: int, center: complex) -> ComplexPolynomial:
-    """Weighted least-squares monic polynomial, accurate to double-double.
-
-    Iterative refinement of the normal equations  V^H W V y = 0  (y_n = 1)
-    in the basis zeta = (z - center)/scale: the gradient is formed in
-    double-double from double-double points, the correction is solved in
-    double with the Gram matrix.  Rounding the residual instead (plain LS
-    refinement) stalls: the residual is O(1) and its tiny component in
-    the range of V is what fixes the low-order coefficients.  The scale is
-    a power of two, so the change back to z-coefficients, done in
-    double-double, keeps the resolved digits.
-    """
-    scale = 2.0 ** np.round(np.log2(np.abs(points.hi - center).max()))
-    V = ((points - center) * (1.0 / scale)).powers(n)
-    sw = np.sqrt(weights)
-    design = V.hi[:, :n] * sw[:, None]
-    gram = design.conj().T @ design
-    y = dd.DD(np.append(np.linalg.solve(gram, -(design.conj().T @ (V.hi[:, n] * sw))), 1.0))
-    basis_t = dd.DD(V.hi[:, :n].T, V.lo[:, :n].T)
-    last = None
-    for _ in range(_DD_MAX_STEPS):
-        # V^H (W V y), as the conjugate of V^T conj(W V y)
-        grad = dd.dot(basis_t, (dd.dot(V, y) * weights).conj()).to_complex().conj()
-        step = np.linalg.solve(gram, grad)
-        y = y - np.append(step, 0.0)
-        # the error contracts linearly: the next correction is about
-        # size * (size / last); stop once that is below the resolution
-        size = float(np.abs(step).max())
-        if size == 0.0 or (last and size * (size / last) <= _DD_EPS):
-            break
-        last = size
-    # p(z) = sum_k b_k (z - center)^k with b_k = y_k scale^(n-k) (exact),
-    # then the Taylor shift  coeff_j = sum_k C(k, j) (-center)^(k-j) b_k
-    b = y * scale ** np.arange(n, -1, -1.0)
-    j, k = np.indices((n + 1, n + 1))
-    shift = dd.DD(np.array([-center])).powers(n)[0]
-    coeffs = dd.dot(shift[np.maximum(k - j, 0)] * _binomials(n), b).to_complex()
-    coeffs[-1] = 1.0
-    return ComplexPolynomial(coeffs)
-
-
-@lru_cache(maxsize=32)
-def _binomials(n: int) -> np.ndarray:
-    """C(k, j) at [j, k], j, k <= n, rounded from exact integers; read-only."""
-    table = np.array([[float(comb(k, j)) for k in range(n + 1)] for j in range(n + 1)])
-    table.flags.writeable = False
-    return table
 
 
 # -- interior-point solve ------------------------------------------------------
@@ -863,10 +808,10 @@ def solve_chebyshev(
     then the double coefficients cannot resolve the polynomial near K,
     where its zeros lie.  Such a solution skips the curve start and the
     exchange, keeps its dual weights and certificate, and its polynomial
-    is replaced by the weighted least-squares polynomial for those weights solved to double-double
-    accuracy on the sample placed exactly on the curve.  The same rule with
-    the double-double resolution eps^2 in place of eps marks where that
-    refinement runs out too; such a solve returns ``converged=False``.
+    is replaced by ``dd.refine``'s for those weights, solved in
+    double-double on the sample placed exactly on the curve.  The rule
+    with ``dd.EPS`` = eps^2 in place of eps marks where that refinement
+    runs out too; such a solve returns ``converged=False``.
 
     This is ``solve_chebyshev_batch`` on one sample: a level solved in a
     batch gets the same bits.
@@ -879,7 +824,7 @@ def solve_chebyshev_batch(samples: Iterable[CurveSample], n: int,
     """``solve_chebyshev`` at degree n on each of ``samples``, levels of one
     family, with the solutions in their order.
 
-    The discrete solve of each level runs in turn, refined in double-double
+    The discrete solve of each level runs in turn, refined by ``dd.refine``
     where it is precision-limited.  Then one curve scan (``_curve_maxima``)
     tests every discrete solution that the exchange tests, and the exchange
     (``_curve_exchange``) runs only on those it refuses.  Each level's
@@ -897,13 +842,13 @@ def solve_chebyshev_batch(samples: Iterable[CurveSample], n: int,
         sol, (*_, a, _, _) = _solve_on_points(sample.points, n, opts, sample)
         if sol.exchange != "start":
             if _precision_limited(sol.sup_norm, sample.family, n, np.finfo(float).eps):
-                poly = _refine_dd(sample_points_dd(sample), sol.weights, n, complex(sample.points.mean()))
+                poly = dd.refine(sample, sol.weights, n)
                 sol = replace(
                     sol,
                     polynomial=poly,
                     sup_norm=float(np.abs(poly(sample.points)).max()),
                     converged=sol.converged
-                    and not _precision_limited(sol.sup_norm, sample.family, n, _DD_EPS),
+                    and not _precision_limited(sol.sup_norm, sample.family, n, dd.EPS),
                     precision_limited=True,
                 )
             elif sol.converged:

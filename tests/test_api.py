@@ -96,3 +96,30 @@ def test_no_unused_imports():
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused += [(name, n) for n in sorted(imported - used) if (name, n) not in PATCHED_IMPORTS]
     assert not unused
+
+
+def test_double_double_has_one_entry_point():
+    # the precision-limited path lives in dd: of the other modules only
+    # minimax imports it, and minimax reads only dd.refine and dd.EPS, so
+    # no other module builds or passes a double-double value
+    importers, reads = [], set()
+    for name in MODULES:
+        if name == "dd":
+            continue
+        tree = ast.parse(Path(equicheb.__path__[0], f"{name}.py").read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                hit = (node.module or "").split(".")[-1] == "dd" or any(a.name == "dd" for a in node.names)
+            else:
+                hit = isinstance(node, ast.Import) and any(a.name.split(".")[-1] == "dd" for a in node.names)
+            if hit:
+                importers.append((name, ast.unparse(node)))
+        if name == "minimax":
+            reads = [
+                node.attr for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "dd"
+            ]
+            # every use of the name dd is one of those reads
+            assert sum(isinstance(node, ast.Name) and node.id == "dd" for node in ast.walk(tree)) == len(reads)
+    assert importers == [("minimax", "from . import dd")]
+    assert set(reads) == {"refine", "EPS"}

@@ -41,13 +41,23 @@ class TestReadmeExamples:
 
 
 class TestModuleEntryPoint:
-    def test_python_m_runs_the_command(self, tmp_path):
+    @staticmethod
+    def python_m(*argv):
         src = Path(__file__).resolve().parents[1] / "src"
         env = {**os.environ, "PYTHONPATH": str(src)}
-        argv = ["faber", "--family", "interval", "--n", "3", "-o", str(tmp_path)]
-        done = subprocess.run([sys.executable, "-m", "equicheb", *argv], env=env, capture_output=True)
+        return subprocess.run([sys.executable, "-m", "equicheb", *argv], env=env, capture_output=True)
+
+    def test_python_m_runs_the_command(self, tmp_path):
+        done = self.python_m("faber", "--family", "interval", "--n", "3", "-o", str(tmp_path))
         assert done.returncode == 0, done.stderr
         assert read_json(tmp_path / "faber.json")["family"] == {"family": "interval"}
+
+    def test_python_m_exits_1_on_a_usage_error(self, tmp_path):
+        # cli.main turns argparse's exit 2 into the command's usage-error code
+        done = self.python_m("faber", "--family", "circle", "-o", str(tmp_path))
+        assert done.returncode == 1
+        assert b"--n" in done.stderr
+        assert not list(tmp_path.iterdir())
 
 
 class TestChebCommand:

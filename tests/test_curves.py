@@ -16,9 +16,8 @@ from equicheb.curves import (
     phi_series,
     points_at_angles,
     sample_level_curve,
-    sample_points_dd,
 )
-from equicheb import minimax
+from equicheb import dd, minimax
 from equicheb.experiments import monic_classical_chebyshev
 from equicheb.series import ComplexPolynomial, DepthExhaustionError, LaurentSeriesAtInfinity
 
@@ -452,11 +451,12 @@ class TestSampling:
 
 
 class TestSamplePointsDD:
-    """Double-double points lie on L_r at the sampled map angles exactly,
-    checked in 40-digit arithmetic: P(z) = R r^m e^(i m theta) for a
-    lemniscate, P(z) = J(r^m e^(i m theta)) for a polynomial preimage,
-    z = J(r e^(i theta)) for the interval, J(w) = (w + 1/w)/2, and
-    z = psi(r e^(i theta)) for a circle (psi(w) = R w) or explicit map."""
+    """Double-double points (``dd._curve_points``, where ``dd.refine``
+    starts) lie on L_r at the sampled map angles exactly, checked in
+    40-digit arithmetic: P(z) = R r^m e^(i m theta) for a lemniscate,
+    P(z) = J(r^m e^(i m theta)) for a polynomial preimage, z = J(r e^(i theta))
+    for the interval, J(w) = (w + 1/w)/2, and z = psi(r e^(i theta)) for a
+    circle (psi(w) = R w) or explicit map."""
 
     CUBIC = Lemniscate(ComplexPolynomial([0.25, -1.0, 0.0, 1.0]), 1.0)
     EXPLICIT = ExplicitMap(psi=LaurentSeriesAtInfinity(1.5, [0.1, 0.3, 0.05j, 0.01], exact=True))
@@ -497,7 +497,7 @@ class TestSamplePointsDD:
     @pytest.mark.parametrize("r", [1.3, 8.0])
     def test_points_on_the_curve_to_double_double(self, family, r):
         sample = sample_level_curve(family, r, 64)
-        pts = sample_points_dd(sample)
+        pts = dd._curve_points(sample)
         assert pts.hi.shape == sample.points.shape
         assert self.defects(sample, zip(pts.hi, pts.lo)) <= 1e-29
         # the double points are off by rounding, so the check has teeth
@@ -541,8 +541,8 @@ class TestDegreeOneGenerators:
     @pytest.mark.parametrize("family, base, scale, shift", CASES, ids=["lemniscate", "preimage"])
     def test_points_dd(self, family, base, scale, shift):
         s, t = sample_level_curve(family, 8.0, 64), sample_level_curve(base, 8.0, 64)
-        got = sample_points_dd(s)
-        defect = (got - (sample_points_dd(t) * scale + shift)).to_complex()
+        got = dd._curve_points(s)
+        defect = (got - (dd._curve_points(t) * scale + shift)).to_complex()
         assert np.abs(defect).max() <= 1e-30 * np.abs(got.hi).max()
 
     def test_capacity(self):

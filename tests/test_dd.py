@@ -1,6 +1,9 @@
+from math import comb
+
 import numpy as np
 import pytest
 
+from equicheb import dd
 from equicheb.dd import DD, dot, polyval, recip, roots_of_unity
 
 mp = pytest.importorskip("mpmath")
@@ -90,3 +93,16 @@ def test_roots_of_unity(N):
     for j in range(0, N, max(1, N // 64)):
         got = to_mp(table[j : j + 1])[0]
         assert abs(got - mp.expjpi(mp.mpf(2 * j) / N)) <= 1e-31
+
+
+def test_binomial_table_built_once_per_degree():
+    # the Taylor shift of the refinement reads C(k, j) at [j, k]: one
+    # read-only table per degree, each entry Python's exact integer rounded
+    # once, also above 2^53 (C(60, 30) = 1.2e17)
+    assert comb(60, 30) > 2 ** 53
+    for n in (0, 1, 21, 60):
+        table = dd._binomials(n)
+        assert table is dd._binomials(n) and not table.flags.writeable
+        j, k = np.indices((n + 1, n + 1))
+        loop = np.vectorize(comb, otypes=[object])(k, j).astype(float)
+        assert table.tobytes() == loop.tobytes()

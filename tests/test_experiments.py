@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -304,6 +305,16 @@ class TestTrajectories:
         with pytest.raises(ExperimentError, match="Faber"):
             zero_trajectories(BERNOULLI, 2, [1.5, 2.0, 3.0], opts=FAST, M=128)
 
+    def test_no_converged_level(self, monkeypatch):
+        # every level unconverged leaves nothing to track
+        solve_batch = experiments.solve_chebyshev_batch
+        monkeypatch.setattr(
+            experiments, "solve_chebyshev_batch",
+            lambda *args: [replace(sol, converged=False) for sol in solve_batch(*args)],
+        )
+        with pytest.raises(ExperimentError, match="no level produced a converged solve"):
+            zero_trajectories(BERNOULLI, 2, [1.5, 2.0], opts=FAST, M=128)
+
     def test_default_settings_converge_at_low_levels(self):
         # criterion 9's two lowest levels, where T_21 is hardest to certify:
         # the default tolerance 1e-10 is reached there too
@@ -375,3 +386,11 @@ class TestFaberErrorDecay:
     def test_needs_map_values(self):
         with pytest.raises(ValueError):
             faber_error_decay(BERNOULLI, 3, [2, 4, 8, 16])
+
+    def test_report_serialises(self):
+        rep = faber_error_decay(Interval(), 4, [2, 4, 8, 16])
+        d = json.loads(json.dumps(rep.to_json_dict()))
+        assert list(d) == ["report", "family", "n", "r", "values", "slope"]
+        assert d["report"] == "faber-error" and d["family"] == {"family": "interval"}
+        assert d["n"] == 4 and d["r"] == [2.0, 4.0, 8.0, 16.0]
+        assert d["values"] == rep.values.tolist() and d["slope"] == rep.slope

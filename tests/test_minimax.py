@@ -1,5 +1,3 @@
-from math import comb
-
 import numpy as np
 import pytest
 
@@ -1028,18 +1026,34 @@ class TestSolverRefusals:
         assert minimax._newton_exchange(sample, 3, SolveOptions(), sol, basis, maxima) == (None, 1)
 
 
-def test_binomial_table_built_once_per_degree():
-    # the Taylor shift of the double-double refinement reads C(k, j) at
-    # [j, k]: one read-only table per degree, each entry Python's exact
-    # integer rounded once, also above 2^53 (C(60, 30) = 1.2e17)
-    assert comb(60, 30) > 2 ** 53
-    for n in (0, 1, 21, 60):
-        table = minimax._binomials(n)
-        assert table is minimax._binomials(n) and not table.flags.writeable
-        j, k = np.indices((n + 1, n + 1))
-        loop = np.vectorize(comb, otypes=[object])(k, j).astype(float)
-        assert table.tobytes() == loop.tobytes()
 
+def test_newton_refuses_an_angle_step_above_the_grid_step(monkeypatch):
+    # the preimage of z^3 - 2z + 0.1 at the sweep's second level, just below
+    # the critical level 1.2235: the discrete solve fails the curve test and
+    # Newton's first step would move an angle by more than the grid step h,
+    # so Newton is refused after one step and a re-solve ends the exchange
+    family = InversePolynomialImage(ComplexPolynomial([0.1, -2.0, 0.0, 1.0]))
+    sample = sample_level_curve(family, np.geomspace(1.05, 3, 8)[1], 256)
+    assert sample.size == 258
+    sol, basis = minimax._solve_on_points(sample.points, 3, SolveOptions(), sample)
+    maxima = minimax._curve_maxima([(sol.polynomial, sample)])[0]
+    steps, kkt = [], minimax._kkt_system
+
+    def recorded(*args):
+        res, jac = kkt(*args)
+        steps.append(np.linalg.solve(jac, -res))
+        return res, jac
+
+    monkeypatch.setattr(minimax, "_kkt_system", recorded)
+    assert minimax._newton_exchange(sample, 3, SolveOptions(), sol, basis, maxima) == (None, 1)
+    # the step is finite, so the refusal is the angle check, not the
+    # singular-Jacobian branch (LU does not flag this Jacobian, though its
+    # condition number is about 4e17); the unknowns end with the K angles,
+    # after (Re a, Im a, s) and the K lambdas
+    (dx,) = steps
+    K = (len(dx) - 2 * 3 - 1) // 2
+    assert np.isfinite(dx).all()
+    assert np.abs(dx[-K:]).max() > 2.0 * np.pi / sample.size
 
 class TestPackedCones:
     M = 64
