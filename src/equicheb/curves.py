@@ -376,7 +376,7 @@ def sample_level_curve(f: CurveFamily, r: float, M: int) -> CurveSample:
     return CurveSample(r=float(r), points=points, family=f, thetas=np.repeat(thetas, m))
 
 
-_CONTINUATION_STEPS = 5  # Newton steps; from a grid neighbour: 1e-2, 1e-4, 1e-8, ...
+_CONTINUATION_STEPS = 16  # Newton steps at most; from a grid neighbour: 1e-2, 1e-4, 1e-8, ...
 
 
 def points_at_angles(f: CurveFamily, r: float | np.ndarray, thetas, near):
@@ -387,9 +387,11 @@ def points_at_angles(f: CurveFamily, r: float | np.ndarray, thetas, near):
 
     Solves P(z) = psi(r^m e^(i m theta)): in closed form for a degree-1 P,
     else by Newton steps from ``near``, points of L_r at nearby angles that
-    pick the root.  P' and the derivative of psi's tail are built once per
-    family (``_level_map_parts``); a curve scan takes the points at its grid
-    steps from ``CurveSample.grid_steps``.
+    pick the root.  Each point stops once its own correction is rounding, so
+    it has the bits it has alone, and lands on L_r also next to a critical
+    level, where the steps converge slowly.  P' and the derivative of psi's
+    tail are built once per family (``_level_map_parts``); a curve scan
+    takes the points at its grid steps from ``CurveSample.grid_steps``.
     """
     P, psi, dP, dT = _level_map_parts(f)[:4]
     m = P.degree
@@ -406,9 +408,15 @@ def points_at_angles(f: CurveFamily, r: float | np.ndarray, thetas, near):
     if m == 1:
         c0, c1 = P.coeffs
         return (target - c0) / c1, dz / c1
-    z = np.broadcast_to(np.asarray(near, dtype=complex), w.shape)
+    z = np.array(np.broadcast_to(np.asarray(near, dtype=complex), w.shape))
+    flat, goal, live = z.reshape(-1), target.reshape(-1), np.arange(z.size)
     for _ in range(_CONTINUATION_STEPS):
-        z = z - (P(z) - target) / dP(z)
+        at = flat[live]
+        step = (P(at) - goal[live]) / dP(at)
+        flat[live] = at - step
+        live = live[np.abs(step) > 4 * np.finfo(float).eps * np.abs(at)]  # else at rounding
+        if not live.size:
+            break
     return z, dz / dP(z)
 
 

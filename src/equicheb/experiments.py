@@ -589,7 +589,8 @@ def faber_error_decay(f: CurveFamily, n: int, r_grid: Sequence[float]) -> FaberE
 
     Uses the exact map values phi(z_j) = r*exp(i*theta_j) of the sample
     points, which hold for the one-sheeted samples of the circle, the
-    interval and explicit maps; root families are refused.
+    interval and explicit maps; root families are refused, and so is a
+    grid of fewer than two distinct levels, which fixes no slope.
     """
     if isinstance(f, (Lemniscate, InversePolynomialImage)):
         raise ValueError(
@@ -597,6 +598,8 @@ def faber_error_decay(f: CurveFamily, n: int, r_grid: Sequence[float]) -> FaberE
             "use a circle, interval, or explicit-map family"
         )
     r_values = np.asarray(sorted(float(r) for r in r_grid))
+    if len(np.unique(r_values)) < 2:
+        raise ValueError("need at least 2 distinct levels")
     c = capacity_leading_coefficient(f)
     fhat = faber_basis(f, n)[n]
     vals = np.zeros(len(r_values))

@@ -8,12 +8,13 @@ first, on its extremal points on the grid or, placed by one curve scan,
 on the curve; where it equioscillates there it is returned after one
 step.  Otherwise a curve exchange places the maxima of |p| that the
 sample's grid steps bracket along the curve, by guarded secant steps
-that stop once each maximum is settled.  One scan tests every candidate:
-it is accepted where no maximum exceeds its sup by more than the
-tolerance.  After each discrete solve that fails the test, Newton's
+that stop once each maximum is settled.  One scan tests the discrete
+solution: it is accepted where no maximum exceeds its sup by more than the
+tolerance.  A discrete solve that fails the test hands over to Newton's
 method on the KKT system of the curve problem, over an extremal set
-seeded from its maxima and dual weights, proposes the curve's optimum;
-where Newton is refused, a re-solve adds the maxima to the points used.
+seeded from its maxima and dual weights and changed, at each point it
+reaches, by the maxima that point's scan finds; where Newton is refused
+the discrete solution is returned unconverged.
 Solves that double precision cannot resolve near K are handed to
 ``dd.refine``, which refines them in double-double arithmetic.
 """
@@ -82,9 +83,9 @@ class MinimaxSolution:
     one per point used, and ``equioscillation_gap`` is their certificate;
     ``iterations`` counts interior-point steps, one where the start
     certifies.  ``exchange`` names the path that ended the curve exchange
-    and ``newton_steps`` sums the steps of every Newton attempt, refused
-    ones included; ``solve_chebyshev`` says what each path returns and what
-    ``converged`` means there.
+    ("none", "start" or "newton") and ``newton_steps`` counts Newton's
+    steps, a refused attempt's included; ``solve_chebyshev`` says what
+    each path returns and what ``converged`` means there.
     ``precision_limited`` marks a solve whose values on the curve are too
     large for double precision to pin the low-order coefficients (see
     ``solve_chebyshev``); its polynomial was refined in double-double.
@@ -485,11 +486,8 @@ def _curve_certificate(basis, c: np.ndarray, z: np.ndarray, lam: np.ndarray, tol
     )
 
 
-# curve exchange, where Newton on the extremal set is refused: re-solves with
-# the maxima of |p| along L_r added, at most this many times (a safety cap;
-# the tolerance or Newton ends it); each maximum is placed by secant steps on
+# curve scan: each maximum of |p| along L_r is placed by secant steps on
 # d|p|^2/dtheta, guarded by bisection, at most _SECANT_STEPS a scan
-_EXCHANGE_ROUNDS = 16
 _SECANT_STEPS = 8
 # in grid steps: the guard at each end of a grid step, and a settling secant step
 _GUARD = np.sqrt(np.finfo(float).eps)
@@ -619,11 +617,13 @@ def curve_sup_norms(pairs: Sequence[tuple[ComplexPolynomial, CurveSample]]) -> l
             for (p, sample), mx in zip(pairs, maxima)]
 
 
-# Newton on the extremal set: at most this many steps, ended by the second
-# of two steps in a row of at most _NEWTON_TOL in every unknown (converging
+# Newton on the extremal set: at most this many steps in all, over every
+# change of the set; each point it reaches is ended by the second of two
+# steps in a row of at most _NEWTON_TOL in every unknown (converging
 # quadratically, the second lands at rounding); a cluster of dual weights
-# below _ACTIVE of the largest names no extremal point
-_NEWTON_STEPS = 8
+# below _ACTIVE of the largest names no extremal point, and a point joins
+# the set with _ACTIVE of the largest weight
+_NEWTON_STEPS = 16
 _NEWTON_TOL = 1e-7
 _ACTIVE = 1e-3
 
@@ -672,103 +672,90 @@ def _kkt_system(c: np.ndarray, s: float, lam: np.ndarray, Q: np.ndarray, dzeta, 
     return res, jac
 
 
+def _angles(sample: CurveSample, z: np.ndarray) -> np.ndarray:
+    """Map angles of the curve points z: a tangent step from the nearest
+    sample point."""
+    near = np.abs(z[:, None] - sample.points).argmin(axis=1)
+    tangent = sample.grid_steps[1][near]
+    return sample.thetas[near] + ((z - sample.points[near]) * tangent.conj()).real / np.abs(tangent) ** 2
+
+
 def _newton_exchange(sample: CurveSample, n: int, opts: SolveOptions, sol: MinimaxSolution,
                      basis, maxima: np.ndarray):
-    """Newton's method on the KKT system of the curve problem, started from
-    the discrete solution ``sol`` on the points of its Arnoldi ``basis``
-    (the sample and the maxima added so far) and the ``maxima`` of |p|
-    that its scan placed.  Returns (the solution or None, Newton steps).
+    """Newton's method on the KKT system of the curve problem, with an
+    active set, from the discrete solution ``sol`` on the sample, the points
+    of its Arnoldi ``basis``, and the ``maxima`` of |p| that its scan
+    placed.  Returns (the solution or None, Newton steps).
 
     Each point's dual weight goes to its nearest maximum; the maxima
     holding at least _ACTIVE of the largest cluster are the extremal set,
-    with lambda_j their cluster weights, theta_j their angles (a tangent
-    step from the nearest sample point) and t the highest of them.  In the
-    Arnoldi basis, p = q_n + sum_k a_k q_k and g_j(theta) = p(z(theta)),
-    the square system in (a, s = t^2, lambda, theta) is
+    with lambda_j their cluster weights, theta_j their angles (``_angles``)
+    and t the highest of them.  In the Arnoldi basis, p = q_n + sum_k a_k
+    q_k and g_j(theta) = p(z(theta)), the square system in (a, s = t^2,
+    lambda, theta) is
         sum_j lambda_j conj(q_k(z_j)) g_j = 0   (k < n),
         sum_j lambda_j = 1,
         |g_j|^2 = s,   Re(conj(g_j) g_j') = 0,
-    solved with its analytic Jacobian.  Refused (None) for four reasons:
-    fewer than n + 1 or more than 2n + 1 extremal points; steps that fail
-    (a singular Jacobian, a step of an angle by more than the grid step, or
-    no convergence in _NEWTON_STEPS); a lambda_j <= 0; a certificate above
-    ``tol_rel`` (``_curve_certificate``).  What passes bounds every monic
-    p's sup on the extremal points from below; it is optimal on the curve
-    once no maximum of its own exceeds its sup, the test that
-    ``solve_chebyshev``'s scan makes of every candidate.
+    solved with its analytic Jacobian by minimum-norm least-squares steps,
+    which coalescing extremal points do not stop; a step that moves an
+    angle by more than the grid step is shortened to it.  At a converged
+    point (two steps in a row of at most _NEWTON_TOL) the set changes:
+    points with lambda_j <= 0 leave it; else the maxima of the point's scan
+    where |p|, evaluated in the Arnoldi basis, exceeds its sup on the
+    sample and the set by more than ``tol_rel`` join it; else
+    ``_curve_certificate`` weighs the set, and where it refuses, the
+    highest sample point joins.  Refused (None) where fewer than n + 1 or
+    more than 2n + 1 points start in the set, where a step's linear model
+    does not reduce the KKT residual, or after _NEWTON_STEPS steps in all.
+    What passes bounds every monic p's sup on the extremal points from
+    below, and no maximum of its own that a grid step brackets exceeds it.
     """
-    points, _, H, a, center, scale = basis
+    points, Q_points, H, a, center, scale = basis
     cluster = np.bincount(np.abs(points[:, None] - maxima).argmin(axis=1),
                           weights=sol.weights, minlength=len(maxima))
     keep = cluster >= _ACTIVE * cluster.max()
     if not n + 1 <= keep.sum() <= 2 * n + 1:
         return None, 0
     z, lam = maxima[keep], cluster[keep] / cluster[keep].sum()
-    K = len(lam)
-    near = np.abs(z[:, None] - sample.points).argmin(axis=1)
-    tangent = sample.grid_steps[1][near]
-    theta = sample.thetas[near] + ((z - sample.points[near]) * tangent.conj()).real / np.abs(tangent) ** 2
+    theta = _angles(sample, z)
     c = np.append(a, 1.0)
     s = float(np.abs(_arnoldi_jets(H, (z - center) / scale)[0] @ c).max()) ** 2
     h = 2.0 * np.pi / sample.size
-    converged = small = False
-    steps = 0
-    while not converged and steps < _NEWTON_STEPS:
-        steps += 1
+    small = 0  # steps in a row of at most _NEWTON_TOL
+    for steps in range(1, _NEWTON_STEPS + 1):
         z, dz, d2z = curve_jets(sample.family, sample.r, theta, z)
         Q = _arnoldi_jets(H, (z - center) / scale)
         res, jac = _kkt_system(c, s, lam, Q, dz / scale, d2z / scale)
-        try:
-            dx = np.linalg.solve(jac, -res)
-        except np.linalg.LinAlgError:
+        dx = np.linalg.lstsq(jac, -res, rcond=None)[0]
+        if not np.linalg.norm(res + jac @ dx) < np.linalg.norm(res):
             return None, steps
-        if not np.abs(dx[-K:]).max() <= h:
-            return None, steps
+        K = len(lam)
+        dx *= h / max(np.abs(dx[-K:]).max(), h)  # an angle moves by at most h
         c[:n] += dx[:n] + 1j * dx[n : 2 * n]
         s += dx[2 * n]
         lam = lam + dx[2 * n + 1 : -K]
         theta = theta + dx[-K:]
-        step = float(np.abs(dx).max())
-        converged, small = small and step <= _NEWTON_TOL, step <= _NEWTON_TOL
-    if not (converged and lam.min() > 0):
-        return None, steps
-    z = curve_jets(sample.family, sample.r, theta, z)[0]
-    return _curve_certificate(basis, c, z, lam / lam.sum(), opts.tol_rel, iterations=sol.iterations,
-                              exchange="newton", newton_steps=steps), steps
-
-
-def _exceeds(sol: MinimaxSolution, maxima: np.ndarray, tol_rel: float) -> bool:
-    """Whether |p| at any of the curve ``maxima`` exceeds the solution's
-    ``sup_norm`` by more than ``tol_rel``: the exchange's test."""
-    return bool((np.abs(sol.polynomial(maxima)) > sol.sup_norm * (1.0 + tol_rel)).any())
-
-
-def _curve_exchange(sample: CurveSample, n: int, opts: SolveOptions, sol: MinimaxSolution,
-                    a: np.ndarray, maxima: np.ndarray) -> MinimaxSolution:
-    """The exchange loop of ``solve_chebyshev`` from the discrete solution
-    ``sol`` on the sample, with coefficients ``a`` in the Arnoldi basis of
-    the sample, and the ``maxima`` of its first scan.  The basis is built
-    again here, with the bits the discrete solve's had."""
-    Q, H, center, scale = _points_basis(sample.points, n)
-    basis = (sample.points, Q, H, a, center, scale)
-    steps, newton_steps, resolves, candidate = sol.iterations, 0, 0, sol
-    while candidate.converged and _exceeds(candidate, maxima, opts.tol_rel):
-        if candidate is sol:
-            sol_maxima = maxima
-            candidate, k = _newton_exchange(sample, n, opts, sol, basis, maxima)
-            newton_steps += k
-            if candidate is not None:
-                maxima = _curve_maxima([(candidate.polynomial, sample)])[0]
-                continue
-        if resolves == _EXCHANGE_ROUNDS:
-            candidate = sol = replace(sol, converged=False)
-            break
-        sol, basis = _solve_on_points(np.concatenate([basis[0], sol_maxima]), n, opts)
-        candidate, steps, resolves = sol, steps + sol.iterations, resolves + 1
-        if sol.converged:
-            maxima = _curve_maxima([(sol.polynomial, sample)])[0]
-    return replace(candidate, iterations=steps, newton_steps=newton_steps,
-                   exchange="resolve" if candidate is sol and resolves else candidate.exchange)
+        small = small + 1 if np.abs(dx).max() <= _NEWTON_TOL else 0
+        if small < 2:
+            continue
+        small = 0
+        z = curve_jets(sample.family, sample.r, theta, z)[0]
+        if lam.min() <= 0:  # Newton's next step restores sum(lambda) = 1
+            z, lam, theta = z[lam > 0], lam[lam > 0], theta[lam > 0]
+            continue
+        on_points = np.abs(Q_points @ c)
+        top = max(float(on_points.max()), float(np.abs(_arnoldi_jets(H, (z - center) / scale)[0] @ c).max()))
+        mx = _curve_maxima([(_monic_polynomial(H, c[:n], center, scale), sample)])[0]
+        join = mx[np.abs(_arnoldi_jets(H, (mx - center) / scale)[0] @ c) > top * (1.0 + opts.tol_rel)]
+        if not len(join):
+            point = _curve_certificate(basis, c, z, lam / lam.sum(), opts.tol_rel, iterations=sol.iterations,
+                                       exchange="newton", newton_steps=steps)
+            if point is not None:
+                return point, steps
+            join = points[[on_points.argmax()]]
+        z, theta = np.append(z, join), np.append(theta, _angles(sample, join))
+        lam = np.append(lam, np.full(len(join), _ACTIVE * lam.max()))
+    return None, _NEWTON_STEPS
 
 
 def solve_chebyshev(
@@ -780,28 +767,24 @@ def solve_chebyshev(
     Where the start certifies on its curve maxima (``_curve_start``, tried
     where its grid certificates are refused) that scan was the exchange's
     test, and the start is returned after one step with
-    ``exchange="start"``.  Otherwise the exchange is one loop over
-    candidates, the first being the discrete solution.  Each round scans
-    its candidate once for the maxima of |p| along L_r that the sample's
-    grid steps bracket, and accepts it where none exceeds its ``sup_norm``
-    by more than ``tol_rel``.  A discrete solution that fails hands over to
-    Newton's method on its extremal set (``_newton_exchange``), whose point
-    is the next candidate.  Where Newton is refused, or its point fails the
-    scan, the discrete solution's maxima join the points used and a
-    re-solve, in its own Arnoldi basis, is the next candidate.
-    ``converged`` means a start certified on the curve, an accepted Newton
-    point, or the discrete certificate on all points used with no maximum
-    bracketed by a grid step above ``sup_norm`` by more than ``tol_rel``;
-    where Newton is refused after _EXCHANGE_ROUNDS re-solves, the last
-    discrete solution is returned with ``converged=False``.  ``exchange``
-    names the path that ended the exchange: "start", "newton" (the
-    returned point is Newton's, also after re-solves), "resolve" (a
-    re-solve ended it), or "none" (no maximum above the tolerance, or no
-    exchange).  On "start" and "newton" ``weights`` are zero on the points
-    used with the certifying weights on the curve points appended
+    ``exchange="start"``.  Otherwise one scan places the discrete
+    solution's maxima of |p| along L_r that the sample's grid steps
+    bracket, and the solution is accepted where none exceeds its
+    ``sup_norm`` by more than ``tol_rel``.  One that fails hands over to
+    Newton's method on its extremal set (``_newton_exchange``), which
+    changes the set at each point it reaches until the scan of its point
+    finds no maximum above it; where Newton is refused, the discrete
+    solution is returned with ``converged=False``.  ``converged`` means a
+    start certified on the curve, an accepted Newton point, or the
+    discrete certificate on the sample with no maximum bracketed by a grid
+    step above ``sup_norm`` by more than ``tol_rel``.  ``exchange`` names
+    the path that ended the exchange: "start", "newton", or "none" (no
+    maximum above the tolerance, no exchange, or a refused one).  On
+    "start" and "newton" ``weights`` are zero on the sample with the
+    certifying weights on the curve points appended
     (``_curve_certificate``), and ``sup_norm`` is the sup of |p| over
-    both.  ``iterations`` counts every interior-point step of the call and
-    ``newton_steps`` the steps of every Newton attempt.
+    both.  ``iterations`` counts the interior-point steps of the call and
+    ``newton_steps`` Newton's steps.
 
     A solve is precision-limited when rounding at eps * sup_norm, in
     capacity units (times c^n), exceeds the root-accuracy budget 1e-3:
@@ -826,8 +809,8 @@ def solve_chebyshev_batch(samples: Iterable[CurveSample], n: int,
 
     The discrete solve of each level runs in turn, refined by ``dd.refine``
     where it is precision-limited.  Then one curve scan (``_curve_maxima``)
-    tests every discrete solution that the exchange tests, and the exchange
-    (``_curve_exchange``) runs only on those it refuses.  Each level's
+    tests every discrete solution that the exchange tests, and Newton
+    (``_newton_exchange``) runs only on those it refuses.  Each level's
     solution has the bits of its own ``solve_chebyshev`` call.  The
     samples are read one at a time, and only a level that waits for the
     scan keeps its sample and its coefficients; its Arnoldi basis is built
@@ -856,6 +839,10 @@ def solve_chebyshev_batch(samples: Iterable[CurveSample], n: int,
         sols.append(sol)
     scans = _curve_maxima([(sols[i].polynomial, sample) for i, sample, _ in waiting])
     for (i, sample, a), maxima in zip(waiting, scans):
-        if _exceeds(sols[i], maxima, opts.tol_rel):
-            sols[i] = _curve_exchange(sample, n, opts, sols[i], a, maxima)
+        # the test of a discrete solution: a maximum above its sup by more than tol_rel
+        if (np.abs(sols[i].polynomial(maxima)) > sols[i].sup_norm * (1.0 + opts.tol_rel)).any():
+            Q, H, center, scale = _points_basis(sample.points, n)  # the discrete solve's bits
+            point, steps = _newton_exchange(sample, n, opts, sols[i], (sample.points, Q, H, a, center, scale),
+                                            maxima)
+            sols[i] = point if point is not None else replace(sols[i], converged=False, newton_steps=steps)
     return sols

@@ -105,9 +105,8 @@ class TestChebCommand:
             "-o", str(tmp_path),
         ])
         assert code == 2
-        # a curve exchange that reaches its cap above the tolerance: Newton
-        # on the extremal set, which ends this exchange, is given no steps
-        monkeypatch.setattr(minimax, "_EXCHANGE_ROUNDS", 1)
+        # a refused curve exchange: Newton on the extremal set, which ends
+        # this exchange, is given no steps
         monkeypatch.setattr(minimax, "_NEWTON_STEPS", 0)
         code = run([
             "cheb", "--family", "lemniscate", "--P", "1,0,-1", "--r", "1.2", "--n", "3",

@@ -54,7 +54,7 @@ class TestRateExperiment:
         assert rep.slope is None
 
     def test_one_grid_continuation_per_level(self, monkeypatch):
-        # the exchange rounds of a level and the sweep's one scan for D and
+        # the exchange's scans of a level and the sweep's one scan for D and
         # the Faber norm all scan one sample per level and share its grid
         # continuation: one M-point call a level
         M, calls = 512, []
@@ -386,6 +386,13 @@ class TestFaberErrorDecay:
     def test_needs_map_values(self):
         with pytest.raises(ValueError):
             faber_error_decay(BERNOULLI, 3, [2, 4, 8, 16])
+
+    @pytest.mark.parametrize("grid", [[], [2.0], [2.0, 2.0]], ids=["empty", "one", "repeated"])
+    def test_needs_two_distinct_levels(self, grid):
+        # one distinct level fixes no slope: polyfit used to return one
+        # with a RankWarning, and an empty grid raised TypeError
+        with pytest.raises(ValueError, match="2 distinct levels"):
+            faber_error_decay(Interval(), 3, grid)
 
     def test_report_serialises(self):
         rep = faber_error_decay(Interval(), 4, [2, 4, 8, 16])

@@ -24,6 +24,15 @@ from equicheb import experiments, minimax
 BERNOULLI = Lemniscate(ComplexPolynomial([-1.0, 0.0, 1.0]), 1.0)
 
 
+@pytest.fixture
+def kkt_sizes(monkeypatch):
+    """The number of extremal points at each of Newton's KKT steps."""
+    sizes, kkt = [], minimax._kkt_system
+    monkeypatch.setattr(minimax, "_kkt_system",
+                        lambda c, s, lam, *args: sizes.append(len(lam)) or kkt(c, s, lam, *args))
+    return sizes
+
+
 def weighted_ls_monic(points, weights, n, center, scale):
     """Monic degree-n minimizer of sum_j w_j |p(z_j)|^2: the weighted
     least-squares solve in the Arnoldi basis of (z - center)/scale."""
@@ -314,21 +323,24 @@ class TestSolveChebyshev:
         assert np.abs(p(z)).min() >= abs(p(sample.points[0])) * (1 - 1e-14)
 
     def test_exchange_adds_each_maximum_once(self):
-        # each curve maximum is placed once a round, so the points used
-        # grow by the number of maxima a round, not by one per search
+        # the weights hold the sample and each extremal point once, not
+        # one point per search
         sol = solve_chebyshev(sample_level_curve(BERNOULLI, 1.2, 512), 3)
         assert sol.converged
         assert len(sol.weights) <= 600
 
     def test_exchange_cap_clears_converged(self, monkeypatch):
-        # one re-solve leaves this case above the tolerance on the curve;
-        # Newton on the extremal set, which ends it otherwise, gets no steps
-        monkeypatch.setattr(minimax, "_EXCHANGE_ROUNDS", 1)
+        # the discrete solution certifies on the sample but misses the curve
+        # maxima by 1.7e-5; Newton on the extremal set, which ends the
+        # exchange otherwise, gets no steps, so the exchange is refused and
+        # the discrete solution comes back unconverged
         monkeypatch.setattr(minimax, "_NEWTON_STEPS", 0)
-        sol = solve_chebyshev(sample_level_curve(BERNOULLI, 1.2, 512), 3)
+        sample = sample_level_curve(BERNOULLI, 1.2, 512)
+        sol = solve_chebyshev(sample, 3)
         assert sol.equioscillation_gap <= SolveOptions().tol_rel
         assert not sol.converged
-        assert sol.exchange == "resolve"
+        assert sol.exchange == "none" and sol.newton_steps == 0
+        assert sol.iterations == chebyshev_on_points(sample.points, 3).iterations
 
     def test_exchange_ends_in_newton(self):
         # the discrete solution on the sample misses the curve maxima by
@@ -362,26 +374,13 @@ class TestSolveChebyshev:
             "newton_steps": 0,
         }
 
-    def test_refused_newton_falls_back_to_re_solves(self, monkeypatch):
-        # with no Newton steps allowed the re-solve rounds end the exchange,
-        # as they did before Newton, and report that path
-        sample = sample_level_curve(BERNOULLI, 1.2, 512)
-        newton = solve_chebyshev(sample, 3)
-        monkeypatch.setattr(minimax, "_NEWTON_STEPS", 0)
-        sol = solve_chebyshev(sample, 3)
-        assert sol.converged and sol.exchange == "resolve" and sol.newton_steps == 0
-        assert sol.iterations > newton.iterations
-        assert sol.sup_norm == pytest.approx(newton.sup_norm, rel=1e-10)
-
     def test_newton_refused_unforced(self, monkeypatch):
         # on the z^2 - 3 preimage at r = 1.05 and odd n the start is not
-        # T_n; Newton on the 28 extremal points the dual weights name
-        # converges in 4 steps and certifies, but the curve scan finds a
-        # maximum of its point above its sup (2n = 30).  That holds after
-        # every discrete solve but the last, and the re-solves end the
-        # exchange instead.  How many re-solves that takes depends on the
-        # rounding of the interior-point solves (two with one BLAS thread,
-        # one with two), so the attempts are counted, not fixed
+        # T_n.  Newton on the 28 extremal points the dual weights name
+        # converges in 4 steps and certifies; a check of its maxima by
+        # Horner's rule on monomial coefficients (Sigma |a_k| |z|^k / |p|
+        # about 1e6 here) used to refuse it, the Arnoldi basis does not, so
+        # one discrete solve and one Newton attempt end the exchange
         solves, attempts = [], []
         solve_on_points, newton_exchange = minimax._solve_on_points, minimax._newton_exchange
 
@@ -397,34 +396,54 @@ class TestSolveChebyshev:
         monkeypatch.setattr(minimax, "_newton_exchange", counted_newton)
         family = InversePolynomialImage(ComplexPolynomial([-3.0, 0.0, 1.0]))
         sol = solve_chebyshev(sample_level_curve(family, 1.05, 256), 15)
-        assert sol.converged and sol.exchange == "resolve"
-        assert len(solves) >= 2 and len(attempts) == len(solves) - 1
-        assert all(point is not None and k == 4 for point, k in attempts)
-        assert sol.newton_steps == 4 * len(attempts)
+        assert sol.converged and sol.exchange == "newton"
+        assert len(solves) == len(attempts) == 1
+        assert attempts[0][0] is sol and sol.newton_steps == attempts[0][1] == 4
+        assert sol.iterations == solves[0][0].iterations
         fine = sample_level_curve(family, 1.05, 2 ** 15).points
         assert np.abs(sol.polynomial(fine)).max() <= sol.sup_norm * (1 + 2e-10)
 
-    def test_newton_after_re_solves(self):
-        # Newton's certificate is refused after the first solve and after
-        # the first re-solve; after the second re-solve Newton starts from
-        # its basis and dual weights and ends the exchange (55 interior-point
-        # steps, against 202 when only re-solves follow the first refusal).
-        # The Horner bound on the curve is 3.2e-12 of the sup, so double
-        # evaluation can check it
+    def test_newton_after_re_solves(self, kkt_sizes):
+        # where the scan of Newton's converged point finds maxima above its
+        # sup, they join the extremal set: here the first point, on 14
+        # extremal points, has two maxima above it, and Newton ends on 16
+        # after the discrete solve (14 steps; with re-solves the exchange
+        # took 55).  The Horner bound on the curve is 3.2e-12 of the sup,
+        # so double evaluation can check it
         family = InversePolynomialImage(ComplexPolynomial([0.1, -2.0, 0.0, 1.0]))
         r = np.geomspace(1.05, 3, 8)[3]
-        sol = solve_chebyshev(sample_level_curve(family, r, 256), 13)
+        sample = sample_level_curve(family, r, 256)
+        sol = solve_chebyshev(sample, 13)
         assert sol.converged and sol.exchange == "newton"
-        assert sol.iterations <= 60
+        assert sol.iterations == chebyshev_on_points(sample.points, 13).iterations <= 20
+        assert kkt_sizes[0] == 14 and kkt_sizes[-1] == 16 == len(sol.weights) - sample.size
+        assert kkt_sizes == sorted(kkt_sizes)
+        fine = sample_level_curve(family, r, 2 ** 15).points
+        assert np.abs(sol.polynomial(fine)).max() <= sol.sup_norm * (1 + 2e-10)
+
+    def test_newton_drops_a_point_whose_weight_turns_negative(self, kkt_sizes):
+        # the preimage of z^3 - 2z + 0.1 just below its critical level
+        # 1.2235, n = 19: Newton converges on the 30 extremal points the
+        # dual weights name with two lambda_j < 0; those two leave the set
+        # and Newton ends on the other 28 after the discrete solve (17
+        # steps; with re-solves the exchange took 34)
+        family = InversePolynomialImage(ComplexPolynomial([0.1, -2.0, 0.0, 1.0]))
+        r = np.geomspace(1.05, 3, 8)[1]
+        sample = sample_level_curve(family, r, 304)
+        sol = solve_chebyshev(sample, 19)
+        assert sol.converged and sol.exchange == "newton"
+        assert sol.iterations == chebyshev_on_points(sample.points, 19).iterations
+        assert kkt_sizes[0] == 30 and kkt_sizes[-1] == 28 == len(sol.weights) - sample.size
+        assert kkt_sizes == sorted(kkt_sizes, reverse=True)
+        assert sol.weights[sample.size:].min() > 0
         fine = sample_level_curve(family, r, 2 ** 15).points
         assert np.abs(sol.polynomial(fine)).max() <= sol.sup_norm * (1 + 2e-10)
 
     def test_newton_follows_every_discrete_solve(self, monkeypatch):
-        # with Newton refused at once, it is still tried after each discrete
+        # with Newton refused at once, it is still tried after the discrete
         # solve that leaves a maximum above the tolerance, from that solve
-        # and its basis: the first solve and every re-solve but the last,
-        # which the tolerance ends.  The first solve's basis is built again
-        # for the exchange, with the same bits
+        # and its basis, built again for the exchange with the same bits;
+        # the refused exchange returns the discrete solution unconverged
         solves, tried = [], []
         solve_on_points = minimax._solve_on_points
 
@@ -434,22 +453,40 @@ class TestSolveChebyshev:
 
         def refused_newton(sample, n, opts, sol, basis, maxima):
             tried.append((sol, basis))
-            return None, 0
+            return None, 3
 
         monkeypatch.setattr(minimax, "_solve_on_points", counted_solve)
         monkeypatch.setattr(minimax, "_newton_exchange", refused_newton)
         sol = solve_chebyshev(sample_level_curve(BERNOULLI, 1.2, 512), 3)
-        assert sol.converged and sol.exchange == "resolve" and sol.newton_steps == 0
-        assert len(solves) >= 2
-        assert len(tried) == len(solves) - 1
-        assert all(got is s and all(np.array_equal(x, y) for x, y in zip(got_basis, b))
-                   for (got, got_basis), (s, b) in zip(tried, solves))
+        assert not sol.converged and sol.exchange == "none" and sol.newton_steps == 3
+        assert len(solves) == len(tried) == 1
+        (got, got_basis), (s, b) = tried[0], solves[0]
+        assert got is s and all(np.array_equal(x, y) for x, y in zip(got_basis, b))
+        assert sol.polynomial is s.polynomial and sol.iterations == s.iterations
+
+    @pytest.mark.parametrize("n", [3, 6, 9])
+    def test_preimage_next_to_a_critical_level_reaches_the_closed_form(self, n):
+        # the preimage of z^3 - 2z + 0.1 just below its critical level
+        # 1.2235: fixed continuation steps from a grid neighbour left scan
+        # points up to 1.3e-9 off L_r, and the solves ended 4.4e-10 to
+        # 7.8e-10 above the closed form
+        # 2^-k (rho^k + rho^-k), rho = r^3, k = n/3
+        family = InversePolynomialImage(ComplexPolynomial([0.1, -2.0, 0.0, 1.0]))
+        r = np.geomspace(1.05, 3, 8)[1]
+        sample = sample_level_curve(family, r, max(256, 16 * n))
+        maxima = minimax._curve_maxima([(family.P, sample)])[0]
+        assert np.abs(np.abs(family.P(maxima)) / ((r ** 3 + r ** -3) / 2) - 1).max() <= 1e-14
+        sol = solve_chebyshev(sample, n)
+        k, rho = n // 3, r ** 3
+        assert sol.converged
+        assert sol.sup_norm == pytest.approx(2.0 ** -k * (rho ** k + rho ** -k), rel=1e-10)
 
     @pytest.mark.parametrize("n", [3, 5, 6, 7])
     @pytest.mark.parametrize("r", [1.5, 2.0])
     def test_newton_reaches_the_closed_form(self, n, r, monkeypatch):
         # the maxima of T_n on the ellipse lie off a 512-point grid for these
-        # n; the re-solve rounds left the coefficients 8e-12 to 2.1e-10 off.
+        # n; re-solving with the maxima added left the coefficients 8e-12
+        # to 2.1e-10 off.
         # The curve start certifies these levels in one step, and every
         # level with a closed form T_n has T_n as its start, so the curve
         # start is refused here to reach Newton
@@ -620,7 +657,7 @@ class TestSolveBatch:
                      {"none", "newton", "precision-limited", "unconverged"}, id="criterion-9-defaults"),
         pytest.param(Interval(), 5, [1.05, 2.0], 256, SolveOptions(), {"start"}, id="interval-start"),
         pytest.param(InversePolynomialImage(ComplexPolynomial([-3.0, 0.0, 1.0])), 15, [1.05, 1.22], 256,
-                     SolveOptions(), {"resolve", "newton"}, id="preimage-resolve"),
+                     SolveOptions(), {"newton"}, id="preimage-resolve"),
     ])
     def test_each_level_gets_its_own_solve(self, family, n, levels, M, opts, paths):
         samples = [sample_level_curve(family, r, M) for r in levels]
@@ -1015,6 +1052,8 @@ class TestSolverRefusals:
         assert minimax._newton_exchange(sample, 3, SolveOptions(), sol, basis, maxima[:3]) == (None, 0)
 
     def test_newton_refuses_a_singular_jacobian(self, monkeypatch):
+        # a zero Jacobian: the minimum-norm step is zero, so its linear
+        # model leaves the KKT residual unreduced, and the first step refuses
         sample, sol, basis, maxima = self.bernoulli_solve()
         kkt = minimax._kkt_system
 
@@ -1025,35 +1064,59 @@ class TestSolverRefusals:
         monkeypatch.setattr(minimax, "_kkt_system", singular)
         assert minimax._newton_exchange(sample, 3, SolveOptions(), sol, basis, maxima) == (None, 1)
 
+    def test_newton_joins_the_highest_sample_point_on_a_refused_certificate(self, kkt_sizes, monkeypatch):
+        # the z^2 - 3 preimage at r = 1.05, n = 15, where Newton ends on 28
+        # extremal points: handed 27 of them, with a blind scan, Newton
+        # converges on the 27, and the certificate refuses them (a sample
+        # point near the missing maximum is higher); the highest sample
+        # point joins, and Newton ends on 28 points at the full set's
+        # solution
+        family = InversePolynomialImage(ComplexPolynomial([-3.0, 0.0, 1.0]))
+        sample = sample_level_curve(family, 1.05, 256)
+        sol, basis = minimax._solve_on_points(sample.points, 15, SolveOptions(), sample)
+        maxima = minimax._curve_maxima([(sol.polynomial, sample)])[0]
+        full = minimax._newton_exchange(sample, 15, SolveOptions(), sol, basis, maxima)[0]
+        assert len(full.weights) - sample.size == len(maxima) == 28
+        kkt_sizes.clear()
+        monkeypatch.setattr(minimax, "_curve_maxima", lambda pairs: [np.empty(0, complex) for _ in pairs])
+        point, steps = minimax._newton_exchange(sample, 15, SolveOptions(), sol, basis, maxima[1:])
+        assert point is not None and point.exchange == "newton" and steps <= minimax._NEWTON_STEPS
+        assert kkt_sizes[0] == 27 and kkt_sizes[-1] == 28 == len(point.weights) - sample.size
+        assert point.polynomial.coefficient_distance(full.polynomial) <= 1e-10
 
 
 def test_newton_refuses_an_angle_step_above_the_grid_step(monkeypatch):
-    # the preimage of z^3 - 2z + 0.1 at the sweep's second level, just below
-    # the critical level 1.2235: the discrete solve fails the curve test and
-    # Newton's first step would move an angle by more than the grid step h,
-    # so Newton is refused after one step and a re-solve ends the exchange
+    # the preimage of z^3 - 2z + 0.1 at the sweep's third level, n = 19:
+    # Newton's first full step would move an angle by 1.24 grid steps h.
+    # It is not refused (then re-solves took 32 interior-point steps): it
+    # is shortened to move that angle by h, and Newton ends the exchange
+    # after the discrete solve (16 steps)
     family = InversePolynomialImage(ComplexPolynomial([0.1, -2.0, 0.0, 1.0]))
-    sample = sample_level_curve(family, np.geomspace(1.05, 3, 8)[1], 256)
-    assert sample.size == 258
-    sol, basis = minimax._solve_on_points(sample.points, 3, SolveOptions(), sample)
-    maxima = minimax._curve_maxima([(sol.polynomial, sample)])[0]
-    steps, kkt = [], minimax._kkt_system
+    sample = sample_level_curve(family, np.geomspace(1.05, 3, 8)[2], 304)
+    h = 2.0 * np.pi / sample.size
+    full, angles = [], []
+    kkt, jets = minimax._kkt_system, minimax.curve_jets
 
-    def recorded(*args):
+    def recorded_kkt(*args):
         res, jac = kkt(*args)
-        steps.append(np.linalg.solve(jac, -res))
+        full.append(np.linalg.lstsq(jac, -res, rcond=None)[0][-len(args[2]):])
         return res, jac
 
-    monkeypatch.setattr(minimax, "_kkt_system", recorded)
-    assert minimax._newton_exchange(sample, 3, SolveOptions(), sol, basis, maxima) == (None, 1)
-    # the step is finite, so the refusal is the angle check, not the
-    # singular-Jacobian branch (LU does not flag this Jacobian, though its
-    # condition number is about 4e17); the unknowns end with the K angles,
-    # after (Re a, Im a, s) and the K lambdas
-    (dx,) = steps
-    K = (len(dx) - 2 * 3 - 1) // 2
-    assert np.isfinite(dx).all()
-    assert np.abs(dx[-K:]).max() > 2.0 * np.pi / sample.size
+    def recorded_jets(family, r, theta, near):
+        angles.append(theta)
+        return jets(family, r, theta, near)
+
+    monkeypatch.setattr(minimax, "_kkt_system", recorded_kkt)
+    monkeypatch.setattr(minimax, "curve_jets", recorded_jets)
+    sol = solve_chebyshev(sample, 19)
+    assert sol.converged and sol.exchange == "newton"
+    assert sol.iterations == chebyshev_on_points(sample.points, 19).iterations
+    # the unknowns end with the K angles, after (Re a, Im a, s) and the K
+    # lambdas; the first step's longest angle move is cut to h exactly
+    assert np.abs(full[0]).max() > 1.2 * h
+    assert np.abs(angles[1] - angles[0]).max() == pytest.approx(h, rel=1e-12)
+    assert all(np.abs(step).max() <= h for step in full[1:])
+
 
 class TestPackedCones:
     M = 64
@@ -1145,8 +1208,8 @@ def test_invariance_step_count(monkeypatch):
     # Every one of the 70 solves certifies its start in one step: the
     # circles, even-degree Bernoulli levels and criterion 4's z^2 - 3
     # levels on the grid, and the interval on the grid (n = 1, 2, 4, 8,
-    # and n = 7 at r = 4) or on the curve (the other 11), so neither Newton
-    # nor a re-solve runs
+    # and n = 7 at r = 4) or on the curve (the other 11), so Newton never
+    # runs
     steps, exchanges, interval = [], [], []
     solve = minimax.solve_chebyshev
 
@@ -1176,4 +1239,4 @@ def test_invariance_step_count(monkeypatch):
     assert len(steps) == 70 and sum(steps) <= 70
     assert len(interval) == 24 and all(it == 1 for it, _ in interval)
     assert [path for _, path in interval].count("start") == 11
-    assert exchanges.count("newton") == 0 and exchanges.count("resolve") == 0
+    assert exchanges.count("newton") == 0

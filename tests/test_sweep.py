@@ -3,15 +3,17 @@
 Six families (the circle, the interval, Bernoulli's lemniscate, the
 lemniscate of z^3 - z + 1/4, and the preimages of z^2 - 3 and
 z^3 - 2z + 0.1), n = 2..21, on the levels geomspace(1.05, 3, 8), with
-M = max(256, 16n) sample points.  It takes about 10 s, so the ``sweep``
-marker keeps it out of the default run; run it with
+M = max(256, 16n) sample points.  It takes about 8 s (2-core machine,
+one or two BLAS threads), so the ``sweep`` marker keeps it out of the
+default run; run it with
 
     python -m pytest -q -s -m sweep tests/test_sweep.py
 
-It prints the exchange paths per family and the total interior-point and
-Newton steps.  The preimages' path counts are not pinned: their solves at
-n >= 12 near r = 1 flip path under one-ulp changes to the sample or the
-basis.
+Every solve converges and ends on the path none, start or newton.  It
+prints the paths per family and the total interior-point and Newton
+steps.  The path counts are not pinned: moving each sample point by one
+ulp moves 9 preimage solves (7 on z^2 - 3, 2 on z^3 - 2z + 0.1) between
+none, start and newton.
 """
 
 from collections import Counter
@@ -31,9 +33,7 @@ FAMILIES = {
     "z^2 - 3": InversePolynomialImage(ComplexPolynomial([-3.0, 0.0, 1.0])),
     "z^3 - 2z + 0.1": InversePolynomialImage(ComplexPolynomial([0.1, -2.0, 0.0, 1.0])),
 }
-# families whose every solve ends without a re-solve
-NO_RESOLVE = ("circle", "interval", "bernoulli", "cubic lemniscate")
-PATHS = ("none", "start", "newton", "resolve")
+PATHS = ("none", "start", "newton")
 
 
 @pytest.mark.sweep
@@ -58,4 +58,4 @@ def test_default_sweep():
     print(f"interior-point steps {steps}, Newton steps {newton_steps}")
     assert sum(total.values()) == 960
     assert not unconverged
-    assert not any(paths[name]["resolve"] for name in NO_RESOLVE)
+    assert sum(total[path] for path in PATHS) == 960
