@@ -12,9 +12,9 @@ that stop once each maximum is settled.  One scan tests the discrete
 solution: it is accepted where no maximum exceeds its sup by more than the
 tolerance.  A discrete solve that fails the test hands over to Newton's
 method on the KKT system of the curve problem, over an extremal set
-seeded from its maxima and dual weights and changed, at each point it
-reaches, by the maxima that point's scan finds; where Newton is refused
-the discrete solution is returned unconverged.
+seeded from its maxima, at their map angles, and dual weights, and
+changed, at each point it reaches, by the maxima its scan finds above
+it; where Newton is refused the discrete solution is returned unconverged.
 Solves that double precision cannot resolve near K are handed to
 ``dd.refine``, which refines them in double-double arithmetic.
 """
@@ -443,7 +443,7 @@ def _curve_start(sample: CurveSample, n: int, opts: SolveOptions, basis) -> Mini
     on_sample = float(np.abs(p(sample.points)).max())
     if _precision_limited(on_sample, sample.family, n, np.finfo(float).eps):
         return None
-    maxima = _curve_maxima([(p, sample)])[0]
+    maxima, _ = _curve_maxima([(p, sample)])[0]
     values = np.abs(_arnoldi_jets(H, (maxima - center) / scale)[0][:, n])
     weights = _extremal_weights(values, max(float(np.abs(Q[:, n]).max()), float(values.max())), n,
                                 opts.tol_rel)
@@ -495,9 +495,12 @@ _GUARD = np.sqrt(np.finfo(float).eps)
 _FLAT = 4 * np.finfo(float).eps
 
 
-def _curve_maxima(pairs: Sequence[tuple[ComplexPolynomial, CurveSample]]) -> list[np.ndarray]:
-    """Points of the maxima of |p| along the curve that the sample's grid
-    steps bracket, for each (p, sample) pair of a batch on one family.
+def _curve_maxima(pairs: Sequence[tuple[ComplexPolynomial, CurveSample]]) -> list[tuple[np.ndarray, ...]]:
+    """The maxima of |p| along the curve that the sample's grid steps
+    bracket, for each (p, sample) pair of a batch on one family, as
+    (points, angles): each point with the map angle it was evaluated at, a
+    grid step's end (its start's angle or that plus 2 pi / size) or an
+    iterate.
 
     The slope of |p|^2 is taken, pair by pair, at the points
     ``sample.grid_steps`` holds for every scan of the sample; a grid step
@@ -507,12 +510,13 @@ def _curve_maxima(pairs: Sequence[tuple[ComplexPolynomial, CurveSample]]) -> lis
     2^16-point maxima on 512-point samples, and up to 1.3e-8 rad off but
     within 5.6e-16 of the maximum on 8-point circles.  A step whose two
     ends read slopes that move |p|^2 by at most _FLAT over it takes no
-    secant step: its higher end is its maximum.  A secant proposal strictly
-    inside the bracket and within _GUARD grid steps of the iterate settles
-    it.  One at or past the guard of a grid end (where a stationary end's
-    zero or rounding-sized slope leaves the secant) probes the guard's
-    edge, and settles the bracket where the slope there points to that end.
-    Other proposals off the bracket or into a guard bisect it.  The highest
+    secant step: its higher end is its maximum.  A secant proposal in the
+    closed bracket and within _GUARD grid steps of the iterate settles it,
+    also on the end a rise has just moved to the iterate.  One at or past
+    the guard of a grid end (where a stationary end's zero or
+    rounding-sized slope leaves the secant) probes the guard's edge, and
+    settles the bracket where the slope there points to that end.  Other
+    proposals off the bracket or into a guard bisect it.  The highest
     point evaluated is returned, but an iterate (not a probe) within _FLAT
     of it takes its place, so where |p| is flat to rounding the point
     follows the secant, not the noise.  One loop of at most _SECANT_STEPS
@@ -550,7 +554,7 @@ def _curve_maxima(pairs: Sequence[tuple[ComplexPolynomial, CurveSample]]) -> lis
     ends = np.stack([near, z_end])
     top = np.abs(horner(rows, ends))
     pick = top.argmax(axis=0), np.arange(len(a))
-    best, best_val = ends[pick], top[pick]
+    best, best_theta, best_val = ends[pick], np.stack([a, b])[pick], top[pick]
     live = (2.0 * np.abs(np.stack([fa, fb])) * h > _FLAT * top ** 2).any(axis=0)
     prev, g_prev, cur, g = a, fa, b, fb
     for _ in range(_SECANT_STEPS):
@@ -559,23 +563,23 @@ def _curve_maxima(pairs: Sequence[tuple[ComplexPolynomial, CurveSample]]) -> lis
         at_hi = nxt >= hi
         edge = np.where(at_hi, hi, lo)
         probe = ((nxt <= lo) | at_hi) & (a < edge) & (edge < b)
-        inside = (a < nxt) & (nxt < b)
-        live &= probe | ~inside | (np.abs(nxt - cur) > _GUARD * h)
+        live &= probe | ~((a <= nxt) & (nxt <= b)) | (np.abs(nxt - cur) > _GUARD * h)
         if not live.any():
             break
         prev, g_prev = cur, g
-        cur = np.where(probe, edge, np.where(inside & (lo < nxt) & (nxt < hi), nxt, 0.5 * (a + b)))
+        inside = (a < nxt) & (nxt < b) & (lo < nxt) & (nxt < hi)
+        cur = np.where(probe, edge, np.where(inside, nxt, 0.5 * (a + b)))
         z, dz = points_at_angles(family, r, cur, near)
         pz = horner(rows, z)
         g = (np.conj(pz) * horner(drows, z) * dz).real
         value = np.abs(pz)
         higher = live & ((value > best_val) | (value >= best_val * (1 - _FLAT)) & ~probe)
-        best = np.where(higher, z, best)
+        best, best_theta = np.where(higher, z, best), np.where(higher, cur, best_theta)
         best_val = np.where(higher, np.maximum(value, best_val), best_val)
         rise = g > 0
         a, b = np.where(rise, cur, a), np.where(rise, b, cur)
         live &= ~(probe & (rise == at_hi))
-    return [best[end - k : end] for end, k in zip(accumulate(counts), counts)]
+    return [(best[end - k : end], best_theta[end - k : end]) for end, k in zip(accumulate(counts), counts)]
 
 
 def _turns(p: ComplexPolynomial, dp: ComplexPolynomial, sample: CurveSample):
@@ -612,9 +616,8 @@ def curve_sup_norms(pairs: Sequence[tuple[ComplexPolynomial, CurveSample]]) -> l
     """Sup of |p| over the sample's curve for each (p, sample) pair of a
     batch on one family: the largest of its values at the sample points and
     at the maxima that ``_curve_maxima`` places, in one scan of the batch."""
-    maxima = _curve_maxima(pairs)
     return [float(np.abs(p(np.concatenate([sample.points, mx]))).max())
-            for (p, sample), mx in zip(pairs, maxima)]
+            for (p, sample), (mx, _) in zip(pairs, _curve_maxima(pairs))]
 
 
 # Newton on the extremal set: at most this many steps in all, over every
@@ -672,25 +675,17 @@ def _kkt_system(c: np.ndarray, s: float, lam: np.ndarray, Q: np.ndarray, dzeta, 
     return res, jac
 
 
-def _angles(sample: CurveSample, z: np.ndarray) -> np.ndarray:
-    """Map angles of the curve points z: a tangent step from the nearest
-    sample point."""
-    near = np.abs(z[:, None] - sample.points).argmin(axis=1)
-    tangent = sample.grid_steps[1][near]
-    return sample.thetas[near] + ((z - sample.points[near]) * tangent.conj()).real / np.abs(tangent) ** 2
-
-
 def _newton_exchange(sample: CurveSample, n: int, opts: SolveOptions, sol: MinimaxSolution,
-                     basis, maxima: np.ndarray):
+                     basis, maxima: np.ndarray, angles: np.ndarray):
     """Newton's method on the KKT system of the curve problem, with an
     active set, from the discrete solution ``sol`` on the sample, the points
-    of its Arnoldi ``basis``, and the ``maxima`` of |p| that its scan
-    placed.  Returns (the solution or None, Newton steps).
+    of its Arnoldi ``basis``, and the ``maxima`` and map ``angles`` that its
+    scan placed.  Returns (the solution or None, Newton steps).
 
     Each point's dual weight goes to its nearest maximum; the maxima
     holding at least _ACTIVE of the largest cluster are the extremal set,
-    with lambda_j their cluster weights, theta_j their angles (``_angles``)
-    and t the highest of them.  In the Arnoldi basis, p = q_n + sum_k a_k
+    with lambda_j their cluster weights, theta_j their scan angles and t
+    the highest of them.  In the Arnoldi basis, p = q_n + sum_k a_k
     q_k and g_j(theta) = p(z(theta)), the square system in (a, s = t^2,
     lambda, theta) is
         sum_j lambda_j conj(q_k(z_j)) g_j = 0   (k < n),
@@ -701,10 +696,11 @@ def _newton_exchange(sample: CurveSample, n: int, opts: SolveOptions, sol: Minim
     angle by more than the grid step is shortened to it.  At a converged
     point (two steps in a row of at most _NEWTON_TOL) the set changes:
     points with lambda_j <= 0 leave it; else the maxima of the point's scan
-    where |p|, evaluated in the Arnoldi basis, exceeds its sup on the
-    sample and the set by more than ``tol_rel`` join it; else
+    where |p|, in the Arnoldi basis, exceeds the set's level sqrt(s) by
+    more than ``tol_rel`` join it, at their scan angles; else
     ``_curve_certificate`` weighs the set, and where it refuses, the
-    highest sample point joins.  Refused (None) where fewer than n + 1 or
+    highest sample point joins by the same rule, at its grid angle, or
+    Newton is refused.  Refused (None) also where fewer than n + 1 or
     more than 2n + 1 points start in the set, where a step's linear model
     does not reduce the KKT residual, or after _NEWTON_STEPS steps in all.
     What passes bounds every monic p's sup on the extremal points from
@@ -716,8 +712,7 @@ def _newton_exchange(sample: CurveSample, n: int, opts: SolveOptions, sol: Minim
     keep = cluster >= _ACTIVE * cluster.max()
     if not n + 1 <= keep.sum() <= 2 * n + 1:
         return None, 0
-    z, lam = maxima[keep], cluster[keep] / cluster[keep].sum()
-    theta = _angles(sample, z)
+    z, theta, lam = maxima[keep], angles[keep], cluster[keep] / cluster[keep].sum()
     c = np.append(a, 1.0)
     s = float(np.abs(_arnoldi_jets(H, (z - center) / scale)[0] @ c).max()) ** 2
     h = 2.0 * np.pi / sample.size
@@ -743,18 +738,20 @@ def _newton_exchange(sample: CurveSample, n: int, opts: SolveOptions, sol: Minim
         if lam.min() <= 0:  # Newton's next step restores sum(lambda) = 1
             z, lam, theta = z[lam > 0], lam[lam > 0], theta[lam > 0]
             continue
-        on_points = np.abs(Q_points @ c)
-        top = max(float(on_points.max()), float(np.abs(_arnoldi_jets(H, (z - center) / scale)[0] @ c).max()))
-        mx = _curve_maxima([(_monic_polynomial(H, c[:n], center, scale), sample)])[0]
-        join = mx[np.abs(_arnoldi_jets(H, (mx - center) / scale)[0] @ c) > top * (1.0 + opts.tol_rel)]
-        if not len(join):
+        level = np.sqrt(s) * (1.0 + opts.tol_rel)  # a point joins only above the set's own |p|
+        mx, mx_theta = _curve_maxima([(_monic_polynomial(H, c[:n], center, scale), sample)])[0]
+        up = np.abs(_arnoldi_jets(H, (mx - center) / scale)[0] @ c) > level
+        if not up.any():
             point = _curve_certificate(basis, c, z, lam / lam.sum(), opts.tol_rel, iterations=sol.iterations,
                                        exchange="newton", newton_steps=steps)
             if point is not None:
                 return point, steps
-            join = points[[on_points.argmax()]]
-        z, theta = np.append(z, join), np.append(theta, _angles(sample, join))
-        lam = np.append(lam, np.full(len(join), _ACTIVE * lam.max()))
+            i = [np.abs(Q_points @ c).argmax()]  # the highest sample point
+            mx, mx_theta, up = points[i], sample.thetas[i], np.abs(Q_points[i] @ c) > level
+            if not up.any():
+                return None, steps
+        z, theta = np.append(z, mx[up]), np.append(theta, mx_theta[up])
+        lam = np.append(lam, np.full(up.sum(), _ACTIVE * lam.max()))
     return None, _NEWTON_STEPS
 
 
@@ -772,8 +769,9 @@ def solve_chebyshev(
     bracket, and the solution is accepted where none exceeds its
     ``sup_norm`` by more than ``tol_rel``.  One that fails hands over to
     Newton's method on its extremal set (``_newton_exchange``), which
-    changes the set at each point it reaches until the scan of its point
-    finds no maximum above it; where Newton is refused, the discrete
+    starts at the maxima of that scan and their map angles, and changes
+    the set at each point it reaches until the scan of its point finds no
+    maximum above its level; where Newton is refused, the discrete
     solution is returned with ``converged=False``.  ``converged`` means a
     start certified on the curve, an accepted Newton point, or the
     discrete certificate on the sample with no maximum bracketed by a grid
@@ -838,11 +836,11 @@ def solve_chebyshev_batch(samples: Iterable[CurveSample], n: int,
                 waiting.append((len(sols), sample, a))
         sols.append(sol)
     scans = _curve_maxima([(sols[i].polynomial, sample) for i, sample, _ in waiting])
-    for (i, sample, a), maxima in zip(waiting, scans):
+    for (i, sample, a), (maxima, angles) in zip(waiting, scans):
         # the test of a discrete solution: a maximum above its sup by more than tol_rel
         if (np.abs(sols[i].polynomial(maxima)) > sols[i].sup_norm * (1.0 + opts.tol_rel)).any():
             Q, H, center, scale = _points_basis(sample.points, n)  # the discrete solve's bits
             point, steps = _newton_exchange(sample, n, opts, sols[i], (sample.points, Q, H, a, center, scale),
-                                            maxima)
+                                            maxima, angles)
             sols[i] = point if point is not None else replace(sols[i], converged=False, newton_steps=steps)
     return sols

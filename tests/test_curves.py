@@ -311,8 +311,9 @@ class TestGridSteps:
         s = sample_level_curve(f, 1.7, 60)
         first, again = minimax._curve_maxima([(p, s)])[0], minimax._curve_maxima([(p, s)])[0]
         fresh = minimax._curve_maxima([(p, sample_level_curve(f, 1.7, 60))])[0]
-        assert len(first) > 0
-        assert np.array_equal(first, again) and np.array_equal(first, fresh)
+        assert len(first[0]) > 0
+        for x, y, z in zip(first, again, fresh):  # the points, then their angles
+            assert np.array_equal(x, y) and np.array_equal(x, z)
 
 
 @pytest.mark.parametrize("name", [*GRID_FAMILIES, "linear-lemniscate"])

@@ -8,6 +8,7 @@ from equicheb.curves import (
     InversePolynomialImage,
     Lemniscate,
     capacity_leading_coefficient,
+    points_at_angles,
     sample_level_curve,
 )
 from equicheb.experiments import invariance_experiment, monic_classical_chebyshev
@@ -221,7 +222,7 @@ class TestSolveChebyshev:
         sample = sample_level_curve(family, r, M)
         sol = chebyshev_on_points(sample.points, n)
         p = sol.polynomial
-        z = minimax._curve_maxima([(p, sample)])[0]
+        z, _ = minimax._curve_maxima([(p, sample)])[0]
         nearest = sample.points[np.abs(z[:, None] - sample.points[None, :]).argmin(axis=1)]
         assert (np.abs(p(nearest)) - np.abs(p(z))).max() <= 1e-10 * sol.sup_norm
         curve = np.abs(p(sample_level_curve(family, r, 2 ** 14).points)).max()
@@ -255,7 +256,7 @@ class TestSolveChebyshev:
         thetas = 2.0 * np.pi * np.arange(N) / N - h
         sample = CurveSample(r=r, points=r * np.exp(1j * thetas), family=Circle(1.0), thetas=thetas)
         p = ComplexPolynomial([-(r ** 5) / 2, 0, 0, 0, 0, 1.0])
-        z = minimax._curve_maxima([(p, sample)])[0]
+        z, _ = minimax._curve_maxima([(p, sample)])[0]
         in_step = z[np.abs(np.angle(z) + np.pi / 5).argmin()]
         assert abs(p(in_step)) == pytest.approx(1.5 * r ** 5, rel=1e-12)
 
@@ -287,19 +288,20 @@ class TestSolveChebyshev:
         thetas = 2.0 * np.pi * np.arange(N) / N - shift
         sample = CurveSample(r=r, points=r * np.exp(1j * thetas), family=Circle(1.0), thetas=thetas)
         p = ComplexPolynomial([-(r ** 5) / 2, 0, 0, 0, 0, 1.0])
-        z = minimax._curve_maxima([(p, sample)])[0]
+        z, _ = minimax._curve_maxima([(p, sample)])[0]
         near = np.abs(np.angle(z) - target) <= 1e-6
         assert near.any()
         assert np.abs(p(z[near])) == pytest.approx(1.5 * r ** 5, rel=1e-12)
 
     def test_curve_maxima_keep_the_highest_iterate(self):
-        # on this scan one secant step converges onto an end of its bracket
-        # and bisection then moves away from it: the last iterate lies
-        # 2.0e-3 rad from the best one and 3.2e-13 below it (relative).
-        # Every maximum returned is at least the 2^16-point maximum near it
+        # Horner's noise in the slope keeps brackets of this scan live to
+        # the cap, so iterates wander about each maximum: the last one a
+        # bracket evaluates lies up to 2.3e-8 rad from its best and 5e-15
+        # below it (relative), and the highest is kept.  Every maximum
+        # returned is at least the 2^16-point maximum near it
         sample = sample_level_curve(BERNOULLI, 2.5, 512)
         p = chebyshev_on_points(sample.points, 21).polynomial
-        z = minimax._curve_maxima([(p, sample)])[0]
+        z, _ = minimax._curve_maxima([(p, sample)])[0]
         fine = sample_level_curve(BERNOULLI, 2.5, 2 ** 16).points
         values = np.abs(p(fine))
         near = np.abs(z[:, None] - fine).argmin(axis=1)[:, None] + np.arange(-128, 129)
@@ -317,10 +319,27 @@ class TestSolveChebyshev:
         scale = float(np.abs(sample.points - center).max())
         _, H = minimax._arnoldi((sample.points - center) / scale, 3)
         p = minimax._monic_polynomial(H, np.zeros(3, dtype=complex), center, scale)
-        z = minimax._curve_maxima([(p, sample)])[0]
+        z, _ = minimax._curve_maxima([(p, sample)])[0]
         assert len(z) == 6
         assert np.abs(z - sample.points[0]).min() <= 1e-12
         assert np.abs(p(z)).min() >= abs(p(sample.points[0])) * (1 - 1e-14)
+
+    @pytest.mark.parametrize("family", [
+        BERNOULLI,
+        Lemniscate(ComplexPolynomial([0.25, -1.0, 0.0, 1.0]), 1.0),
+        InversePolynomialImage(ComplexPolynomial([0.1, -2.0, 0.0, 1.0])),
+        Interval(),
+    ])
+    def test_curve_maxima_come_with_their_angles(self, family):
+        # each maximum comes with the map angle the scan evaluated it at,
+        # a grid end's or a secant iterate's: the curve point at that angle
+        # is the maximum to rounding
+        sample = sample_level_curve(family, 1.3, 256)
+        p = chebyshev_on_points(sample.points, 7).polynomial
+        z, theta = minimax._curve_maxima([(p, sample)])[0]
+        assert len(z) == len(theta) > 0
+        again = points_at_angles(family, sample.r, theta, z)[0]
+        assert np.abs(again - z).max() <= 4 * np.finfo(float).eps * np.abs(z).max()
 
     def test_exchange_adds_each_maximum_once(self):
         # the weights hold the sample and each extremal point once, not
@@ -357,6 +376,16 @@ class TestSolveChebyshev:
         assert extremal.min() > 0 and sol.weights.sum() == pytest.approx(1.0, abs=1e-14)
         fine = sample_level_curve(BERNOULLI, 1.2, 2 ** 16).points
         assert np.abs(sol.polynomial(fine)).max() <= sol.sup_norm * (1 + 1e-14)
+
+    def test_newton_starts_at_the_scan_angles(self, monkeypatch):
+        # the extremal set starts at the maxima of the discrete solution's
+        # scan, at the angles that scan found them at
+        sample, sol, basis, (maxima, angles) = TestSolverRefusals.bernoulli_solve()
+        jets, seen = minimax.curve_jets, []
+        monkeypatch.setattr(minimax, "curve_jets",
+                            lambda f, r, theta, near: seen.append(theta) or jets(f, r, theta, near))
+        assert minimax._newton_exchange(sample, 3, SolveOptions(), sol, basis, maxima, angles)[0] is not None
+        assert len(seen[0]) == 4 and np.isin(seen[0], angles).all()
 
     def test_json_diagnostics_name_the_path(self):
         sol = solve_chebyshev(sample_level_curve(BERNOULLI, 1.2, 512), 3)
@@ -451,7 +480,7 @@ class TestSolveChebyshev:
             solves.append(solve_on_points(*args, **kwargs))
             return solves[-1]
 
-        def refused_newton(sample, n, opts, sol, basis, maxima):
+        def refused_newton(sample, n, opts, sol, basis, maxima, angles):
             tried.append((sol, basis))
             return None, 3
 
@@ -474,7 +503,7 @@ class TestSolveChebyshev:
         family = InversePolynomialImage(ComplexPolynomial([0.1, -2.0, 0.0, 1.0]))
         r = np.geomspace(1.05, 3, 8)[1]
         sample = sample_level_curve(family, r, max(256, 16 * n))
-        maxima = minimax._curve_maxima([(family.P, sample)])[0]
+        maxima, _ = minimax._curve_maxima([(family.P, sample)])[0]
         assert np.abs(np.abs(family.P(maxima)) / ((r ** 3 + r ** -3) / 2) - 1).max() <= 1e-14
         sol = solve_chebyshev(sample, n)
         k, rho = n // 3, r ** 3
@@ -573,9 +602,10 @@ class TestBatchedCurveScan:
         counts = []
         for (p, sample), got in zip(pairs, batch):
             alone = minimax._curve_maxima([(p, sample)])[0]
-            assert got.dtype == alone.dtype and got.shape == alone.shape
-            assert got.tobytes() == alone.tobytes()
-            counts.append(len(alone))
+            for x, y in zip(got, alone):  # the points, then their angles
+                assert x.dtype == y.dtype and x.shape == y.shape
+                assert x.tobytes() == y.tobytes()
+            counts.append(len(alone[0]))
         return counts
 
     def test_mixed_levels_sizes_and_degrees(self):
@@ -711,7 +741,7 @@ class TestScanStops:
             power = power * ComplexPolynomial([-1.0, 0.0, 1.0])
             cases.append((power, sample_level_curve(BERNOULLI, r, 512), 2 * k))
         for p, sample, n in cases:
-            z = minimax._curve_maxima([(p, sample)])[0]
+            z, _ = minimax._curve_maxima([(p, sample)])[0]
             assert len(z) > 0 and np.abs(z[:, None] - sample.points).min(axis=1).max() <= 1e-12
             assert np.abs(np.abs(p(z)) / r ** n - 1).max() <= 4 * n * eps
         assert secant_steps == []
@@ -722,12 +752,30 @@ class TestScanStops:
         # 2^16-point maximum near it
         sample = sample_level_curve(BERNOULLI, 1.5, 512)
         p = chebyshev_on_points(sample.points, 21).polynomial
-        z = minimax._curve_maxima([(p, sample)])[0]
+        z, _ = minimax._curve_maxima([(p, sample)])[0]
         assert len(z) == 22 and len(secant_steps) <= 5
         fine = sample_level_curve(BERNOULLI, 1.5, 2 ** 16).points
         values = np.abs(p(fine))
         near = np.abs(z[:, None] - fine).argmin(axis=1)[:, None] + np.arange(-128, 129)
         assert (np.abs(p(z)) >= values[near % len(fine)].max(axis=1) * (1 - 1e-14)).all()
+
+    @pytest.mark.parametrize("n", [3, 5, 7])
+    def test_secant_step_onto_its_bracket_end_settles(self, n, secant_steps):
+        # the start q_n on the interval's L_1.5 (512 points) is T_n to
+        # rounding, with maxima off the grid.  A rise moves the bracket's
+        # lower end to the iterate, so a secant step that converges there
+        # proposes that very end: the closed bracket settles it, in 3
+        # rounds (a strict one bisects away, to the cap of 8).  The maxima
+        # are T_n's, (r^n + r^-n) / 2^n
+        r = 1.5
+        sample = sample_level_curve(Interval(), r, 512)
+        center = complex(sample.points.mean())
+        scale = float(np.abs(sample.points - center).max())
+        _, H = minimax._arnoldi((sample.points - center) / scale, n)
+        p = minimax._monic_polynomial(H, np.zeros(n, dtype=complex), center, scale)
+        z, _ = minimax._curve_maxima([(p, sample)])[0]
+        assert len(z) == 2 * n and len(secant_steps) <= 3
+        assert np.abs(np.abs(p(z)) / ((r ** n + r ** -n) / 2 ** n) - 1).max() <= 1e-14
 
     @pytest.mark.parametrize("n", [4, 8, 10])
     @pytest.mark.parametrize("r", [1.5, 2.0, 3.0])
@@ -741,7 +789,7 @@ class TestScanStops:
         scale = float(np.abs(sample.points - center).max())
         _, H = minimax._arnoldi((sample.points - center) / scale, n)
         p = minimax._monic_polynomial(H, np.zeros(n, dtype=complex), center, scale)
-        z = minimax._curve_maxima([(p, sample)])[0]
+        z, _ = minimax._curve_maxima([(p, sample)])[0]
         w = r * np.exp(1j * np.pi * np.arange(2 * n) / n)
         exact = (w + 1 / w) / 2
         assert len(z) == 2 * n
@@ -753,7 +801,7 @@ class TestScanStops:
         # axis, where the slope of |p|^2 is exactly 0: the step ending there
         # brackets it and the step starting there does not
         p = monic_classical_chebyshev(n)
-        z = minimax._curve_maxima([(p, sample_level_curve(Interval(), 1.5, 512))])[0]
+        z, _ = minimax._curve_maxima([(p, sample_level_curve(Interval(), 1.5, 512))])[0]
         assert len(z) == 2 * n
         assert (np.abs(z[:, None] - z[None, :]) + np.eye(2 * n)).min() > 1e-3
 
@@ -1006,8 +1054,9 @@ class TestSolverRefusals:
 
     @staticmethod
     def bernoulli_solve():
-        """Sample, discrete solution, basis and curve maxima of Bernoulli's
-        lemniscate at n = 3, r = 1.2, where Newton ends the exchange."""
+        """Sample, discrete solution, basis and curve scan (maxima, angles)
+        of Bernoulli's lemniscate at n = 3, r = 1.2, where Newton ends the
+        exchange."""
         sample = sample_level_curve(BERNOULLI, 1.2, 512)
         sol, basis = minimax._solve_on_points(sample.points, 3, SolveOptions(), sample)
         assert sol.exchange == "none" and sol.converged
@@ -1047,14 +1096,14 @@ class TestSolverRefusals:
     def test_newton_refuses_fewer_maxima_than_coefficients(self):
         # n + 1 extremal points at least fix the n coefficients and the sup;
         # given n maxima Newton takes no step
-        sample, sol, basis, maxima = self.bernoulli_solve()
-        assert minimax._newton_exchange(sample, 3, SolveOptions(), sol, basis, maxima)[0] is not None
-        assert minimax._newton_exchange(sample, 3, SolveOptions(), sol, basis, maxima[:3]) == (None, 0)
+        sample, sol, basis, (maxima, angles) = self.bernoulli_solve()
+        assert minimax._newton_exchange(sample, 3, SolveOptions(), sol, basis, maxima, angles)[0] is not None
+        assert minimax._newton_exchange(sample, 3, SolveOptions(), sol, basis, maxima[:3], angles[:3]) == (None, 0)
 
     def test_newton_refuses_a_singular_jacobian(self, monkeypatch):
         # a zero Jacobian: the minimum-norm step is zero, so its linear
         # model leaves the KKT residual unreduced, and the first step refuses
-        sample, sol, basis, maxima = self.bernoulli_solve()
+        sample, sol, basis, scan = self.bernoulli_solve()
         kkt = minimax._kkt_system
 
         def singular(*args):
@@ -1062,7 +1111,26 @@ class TestSolverRefusals:
             return res, np.zeros_like(jac)
 
         monkeypatch.setattr(minimax, "_kkt_system", singular)
-        assert minimax._newton_exchange(sample, 3, SolveOptions(), sol, basis, maxima) == (None, 1)
+        assert minimax._newton_exchange(sample, 3, SolveOptions(), sol, basis, *scan) == (None, 1)
+
+    def test_newton_refused_where_no_point_is_above_its_set(self, kkt_sizes, monkeypatch):
+        # Bernoulli at n = 3, r = 1.2 with the first certificate refused:
+        # Newton's converged point is the curve optimum, so no scan maximum
+        # and no sample point exceeds its set's level by more than tol_rel.
+        # No point joins and Newton is refused there, after 4 steps; a
+        # sample point joined regardless would coalesce with an extremal
+        # point and run out the 16-step budget
+        certificate, calls = minimax._curve_certificate, []
+
+        def refused_once(*args, **kwargs):
+            calls.append(1)
+            return None if len(calls) == 1 else certificate(*args, **kwargs)
+
+        monkeypatch.setattr(minimax, "_curve_certificate", refused_once)
+        sol = solve_chebyshev(sample_level_curve(BERNOULLI, 1.2, 512), 3)
+        assert not sol.converged and sol.exchange == "none"
+        assert len(calls) == 1 and sol.newton_steps <= 5
+        assert set(kkt_sizes) == {4}
 
     def test_newton_joins_the_highest_sample_point_on_a_refused_certificate(self, kkt_sizes, monkeypatch):
         # the z^2 - 3 preimage at r = 1.05, n = 15, where Newton ends on 28
@@ -1074,12 +1142,13 @@ class TestSolverRefusals:
         family = InversePolynomialImage(ComplexPolynomial([-3.0, 0.0, 1.0]))
         sample = sample_level_curve(family, 1.05, 256)
         sol, basis = minimax._solve_on_points(sample.points, 15, SolveOptions(), sample)
-        maxima = minimax._curve_maxima([(sol.polynomial, sample)])[0]
-        full = minimax._newton_exchange(sample, 15, SolveOptions(), sol, basis, maxima)[0]
+        maxima, angles = minimax._curve_maxima([(sol.polynomial, sample)])[0]
+        full = minimax._newton_exchange(sample, 15, SolveOptions(), sol, basis, maxima, angles)[0]
         assert len(full.weights) - sample.size == len(maxima) == 28
         kkt_sizes.clear()
-        monkeypatch.setattr(minimax, "_curve_maxima", lambda pairs: [np.empty(0, complex) for _ in pairs])
-        point, steps = minimax._newton_exchange(sample, 15, SolveOptions(), sol, basis, maxima[1:])
+        monkeypatch.setattr(minimax, "_curve_maxima",
+                            lambda pairs: [(np.empty(0, complex), np.empty(0)) for _ in pairs])
+        point, steps = minimax._newton_exchange(sample, 15, SolveOptions(), sol, basis, maxima[1:], angles[1:])
         assert point is not None and point.exchange == "newton" and steps <= minimax._NEWTON_STEPS
         assert kkt_sizes[0] == 27 and kkt_sizes[-1] == 28 == len(point.weights) - sample.size
         assert point.polynomial.coefficient_distance(full.polynomial) <= 1e-10

@@ -11,9 +11,12 @@ default run; run it with
 
 Every solve converges and ends on the path none, start or newton.  It
 prints the paths per family and the total interior-point and Newton
-steps.  The path counts are not pinned: moving each sample point by one
-ulp moves 9 preimage solves (7 on z^2 - 3, 2 on z^3 - 2z + 0.1) between
-none, start and newton.
+steps, and bounds the totals by STEP_BUDGET: 5,152 interior-point and
+1,525 Newton steps, the totals at one and at two BLAS threads before
+Newton took its angles from the scan (1,521 Newton steps since), so a
+change that costs steps fails.  The path counts are not pinned: moving
+each sample point by one ulp moves 9 preimage solves (7 on z^2 - 3, 2 on
+z^3 - 2z + 0.1) between none, start and newton.
 """
 
 from collections import Counter
@@ -34,6 +37,7 @@ FAMILIES = {
     "z^3 - 2z + 0.1": InversePolynomialImage(ComplexPolynomial([0.1, -2.0, 0.0, 1.0])),
 }
 PATHS = ("none", "start", "newton")
+STEP_BUDGET = {"interior point": 5152, "newton": 1525}
 
 
 @pytest.mark.sweep
@@ -59,3 +63,5 @@ def test_default_sweep():
     assert sum(total.values()) == 960
     assert not unconverged
     assert sum(total[path] for path in PATHS) == 960
+    assert steps <= STEP_BUDGET["interior point"]
+    assert newton_steps <= STEP_BUDGET["newton"]
