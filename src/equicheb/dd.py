@@ -233,9 +233,9 @@ def _curve_points(sample: CurveSample) -> DD:
     reach 1e16 and more: both the curve and the equal spacing (which makes
     uniform weights an exact quadrature of the harmonic measure) must
     hold to the digits the solution needs.  The targets psi(r^m e^(i m theta))
-    are formed in double-double; a degree-1 P is solved in closed form, and
-    otherwise one Newton step from the double roots, whose quadratic
-    convergence takes their 1e-16 relative error to about 1e-32.
+    are formed in double-double, and the points by one Newton step on P
+    from the double roots, whatever P's degree: its quadratic convergence
+    takes their 1e-16 relative error to about 1e-32 (eps^2 for a linear P).
     """
     r, N = sample.r, sample.size
     P, psi = _preimage(sample.family)
@@ -247,8 +247,6 @@ def _curve_points(sample: CurveSample) -> DD:
     # psi(rho * unit) with |unit| = 1, where 1/w = conj(unit)/rho
     unit = roots_of_unity(N)[(m * k) % N]
     target = unit * rho * psi.leading_coefficient + polyval(psi.tail, unit.conj() * recip(rho))
-    if m == 1:
-        return (target - P.coeffs[0]) * recip(P.coeffs[1])
     z0 = DD(sample.points)
     step = (target - polyval(P.coeffs, z0)).to_complex()
     return z0 + step / P.derivative()(sample.points)

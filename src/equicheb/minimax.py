@@ -431,19 +431,20 @@ def _curve_start(sample: CurveSample, n: int, opts: SolveOptions, basis) -> Mini
 
     Gate: at least 2n grid steps bracket a maximum of |p| (``_turns``, the
     scan's first phase), p the monic start, and p is not precision-limited
-    (``solve_chebyshev``).  Then one curve scan places its maxima; those
-    within tol_rel of the sup of |p| over them and the sample are its
-    extremal set (``_extremal_weights``), and ``_curve_certificate`` weighs
-    it uniformly, returning p after one step with ``exchange="start"``: the
-    scan has made the exchange's test."""
+    (``solve_chebyshev``).  Then one curve scan, handed the gate's turns,
+    places its maxima; those within tol_rel of the sup of |p| over them and
+    the sample are its extremal set (``_extremal_weights``), and
+    ``_curve_certificate`` weighs it uniformly, returning p after one step
+    with ``exchange="start"``: the scan has made the exchange's test."""
     _, Q, H, a, center, scale = basis
     p = _monic_polynomial(H, a, center, scale)
-    if len(_turns(p, p.derivative(), sample)[0]) < 2 * n:
+    turns = _turns(p, p.derivative(), sample)
+    if len(turns[0]) < 2 * n:
         return None
     on_sample = float(np.abs(p(sample.points)).max())
     if _precision_limited(on_sample, sample.family, n, np.finfo(float).eps):
         return None
-    maxima, _ = _curve_maxima([(p, sample)])[0]
+    maxima, _ = _curve_maxima([(p, sample)], [turns])[0]
     values = np.abs(_arnoldi_jets(H, (maxima - center) / scale)[0][:, n])
     weights = _extremal_weights(values, max(float(np.abs(Q[:, n]).max()), float(values.max())), n,
                                 opts.tol_rel)
@@ -495,12 +496,14 @@ _GUARD = np.sqrt(np.finfo(float).eps)
 _FLAT = 4 * np.finfo(float).eps
 
 
-def _curve_maxima(pairs: Sequence[tuple[ComplexPolynomial, CurveSample]]) -> list[tuple[np.ndarray, ...]]:
+def _curve_maxima(pairs: Sequence[tuple[ComplexPolynomial, CurveSample]],
+                  turns: Sequence[tuple[np.ndarray, np.ndarray]] | None = None) -> list[tuple[np.ndarray, ...]]:
     """The maxima of |p| along the curve that the sample's grid steps
     bracket, for each (p, sample) pair of a batch on one family, as
     (points, angles): each point with the map angle it was evaluated at, a
     grid step's end (its start's angle or that plus 2 pi / size) or an
-    iterate.
+    iterate.  ``turns`` gives each pair's ``_turns``, where the caller has
+    them already; by default the scan takes them.
 
     The slope of |p|^2 is taken, pair by pair, at the points
     ``sample.grid_steps`` holds for every scan of the sample; a grid step
@@ -534,8 +537,8 @@ def _curve_maxima(pairs: Sequence[tuple[ComplexPolynomial, CurveSample]]) -> lis
         raise ValueError("a curve scan takes samples of one family")
     derivatives = [p.derivative() for p, _ in pairs]
     a, fa, b, fb, near, z_end, counts = [], [], [], [], [], [], []
-    for (p, sample), dp in zip(pairs, derivatives):
-        turn, g = _turns(p, dp, sample)
+    for (p, sample), dp, given in zip(pairs, derivatives, turns or [None] * len(pairs)):
+        turn, g = given or _turns(p, dp, sample)
         end = sample._successors[turn]
         a.append(sample.thetas[turn])
         fa.append(g[turn])

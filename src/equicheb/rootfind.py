@@ -23,7 +23,6 @@ tolerance in one step.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -94,28 +93,19 @@ def _initial_guesses(coeff_rows: np.ndarray) -> np.ndarray:
     return eig + radius[:, None] * np.exp(1j * angles)
 
 
-@lru_cache(maxsize=64)
-def _pairs(deg: int) -> tuple[np.ndarray, np.ndarray]:
-    """Index pairs i < j of ``deg`` roots, read-only, built once per degree."""
-    pairs = np.triu_indices(deg, 1)
-    for index in pairs:
-        index.flags.writeable = False
-    return pairs
-
-
 def _sort_roots(roots: np.ndarray) -> np.ndarray:
     """Each row by angle in (-pi, pi], ties by modulus, cluster by cluster.
 
-    Roots within _CLUSTER (1 + max |root|) of each other, linked in chains,
-    form a cluster, such as the copies of a multiple root split by rounding;
-    a cluster sorts by the angle and modulus of its mean, which rounding
-    moves far less than its copies, and within itself by theirs.  An angle
-    within _NEGATIVE_AXIS of -pi counts as pi, so that a root or cluster on
-    the negative real axis sorts last whatever the sign of its small
-    imaginary part.  Roots whose cluster mean lies within _ORIGIN
-    (1 + max |root|) of the origin sort first, by modulus alone.  A root
-    alone in its cluster is its own mean, so roots that are all apart sort
-    by their own angles and moduli."""
+    Roots within _CLUSTER (1 + max |root|) of each other, linked in chains
+    through one distance matrix of the batch, form a cluster, such as the
+    copies of a multiple root split by rounding; a cluster sorts by the
+    angle and modulus of its mean, which rounding moves far less than its
+    copies, and within itself by theirs.  An angle within _NEGATIVE_AXIS of
+    -pi counts as pi, so that a root or cluster on the negative real axis
+    sorts last whatever the sign of its small imaginary part.  Roots whose
+    cluster mean lies within _ORIGIN (1 + max |root|) of the origin sort
+    first, by modulus alone.  A root alone is its own mean, so a row of
+    roots all apart sorts by their own angles and moduli, as it sorts alone."""
     size = 1.0 + np.abs(roots).max(axis=-1, keepdims=True)
 
     def keys(z):
@@ -125,9 +115,8 @@ def _sort_roots(roots: np.ndarray) -> np.ndarray:
 
     order_keys = keys(roots)
     deg = roots.shape[-1]
-    i, j = _pairs(deg)
-    if (np.abs(roots[..., i] - roots[..., j]) <= _CLUSTER * size).any():
-        near = np.abs(roots[..., :, None] - roots[..., None, :]) <= _CLUSTER * size[..., None]
+    near = np.abs(roots[..., :, None] - roots[..., None, :]) <= _CLUSTER * size[..., None]
+    if np.count_nonzero(near) > np.count_nonzero(near.diagonal(0, -2, -1)):  # a root has a neighbour
         label = np.broadcast_to(np.arange(deg), roots.shape)
         for _ in range(deg - 1):  # each cluster takes its least index as label
             linked = np.where(near, label[..., None, :], deg).min(axis=-1)

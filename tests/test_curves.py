@@ -485,7 +485,7 @@ class TestSamplePointsDD:
                     out.append(abs(z - (psi.leading_coefficient * w + tail)) / r)
                     continue
                 m = f.P.degree
-                u = mp.polyval([mp.mpf(c.real) for c in f.P.coeffs[::-1]], z)
+                u = mp.polyval([mp.mpc(c) for c in f.P.coeffs[::-1]], z)
                 w = r**m * mp.expj(m * angle)
                 if isinstance(f, Lemniscate):
                     out.append(abs(u - f.R * w) / (f.R * r**m))
@@ -545,6 +545,9 @@ class TestDegreeOneGenerators:
         got = dd._curve_points(s)
         defect = (got - (dd._curve_points(t) * scale + shift)).to_complex()
         assert np.abs(defect).max() <= 1e-30 * np.abs(got.hi).max()
+        # one Newton step on the linear P places them on L_r (40 digits)
+        assert TestSamplePointsDD.defects(s, zip(got.hi, got.lo)) <= 1e-29
+        assert TestSamplePointsDD.defects(s, zip(s.points, np.zeros_like(s.points))) > 1e-20
 
     def test_capacity(self):
         assert capacity_leading_coefficient(self.LEM) == capacity_leading_coefficient(Circle(2.0))

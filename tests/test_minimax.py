@@ -1005,7 +1005,7 @@ class TestStartCertificate:
             attempts.append((len(scans) - before, out))
             return out
 
-        monkeypatch.setattr(minimax, "_curve_maxima", lambda pairs: scans.append(1) or scan(pairs))
+        monkeypatch.setattr(minimax, "_curve_maxima", lambda *args: scans.append(1) or scan(*args))
         monkeypatch.setattr(minimax, "_curve_start", counted_start)
         return attempts
 
@@ -1017,6 +1017,21 @@ class TestStartCertificate:
         sol = solve_chebyshev(sample_level_curve(BERNOULLI, 2.0, 512), n)
         assert attempts == [(0, None)]
         assert sol.converged and sol.iterations > 1 and sol.exchange == "newton"
+
+    @pytest.mark.parametrize("family, M, certified", [
+        (Interval(), 512, True),
+        (InversePolynomialImage(ComplexPolynomial([-3.0, 0.0, 1.0])), 256, False),
+    ], ids=["interval-certified", "preimage-refused-after-scan"])
+    def test_curve_start_takes_its_turns_once(self, family, M, certified, monkeypatch):
+        # the gate's turns are the scan's: one _turns call per attempt, on
+        # a start that certifies and on one refused after its scan
+        attempts = self.record_curve_starts(monkeypatch)
+        turns, direct = [], minimax._turns
+        monkeypatch.setattr(minimax, "_turns", lambda *args: turns.append(len(attempts)) or direct(*args))
+        sol = solve_chebyshev(sample_level_curve(family, 1.5, M), 3)
+        assert [(scans, out is not None) for scans, out in attempts] == [(1, certified)]
+        assert turns.count(0) == 1
+        assert sol.converged and (sol.exchange == "start") == certified
 
     def test_refused_curve_start_leaves_the_solve_unchanged(self, monkeypatch):
         # on the z^2 - 3 preimage at n = 3 the start's grid steps bracket

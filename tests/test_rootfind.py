@@ -269,6 +269,19 @@ class TestBatch:
             order = np.lexsort((np.abs(roots[i]), np.angle(roots[i])))
             assert ordered[i].tobytes() == roots[i][order].tobytes()
 
+    def test_sort_mixes_clustered_and_plain_rows(self):
+        # a row holding the split triple root of (z + 1)^3 (z - 1) sends the
+        # batch through the cluster pass; every row, clustered or plain,
+        # still sorts as it sorts alone, bit for bit
+        clustered = _aberth_batch(np.array([[-1.0, -2.0, 0.0, 2.0, 1.0]], dtype=complex))[0]
+        copies = clustered[0][np.abs(clustered[0] + 1.0) <= rootfind._CLUSTER]
+        assert len(copies) == 3 and len(set(copies)) == 3
+        rng = np.random.default_rng(11)
+        plain = rng.standard_normal((5, 4)) + 1j * rng.standard_normal((5, 4))
+        roots = np.concatenate([plain[:2], clustered, plain[2:]])
+        for row, ordered in zip(roots, _sort_roots(roots)):
+            assert ordered.tobytes() == _sort_roots(row[None, :])[0].tobytes()
+
     @staticmethod
     def root_bits(rs):
         return rs.roots.tobytes(), rs.residuals.tobytes(), rs.iterations
