@@ -1,22 +1,26 @@
 """Complex Chebyshev problem on a level curve, by a primal-dual interior point.
 
-The discrete problem  min_p max_j |p(z_j)|  over monic p is a second-order
-cone program, solved in the Arnoldi basis of the points.  Its dual weights
-certify convergence: their weighted least-squares minimum bounds the
-discrete optimum from below.  The start, q_n of that basis, is weighed
-first, on its extremal points on the grid or, placed by one curve scan,
-on the curve; where it equioscillates there it is returned after one
-step.  Otherwise a curve exchange places the maxima of |p| that the
-sample's grid steps bracket along the curve, by guarded secant steps
-that stop once each maximum is settled.  One scan tests the discrete
-solution: it is accepted where no maximum exceeds its sup by more than the
-tolerance.  A discrete solve that fails the test hands over to Newton's
-method on the KKT system of the curve problem, over an extremal set
-seeded from its maxima, at their map angles, and dual weights, and
-changed, at each point it reaches, by the maxima its scan finds above
-it; where Newton is refused the discrete solution is returned unconverged.
-Solves that double precision cannot resolve near K are handed to
-``dd.refine``, which refines them in double-double arithmetic.
+The discrete problem  min_p max_j |p(z_j)|  over monic p is a
+second-order cone program, solved in the Arnoldi basis of the points.
+Its dual weights certify convergence: their weighted least-squares
+minimum bounds the discrete optimum from below.  The start, q_n of that
+basis, is weighed first, on its extremal points on the grid (solved on
+their rows alone), on every point (whose least squares Q^H Q = M I gives
+in closed form) or, placed by one curve scan, on the curve; where it
+equioscillates there it is returned after one step.  Otherwise a curve
+exchange places the maxima of |p| that the sample's grid steps bracket
+along the curve, by guarded secant steps that stop once each maximum is
+settled or |p| is flat to rounding across its bracket; the start's scan,
+whose certificate reads where its points lie, waits for the settle.  One
+scan tests the discrete solution: it is accepted where no maximum
+exceeds its sup by more than the tolerance.  A discrete solve that fails
+the test hands over to Newton's method on the KKT system of the curve
+problem, over an extremal set seeded from its maxima, at their map
+angles, and dual weights, and changed, at each point it reaches, by the
+maxima its scan finds above it; where Newton is refused the discrete
+solution is returned unconverged.  Solves that double precision cannot
+resolve near K are handed to ``dd.refine``, which refines them in
+double-double arithmetic.
 """
 
 from __future__ import annotations
@@ -378,7 +382,9 @@ def _solve_on_points(points: np.ndarray, n: int, opts: SolveOptions,
     Before the first step the start a = 0 (q_n, the least-squares
     minimizer for uniform weights) is weighed with weights uniform on its
     extremal set S (``_extremal_weights``, where S is not every point),
-    then with weights uniform on every point, the first step's.  Either
+    then with weights uniform on every point, the first step's
+    (``_grid_certificates``: S's least squares is solved on its rows
+    alone, and the uniform weights' is -B^H b / M, with no solve).  Either
     certificate with a gap <= tol_rel returns the better, by sup on the
     points, of the start and the weights' least-squares solution, after
     one step.  Where both are refused and a ``sample`` of the curve is
@@ -389,17 +395,7 @@ def _solve_on_points(points: np.ndarray, n: int, opts: SolveOptions,
     Q, H, center, scale = _points_basis(points, n)
     B, b = Q[:, :n], Q[:, n]
     a, top = np.zeros(n, dtype=complex), float(np.abs(b).max())
-    extremal = _extremal_weights(np.abs(b), top, n, opts.tol_rel)
-    uniform = np.full(len(b), 1.0 / len(b))
-    # the first step's weights z_0 / sum z_0, formed as the interior point forms them
-    tests = [uniform / uniform.sum()]
-    if extremal is not None and extremal.min() == 0:
-        tests.insert(0, extremal)
-    for weights in tests:
-        try:
-            ls, bound = _certificate(B, b, weights)
-        except RankDeficiencyError:  # repeated points: S may pin fewer values
-            continue
+    for weights, ls, bound in _grid_certificates(B, b, _extremal_weights(np.abs(b), top, n, opts.tol_rel)):
         ls_sup = float(np.abs(b + B @ ls).max())
         gap = 1.0 - bound / min(top, ls_sup)
         if gap <= opts.tol_rel:
@@ -424,6 +420,28 @@ def _solve_on_points(points: np.ndarray, n: int, opts: SolveOptions,
     return sol, (points, Q, H, a, center, scale)
 
 
+def _grid_certificates(B: np.ndarray, b: np.ndarray, extremal: np.ndarray | None):
+    """The start's grid certificates in the order they are tried, as
+    (weights, coefficients, bound) of ``_certificate`` in the Arnoldi basis
+    (B, b): the ``extremal`` weights where some point has none, solved on
+    their own rows (skipped where those pin too few values), then the first
+    step's uniform weights, whose coefficients -B^H b / M need no solve
+    (Q^H Q = M I, and ``_arnoldi`` has checked the rank)."""
+    if extremal is not None and extremal.min() == 0:
+        rows = extremal > 0
+        try:
+            ls, bound = _certificate(B[rows], b[rows], extremal[rows])
+        except RankDeficiencyError:  # repeated points: S may pin fewer values
+            pass
+        else:
+            yield extremal, ls, bound
+    M = len(b)
+    uniform = np.full(M, 1.0 / M)
+    uniform /= uniform.sum()  # the first step's z_0 / sum z_0, formed as the interior point forms it
+    ls = -(B.conj().T @ b) / M
+    yield uniform, ls, float(np.sqrt(uniform @ np.abs(b + B @ ls) ** 2))
+
+
 def _curve_start(sample: CurveSample, n: int, opts: SolveOptions, basis) -> MinimaxSolution | None:
     """The start q_n (a = 0 in the sample's Arnoldi ``basis``) certified on
     the curve, where its extremal points miss the sample's grid.  Returns
@@ -444,7 +462,7 @@ def _curve_start(sample: CurveSample, n: int, opts: SolveOptions, basis) -> Mini
     on_sample = float(np.abs(p(sample.points)).max())
     if _precision_limited(on_sample, sample.family, n, np.finfo(float).eps):
         return None
-    maxima, _ = _curve_maxima([(p, sample)], [turns])[0]
+    maxima, _ = _curve_maxima([(p, sample)], [turns], flat=False)[0]
     values = np.abs(_arnoldi_jets(H, (maxima - center) / scale)[0][:, n])
     weights = _extremal_weights(values, max(float(np.abs(Q[:, n]).max()), float(values.max())), n,
                                 opts.tol_rel)
@@ -497,38 +515,48 @@ _FLAT = 4 * np.finfo(float).eps
 
 
 def _curve_maxima(pairs: Sequence[tuple[ComplexPolynomial, CurveSample]],
-                  turns: Sequence[tuple[np.ndarray, np.ndarray]] | None = None) -> list[tuple[np.ndarray, ...]]:
+                  turns: Sequence[tuple[np.ndarray, np.ndarray]] | None = None,
+                  flat: bool = True) -> list[tuple[np.ndarray, ...]]:
     """The maxima of |p| along the curve that the sample's grid steps
     bracket, for each (p, sample) pair of a batch on one family, as
     (points, angles): each point with the map angle it was evaluated at, a
     grid step's end (its start's angle or that plus 2 pi / size) or an
     iterate.  ``turns`` gives each pair's ``_turns``, where the caller has
-    them already; by default the scan takes them.
+    them already; by default the scan takes them.  ``flat`` is the
+    caller's choice of stopping rule, below.
 
     The slope of |p|^2 is taken, pair by pair, at the points
     ``sample.grid_steps`` holds for every scan of the sample; a grid step
     runs from each of them to the point at the next angle.  Each step that
     brackets one maximum (``_turns``) is searched by secant steps on the
-    slope from its two ends until settled: within 1e-10 (relative) of
-    2^16-point maxima on 512-point samples, and up to 1.3e-8 rad off but
-    within 5.6e-16 of the maximum on 8-point circles.  A step whose two
-    ends read slopes that move |p|^2 by at most _FLAT over it takes no
-    secant step: its higher end is its maximum.  A secant proposal in the
-    closed bracket and within _GUARD grid steps of the iterate settles it,
-    also on the end a rise has just moved to the iterate.  One at or past
-    the guard of a grid end (where a stationary end's zero or
-    rounding-sized slope leaves the secant) probes the guard's edge, and
-    settles the bracket where the slope there points to that end.  Other
-    proposals off the bracket or into a guard bisect it.  The highest
-    point evaluated is returned, but an iterate (not a probe) within _FLAT
-    of it takes its place, so where |p| is flat to rounding the point
-    follows the secant, not the noise.  One loop of at most _SECANT_STEPS
-    serves the brackets of every pair, each with its own level, grid step
-    and polynomial (coefficient rows for ``horner``), and ends when none is
-    live; a settled bracket keeps its state, so each pair's maxima are the
-    bits a batch of one gives.  Not seen: a maximum and a minimum of |p| in
-    one step.  Raises ValueError for samples of more than one family, or
-    not laid out as ``sample_level_curve`` lays them out.
+    slope from its two ends.  A bracket whose two ends read slopes that
+    move |p|^2 by at most _FLAT over it is flat to rounding.  A grid step
+    that is so takes no secant step: its higher end is its maximum.  With
+    ``flat``, a bracket that becomes so after a secant round retires: its
+    highest point is within about eps of its maximum in |p| where the
+    slope is monotone across it, but may lie up to 2.2e-5 rad off (the
+    interval's T_9 at r = 3, M = 256).  The curve start's certificate
+    reads where its points lie, so its scan passes flat=False and each
+    bracket runs until settled: within 1e-10 (relative) of 2^16-point
+    maxima on 512-point samples, and up to 1.3e-8 rad off but within
+    5.6e-16 of the maximum on 8-point circles.  There a bracket whose
+    slope noise (Horner's) exceeds the slope's change over _GUARD grid
+    steps still runs to the cap.  A secant proposal in the closed bracket
+    and within _GUARD grid steps of the iterate settles it, also on the
+    end a rise has just moved to the iterate.  One at or past the guard of
+    a grid end (where a stationary end's zero or rounding-sized slope
+    leaves the secant) probes the guard's edge, and settles the bracket
+    where the slope there points to that end.  Other proposals off the
+    bracket or into a guard bisect it.  The highest point evaluated is
+    returned, but an iterate (not a probe) within _FLAT of it takes its
+    place, so where |p| is flat to rounding the point follows the secant,
+    not the noise.  One loop of at most _SECANT_STEPS serves the brackets
+    of every pair, each with its own level, grid step and polynomial
+    (coefficient rows for ``horner``), and ends when none is live; a
+    settled or retired bracket keeps its state, so each pair's maxima are
+    the bits a batch of one gives.  Not seen: a maximum and a minimum of
+    |p| in one step.  Raises ValueError for samples of more than one
+    family, or not laid out as ``sample_level_curve`` lays them out.
     """
     if not pairs:
         return []
@@ -558,7 +586,11 @@ def _curve_maxima(pairs: Sequence[tuple[ComplexPolynomial, CurveSample]],
     top = np.abs(horner(rows, ends))
     pick = top.argmax(axis=0), np.arange(len(a))
     best, best_theta, best_val = ends[pick], np.stack([a, b])[pick], top[pick]
-    live = (2.0 * np.abs(np.stack([fa, fb])) * h > _FLAT * top ** 2).any(axis=0)
+
+    def steep():  # the slopes at the bracket's ends move |p|^2 by more than _FLAT over it
+        return 2.0 * np.maximum(np.abs(fa), np.abs(fb)) * (b - a) > _FLAT * best_val ** 2
+
+    live = steep()
     prev, g_prev, cur, g = a, fa, b, fb
     for _ in range(_SECANT_STEPS):
         dg = g - g_prev
@@ -581,7 +613,10 @@ def _curve_maxima(pairs: Sequence[tuple[ComplexPolynomial, CurveSample]],
         best_val = np.where(higher, np.maximum(value, best_val), best_val)
         rise = g > 0
         a, b = np.where(rise, cur, a), np.where(rise, b, cur)
+        fa, fb = np.where(rise, g, fa), np.where(rise, fb, g)
         live &= ~(probe & (rise == at_hi))
+        if flat:
+            live &= steep()
     return [(best[end - k : end], best_theta[end - k : end]) for end, k in zip(accumulate(counts), counts)]
 
 

@@ -777,6 +777,34 @@ class TestScanStops:
         assert len(z) == 2 * n and len(secant_steps) <= 3
         assert np.abs(np.abs(p(z)) / ((r ** n + r ** -n) / 2 ** n) - 1).max() <= 1e-14
 
+    @pytest.mark.parametrize("r", [16.0, 32.0])
+    def test_flat_scan_retires_early(self, r, secant_steps):
+        # the rate workload's discrete T_5 on Bernoulli (M = 512): |p| is
+        # flat to rounding near its maxima, and Horner's noise in the slope
+        # kept the secant moving to the cap of 8 rounds.  A bracket whose
+        # end slopes move |p|^2 by at most _FLAT over it retires, within 3
+        # rounds.  Each maximum's |p| lies within 4 eps of the 2^16-point
+        # maximum near it, both read on L_r itself: in 30 digits, times
+        # (r^2 / |z^2 - 1|)^(n/2), which takes out the points' own rounding
+        # off the curve (up to 8 eps in double Horner on the rounded points)
+        mp = pytest.importorskip("mpmath")
+        n, eps = 5, np.finfo(float).eps
+        sample = sample_level_curve(BERNOULLI, r, 512)
+        p = chebyshev_on_points(sample.points, n, SolveOptions(3e-4, 8000)).polynomial
+        z, _ = minimax._curve_maxima([(p, sample)])[0]
+        assert len(z) == n + 1 and len(secant_steps) <= 3
+
+        def on_curve(points):
+            with mp.workdps(30):
+                coeffs = [mp.mpc(c) for c in p.coeffs[::-1]]
+                return np.array([float(abs(mp.polyval(coeffs, x)) * (r * r / abs(x * x - 1)) ** (n / 2))
+                                 for x in map(mp.mpc, points)])
+
+        fine = sample_level_curve(BERNOULLI, r, 2 ** 16).points
+        near = (np.abs(z[:, None] - fine).argmin(axis=1)[:, None] + np.arange(-128, 129)) % len(fine)
+        top = on_curve(fine[near].ravel()).reshape(near.shape).max(axis=1)
+        assert np.abs(on_curve(z) / top - 1).max() <= 4 * eps
+
     @pytest.mark.parametrize("n", [4, 8, 10])
     @pytest.mark.parametrize("r", [1.5, 2.0, 3.0])
     def test_interval_start_maxima_at_the_closed_form_points(self, n, r):
@@ -1005,7 +1033,7 @@ class TestStartCertificate:
             attempts.append((len(scans) - before, out))
             return out
 
-        monkeypatch.setattr(minimax, "_curve_maxima", lambda *args: scans.append(1) or scan(*args))
+        monkeypatch.setattr(minimax, "_curve_maxima", lambda *args, **kwargs: scans.append(1) or scan(*args, **kwargs))
         monkeypatch.setattr(minimax, "_curve_start", counted_start)
         return attempts
 
@@ -1052,6 +1080,24 @@ class TestStartCertificate:
                                         plain.equioscillation_gap, plain.exchange,
                                         plain.newton_steps)
 
+    @pytest.mark.parametrize("family, r, n", [
+        (Interval(), np.geomspace(1.05, 3, 8)[5], 14),
+        (Interval(), np.geomspace(1.05, 3, 8)[6], 11),
+        (Interval(), 3.0, 9),
+        (InversePolynomialImage(ComplexPolynomial([-3.0, 0.0, 1.0])), np.geomspace(1.05, 3, 8)[3], 14),
+        (InversePolynomialImage(ComplexPolynomial([-3.0, 0.0, 1.0])), 3.0, 10),
+        (InversePolynomialImage(ComplexPolynomial([0.1, -2.0, 0.0, 1.0])), np.geomspace(1.05, 3, 8)[6], 12),
+    ])
+    def test_curve_start_keeps_its_placement(self, family, r, n):
+        # the start's certificate reads where its maxima lie, so its scan
+        # settles each bracket by the secant alone and retires none for
+        # being flat to rounding.  With the flatness rule there, these six
+        # sweep starts (M = 256) are all refused: on the interval at r = 3,
+        # n = 9 the maxima land up to 2.2e-5 rad off and the gap goes from
+        # 1.3e-15 to 2.4e-10
+        sol = solve_chebyshev(sample_level_curve(family, r, 256), n)
+        assert sol.converged and sol.exchange == "start" and sol.iterations == 1
+
     def test_repeated_point_extremal_set_takes_steps(self):
         # for n = 2 the start peaks on the four copies of -1: weights on one
         # distinct point cannot pin the coefficients, and the steps run as
@@ -1060,6 +1106,52 @@ class TestStartCertificate:
         sol = chebyshev_on_points(np.repeat([-2.0, -1.0, 0.0], [3, 4, 3]), 2)
         assert sol.converged and sol.iterations > 1
         np.testing.assert_allclose(sol.polynomial.coeffs, [0.5, 2.0, 1.0], rtol=0, atol=1e-9)
+
+
+class TestGridCertificates:
+    """The start's certificates on the grid (``_grid_certificates``): the
+    uniform weights' coefficients in closed form, the extremal weights'
+    solved on the rows they weigh."""
+
+    @staticmethod
+    def basis(family, r, n, M=512):
+        Q = minimax._points_basis(sample_level_curve(family, r, M).points, n)[0]
+        return Q[:, :n], Q[:, n]
+
+    @pytest.mark.parametrize("family, r, n, M", [
+        (BERNOULLI, 1.05, 21, 512), (BERNOULLI, 2.0, 21, 512), (BERNOULLI, 8.0, 21, 512),
+        (Circle(1.0), 2.0, 5, 256), (Circle(2.0), 1.5, 21, 512),
+    ])
+    def test_uniform_certificate_in_closed_form(self, family, r, n, M):
+        # Q^H Q = M I, so -B^H b / M is the uniform weights' least-squares
+        # solution: its bound is the SVD solve's to 2 eps
+        B, b = self.basis(family, r, n, M)
+        [(weights, ls, bound)] = minimax._grid_certificates(B, b, None)
+        assert weights.shape == (M,) and (weights == weights[0]).all()
+        assert abs(bound / minimax._certificate(B, b, weights)[1] - 1) <= 2 * np.finfo(float).eps
+
+    @pytest.mark.parametrize("family, r, n, top_share", [
+        (Interval(), 1.5, 4, None), (Interval(), 2.0, 8, None),
+        (InversePolynomialImage(ComplexPolynomial([-3.0, 0.0, 1.0])), 1.5, 4, None),
+        (BERNOULLI, 2.0, 3, 0.25), (BERNOULLI, 2.0, 21, 0.25), (BERNOULLI, 1.05, 21, 0.25),
+        (InversePolynomialImage(ComplexPolynomial([-3.0, 0.0, 1.0])), 1.5, 5, 0.25),
+    ])
+    def test_extremal_certificate_on_its_rows(self, family, r, n, top_share):
+        # the extremal sets of equioscillating starts (tol_rel 1e-10), and
+        # the top quarter of the points by |q_n|, on which the start is not
+        # the least-squares solution: the rows with weight give the
+        # certificate of every row, the bound to 4 eps and the coefficients
+        # to 1e-12, relative to those of p = q_n + sum_k a_k q_k
+        B, b = self.basis(family, r, n)
+        top = float(np.abs(b).max())
+        tol = 1e-10 if top_share is None else 1.0 - np.quantile(np.abs(b), 1.0 - top_share) / top
+        extremal = minimax._extremal_weights(np.abs(b), top, n, tol)
+        assert 0 < (extremal > 0).sum() < len(b)
+        weights, ls, bound = next(minimax._grid_certificates(B, b, extremal))
+        full_ls, full_bound = minimax._certificate(B, b, extremal)
+        assert weights is extremal
+        assert abs(bound / full_bound - 1) <= 4 * np.finfo(float).eps
+        assert np.abs(ls - full_ls).max() <= 1e-12 * max(1.0, np.abs(full_ls).max())
 
 
 class TestSolverRefusals:
