@@ -155,10 +155,6 @@ class InversePolynomialImage:
             if np.abs(got - want).max() > 1e-8:
                 raise ValueError("alternation certificate fails numerically")
 
-    @property
-    def period_verified(self) -> bool:
-        return self.alternation_points is not None
-
     @cached_property
     def base(self) -> Interval:
         """K = P^{-1}([-1, 1])."""

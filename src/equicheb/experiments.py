@@ -571,7 +571,8 @@ class FaberErrorReport:
     n: int
     r_values: np.ndarray
     values: np.ndarray
-    slope: float
+    resolved: np.ndarray  # per level: the value exceeds its rounding floor
+    slope: Optional[float]
 
     def to_json_dict(self) -> dict:
         return {
@@ -580,6 +581,7 @@ class FaberErrorReport:
             "n": self.n,
             "r": [float(r) for r in self.r_values],
             "values": [float(v) for v in self.values],
+            "resolved": [bool(v) for v in self.resolved],
             "slope": self.slope,
         }
 
@@ -590,7 +592,10 @@ def faber_error_decay(f: CurveFamily, n: int, r_grid: Sequence[float]) -> FaberE
     Uses the exact map values phi(z_j) = r*exp(i*theta_j) of the sample
     points, which hold for the one-sheeted samples of the circle, the
     interval and explicit maps; root families are refused, and so is a
-    grid of fewer than two distinct levels, which fixes no slope.
+    grid of fewer than two distinct levels, which fixes no slope.  The
+    difference cancels two terms of size (r/c)^n: a level is ``resolved``
+    where its value exceeds 4 n eps max_j |Fhat_n(z_j)|, and the slope is
+    fitted over resolved levels alone, None where fewer than two are.
     """
     if isinstance(f, (Lemniscate, InversePolynomialImage)):
         raise ValueError(
@@ -602,10 +607,15 @@ def faber_error_decay(f: CurveFamily, n: int, r_grid: Sequence[float]) -> FaberE
         raise ValueError("need at least 2 distinct levels")
     c = capacity_leading_coefficient(f)
     fhat = faber_basis(f, n)[n]
-    vals = np.zeros(len(r_values))
+    vals, floors = np.zeros(len(r_values)), np.zeros(len(r_values))
     for i, r in enumerate(r_values):
         sample = sample_level_curve(f, r, max(_M_EVAL, 8 * n))
         phi = r * np.exp(1j * sample.thetas)
-        vals[i] = float(np.abs(fhat(sample.points) - (phi / c) ** n).max())
-    fit = np.polyfit(np.log(r_values), np.log(np.maximum(vals, 1e-300)), 1)
-    return FaberErrorReport(f, n, r_values, vals, float(fit[0]))
+        on_curve = fhat(sample.points)
+        vals[i] = float(np.abs(on_curve - (phi / c) ** n).max())
+        floors[i] = 4 * n * np.finfo(float).eps * float(np.abs(on_curve).max())
+    resolved = vals > floors
+    slope = None
+    if resolved.sum() >= 2:
+        slope = float(np.polyfit(np.log(r_values[resolved]), np.log(vals[resolved]), 1)[0])
+    return FaberErrorReport(f, n, r_values, vals, resolved, slope)

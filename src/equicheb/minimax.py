@@ -4,23 +4,17 @@ The discrete problem  min_p max_j |p(z_j)|  over monic p is a
 second-order cone program, solved in the Arnoldi basis of the points.
 Its dual weights certify convergence: their weighted least-squares
 minimum bounds the discrete optimum from below.  The start, q_n of that
-basis, is weighed first, on its extremal points on the grid (solved on
-their rows alone), on every point (whose least squares Q^H Q = M I gives
-in closed form) or, placed by one curve scan, on the curve; where it
-equioscillates there it is returned after one step.  Otherwise a curve
-exchange places the maxima of |p| that the sample's grid steps bracket
-along the curve, by guarded secant steps that stop once each maximum is
-settled or |p| is flat to rounding across its bracket; the start's scan,
-whose certificate reads where its points lie, waits for the settle.  One
-scan tests the discrete solution: it is accepted where no maximum
-exceeds its sup by more than the tolerance.  A discrete solve that fails
-the test hands over to Newton's method on the KKT system of the curve
-problem, over an extremal set seeded from its maxima, at their map
-angles, and dual weights, and changed, at each point it reaches, by the
-maxima its scan finds above it; where Newton is refused the discrete
-solution is returned unconverged.  Solves that double precision cannot
-resolve near K are handed to ``dd.refine``, which refines them in
-double-double arithmetic.
+basis, is weighed first, on its extremal points on the grid, on every
+point, or on the curve, at the maxima of one curve scan placed by one
+Newton step each; where it equioscillates there it is returned after one
+step.  Otherwise one curve scan, by guarded secant steps that stop once
+each maximum is settled or |p| is flat to rounding across its bracket,
+tests the discrete solution: it is accepted where no maximum exceeds its
+sup by more than the tolerance.  One that fails hands over to Newton's
+method on the KKT system of the curve problem, seeded from the scan's
+maxima; where Newton is refused the discrete solution is returned
+unconverged.  Solves that double precision cannot resolve near K are
+refined in double-double by ``dd.refine``.
 """
 
 from __future__ import annotations
@@ -91,11 +85,9 @@ class MinimaxSolution:
     steps, a refused attempt's included; ``solve_chebyshev`` says what
     each path returns and what ``converged`` means there.
     ``precision_limited`` marks a solve whose values on the curve are too
-    large for double precision to pin the low-order coefficients (see
-    ``solve_chebyshev``); its polynomial was refined in double-double.
-    Such a solve has ``converged=False`` also when its values are too large
-    for double-double: then its polynomial near K, where the zeros lie, is
-    rounding noise whatever the certificate says.
+    large for double precision to pin the low-order coefficients; its
+    polynomial was refined in double-double (``solve_chebyshev`` says when
+    that runs out too).
     """
 
     polynomial: ComplexPolynomial
@@ -382,15 +374,14 @@ def _solve_on_points(points: np.ndarray, n: int, opts: SolveOptions,
     Before the first step the start a = 0 (q_n, the least-squares
     minimizer for uniform weights) is weighed with weights uniform on its
     extremal set S (``_extremal_weights``, where S is not every point),
-    then with weights uniform on every point, the first step's
-    (``_grid_certificates``: S's least squares is solved on its rows
-    alone, and the uniform weights' is -B^H b / M, with no solve).  Either
-    certificate with a gap <= tol_rel returns the better, by sup on the
-    points, of the start and the weights' least-squares solution, after
-    one step.  Where both are refused and a ``sample`` of the curve is
-    given, ``_curve_start`` weighs the start on the curve; a solution from
-    there has ``exchange="start"``.  Otherwise the interior point takes its
-    steps, as if no test had been made.
+    then with weights uniform on every point, the first step's, as
+    ``_grid_certificates`` solves them.  Either certificate with a gap <=
+    tol_rel returns the better, by sup on the points, of the start and the
+    weights' least-squares solution, after one step.  Where both are
+    refused and a ``sample`` of the curve is given, ``_curve_start`` weighs
+    the start on the curve; a solution from there has
+    ``exchange="start"``.  Otherwise the interior point takes its steps, as
+    if no test had been made.
     """
     Q, H, center, scale = _points_basis(points, n)
     B, b = Q[:, :n], Q[:, n]
@@ -450,11 +441,15 @@ def _curve_start(sample: CurveSample, n: int, opts: SolveOptions, basis) -> Mini
     Gate: at least 2n grid steps bracket a maximum of |p| (``_turns``, the
     scan's first phase), p the monic start, and p is not precision-limited
     (``solve_chebyshev``).  Then one curve scan, handed the gate's turns,
-    places its maxima; those within tol_rel of the sup of |p| over them and
-    the sample are its extremal set (``_extremal_weights``), and
-    ``_curve_certificate`` weighs it uniformly, returning p after one step
-    with ``exchange="start"``: the scan has made the exchange's test."""
-    _, Q, H, a, center, scale = basis
+    finds its maxima; those within tol_rel of the sup of |p| over them and
+    the sample are its extremal set (``_extremal_weights``).  The scan
+    leaves a point up to 1.8e-4 rad off its maximum where |p| is flat to
+    rounding, so one Newton step on the slope of |p|^2 places each point
+    where the curvature is negative, by at most one grid step, kept by its
+    size (|p| cannot tell).  ``_curve_certificate`` weighs the moved points
+    uniformly and returns p after one step with ``exchange="start"``: the
+    scan has made the exchange's test."""
+    _, Q_points, H, a, center, scale = basis
     p = _monic_polynomial(H, a, center, scale)
     turns = _turns(p, p.derivative(), sample)
     if len(turns[0]) < 2 * n:
@@ -462,15 +457,21 @@ def _curve_start(sample: CurveSample, n: int, opts: SolveOptions, basis) -> Mini
     on_sample = float(np.abs(p(sample.points)).max())
     if _precision_limited(on_sample, sample.family, n, np.finfo(float).eps):
         return None
-    maxima, _ = _curve_maxima([(p, sample)], [turns], flat=False)[0]
-    values = np.abs(_arnoldi_jets(H, (maxima - center) / scale)[0][:, n])
-    weights = _extremal_weights(values, max(float(np.abs(Q[:, n]).max()), float(values.max())), n,
+    maxima, angles = _curve_maxima([(p, sample)], [turns])[0]
+    z, dz, d2z = curve_jets(sample.family, sample.r, angles, maxima)
+    c = np.append(a, 1.0)
+    g, _, slope, curvature = _slope_jets(_arnoldi_jets(H, (z - center) / scale), c, dz / scale, d2z / scale)
+    values = np.abs(g)
+    weights = _extremal_weights(values, max(float(np.abs(Q_points[:, n]).max()), float(values.max())), n,
                                 opts.tol_rel)
     if weights is None:
         return None
     keep = weights > 0
-    return _curve_certificate(basis, np.append(a, 1.0), maxima[keep], weights[keep], opts.tol_rel,
-                              iterations=1, exchange="start")
+    h, down = 2.0 * np.pi / sample.size, curvature < 0
+    step = np.where(down, -slope / np.where(down, curvature, -1.0), 0.0)
+    theta = angles[keep] + np.clip(step[keep], -h, h)
+    z = points_at_angles(sample.family, sample.r, theta, z[keep])[0]
+    return _curve_certificate(basis, c, z, weights[keep], opts.tol_rel, iterations=1, exchange="start")
 
 
 def _curve_certificate(basis, c: np.ndarray, z: np.ndarray, lam: np.ndarray, tol_rel: float,
@@ -510,48 +511,38 @@ def _curve_certificate(basis, c: np.ndarray, z: np.ndarray, lam: np.ndarray, tol
 _SECANT_STEPS = 8
 # in grid steps: the guard at each end of a grid step, and a settling secant step
 _GUARD = np.sqrt(np.finfo(float).eps)
-# a relative change of |p|^2 over a grid step, or of |p|, that is rounding
+# a relative change of |p|^2 over a bracket that is rounding
 _FLAT = 4 * np.finfo(float).eps
 
 
 def _curve_maxima(pairs: Sequence[tuple[ComplexPolynomial, CurveSample]],
-                  turns: Sequence[tuple[np.ndarray, np.ndarray]] | None = None,
-                  flat: bool = True) -> list[tuple[np.ndarray, ...]]:
+                  turns: Sequence[tuple[np.ndarray, np.ndarray]] | None = None) -> list[tuple[np.ndarray, ...]]:
     """The maxima of |p| along the curve that the sample's grid steps
     bracket, for each (p, sample) pair of a batch on one family, as
     (points, angles): each point with the map angle it was evaluated at, a
     grid step's end (its start's angle or that plus 2 pi / size) or an
     iterate.  ``turns`` gives each pair's ``_turns``, where the caller has
-    them already; by default the scan takes them.  ``flat`` is the
-    caller's choice of stopping rule, below.
+    them already; by default the scan takes them.
 
     The slope of |p|^2 is taken, pair by pair, at the points
     ``sample.grid_steps`` holds for every scan of the sample; a grid step
     runs from each of them to the point at the next angle.  Each step that
     brackets one maximum (``_turns``) is searched by secant steps on the
     slope from its two ends.  A bracket whose two ends read slopes that
-    move |p|^2 by at most _FLAT over it is flat to rounding.  A grid step
-    that is so takes no secant step: its higher end is its maximum.  With
-    ``flat``, a bracket that becomes so after a secant round retires: its
-    highest point is within about eps of its maximum in |p| where the
-    slope is monotone across it, but may lie up to 2.2e-5 rad off (the
-    interval's T_9 at r = 3, M = 256).  The curve start's certificate
-    reads where its points lie, so its scan passes flat=False and each
-    bracket runs until settled: within 1e-10 (relative) of 2^16-point
-    maxima on 512-point samples, and up to 1.3e-8 rad off but within
-    5.6e-16 of the maximum on 8-point circles.  There a bracket whose
-    slope noise (Horner's) exceeds the slope's change over _GUARD grid
-    steps still runs to the cap.  A secant proposal in the closed bracket
-    and within _GUARD grid steps of the iterate settles it, also on the
-    end a rise has just moved to the iterate.  One at or past the guard of
-    a grid end (where a stationary end's zero or rounding-sized slope
-    leaves the secant) probes the guard's edge, and settles the bracket
-    where the slope there points to that end.  Other proposals off the
-    bracket or into a guard bisect it.  The highest point evaluated is
-    returned, but an iterate (not a probe) within _FLAT of it takes its
-    place, so where |p| is flat to rounding the point follows the secant,
-    not the noise.  One loop of at most _SECANT_STEPS serves the brackets
-    of every pair, each with its own level, grid step and polynomial
+    move |p|^2 by at most _FLAT over it is flat to rounding: a grid step
+    that is so takes no secant step, and a bracket that becomes so after
+    a secant round retires.  So a scan measures maxima, within about eps
+    in |p| where the slope is monotone across the bracket, but may place
+    one 1.8e-4 rad off (the interval's T_14 at r = 2.22, M = 256): callers
+    that read where points lie place them by Newton.  A secant proposal in the closed bracket and
+    within _GUARD grid steps of the iterate settles it, also on the end a
+    rise has just moved to the iterate.  One at or past the guard of a
+    grid end (where a stationary end's zero or rounding-sized slope leaves
+    the secant) probes the guard's edge, and settles the bracket where the
+    slope there points to that end.  Other proposals off the bracket or
+    into a guard bisect it.  Each bracket returns the highest point it
+    evaluated.  One loop of at most _SECANT_STEPS serves the brackets of
+    every pair, each with its own level, grid step and polynomial
     (coefficient rows for ``horner``), and ends when none is live; a
     settled or retired bracket keeps its state, so each pair's maxima are
     the bits a batch of one gives.  Not seen: a maximum and a minimum of
@@ -608,15 +599,13 @@ def _curve_maxima(pairs: Sequence[tuple[ComplexPolynomial, CurveSample]],
         pz = horner(rows, z)
         g = (np.conj(pz) * horner(drows, z) * dz).real
         value = np.abs(pz)
-        higher = live & ((value > best_val) | (value >= best_val * (1 - _FLAT)) & ~probe)
+        higher = live & (value > best_val)
         best, best_theta = np.where(higher, z, best), np.where(higher, cur, best_theta)
-        best_val = np.where(higher, np.maximum(value, best_val), best_val)
+        best_val = np.where(higher, value, best_val)
         rise = g > 0
         a, b = np.where(rise, cur, a), np.where(rise, b, cur)
         fa, fb = np.where(rise, g, fa), np.where(rise, fb, g)
-        live &= ~(probe & (rise == at_hi))
-        if flat:
-            live &= steep()
+        live &= ~(probe & (rise == at_hi)) & steep()
     return [(best[end - k : end], best_theta[end - k : end]) for end, k in zip(accumulate(counts), counts)]
 
 
@@ -683,16 +672,23 @@ def _arnoldi_jets(H: np.ndarray, zeta: np.ndarray) -> np.ndarray:
     return Q
 
 
+def _slope_jets(Q: np.ndarray, c: np.ndarray, dzeta, d2zeta):
+    """g = p(z(theta)) for p = sum_k c_k q_k, its theta-derivative g', the
+    slope ft = Re(conj(g) g') of |g|^2 / 2 and ft', from the basis jets Q
+    at the points and the derivatives of zeta(theta) there."""
+    g, p1, p2 = Q @ c
+    g1, g2 = p1 * dzeta, p2 * dzeta * dzeta + p1 * d2zeta
+    return g, g1, (g.conj() * g1).real, np.abs(g1) ** 2 + (g.conj() * g2).real
+
+
 def _kkt_system(c: np.ndarray, s: float, lam: np.ndarray, Q: np.ndarray, dzeta, d2zeta):
     """Residual and Jacobian of the KKT system of ``_newton_exchange`` in the
     real unknowns (Re a, Im a, s, lambda, theta), c = (a, 1), for the basis
     jets Q at the extremal points and the derivatives of zeta(theta) there."""
     K, n = len(lam), len(c) - 1
-    g, p1, p2 = Q @ c
-    g1, g2 = p1 * dzeta, p2 * dzeta * dzeta + p1 * d2zeta
+    g, g1, ft, dft = _slope_jets(Q, c, dzeta, d2zeta)
     q, q1 = Q[0, :, :n], Q[1, :, :n] * dzeta[:, None]
     fa = q.conj().T @ (lam * g)
-    ft = (g.conj() * g1).real
     res = np.concatenate([fa.real, fa.imag, [lam.sum() - 1.0], np.abs(g) ** 2 - s, ft])
     # rows: the n complex orthogonality conditions, the sum of lambda, |g|^2 = s
     # and the slopes; a complex-linear derivative A da takes (da real, da
@@ -707,8 +703,7 @@ def _kkt_system(c: np.ndarray, s: float, lam: np.ndarray, Q: np.ndarray, dzeta, 
         [A.imag, A.real, np.zeros((n, 1)), (q.conj().T * g).imag, d_theta.imag],
         [np.zeros((1, 2 * n + 1)), np.ones((1, K)), np.zeros((1, K))],
         [2.0 * u.real, -2.0 * u.imag, -np.ones((K, 1)), zero, 2.0 * ft * eye],
-        [(v1 + v2).real, (v1 - v2).imag, np.zeros((K, 1)), zero,
-         (np.abs(g1) ** 2 + (g.conj() * g2).real) * eye],
+        [(v1 + v2).real, (v1 - v2).imag, np.zeros((K, 1)), zero, dft * eye],
     ])
     return res, jac
 
@@ -802,24 +797,21 @@ def solve_chebyshev(
     Where the start certifies on its curve maxima (``_curve_start``, tried
     where its grid certificates are refused) that scan was the exchange's
     test, and the start is returned after one step with
-    ``exchange="start"``.  Otherwise one scan places the discrete
-    solution's maxima of |p| along L_r that the sample's grid steps
-    bracket, and the solution is accepted where none exceeds its
-    ``sup_norm`` by more than ``tol_rel``.  One that fails hands over to
-    Newton's method on its extremal set (``_newton_exchange``), which
-    starts at the maxima of that scan and their map angles, and changes
-    the set at each point it reaches until the scan of its point finds no
-    maximum above its level; where Newton is refused, the discrete
-    solution is returned with ``converged=False``.  ``converged`` means a
-    start certified on the curve, an accepted Newton point, or the
-    discrete certificate on the sample with no maximum bracketed by a grid
-    step above ``sup_norm`` by more than ``tol_rel``.  ``exchange`` names
-    the path that ended the exchange: "start", "newton", or "none" (no
-    maximum above the tolerance, no exchange, or a refused one).  On
-    "start" and "newton" ``weights`` are zero on the sample with the
-    certifying weights on the curve points appended
-    (``_curve_certificate``), and ``sup_norm`` is the sup of |p| over
-    both.  ``iterations`` counts the interior-point steps of the call and
+    ``exchange="start"``.  Otherwise one scan finds the discrete
+    solution's maxima of |p| that the sample's grid steps bracket, and the
+    solution is accepted where none exceeds its ``sup_norm`` by more than
+    ``tol_rel``.  One that fails hands over to Newton's method on its
+    extremal set (``_newton_exchange``); where Newton is refused, the
+    discrete solution is returned with ``converged=False``.
+    ``converged`` means a start certified on the curve, an accepted Newton
+    point, or the discrete certificate on the sample with no maximum
+    bracketed by a grid step above ``sup_norm`` by more than ``tol_rel``.
+    ``exchange`` names the path that ended the exchange: "start",
+    "newton", or "none" (no maximum above the tolerance, no exchange, or a
+    refused one).  On "start" and "newton" ``weights`` are zero on the
+    sample with the certifying weights on the curve points appended
+    (``_curve_certificate``), and ``sup_norm`` is the sup of |p| over both.
+    ``iterations`` counts the interior-point steps of the call and
     ``newton_steps`` Newton's steps.
 
     A solve is precision-limited when rounding at eps * sup_norm, in

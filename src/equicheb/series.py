@@ -126,6 +126,8 @@ class ComplexPolynomial:
 
     def __post_init__(self):
         arr = np.asarray(self.coeffs, dtype=complex).ravel()
+        if not len(arr):  # no coefficients: the zero polynomial
+            arr = np.zeros(1, dtype=complex)
         # normalize: drop trailing zero coefficients, keep at least one
         nz = np.nonzero(arr)[0]
         arr = arr[: nz[-1] + 1] if len(nz) else arr[:1]

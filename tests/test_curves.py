@@ -175,9 +175,11 @@ class TestValidation:
             )
 
     def test_unverified_flag(self):
+        # a family without alternation points is accepted unverified; a
+        # verified one keeps the points its check passed
         f = InversePolynomialImage(ComplexPolynomial([-3.0, 0.0, 1.0]))
-        assert not f.period_verified
-        assert PERIOD2.period_verified
+        assert f.alternation_points is None
+        np.testing.assert_array_equal(PERIOD2.alternation_points, [-2.0, -np.sqrt(2.0), 2.0])
 
     def test_real_coefficients_required(self):
         with pytest.raises(ValueError):

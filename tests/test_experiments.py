@@ -382,6 +382,20 @@ class TestFaberErrorDecay:
         rep = faber_error_decay(Circle(1.0), 3, [2, 4, 8, 16])
         # pure rounding: two fp paths to the same value, scale r^3
         assert rep.values.max() < 1e-15 * 16 ** 3 * 4
+        # no level rises above its rounding floor, so no slope is fitted
+        # (a fit through the rounding read +3, the growth of r^3 eps)
+        assert not rep.resolved.any() and rep.slope is None
+
+    def test_rounding_levels_leave_the_fit(self):
+        # the remainder (2r)^-10 falls below the cancellation of two terms
+        # of size (r/2)^10 from r = 8 on: those levels read 1.6e-9 to 1.46
+        # and pulled the slope over all six to +4.99.  Fitted over the
+        # resolved r = 2, 4 it is the closed form's -10 (r = 4 reads 0.17%
+        # high, its floor 9.1e-12 about 1% of its value)
+        rep = faber_error_decay(Interval(), 10, [2, 4, 8, 16, 32, 64])
+        assert rep.resolved.tolist() == [True, True, False, False, False, False]
+        assert rep.slope == pytest.approx(-10.0, abs=0.01)
+        np.testing.assert_allclose(rep.values[:2], [4.0 ** -10, 8.0 ** -10], rtol=0.01)
 
     def test_needs_map_values(self):
         with pytest.raises(ValueError):
@@ -397,7 +411,8 @@ class TestFaberErrorDecay:
     def test_report_serialises(self):
         rep = faber_error_decay(Interval(), 4, [2, 4, 8, 16])
         d = json.loads(json.dumps(rep.to_json_dict()))
-        assert list(d) == ["report", "family", "n", "r", "values", "slope"]
+        assert list(d) == ["report", "family", "n", "r", "values", "resolved", "slope"]
         assert d["report"] == "faber-error" and d["family"] == {"family": "interval"}
         assert d["n"] == 4 and d["r"] == [2.0, 4.0, 8.0, 16.0]
         assert d["values"] == rep.values.tolist() and d["slope"] == rep.slope
+        assert d["resolved"] == [True] * 4

@@ -1089,14 +1089,30 @@ class TestStartCertificate:
         (InversePolynomialImage(ComplexPolynomial([0.1, -2.0, 0.0, 1.0])), np.geomspace(1.05, 3, 8)[6], 12),
     ])
     def test_curve_start_keeps_its_placement(self, family, r, n):
-        # the start's certificate reads where its maxima lie, so its scan
-        # settles each bracket by the secant alone and retires none for
-        # being flat to rounding.  With the flatness rule there, these six
-        # sweep starts (M = 256) are all refused: on the interval at r = 3,
-        # n = 9 the maxima land up to 2.2e-5 rad off and the gap goes from
-        # 1.3e-15 to 2.4e-10
+        # the start's certificate reads where its maxima lie, and its scan
+        # retires a bracket once |p| is flat to rounding across it: on the
+        # interval at r = 3, n = 9 (M = 256) that leaves the maxima up to
+        # 2.2e-5 rad off, and certified there these six sweep starts are
+        # all refused.  One Newton step on the slope of |p|^2 moves those to
+        # within 4.9e-9 rad, and the six gaps are 1.1e-15 to 2.5e-14 (up to
+        # 9.0e-11 when each bracket ran until the secant settled it)
         sol = solve_chebyshev(sample_level_curve(family, r, 256), n)
         assert sol.converged and sol.exchange == "start" and sol.iterations == 1
+
+    @pytest.mark.parametrize("family, r, n", [
+        (Interval(), np.geomspace(1.05, 3, 8)[4], 15),
+        (InversePolynomialImage(ComplexPolynomial([-3.0, 0.0, 1.0])), np.geomspace(1.05, 3, 8)[4], 14),
+        (InversePolynomialImage(ComplexPolynomial([-3.0, 0.0, 1.0])), np.geomspace(1.05, 3, 8)[5], 14),
+        (InversePolynomialImage(ComplexPolynomial([-3.0, 0.0, 1.0])), np.geomspace(1.05, 3, 8)[6], 12),
+    ])
+    def test_curve_start_newton_step_certifies(self, family, r, n):
+        # sweep starts (M = 256) that the scan's own placement refused, by
+        # the secant alone as by the flatness rule: those solves took 8 or
+        # 9 interior-point steps.  With each extremal point moved by the
+        # Newton step they certify in one, with gaps of at most 3.6e-14
+        sol = solve_chebyshev(sample_level_curve(family, r, 256), n)
+        assert sol.converged and sol.exchange == "start" and sol.iterations == 1
+        assert sol.newton_steps == 0 and sol.equioscillation_gap <= 1e-13
 
     def test_repeated_point_extremal_set_takes_steps(self):
         # for n = 2 the start peaks on the four copies of -1: weights on one

@@ -52,6 +52,21 @@ def bernoulli_map(depth):
     return LaurentSeriesAtInfinity(1.0, sqrt_zsq_minus_1_tail(depth))
 
 
+class TestComplexPolynomial:
+    @pytest.mark.parametrize("coeffs", [[], [0.0, 0.0]], ids=["empty", "zeros"])
+    def test_no_nonzero_coefficient_is_the_zero_polynomial(self, coeffs):
+        # an empty input used to leave no coefficient: degree -1, and
+        # evaluating it raised IndexError
+        p = ComplexPolynomial(coeffs)
+        assert p.degree == 0 and p.coeffs.tolist() == [0j]
+        np.testing.assert_array_equal(p(np.array([0.0, 2.0 + 1j])), [0, 0])
+
+    def test_empty_json_coefficients(self):
+        p = ComplexPolynomial.from_json_dict({"coeffs": []})
+        assert p.degree == 0 and p.coeffs.tolist() == [0j]
+        assert p.to_json_dict()["coeffs"] == [[0.0, 0.0]]
+
+
 class TestSeriesPower:
     def test_reciprocal_times_series_is_one(self):
         s = np.array([1.0, 0.0, 1.0])  # z + 1/z, from z^1 down

@@ -10,15 +10,18 @@ default run; run it with
     python -m pytest -q -s -m sweep tests/test_sweep.py
 
 Every solve converges and ends on the path none, start or newton.  It
-prints the paths per family, the total interior-point and Newton steps
-and the total secant rounds of its curve scans (calls of
-``points_at_angles``), and bounds the step totals by STEP_BUDGET: 5,152
-interior-point and 1,517 Newton steps, the totals at one and at two
-BLAS threads since scan brackets retire once |p| is flat to rounding
-(1,521 Newton steps and 4,982 secant rounds before, 4,297 rounds
-since), so a change that costs steps fails.  The path counts are not
-pinned: moving each sample point by one ulp moves 9 preimage solves (7 on
-z^2 - 3, 2 on z^3 - 2z + 0.1) between none, start and newton.
+prints the paths per family, the total interior-point and Newton steps,
+the total secant rounds of its curve scans (calls of
+``points_at_angles`` with an array of levels), and the curve starts
+attempted, scanned (past the gate) and certified: 496, 156 and 135.  It
+bounds the step totals by STEP_BUDGET: 5,122 interior-point and 1,509
+Newton steps, the totals at one and at two BLAS threads since the curve
+start places its points by one Newton step (5,152 and 1,517 before, when
+its scan ran each bracket until the secant settled it, 131 starts
+certified), so a change that costs steps fails.  The secant rounds are
+4,205 at one thread and 4,204 at two.  The path counts are not pinned:
+moving each sample point by one ulp in each coordinate, in a random
+direction, moves 7 solves on z^2 - 3 between none, start and newton.
 """
 
 from collections import Counter
@@ -40,13 +43,30 @@ FAMILIES = {
     "z^3 - 2z + 0.1": InversePolynomialImage(ComplexPolynomial([0.1, -2.0, 0.0, 1.0])),
 }
 PATHS = ("none", "start", "newton")
-STEP_BUDGET = {"interior point": 5152, "newton": 1517}
+STEP_BUDGET = {"interior point": 5122, "newton": 1509}
 
 
 @pytest.mark.sweep
 def test_default_sweep(monkeypatch):
-    rounds, direct = [], minimax.points_at_angles  # one call per secant round of a curve scan
-    monkeypatch.setattr(minimax, "points_at_angles", lambda *args: rounds.append(1) or direct(*args))
+    # a secant round of a curve scan calls points_at_angles with an array of
+    # levels; the curve start places its moved points with one level
+    rounds, direct = [], minimax.points_at_angles
+    monkeypatch.setattr(minimax, "points_at_angles",
+                        lambda *args: rounds.append(np.ndim(args[1]) > 0) or direct(*args))
+    starts, direct_start, direct_scan = Counter(), minimax._curve_start, minimax._curve_maxima
+
+    def curve_start(*args):
+        sol = direct_start(*args)
+        starts["attempted"] += 1
+        starts["certified"] += sol is not None
+        return sol
+
+    def curve_maxima(pairs, turns=None):  # only the start's scan is handed its gate's turns
+        starts["scanned"] += turns is not None
+        return direct_scan(pairs, turns)
+
+    monkeypatch.setattr(minimax, "_curve_start", curve_start)
+    monkeypatch.setattr(minimax, "_curve_maxima", curve_maxima)
     paths, unconverged = {name: Counter() for name in FAMILIES}, []
     steps = newton_steps = 0
     for name, family in FAMILIES.items():
@@ -64,7 +84,9 @@ def test_default_sweep(monkeypatch):
         print(f"{name:18}" + "".join(f"{counts[path]:9d}" for path in PATHS))
     total = sum(paths.values(), Counter())
     print(f"{'all':18}" + "".join(f"{total[path]:9d}" for path in PATHS))
-    print(f"interior-point steps {steps}, Newton steps {newton_steps}, secant rounds {len(rounds)}")
+    print(f"interior-point steps {steps}, Newton steps {newton_steps}, secant rounds {sum(rounds)}")
+    print(f"curve starts: {starts['attempted']} attempted, {starts['scanned']} scanned, "
+          f"{starts['certified']} certified")
     assert sum(total.values()) == 960
     assert not unconverged
     assert sum(total[path] for path in PATHS) == 960
