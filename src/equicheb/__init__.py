@@ -26,7 +26,6 @@ from .curves import (
     Lemniscate,
     capacity_leading_coefficient,
     faber_basis,
-    joukowski,
     phi_series,
     sample_level_curve,
 )

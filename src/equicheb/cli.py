@@ -331,7 +331,8 @@ def run(argv: Sequence[str] | None = None) -> int:
         print(f"error writing outputs: {e}", file=sys.stderr)
         return 1
     if out.get("unconverged"):
-        print("solve did not converge within the step budget or the exchange cap", file=sys.stderr)
+        print("solve did not converge: the interior point reached --max-iter without its certificate, "
+              "Newton was refused on the curve, or double-double could not resolve the level", file=sys.stderr)
         return 2
     return 0
 

@@ -39,16 +39,9 @@ __all__ = [
     "sample_level_curve",
     "points_at_angles",
     "curve_jets",
-    "joukowski",
     "family_to_json_dict",
     "family_from_json_dict",
 ]
-
-
-def joukowski(w):
-    """Inverse map for the interval [-1,1]: circles |w|=r to ellipses."""
-    w = np.asarray(w, dtype=complex)
-    return (w + 1.0 / w) / 2.0
 
 
 def _check_finite(values, what: str) -> None:

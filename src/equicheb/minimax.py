@@ -471,13 +471,14 @@ def _curve_start(sample: CurveSample, n: int, opts: SolveOptions, basis) -> Mini
     step = np.where(down, -slope / np.where(down, curvature, -1.0), 0.0)
     theta = angles[keep] + np.clip(step[keep], -h, h)
     z = points_at_angles(sample.family, sample.r, theta, z[keep])[0]
-    return _curve_certificate(basis, c, z, weights[keep], opts.tol_rel, iterations=1, exchange="start")
+    return _curve_certificate(basis, p, c, z, weights[keep], opts.tol_rel, iterations=1, exchange="start")
 
 
-def _curve_certificate(basis, c: np.ndarray, z: np.ndarray, lam: np.ndarray, tol_rel: float,
-                       **counts) -> MinimaxSolution | None:
+def _curve_certificate(basis, poly: ComplexPolynomial, c: np.ndarray, z: np.ndarray, lam: np.ndarray,
+                       tol_rel: float, **counts) -> MinimaxSolution | None:
     """The polynomial p = sum_k c_k q_k (c_n = 1) in the Arnoldi ``basis``
-    of a discrete solve's points certified on points z of the curve by
+    of a discrete solve's points, ``poly`` its monomial form (the caller's
+    ``_monic_polynomial``), certified on points z of the curve by
     weights lam summing to 1: ``_certificate`` in the Arnoldi basis at z,
     its gap measured against the larger of the sup of |p| on the basis's
     points and on z.  Returns None where the gap exceeds ``tol_rel`` or the
@@ -495,7 +496,6 @@ def _curve_certificate(basis, c: np.ndarray, z: np.ndarray, lam: np.ndarray, tol
     gap = 1.0 - bound / float(np.abs(np.concatenate([Q_points @ c, Q @ c])).max())
     if not gap <= tol_rel:
         return None
-    poly = _monic_polynomial(H, c[:n], center, scale)
     return MinimaxSolution(
         polynomial=poly,
         sup_norm=float(np.abs(poly(np.concatenate([points, z]))).max()),
@@ -767,16 +767,17 @@ def _newton_exchange(sample: CurveSample, n: int, opts: SolveOptions, sol: Minim
         if small < 2:
             continue
         small = 0
-        z = curve_jets(sample.family, sample.r, theta, z)[0]
+        z = points_at_angles(sample.family, sample.r, theta, z)[0]
         if lam.min() <= 0:  # Newton's next step restores sum(lambda) = 1
             z, lam, theta = z[lam > 0], lam[lam > 0], theta[lam > 0]
             continue
         level = np.sqrt(s) * (1.0 + opts.tol_rel)  # a point joins only above the set's own |p|
-        mx, mx_theta = _curve_maxima([(_monic_polynomial(H, c[:n], center, scale), sample)])[0]
+        poly = _monic_polynomial(H, c[:n], center, scale)
+        mx, mx_theta = _curve_maxima([(poly, sample)])[0]
         up = np.abs(_arnoldi_jets(H, (mx - center) / scale)[0] @ c) > level
         if not up.any():
-            point = _curve_certificate(basis, c, z, lam / lam.sum(), opts.tol_rel, iterations=sol.iterations,
-                                       exchange="newton", newton_steps=steps)
+            point = _curve_certificate(basis, poly, c, z, lam / lam.sum(), opts.tol_rel,
+                                       iterations=sol.iterations, exchange="newton", newton_steps=steps)
             if point is not None:
                 return point, steps
             i = [np.abs(Q_points @ c).argmax()]  # the highest sample point

@@ -1,11 +1,10 @@
 """Simultaneous polynomial root finding (Aberth-Ehrlich).
 
-One deterministic solver used both standalone and, in batch form, by the
-level-curve samplers of degree >= 3 (the per-angle solves are independent,
-so the batch path runs them as one vectorized iteration with per-row
-convergence masks; it produces exactly the same iterates as solving one at
-a time).  The samplers' degree-1 and degree-2 batches are solved in closed
-form.
+One deterministic kernel, ``_roots_of_rows``, serves both the standalone
+entry points and the level-curve samplers: degree 1 and 2 in closed form,
+degree >= 3 by Aberth, whose per-row solves run as one vectorized
+iteration with per-row convergence masks and give exactly the iterates of
+solving one at a time.
 
 Aberth starts at the eigenvalues of each polynomial's companion matrix,
 which are backward stable (Edelman & Murakami 1995), spread apart by a
@@ -182,17 +181,35 @@ def _aberth_batch(coeff_rows: np.ndarray):
     return z, iterations, ~active
 
 
-def all_roots(p: ComplexPolynomial) -> RootSet:
-    """All complex roots of p by simultaneous Aberth-Ehrlich iteration.
+def _roots_of_rows(rows: np.ndarray):
+    """(roots, iterations, converged) for rows of one degree (ascending):
+    degree 1 as (0 - c_0) / c_1; degree 2 as z1 = -(h + d), h half the monic
+    linear coefficient and d = sqrt(h^2 - c) signed so that h + d does not
+    cancel, and z2 = c / z1, c the monic constant (z1 = 0 only where c = 0);
+    higher degrees by ``_aberth_batch``.  From degree 2 up each row is
+    sorted by ``_sort_roots``.  The closed forms take 0 iterations."""
+    deg = rows.shape[1] - 1
+    if deg >= 3:
+        z, iters, conv = _aberth_batch(rows)
+        return _sort_roots(z), iters, conv
+    monic = _monic_rows(rows)
+    closed = np.zeros(len(rows), dtype=int), np.ones(len(rows), dtype=bool)
+    if deg == 1:
+        return (0.0 - rows[:, :1]) / rows[:, 1:], *closed
+    c, h = monic[:, 0], 0.5 * monic[:, 1]
+    d = np.sqrt(h * h - c)
+    z1 = -(h + np.where((h.conj() * d).real < 0, -d, d))
+    return _sort_roots(np.stack([z1, c / np.where(z1 == 0, 1, z1)], axis=1)), *closed
 
-    Iteration starts at the companion-matrix eigenvalues, spread by a
-    tiny fixed offset, and stops when every Newton correction falls below
-    _TOL*(1+|root|) or every root has a backward error at rounding level
-    (module docstring); multiple roots stop by the second test.
-    Deterministic for fixed p.  Raises ValueError for a coefficient,
-    or a coefficient divided by the leading one, that is not finite, and
-    RootFindingError if the budget runs out.  This is ``all_roots_batch``
-    on one polynomial.
+
+def all_roots(p: ComplexPolynomial) -> RootSet:
+    """All complex roots of p: degree 1 and 2 in closed form, higher
+    degrees by Aberth-Ehrlich from the spread companion eigenvalues until
+    every Newton correction is below _TOL*(1+|root|) or every root has a
+    backward error at rounding level (module docstring).  Deterministic.
+    Raises ValueError for a coefficient, or a coefficient divided by the
+    leading one, that is not finite, and RootFindingError if the budget
+    runs out.  This is ``all_roots_batch`` on one polynomial.
     """
     (roots,) = all_roots_batch([p])
     if roots is None:
@@ -201,12 +218,11 @@ def all_roots(p: ComplexPolynomial) -> RootSet:
 
 
 def all_roots_batch(polys: Sequence[ComplexPolynomial]) -> list[RootSet | None]:
-    """``all_roots`` of each polynomial of a batch of one degree, in one
-    Aberth iteration whose rows each get the bits of their own call
-    (``_aberth_batch``); degree 1 in closed form.  A row whose budget runs
-    out is None, a gap, and the other rows still finish.  Raises
-    ValueError as ``all_roots`` does, for any row, and for polynomials of
-    more than one degree.
+    """``all_roots`` of each polynomial of a batch of one degree, by one
+    ``_roots_of_rows`` call whose rows each get the bits of their own call.
+    A row whose budget runs out is None, a gap, and the other rows still
+    finish.  Raises ValueError as ``all_roots`` does, for any row, and for
+    polynomials of more than one degree.
     """
     if not polys:
         return []
@@ -218,45 +234,26 @@ def all_roots_batch(polys: Sequence[ComplexPolynomial]) -> list[RootSet | None]:
     rows = np.array([p.coeffs for p in polys], dtype=complex)
     if (rows[:, -1] == 0).any():
         raise ValueError("leading coefficient must be nonzero")
-    iters, conv = np.zeros(len(rows), dtype=int), np.ones(len(rows), dtype=bool)
-    if deg == 1:
-        _monic_rows(rows)
-        roots = -rows[:, :1] / rows[:, 1:]
-    else:
-        z, iters, conv = _aberth_batch(rows)
-        roots = _sort_roots(z)
+    roots, iters, conv = _roots_of_rows(rows)
     return [RootSet(row, np.abs(p(row)), iterations=int(k)) if ok else None
             for p, row, k, ok in zip(polys, roots, iters, conv)]
 
 
 def roots_after_constant_shifts(base: ComplexPolynomial, targets: np.ndarray):
-    """Roots of base(z) = target for every target, batched.
+    """Roots of base(z) = target for every target, batched by
+    ``_roots_of_rows``.
 
     Level-curve samplers call this once per curve; rows keep the solver's
-    deterministic per-polynomial ordering.  Degree 1 is solved in closed
-    form, and so is degree 2: z1 = -(h + d), h half the monic linear
-    coefficient and d = sqrt(h^2 - c) signed so that h + d does not cancel,
-    and z2 = c / z1, c the monic constant coefficient (z1 = 0 only where
-    c = 0); its rows are sorted as Aberth's are.  Raises ValueError as
-    all_roots does, for any row, and RootFindingError if any row fails to
-    converge.
+    deterministic per-polynomial ordering.  Raises ValueError as all_roots
+    does, for any row, and RootFindingError if any row fails to converge.
     """
     targets = np.asarray(targets, dtype=complex).ravel()
     rows = np.tile(np.asarray(base.coeffs, dtype=complex), (len(targets), 1))
     rows[:, 0] -= targets
-    if base.degree <= 2:
-        monic = _monic_rows(rows)
-        if base.degree == 1:
-            c0, c1 = base.coeffs
-            return ((targets - c0) / c1)[:, None]
-        c, h = monic[:, 0], 0.5 * monic[:, 1]
-        d = np.sqrt(h * h - c)
-        z1 = -(h + np.where((h.conj() * d).real < 0, -d, d))
-        return _sort_roots(np.stack([z1, c / np.where(z1 == 0, 1, z1)], axis=1))
-    z, _, conv = _aberth_batch(rows)
+    roots, _, conv = _roots_of_rows(rows)
     if not conv.all():
         bad = int(np.flatnonzero(~conv)[0])
         raise RootFindingError(
             f"no convergence for target index {bad} within {_MAX_ITER} iterations"
         )
-    return _sort_roots(z)
+    return roots

@@ -67,6 +67,8 @@ class LaurentSeriesAtInfinity:
         return self.leading_coefficient * z + horner(self.tail, 1.0 / z)
 
     def truncate(self, depth: int) -> "LaurentSeriesAtInfinity":
+        if depth < 0:
+            raise ValueError("truncation depth must be nonnegative")
         if depth > self.depth:
             if self.exact:
                 pad = np.zeros(depth - self.depth, dtype=complex)

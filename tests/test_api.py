@@ -44,7 +44,6 @@ PUBLIC = {
     "faber_powers",
     "faber_recurrence",
     "invariance_experiment",
-    "joukowski",
     "monic_classical_chebyshev",
     "monic_faber",
     "phi_series",

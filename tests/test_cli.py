@@ -115,6 +115,16 @@ class TestChebCommand:
         assert code == 2
         assert read_json(tmp_path / "cheb.json")["converged"] is False
 
+    def test_unconverged_message_names_the_three_causes(self, tmp_path, capsys):
+        # one interior-point step cannot certify T_3 on Bernoulli's
+        # lemniscate; the message names every way a solve stays unconverged
+        code = run(["cheb", "--family", "lemniscate", "--P", "1,0,-1", "--n", "3", "--r", "1.2",
+                    "--max-iter", "1", "-o", str(tmp_path)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "solve did not converge: the interior point reached --max-iter without its certificate, "
+            "Newton was refused on the curve, or double-double could not resolve the level\n")
+
     def test_validation_errors(self, tmp_path, capsys):
         assert run(["cheb", "--family", "circle", "--r", "0.5", "--n", "3",
                     "-o", str(tmp_path)]) == 1

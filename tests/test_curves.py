@@ -12,7 +12,6 @@ from equicheb.curves import (
     faber_basis,
     family_from_json_dict,
     family_to_json_dict,
-    joukowski,
     phi_series,
     points_at_angles,
     sample_level_curve,
@@ -185,6 +184,22 @@ class TestValidation:
         with pytest.raises(ValueError):
             InversePolynomialImage(ComplexPolynomial([1.0j, 0.0, 1.0]))
 
+    @pytest.mark.parametrize("make, message", [
+        (lambda: Lemniscate(ComplexPolynomial([1.0]), 1.0), "generator degree must be at least 1"),
+        (lambda: InversePolynomialImage(ComplexPolynomial([2.0])), "polynomial degree must be at least 1"),
+        (lambda: InversePolynomialImage(ComplexPolynomial([3.0, 0.0, -1.0])), "leading coefficient must be positive"),
+        (lambda: InversePolynomialImage(ComplexPolynomial([-3.0, 0.0, 1.0]), [-2.0, 2.0]),
+         "need m\\+1 strictly increasing"),
+        (lambda: InversePolynomialImage(ComplexPolynomial([-3.0, 0.0, 1.0]), [2.0, -np.sqrt(2.0), -2.0]),
+         "need m\\+1 strictly increasing"),
+        (lambda: phi_series(BERNOULLI, -1), "^depth must be nonnegative"),
+        (lambda: sample_level_curve(BERNOULLI, 2.0, 0), "sample size must be positive"),
+    ], ids=["lemniscate-degree-0", "preimage-degree-0", "preimage-negative-lead", "alternation-count",
+            "alternation-decreasing", "phi-depth", "sample-size"])
+    def test_refusals(self, make, message):
+        with pytest.raises(ValueError, match=message):
+            make()
+
     @pytest.mark.parametrize("make", [
         lambda: Circle(np.inf),
         lambda: Circle(np.nan),
@@ -353,7 +368,7 @@ class TestSampling:
         circle = sample_level_curve(Circle(2.5), r, 512)
         assert circle.points.tobytes() == (2.5 * w).tobytes()
         ellipse = sample_level_curve(Interval(), r, 512)
-        assert ellipse.points.tobytes() == joukowski(w).tobytes()
+        assert ellipse.points.tobytes() == ((w + 1.0 / w) / 2.0).tobytes()
 
     def test_bernoulli_theta_zero(self):
         s = sample_level_curve(BERNOULLI, 2.0, 8)
@@ -566,6 +581,12 @@ class TestDegreeOneGenerators:
 
 
 class TestFamilyJson:
+    def test_refusals(self):
+        with pytest.raises(TypeError, match="unknown family object"):
+            family_to_json_dict(object())
+        with pytest.raises(ValueError, match="unknown family spec 'ellipse'"):
+            family_from_json_dict({"family": "ellipse"})
+
     def test_round_trip_all_families(self):
         fams = [
             Circle(2.0),

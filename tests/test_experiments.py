@@ -237,6 +237,11 @@ class TestWidom:
         assert sizes == [512, 544, 576]
         assert all(v is not None for v in rep.values)
 
+    @pytest.mark.parametrize("r", [1.0, 0.5])
+    def test_level_at_most_one_refused(self, r):
+        with pytest.raises(ValueError, match="level r must be finite and exceed 1"):
+            widom_experiment(Circle(1.0), r, 3)
+
     def test_lemniscate_even_degrees_zero(self):
         rep = widom_experiment(BERNOULLI, 2.0, 6, opts=FAST)
         for n in (2, 4, 6):
@@ -251,6 +256,10 @@ class TestTrajectories:
         perm, dists = greedy_bijective_match(a, a[::-1])
         assert sorted(perm) == list(range(9))
         assert dists.max() == 0.0
+
+    def test_greedy_match_refuses_unequal_lengths(self):
+        with pytest.raises(ValueError, match="equal length"):
+            greedy_bijective_match(np.zeros(3, complex), np.zeros(2, complex))
 
     def test_bernoulli_degree_two_constant(self):
         # exact invariance: both zero trajectories sit at +-1 for every r
@@ -366,6 +375,12 @@ class TestRivlin:
     def test_grid_contract(self):
         with pytest.raises(ValueError):
             rivlin_check(8, 10, 256)  # 256 < 64*8
+
+    @pytest.mark.parametrize("n, trials, message", [
+        (0, 10, "degree must be at least 1"), (2, 0, "need at least one trial")])
+    def test_degree_and_trials_refused(self, n, trials, message):
+        with pytest.raises(ValueError, match=message):
+            rivlin_check(n, trials, 256)
 
 
 class TestFaberErrorDecay:

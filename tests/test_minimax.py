@@ -118,6 +118,10 @@ class TestArnoldi:
         with pytest.raises(RankDeficiencyError):
             minimax._arnoldi(np.array([1.0, -1.0, 0.5j, 1.0, -1.0, 0.5j]), 3)
 
+    def test_coincident_points_refused(self):
+        with pytest.raises(RankDeficiencyError, match="all points coincide"):
+            chebyshev_on_points(np.full(8, 1.0 + 2.0j), 3)
+
 
 class TestSolveChebyshev:
     def test_circle_monomial(self):
@@ -432,13 +436,12 @@ class TestSolveChebyshev:
         fine = sample_level_curve(family, 1.05, 2 ** 15).points
         assert np.abs(sol.polynomial(fine)).max() <= sol.sup_norm * (1 + 2e-10)
 
-    def test_newton_after_re_solves(self, kkt_sizes):
+    def test_newton_joins_scan_maxima_above_its_set(self, kkt_sizes):
         # where the scan of Newton's converged point finds maxima above its
         # sup, they join the extremal set: here the first point, on 14
         # extremal points, has two maxima above it, and Newton ends on 16
-        # after the discrete solve (14 steps; with re-solves the exchange
-        # took 55).  The Horner bound on the curve is 3.2e-12 of the sup,
-        # so double evaluation can check it
+        # after the discrete solve (19 steps).  The Horner bound on the
+        # curve is 3.2e-12 of the sup, so double evaluation can check it
         family = InversePolynomialImage(ComplexPolynomial([0.1, -2.0, 0.0, 1.0]))
         r = np.geomspace(1.05, 3, 8)[3]
         sample = sample_level_curve(family, r, 256)
@@ -455,7 +458,7 @@ class TestSolveChebyshev:
         # 1.2235, n = 19: Newton converges on the 30 extremal points the
         # dual weights name with two lambda_j < 0; those two leave the set
         # and Newton ends on the other 28 after the discrete solve (17
-        # steps; with re-solves the exchange took 34)
+        # steps)
         family = InversePolynomialImage(ComplexPolynomial([0.1, -2.0, 0.0, 1.0]))
         r = np.geomspace(1.05, 3, 8)[1]
         sample = sample_level_curve(family, r, 304)
@@ -577,8 +580,8 @@ class TestSolveChebyshev:
         ],
     )
     def test_certificate_converges_in_few_steps(self, family, n, r, opts):
-        # Lawson's certificate stalls on each of these (at 1e-5 to 3e-5
-        # after 20,000 steps at 1e-8); the interior point's does not
+        # the interior point's dual certificate meets each tolerance
+        # within 30 steps
         pts = sample_level_curve(family, r, 512).points
         sol = chebyshev_on_points(pts, n, opts)
         assert sol.converged
@@ -1211,10 +1214,10 @@ class TestSolverRefusals:
         sample, _, basis, _ = self.bernoulli_solve()
         points = z(sample)
         lam = np.full(len(points), 1.0 / len(points))
-        c = np.append(basis[3], 1.0)
-        assert minimax._curve_certificate(basis, c, points, lam, np.inf) is None
+        c, p = np.append(basis[3], 1.0), minimax._monic_polynomial(*basis[2:])
+        assert minimax._curve_certificate(basis, p, c, points, lam, np.inf) is None
         four = sample.points[:: len(sample.points) // 4]
-        assert minimax._curve_certificate(basis, c, four, np.full(4, 0.25), np.inf, iterations=1)
+        assert minimax._curve_certificate(basis, p, c, four, np.full(4, 0.25), np.inf, iterations=1)
 
     def test_newton_refuses_fewer_maxima_than_coefficients(self):
         # n + 1 extremal points at least fix the n coefficients and the sup;
@@ -1280,9 +1283,8 @@ class TestSolverRefusals:
 def test_newton_refuses_an_angle_step_above_the_grid_step(monkeypatch):
     # the preimage of z^3 - 2z + 0.1 at the sweep's third level, n = 19:
     # Newton's first full step would move an angle by 1.24 grid steps h.
-    # It is not refused (then re-solves took 32 interior-point steps): it
-    # is shortened to move that angle by h, and Newton ends the exchange
-    # after the discrete solve (16 steps)
+    # It is not refused: it is shortened to move that angle by h, and
+    # Newton ends the exchange after the discrete solve (16 steps)
     family = InversePolynomialImage(ComplexPolynomial([0.1, -2.0, 0.0, 1.0]))
     sample = sample_level_curve(family, np.geomspace(1.05, 3, 8)[2], 304)
     h = 2.0 * np.pi / sample.size

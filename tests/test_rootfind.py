@@ -32,6 +32,17 @@ class TestAllRoots:
         assert np.abs(rs.roots.imag).max() < 1e-12
         assert rs.residuals.max() < 1e-12
 
+    @pytest.mark.parametrize("coeffs, root", [([1.0, -2.0, 1.0], 1.0), ([0.0, 0.0, 1.0], 0.0)],
+                             ids=["(z-1)^2", "z^2"])
+    def test_quadratic_double_root_in_closed_form(self, coeffs, root, monkeypatch):
+        # the quadratic formula gives the double root exactly, with no
+        # iteration
+        monkeypatch.setattr(rootfind, "_aberth_batch", None)
+        rs = all_roots(ComplexPolynomial(coeffs))
+        assert rs.iterations == 0
+        np.testing.assert_array_equal(rs.roots, [root, root])
+        np.testing.assert_array_equal(rs.residuals, [0.0, 0.0])
+
     def test_factored_cubic(self):
         # z^3 - (3/4) z = z (z - sqrt(3)/2)(z + sqrt(3)/2)
         rs = all_roots(ComplexPolynomial([0.0, -0.75, 0.0, 1.0]))

@@ -403,6 +403,21 @@ class TestMonicNormalization:
             LaurentSeriesAtInfinity(0.0, [0.0])
 
 
+class TestSeriesDepth:
+    def test_empty_tail_has_depth_zero(self):
+        s = LaurentSeriesAtInfinity(2.0, [])
+        assert s.depth == 0 and s.tail.tolist() == [0j]
+
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_negative_truncation_depth_refused(self, exact):
+        # tail[:0] is empty, and an empty tail reads as [0]: the constant
+        # term would be dropped
+        s = LaurentSeriesAtInfinity(2.0, [1.0, 2.0, 3.0], exact=exact)
+        with pytest.raises(ValueError, match="truncation depth must be nonnegative"):
+            s.truncate(-1)
+        assert s.truncate(0).tail.tolist() == [1.0 + 0j]
+
+
 class TestSerialization:
     def test_series_json_round_trip(self):
         phi = LaurentSeriesAtInfinity(2.0, [0.1, -0.5j, 0.25])

@@ -14,12 +14,10 @@ prints the paths per family, the total interior-point and Newton steps,
 the total secant rounds of its curve scans (calls of
 ``points_at_angles`` with an array of levels), and the curve starts
 attempted, scanned (past the gate) and certified: 496, 156 and 135.  It
-bounds the step totals by STEP_BUDGET: 5,122 interior-point and 1,509
-Newton steps, the totals at one and at two BLAS threads since the curve
-start places its points by one Newton step (5,152 and 1,517 before, when
-its scan ran each bracket until the secant settled it, 131 starts
-certified), so a change that costs steps fails.  The secant rounds are
-4,205 at one thread and 4,204 at two.  The path counts are not pinned:
+bounds the totals by STEP_BUDGET: 5,122 interior-point steps, 1,509
+Newton steps and 4,205 secant rounds, the totals at one BLAS thread
+(at two, the steps are the same and the rounds 4,204), so a change that
+costs steps or rounds fails.  The path counts are not pinned:
 moving each sample point by one ulp in each coordinate, in a random
 direction, moves 7 solves on z^2 - 3 between none, start and newton.
 """
@@ -43,7 +41,7 @@ FAMILIES = {
     "z^3 - 2z + 0.1": InversePolynomialImage(ComplexPolynomial([0.1, -2.0, 0.0, 1.0])),
 }
 PATHS = ("none", "start", "newton")
-STEP_BUDGET = {"interior point": 5122, "newton": 1509}
+STEP_BUDGET = {"interior point": 5122, "newton": 1509, "secant rounds": 4205}
 
 
 @pytest.mark.sweep
@@ -92,3 +90,4 @@ def test_default_sweep(monkeypatch):
     assert sum(total[path] for path in PATHS) == 960
     assert steps <= STEP_BUDGET["interior point"]
     assert newton_steps <= STEP_BUDGET["newton"]
+    assert sum(rounds) <= STEP_BUDGET["secant rounds"]
